@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser("search", parents=[common],
-                              help="bounded exhaustive search (indexed pair scan)")
+                              help="bounded exhaustive search (scan anchored on C^Z)")
     p_search.add_argument("--bound", type=_int_flag, required=True,
                           help="maximum C^Z (accepts 10^12 / 1e12 spellings)")
     p_search.add_argument("--min-x", type=int, default=3)
@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--min-z", type=int, default=3)
     p_search.add_argument("--out", required=True, help="CSV output path")
     p_search.add_argument("--report", help="optional JSON report path")
-    p_search.add_argument("--modular-filter", action="store_true",
-                          help="enable the residue pre-filter (off by default)")
     p_search.set_defaults(func=cmd_search)
 
     p_oracle = sub.add_parser("oracle", parents=[common],
@@ -111,7 +109,6 @@ def cmd_search(args) -> int:
         bound=args.bound,
         min_x=args.min_x, min_y=args.min_y, min_z=args.min_z,
         workers=args.workers, seed=args.seed,
-        modular_filter=args.modular_filter,
     )
     report = search_solutions(config)
     _write_outputs(report, args.out, args.report)

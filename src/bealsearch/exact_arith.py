@@ -207,9 +207,11 @@ class Radical:
 _TRIAL_LIMIT = 10 ** 6
 _small_primes: list[int] | None = None
 
-# Deterministic Miller-Rabin witness set: exact for all n < 3.3 * 10**24,
-# which covers the guaranteed 2**64 budget with a wide margin.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes are exact for every
+# n < 3317044064679887385961981 (about 3.3 * 10**24; Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).  The first
+# 12 alone fail at 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 DEFAULT_FACTOR_BUDGET = 2 ** 22
 
@@ -232,10 +234,14 @@ def _trial_primes() -> list[int]:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
+    """Miller-Rabin with the first 13 prime bases.
+
+    Exact for n < 3317044064679887385961981 (about 3.3e24); above that a
+    True result means a strong probable prime to those bases.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -161,7 +161,6 @@ def report_to_obj(report: SearchReport, include_timing: bool = True) -> dict:
             "require_reduced": config.require_reduced,
             "workers": config.workers,
             "seed": config.seed,
-            "modular_filter": config.modular_filter,
         },
         "counts": dict(report.counts),
         "hits": [record.to_obj() for record in records_from_report(report)],

@@ -1,11 +1,13 @@
 """Bounded exhaustive search for A**X + B**Y = C**Z.
 
-The main engine enumerates every reduced-base perfect power up to the bound,
-indexes the candidates for the right-hand side by value, and then tests the
-sum of each ordered pair of left-side powers for membership (meet in the
-middle).  The pair space is cut early at A**X > bound/2 and partitioned into
-stripes of the first index across workers; results are merged and sorted
-before annotation, so reports are deterministic for any worker count.
+The main engine enumerates every reduced-base perfect power up to the bound
+and anchors the scan on the right-hand side: for each candidate C**Z = c it
+looks up c - B**Y among the left-side powers, with the larger term B**Y
+running over the sorted powers in [ceil(c/2), c).  Each lookup is one C-level
+set intersection over a lane slice, so no Python bytecode runs per pair.  The
+right-side values are striped by index across workers; found pairs are
+merged and sorted before annotation, so reports are deterministic for any
+worker count.
 
 A deliberately naive triple-enumeration oracle with its own power
 enumeration (repeated multiplication, no root extraction, no sum index)
@@ -24,6 +26,8 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import sub
 
 from .coprime import Restriction, exponent_restriction
 from .errors import BoundTooLarge
@@ -31,9 +35,6 @@ from .exact_arith import RadicalClass, is_perfect_power
 from .reparam import Plane, canonical_alpha_beta
 from .slopes import SlopeSet, slope_set
 from .triples import BealTriple
-
-# Modulus for the optional residue pre-filter: 2**4 * 3**2 * 5 * 7 * 11 * 13.
-FILTER_MODULUS = 720720
 
 ORACLE_MAX_BOUND = 10 ** 7
 
@@ -54,7 +55,6 @@ class SearchConfig:
     require_reduced: bool = True
     workers: int = 1
     seed: int = 0
-    modular_filter: bool = False
 
     def __post_init__(self):
         if self.bound < 1:
@@ -136,67 +136,44 @@ def enumerate_powers(bound: int, min_exp: int = 3) -> list[PowerEntry]:
     return entries
 
 
-def _pair_qualifies(e1: int, e2: int, min_x: int, min_y: int) -> bool:
-    return (e1 >= min_x and e2 >= min_y) or (e2 >= min_x and e1 >= min_y)
+def _pairs_within(values: list[int], bound: int) -> int:
+    """Count pairs i <= j of the sorted values with values[i] + values[j] <= bound."""
+    return sum(bisect_right(values, bound - value) - i
+               for i, value in enumerate(values) if 2 * value <= bound)
 
 
-# Worker-side state for the striped pair scan (populated once per process).
-_SCAN: dict = {}
+# Worker-side lanes for the striped right-side scan (set once per process).
+_LANES: tuple = ()
 
 
-def _init_scan(values, high_values, sums, bound, residue_filter):
-    _SCAN["values"] = values
-    _SCAN["high_values"] = high_values
-    _SCAN["sums"] = sums
-    _SCAN["bound"] = bound
-    _SCAN["residue_filter"] = residue_filter
+def _init_lanes(right, left_set, high, low_set) -> None:
+    global _LANES
+    _LANES = (right, left_set, high, low_set)
 
 
-def _scan_stripe(args: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
-    """Scan outer indices start, start+step, ... of the ordered-pair space.
+def _match_stripe(stripe: tuple[int, int]) -> list[tuple[int, int]]:
+    """All pairs (a, b), a <= b, a + b = c, for right values c[start::step].
 
-    Returns (pairs_tested, [(va, vb), ...]) for sums found in the table.
-    The outer side iterates every power; the inner side iterates all powers
-    when the outer exponent already meets the higher minimum, and only the
-    high-exponent sublist otherwise, so each qualifying unordered pair is
-    examined exactly once.
+    The larger term b is at least ceil(c/2).  When it is a high-exponent
+    value, the smaller term c - b may be any left value; otherwise b is
+    low-only and the smaller term a = c - b must be high, with a <= c // 2.
+    With symmetric minimums every left value is high and the low-only set is
+    empty.  The two cases are disjoint, so each qualifying unordered pair is
+    found exactly once, and each lookup is a C-level set intersection.
     """
-    start, step = args
-    values = _SCAN["values"]
-    high_values = _SCAN["high_values"]
-    sums = _SCAN["sums"]
-    bound = _SCAN["bound"]
-    residue_filter = _SCAN["residue_filter"]
-    full_scan = high_values is None
-
-    tested = 0
+    start, step = stripe
+    right, left_set, high, low_set = _LANES
     found: list[tuple[int, int]] = []
-    for i in range(start, len(values), step):
-        va, ea_high = values[i]
-        if 2 * va > bound:
-            break
-        limit = bound - va
-        if full_scan or ea_high:
-            lane = values
-            j = i
-            end = bisect_right(lane, (limit, True))
-        else:
-            lane = high_values
-            j = bisect_left(lane, (va, False))
-            end = bisect_right(lane, (limit, True))
-        if residue_filter is None:
-            for k in range(j, end):
-                s = va + lane[k][0]
-                if s in sums:
-                    found.append((va, lane[k][0]))
-            tested += max(0, end - j)
-        else:
-            for k in range(j, end):
-                s = va + lane[k][0]
-                if residue_filter[s % FILTER_MODULUS] and s in sums:
-                    found.append((va, lane[k][0]))
-            tested += max(0, end - j)
-    return tested, found
+    for c in right[start::step]:
+        first = bisect_left(high, c - c // 2)
+        last = bisect_left(high, c, first)
+        found.extend((a, c - a) for a in
+                     left_set.intersection(map(sub, repeat(c), high[first:last])))
+        if low_set:
+            last = bisect_right(high, c // 2)
+            found.extend((c - b, b) for b in
+                         low_set.intersection(map(sub, repeat(c), high[:last])))
+    return found
 
 
 def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
@@ -273,50 +250,35 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     entries = enumerate_powers(config.bound, min_exp=min(lo_exp, config.min_z))
 
     power_index = {entry.value: entry for entry in entries}
-    right_side = {
-        entry.value: entry for entry in entries if entry.exponent >= config.min_z
-    }
-    left_entries = [entry for entry in entries if entry.exponent >= lo_exp]
-    # (value, meets_high_minimum) pairs; tuples keep bisect usable on values
-    values = [(entry.value, entry.exponent >= hi_exp) for entry in left_entries]
-    if hi_exp > lo_exp:
-        high_values = [pair for pair in values if pair[1]]
-    else:
-        high_values = None
+    right = [entry.value for entry in entries if entry.exponent >= config.min_z]
+    left = [entry.value for entry in entries if entry.exponent >= lo_exp]
+    high = [entry.value for entry in entries if entry.exponent >= hi_exp]
+    low = [entry.value for entry in entries if lo_exp <= entry.exponent < hi_exp]
+    lanes = (right, set(left), high, set(low))
 
-    residue_filter = None
-    if config.modular_filter:
-        residue_filter = bytearray(FILTER_MODULUS)
-        for value in right_side:
-            residue_filter[value % FILTER_MODULUS] = 1
-
-    sums = set(right_side)
     stripes = [(w, config.workers) for w in range(config.workers)]
-    if config.workers == 1 or not values:
-        _init_scan(values, high_values, sums, config.bound, residue_filter)
-        results = [_scan_stripe(stripe) for stripe in stripes]
+    if config.workers == 1 or not right:
+        _init_lanes(*lanes)
+        results = [_match_stripe(stripe) for stripe in stripes]
     else:
-        with multiprocessing.Pool(
-            processes=config.workers,
-            initializer=_init_scan,
-            initargs=(values, high_values, sums, config.bound, residue_filter),
-        ) as pool:
-            results = pool.map(_scan_stripe, stripes)
+        with multiprocessing.Pool(processes=config.workers, initializer=_init_lanes,
+                                  initargs=lanes) as pool:
+            results = pool.map(_match_stripe, stripes)
 
-    pairs_tested = sum(tested for tested, _ in results)
-    raw_pairs = [pair for _, found in results for pair in found]
+    raw_pairs = [pair for found in results for pair in found]
     raw_pairs.sort(key=lambda p: (p[0] + p[1], p[1], p[0]))
 
     hits = []
     for va, vb in raw_pairs:
         a = power_index[va]
         b = power_index[vb]
-        if not _pair_qualifies(a.exponent, b.exponent, config.min_x, config.min_y):
-            continue
-        c = right_side[va + vb]
+        c = power_index[va + vb]
         triple = BealTriple(a.base, a.exponent, b.base, b.exponent, c.base, c.exponent)
         hits.append(annotate_hit(triple, config.minimums, config.require_reduced))
 
+    # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
+    # meeting the minimums): all left pairs minus the pairs of two low values.
+    pairs_tested = _pairs_within(left, config.bound) - _pairs_within(low, config.bound)
     counts = {
         "powers_enumerated": len(entries),
         "pairs_tested": pairs_tested,

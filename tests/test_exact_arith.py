@@ -239,4 +239,12 @@ def test_is_probable_prime_spot_checks():
     assert not is_probable_prime(1) and not is_probable_prime(561)  # Carmichael
     assert is_probable_prime(2 ** 127 - 1)
     assert not is_probable_prime((2 ** 61 - 1) ** 2)
+    assert is_probable_prime(41)
+
+
+def test_strong_pseudoprime_to_first_twelve_prime_bases():
+    # The smallest composite passing Miller-Rabin for every prime base <= 37.
+    n = 318665857834031151167461
+    assert not is_probable_prime(n)
+    assert factorize(n) == [(399165290221, 1), (798330580441, 1)]
     assert math.prod(p for p, _ in factorize(3 * 5 * 7 * 11)) == 1155

@@ -1,6 +1,8 @@
 """Search engine: enumeration, oracle equivalence, determinism, verification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bealsearch.errors import BoundTooLarge
 from bealsearch.search import (SearchConfig, annotate_hit, brute_force_oracle,
@@ -56,10 +58,24 @@ def test_completeness_spot_checks():
 
 
 def test_oracle_equivalence_small_bounds():
-    for bound in (10 ** 4, 10 ** 5):
+    # pairs_tested is the size of the qualifying pair space, which both
+    # engines count the same way: A^X <= B^Y and A^X + B^Y <= bound.
+    for bound, pairs in ((10 ** 4, 594), (10 ** 5, 2440), (10 ** 6, 10262)):
         fast = search_solutions(SearchConfig(bound=bound))
         slow = brute_force_oracle(bound)
         assert fast.triples == slow.triples, bound
+        assert fast.counts["pairs_tested"] == slow.counts["pairs_tested"] == pairs, bound
+
+
+@settings(max_examples=20, deadline=None)
+@given(bound=st.integers(min_value=1, max_value=10 ** 6),
+       minimums=st.tuples(*[st.integers(min_value=3, max_value=6)] * 3),
+       workers=st.sampled_from([1, 2]))
+def test_search_matches_oracle_property(bound, minimums, workers):
+    min_x, min_y, min_z = minimums
+    config = SearchConfig(bound=bound, min_x=min_x, min_y=min_y, min_z=min_z,
+                          workers=workers)
+    assert search_solutions(config).triples == brute_force_oracle(bound, minimums).triples
 
 
 def test_oracle_rejects_large_bounds():
@@ -78,13 +94,6 @@ def test_worker_determinism():
     assert (reports[0].counts["pairs_tested"]
             == reports[1].counts["pairs_tested"]
             == reports[2].counts["pairs_tested"])
-
-
-def test_modular_filter_equivalence():
-    for bound in (10 ** 4, 10 ** 6):
-        plain = search_solutions(SearchConfig(bound=bound))
-        filtered = search_solutions(SearchConfig(bound=bound, modular_filter=True))
-        assert plain.triples == filtered.triples
 
 
 def test_asymmetric_minimums_accept_either_orientation():
