@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from . import identity, records, svgplot
 from .coprime import check_coprimality_propagation, exponent_orientation, exponent_restriction
-from .errors import (BealsearchError, BoundTooLarge, NoRealRoot, NotAdditiveTriple,
-                     ZeroDenominator)
+from .errors import BealsearchError, NoRealRoot, ZeroDenominator
 from .exact_arith import Radical
 from .intervals import DEFAULT_PRECISION_BITS, IntervalValue
 from .reparam import Plane, canonical_alpha_beta, scalar_m
@@ -247,21 +246,21 @@ def cmd_emit_plot(args) -> int:
     return 0
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        # parse_args keeps no state on the parser, so one serves every call
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (BoundTooLarge, NotAdditiveTriple, records.SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BealsearchError as exc:
+    except (BealsearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

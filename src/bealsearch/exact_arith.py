@@ -14,7 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import compress
 
 from .errors import BudgetExceeded
 
@@ -205,7 +206,9 @@ class Radical:
 # --- factorization -----------------------------------------------------------
 
 _TRIAL_LIMIT = 10 ** 6
-_small_primes: list[int] | None = None
+# Trial division tests one block of primes per C-level gcd with the block's
+# product (Bernstein, "How to find smooth parts of integers", 2004).
+_TRIAL_BLOCK = 256
 
 # Miller-Rabin witnesses: the first 13 primes are exact for every
 # n < 3317044064679887385961981 (about 3.3 * 10**24; Sorenson and Webster,
@@ -223,14 +226,15 @@ def _primes_below(limit: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start::p] = b"\x00" * ((limit - 1 - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(limit), sieve))
 
 
-def _trial_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = _primes_below(_TRIAL_LIMIT)
-    return _small_primes
+@cache
+def _trial_blocks() -> list[tuple[list[int], int]]:
+    """The primes below _TRIAL_LIMIT in ascending blocks, each with its product."""
+    primes = _primes_below(_TRIAL_LIMIT)
+    blocks = (primes[i:i + _TRIAL_BLOCK] for i in range(0, len(primes), _TRIAL_BLOCK))
+    return [(block, math.prod(block)) for block in blocks]
 
 
 def is_probable_prime(n: int) -> bool:
@@ -301,22 +305,30 @@ def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, 
 def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET, seed: int = 0) -> FactorList:
     """Full prime factorization as a sorted [(prime, multiplicity), ...] list.
 
-    Trial division up to 10**6, then perfect-power reduction and Brent's
-    rho with an rng seeded deterministically from (n, seed).  Raises
-    BudgetExceeded when the rho step budget runs out; callers degrade to
-    gcd-only reporting in that case.
+    Trial division up to 10**6 by block gcd: one gcd of n with the product
+    of each block of primes, then division only by the block primes that
+    divide it.  Then perfect-power reduction and Brent's rho with an rng
+    seeded deterministically from (n, seed).  Raises BudgetExceeded when the
+    rho step budget runs out; callers degrade to gcd-only reporting in that
+    case.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     factors: dict[int, int] = {}
-    for p in _trial_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        if n == 1:
-            break
+    for block, product in _trial_blocks():
+        if block[0] * block[0] > n:
+            break  # n has no prime factor below block[0], so it is 1 or prime
+        g = math.gcd(n, product)
+        for p in block:
+            if g == 1:
+                break
+            if g % p == 0:
+                g //= p
+                multiplicity = 0
+                while n % p == 0:
+                    n //= p
+                    multiplicity += 1
+                factors[p] = multiplicity
     if n > 1:
         if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(n):
             # below the trial limit squared any survivor is prime

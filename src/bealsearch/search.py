@@ -344,10 +344,10 @@ def brute_force_oracle(bound: int, minimums: tuple[int, int, int] = (3, 3, 3)) -
             s = va + vb
             if s > bound:
                 break
-            pairs_tested += 1
             if not ((a_exp >= min_x and b_exp >= min_y)
                     or (b_exp >= min_x and a_exp >= min_y)):
                 continue
+            pairs_tested += 1
             for vc, c_base, c_exp in table:
                 if vc > s:
                     break

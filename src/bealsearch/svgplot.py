@@ -8,7 +8,7 @@ equals the record count.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 from .records import HitRecord
 
@@ -69,14 +69,15 @@ def emit_scatter(records: list[HitRecord], axes: str = "axbycz",
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
         f'<text x="{WIDTH // 2}" y="{HEIGHT - MARGIN // 4}" text-anchor="middle" '
-        f'font-size="13">{escape(x_label)}</text>',
+        f'font-size="13">{escape(x_label, quote=False)}</text>',
         f'<text x="{MARGIN // 3}" y="{HEIGHT // 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 {MARGIN // 3} {HEIGHT // 2})">{escape(y_label)}</text>',
+        f'transform="rotate(-90 {MARGIN // 3} {HEIGHT // 2})">'
+        f'{escape(y_label, quote=False)}</text>',
     ]
     if title:
         parts.append(
             f'<text x="{WIDTH // 2}" y="{MARGIN // 2}" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>')
+            f'font-size="15">{escape(title, quote=False)}</text>')
     for x, y in scaled:
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="steelblue" '
                      f'fill-opacity="0.7"/>')

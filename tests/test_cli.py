@@ -1,7 +1,13 @@
 """Command-line behavior: exit codes, file outputs, JSON contract."""
 
+import hashlib
 import json
+import re
+import subprocess
+import sys
 
+import bealsearch.cli as cli_mod
+from bealsearch import svgplot
 from bealsearch.cli import main
 from bealsearch.records import read_csv
 
@@ -179,3 +185,68 @@ def test_identity_failure_exit_four(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-identities", "--cases", "5")
     assert code == 4
     assert "forced failure" in err
+
+
+def test_emit_plot_escapes_markup_in_title(tmp_path, capsys):
+    hits = tmp_path / "hits.csv"
+    run(capsys, "search", "--bound", "3000", "--out", str(hits))
+    fig = tmp_path / "fig.svg"
+    svgplot.write_scatter(read_csv(str(hits)), str(fig), axes="abc", log_scale=True,
+                          title="A&B <x> 'q' \"d\"")
+    svg = fig.read_bytes()
+    assert b'font-size="15">A&amp;B &lt;x&gt; \'q\' "d"</text>' in svg
+    # the bytes the earlier xml.sax.saxutils escaping wrote for the same plot
+    assert (hashlib.sha256(svg).hexdigest()
+            == "cbf5a527135917246b60937ed78c7caccfeb77355a2752efc08ca0fb297b5a0f")
+
+
+def test_cli_import_skips_network_modules():
+    code = ("import sys, bealsearch.cli; "
+            "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'email') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
+def _without_wall(text):
+    return re.sub(r"wall=\S+", "wall=", text)
+
+
+def test_reused_parser_matches_fresh_calls(tmp_path, capsys, monkeypatch):
+    built = []
+    real_build = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or real_build())
+    monkeypatch.setattr(cli_mod, "_parser", None)
+    first, second, fresh = (tmp_path / name for name in ("first", "second", "fresh"))
+    for directory in (first, second, fresh):
+        directory.mkdir()
+    code, out_first, _ = run(capsys, "search", "--bound", "3000", "--min-x", "4",
+                             "--workers", "2", "--out", str(first / "h.csv"),
+                             "--report", str(first / "r.json"))
+    assert code == 0 and (first / "r.json").exists()
+    (first / "r.json").unlink()
+    code, out_second, _ = run(capsys, "search", "--bound", "3000",
+                              "--out", str(second / "h.csv"))
+    assert code == 0
+    assert built == [1]
+
+    # a fresh parser for the same second call: no option leaked from the first
+    monkeypatch.setattr(cli_mod, "_parser", None)
+    code, out_fresh, _ = run(capsys, "search", "--bound", "3000",
+                             "--out", str(fresh / "h.csv"))
+    assert code == 0
+    assert _without_wall(out_second) == _without_wall(out_fresh).replace(str(fresh),
+                                                                         str(second))
+    assert "hits=10 pairs_tested=276" in out_second
+    assert (second / "h.csv").read_bytes() == (fresh / "h.csv").read_bytes()
+    assert sorted(p.name for p in second.iterdir()) == ["h.csv"]
+    assert not (first / "r.json").exists()
+
+
+def test_classify_repeats_the_same_bundle(capsys, monkeypatch):
+    outputs = [run(capsys, "classify", "--triple", "3,3,6,3,3,5") for _ in range(2)]
+    monkeypatch.setattr(cli_mod, "_parser", None)
+    outputs.append(run(capsys, "classify", "--triple", "3,3,6,3,3,5"))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][0] == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bealsearch.errors import BudgetExceeded
-from bealsearch.exact_arith import (Radical, RadicalClass, classify_radical,
+from bealsearch.exact_arith import (_TRIAL_BLOCK, Radical, RadicalClass, classify_radical,
                                     factorize, iroot, is_perfect_power,
                                     is_probable_prime, reduce_base)
 
@@ -232,6 +232,45 @@ def test_factorize_reconstructs(n):
         product *= prime ** multiplicity
         previous = prime
     assert product == n
+
+
+def _sieve(limit):
+    flags = [True] * limit
+    flags[0] = flags[1] = False
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = [False] * len(range(p * p, limit, p))
+    return [n for n, flag in enumerate(flags) if flag]
+
+
+# Every prime trial division covers (below 10**6), and those at its edges:
+# 2, 999983 and the primes on each side of every block boundary.
+TRIAL_PRIMES = _sieve(10 ** 6)
+EDGE_PRIMES = sorted({2, TRIAL_PRIMES[-1]} | {
+    TRIAL_PRIMES[i + offset] for i in range(_TRIAL_BLOCK, len(TRIAL_PRIMES), _TRIAL_BLOCK)
+    for offset in (-1, 0)})
+LARGE_PRIMES = [1000003, 10 ** 9 + 7, 10 ** 12 + 39, 2 ** 61 - 1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from(EDGE_PRIMES) | st.sampled_from(TRIAL_PRIMES),
+                          st.integers(min_value=1, max_value=20)),
+                min_size=1, max_size=4, unique_by=lambda pair: pair[0]),
+       st.none() | st.sampled_from(LARGE_PRIMES))
+def test_factorize_trial_division_returns_generating_list(small, large):
+    expected = sorted(small + ([(large, 1)] if large else []))
+    n = math.prod(p ** m for p, m in expected)
+    assert factorize(n) == expected
+
+
+def test_factorize_trial_division_edges():
+    assert TRIAL_PRIMES[-1] == 999983
+    assert factorize(999983 ** 7) == [(999983, 7)]
+    second_block_first = TRIAL_PRIMES[_TRIAL_BLOCK]
+    assert factorize(second_block_first ** 2) == [(second_block_first, 2)]
+    assert factorize(2 ** 14 * 5 ** 28 * 277303573 ** 14) == [(2, 14), (5, 28),
+                                                              (277303573, 14)]
+    assert factorize(999979 * 999983) == [(999979, 1), (999983, 1)]
 
 
 def test_is_probable_prime_spot_checks():

@@ -59,12 +59,19 @@ def test_completeness_spot_checks():
 
 def test_oracle_equivalence_small_bounds():
     # pairs_tested is the size of the qualifying pair space, which both
-    # engines count the same way: A^X <= B^Y and A^X + B^Y <= bound.
-    for bound, pairs in ((10 ** 4, 594), (10 ** 5, 2440), (10 ** 6, 10262)):
-        fast = search_solutions(SearchConfig(bound=bound))
-        slow = brute_force_oracle(bound)
-        assert fast.triples == slow.triples, bound
-        assert fast.counts["pairs_tested"] == slow.counts["pairs_tested"] == pairs, bound
+    # engines count the same way: A^X <= B^Y, A^X + B^Y <= bound and either
+    # orientation meeting the minimums.
+    cases = (((3, 3, 3), 10 ** 4, 594), ((3, 3, 3), 10 ** 5, 2440),
+             ((3, 3, 3), 10 ** 6, 10262), ((4, 3, 3), 10 ** 5, 1848),
+             ((4, 4, 3), 10 ** 5, 637))
+    for minimums, bound, pairs in cases:
+        min_x, min_y, min_z = minimums
+        fast = search_solutions(SearchConfig(bound=bound, min_x=min_x, min_y=min_y,
+                                             min_z=min_z))
+        slow = brute_force_oracle(bound, minimums)
+        assert fast.triples == slow.triples, (minimums, bound)
+        counts = (fast.counts["pairs_tested"], slow.counts["pairs_tested"])
+        assert counts == (pairs, pairs), (minimums, bound)
 
 
 @settings(max_examples=20, deadline=None)
@@ -75,7 +82,10 @@ def test_search_matches_oracle_property(bound, minimums, workers):
     min_x, min_y, min_z = minimums
     config = SearchConfig(bound=bound, min_x=min_x, min_y=min_y, min_z=min_z,
                           workers=workers)
-    assert search_solutions(config).triples == brute_force_oracle(bound, minimums).triples
+    fast = search_solutions(config)
+    slow = brute_force_oracle(bound, minimums)
+    assert fast.triples == slow.triples
+    assert fast.counts["pairs_tested"] == slow.counts["pairs_tested"]
 
 
 def test_oracle_rejects_large_bounds():
