@@ -26,16 +26,28 @@ from .slopes import slope_set, smallest_lattice_point
 from .triples import BealTriple
 
 
+# Far past any bound a search can finish, and instant to build.
+_FLAG_MAX_BITS = 4096
+
+
+def _flag_power(base: int, exp: int) -> int:
+    """base**exp, refused before it is built unless it is a modest integer."""
+    if exp < 0 or exp * base.bit_length() > _FLAG_MAX_BITS:
+        raise ValueError(f"{base}^{exp}: need exponent >= 0 and "
+                         f"exponent * bits(base) <= {_FLAG_MAX_BITS}")
+    return base ** exp
+
+
 def _int_flag(text: str) -> int:
     """Parse an integer flag, allowing 10^12 / 1e12 / 1_000_000 spellings."""
     t = text.strip().replace("_", "")
     if "^" in t:
         base, _, exp = t.partition("^")
-        return int(base) ** int(exp)
+        return _flag_power(int(base), int(exp))
     lower = t.lower()
     if "e" in lower and "." not in lower:
         base, _, exp = lower.partition("e")
-        return (int(base) if base else 1) * 10 ** int(exp)
+        return (int(base) if base else 1) * _flag_power(10, int(exp))
     return int(t)
 
 

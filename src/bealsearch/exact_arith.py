@@ -220,13 +220,16 @@ DEFAULT_FACTOR_BUDGET = 2 ** 22
 
 
 def _primes_below(limit: int) -> list[int]:
-    sieve = bytearray(b"\x01") * limit
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit - 1) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start::p] = b"\x00" * ((limit - 1 - start) // p + 1)
-    return list(compress(range(limit), sieve))
+    if limit <= 2:
+        return []
+    sieve = bytearray(b"\x01") * (limit // 2)  # index i stands for the odd number 2i + 1
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(limit - 1) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            # p*p is odd, and consecutive odd multiples of p sit p indices apart
+            sieve[p * p // 2::p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return [2, *compress(range(1, limit, 2), sieve)]
 
 
 @cache

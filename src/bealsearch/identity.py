@@ -74,13 +74,28 @@ def general_expansion(inst: ExpansionInstance) -> Fraction:
 
     Returns sum_{i=0}^{n} binom(n,i) (p+q)**(n-i) (-pq)**i (p**(v-n-i) - q**(w-n-i)),
     which equals p**v - q**w for every n >= 0.
+
+    The sum is evaluated over plain integers on one common denominator and
+    reduced once, into the returned Fraction, at the end.  It shares no
+    arithmetic with p**v - q**w computed in Fraction, so the suite compares
+    two independent paths.
     """
-    p, q, v, w, n = inst.p, inst.q, inst.v, inst.w, inst.n
-    s = Fraction(0)
-    plus, minus = p + q, -p * q
+    v, w, n = inst.v, inst.w, inst.n
+    a, b = inst.p.numerator, inst.p.denominator
+    c, d = inst.q.numerator, inst.q.denominator
+    # Exponents run from v-n down to v-2n.  Over the denominator a**ka * b**kb,
+    # p**e is a**(e+ka) * b**(kb-e) with both powers >= 0 for every e reached;
+    # a**ka keeps a's sign, which a negative base needs under an odd negative e.
+    ka, kb = max(0, 2 * n - v), max(0, v - n)
+    kc, kd = max(0, 2 * n - w), max(0, w - n)
+    den_p, den_q = a ** ka * b ** kb, c ** kc * d ** kd
+    plus, minus = a * d + b * c, -a * c  # (p+q) and -pq over b*d
+    s = 0
     for i in range(n + 1):
-        s += math.comb(n, i) * plus ** (n - i) * minus ** i * (p ** (v - n - i) - q ** (w - n - i))
-    return s
+        e, f = v - n - i, w - n - i
+        difference = a ** (e + ka) * b ** (kb - e) * den_q - c ** (f + kc) * d ** (kd - f) * den_p
+        s += math.comb(n, i) * plus ** (n - i) * minus ** i * difference
+    return Fraction(s, (b * d) ** n * den_p * den_q)
 
 
 def expansion_table(B: int, C: int, X: int, Y: int, Z: int) -> tuple[list[ExpansionRow], Fraction]:

@@ -32,7 +32,7 @@ from operator import sub
 from .coprime import Restriction, exponent_restriction
 from .errors import BoundTooLarge
 from .exact_arith import RadicalClass, is_perfect_power
-from .reparam import Plane, canonical_alpha_beta
+from .reparam import Plane, ReparamPair, canonical_alpha_beta
 from .slopes import SlopeSet, slope_set
 from .triples import BealTriple
 
@@ -177,7 +177,8 @@ def _match_stripe(stripe: tuple[int, int]) -> list[tuple[int, int]]:
 
 
 def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
-               require_reduced: bool = True) -> VerificationRecord:
+               require_reduced: bool = True, *, slopes: SlopeSet | None = None,
+               pair: ReparamPair | None = None) -> VerificationRecord:
     """Run every hit-level check on a candidate triple.
 
     Checks: exact equation, reduced bases (>= 2, not perfect powers),
@@ -185,6 +186,9 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
     > 1, the divisibility restriction on (X, Y, Z), rational root-form
     slopes matching C/B and C/A, and rational-canonical-parameter /
     common-factor consistency.  Failures are recorded, not raised.
+
+    slopes and pair, when given, must be slope_set(triple) and
+    canonical_alpha_beta(triple, Plane.CB); they are computed when omitted.
     """
     min_x, min_y, min_z = minimums
     checks: dict[str, bool] = {}
@@ -211,7 +215,8 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
     else:
         checks["exponent_restriction"] = False
 
-    slopes = slope_set(triple)
+    if slopes is None:
+        slopes = slope_set(triple)
     checks["slopes_rational"] = (
         isinstance(slopes.m_cb, Fraction)
         and isinstance(slopes.m_ca, Fraction)
@@ -219,7 +224,8 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
         and slopes.m_ca == Fraction(triple.C, triple.A)
     )
 
-    pair = canonical_alpha_beta(triple, Plane.CB)
+    if pair is None:
+        pair = canonical_alpha_beta(triple, Plane.CB)
     rational_parameter = (
         pair.alpha.classification.is_rational or pair.beta.classification.is_rational
     )
@@ -232,13 +238,14 @@ def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
                  require_reduced: bool = True) -> SearchHit:
     """Attach gcd, canonical parameter classes, slopes, and verification."""
     pair = canonical_alpha_beta(triple, Plane.CB)
+    slopes = slope_set(triple)
     return SearchHit(
         triple=triple,
         gcd_abc=triple.gcd_abc,
         alpha_class=pair.alpha.classification,
         beta_class=pair.beta.classification,
-        slopes=slope_set(triple),
-        verification=verify_hit(triple, minimums, require_reduced),
+        slopes=slopes,
+        verification=verify_hit(triple, minimums, require_reduced, slopes=slopes, pair=pair),
     )
 
 

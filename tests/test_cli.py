@@ -51,6 +51,19 @@ def test_search_accepts_caret_bound(tmp_path, capsys):
     assert "hits=13" in stdout
 
 
+def test_int_flag_spellings():
+    assert cli_mod._int_flag("10^12") == cli_mod._int_flag("1e12") == 10 ** 12
+    assert cli_mod._int_flag("1_000_000") == 10 ** 6
+
+
+def test_search_rejects_huge_bound_spellings_before_building(tmp_path, capsys):
+    for bound in ("10^999999999", "1e999999999"):
+        code, _, err = run(capsys, "search", "--bound", bound, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "--bound" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_search_json_report(tmp_path, capsys):
     out = tmp_path / "h.csv"
     report = tmp_path / "r.json"
@@ -165,8 +178,8 @@ def test_search_anomaly_exit_three(tmp_path, capsys, monkeypatch):
 
     real = search_mod.verify_hit
 
-    def broken(triple, minimums=(3, 3, 3), require_reduced=True):
-        record = real(triple, minimums, require_reduced)
+    def broken(triple, minimums=(3, 3, 3), require_reduced=True, **computed):
+        record = real(triple, minimums, require_reduced, **computed)
         checks = dict(record.checks)
         checks["equation_exact"] = False
         return search_mod.VerificationRecord(checks=checks, gcd_abc=record.gcd_abc)

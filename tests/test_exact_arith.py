@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bealsearch.errors import BudgetExceeded
-from bealsearch.exact_arith import (_TRIAL_BLOCK, Radical, RadicalClass, classify_radical,
-                                    factorize, iroot, is_perfect_power,
+from bealsearch.exact_arith import (_TRIAL_BLOCK, Radical, RadicalClass, _primes_below,
+                                    classify_radical, factorize, iroot, is_perfect_power,
                                     is_probable_prime, reduce_base)
 
 
@@ -261,6 +261,14 @@ def test_factorize_trial_division_returns_generating_list(small, large):
     expected = sorted(small + ([(large, 1)] if large else []))
     n = math.prod(p ** m for p, m in expected)
     assert factorize(n) == expected
+
+
+def test_primes_below_matches_trial_division_and_full_sieve():
+    naive = [n for n in range(2, 2000) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    for limit in range(2, 2001):
+        assert _primes_below(limit) == [p for p in naive if p < limit], limit
+    assert _primes_below(10 ** 6) == TRIAL_PRIMES
+    assert len(TRIAL_PRIMES) == 78498
 
 
 def test_factorize_trial_division_edges():

@@ -1,5 +1,6 @@
 """Expansion identities: exact equality, free upper limit, telescoping table."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,12 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bealsearch.identity import (ExpansionInstance, expand_difference,
-                                 expansion_table, general_expansion,
+from bealsearch.identity import (EXPONENT_RANGE, FREE_LIMIT_RANGE, ExpansionInstance,
+                                 expand_difference, expansion_table, general_expansion,
                                  random_instances, run_random_suite)
 
 nonzero_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=10).filter(
     lambda f: f != 0)
+exponents = st.integers(min_value=EXPONENT_RANGE[0], max_value=EXPONENT_RANGE[1])
+
+
+def fraction_expansion(p, q, v, w, n):
+    """general_expansion's sum evaluated term by term in Fraction: the reference."""
+    s = Fraction(0)
+    plus, minus = p + q, -p * q
+    for i in range(n + 1):
+        s += math.comb(n, i) * plus ** (n - i) * minus ** i * (p ** (v - n - i) - q ** (w - n - i))
+    return s
 
 
 def test_expand_difference_examples():
@@ -67,6 +78,23 @@ def test_free_upper_limit_property(p, q, v, w):
     expected = p ** v - q ** w
     for n in range(0, 11):
         assert general_expansion(ExpansionInstance(p, q, v, w, n)) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(nonzero_fractions, nonzero_fractions, exponents, exponents,
+       st.sampled_from(FREE_LIMIT_RANGE))
+def test_integer_expansion_matches_fraction_reference(p, q, v, w, n):
+    assert general_expansion(ExpansionInstance(p, q, v, w, n)) == fraction_expansion(p, q, v, w, n)
+
+
+@pytest.mark.parametrize("p, q, v, w, n", [
+    (Fraction(3, 7), Fraction(-3, 7), 5, 2, 6),      # p == -q: (p+q)**(n-i) is 0 but at i == n
+    (Fraction(-2), Fraction(-5, 3), 7, -3, 4),       # both bases negative
+    (Fraction(-3, 2), Fraction(-7, 5), -4, -4, 10),  # exponents down to -24
+])
+def test_integer_expansion_fixed_cases(p, q, v, w, n):
+    total = general_expansion(ExpansionInstance(p, q, v, w, n))
+    assert total == fraction_expansion(p, q, v, w, n) == p ** v - q ** w
 
 
 def test_expansion_table_example():

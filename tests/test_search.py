@@ -1,5 +1,7 @@
 """Search engine: enumeration, oracle equivalence, determinism, verification."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +167,30 @@ def test_annotate_hit_bundle():
     assert hit.beta_class.kind == "irrational"
     assert hit.slopes.m_cb == hit.triple.C / hit.triple.B == 0.5
     assert hit.verification.passed
+
+
+def test_annotate_hit_computes_slopes_and_pair_once(monkeypatch):
+    import bealsearch.search as search_mod
+
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(search_mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("slope_set", "canonical_alpha_beta"):
+        monkeypatch.setattr(search_mod, name, counting(name))
+    for triple, minimums in ((BealTriple(3, 3, 6, 3, 3, 5), (3, 3, 3)),
+                             (BealTriple(7, 3, 7, 4, 14, 3), (4, 3, 3)),
+                             (BealTriple(3, 3, 6, 3, 3, 5), (4, 3, 3))):
+        calls.clear()
+        hit = annotate_hit(triple, minimums)
+        assert calls == {"slope_set": 1, "canonical_alpha_beta": 1}
+        assert hit.verification == verify_hit(triple, minimums)
 
 
 def test_rational_parameters_imply_common_factor_over_hits():
