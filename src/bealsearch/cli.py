@@ -19,7 +19,7 @@ from . import identity, records, svgplot
 from .coprime import check_coprimality_propagation, exponent_orientation, exponent_restriction
 from .errors import BealsearchError, NoRealRoot, ZeroDenominator
 from .exact_arith import Radical
-from .intervals import DEFAULT_PRECISION_BITS, IntervalValue
+from .intervals import IntervalValue
 from .reparam import Plane, canonical_alpha_beta, scalar_m
 from .search import SearchConfig, brute_force_oracle, search_solutions
 from .slopes import slope_set, smallest_lattice_point
@@ -33,8 +33,8 @@ _FLAG_MAX_BITS = 4096
 def _flag_power(base: int, exp: int) -> int:
     """base**exp, refused before it is built unless it is a modest integer."""
     if exp < 0 or exp * base.bit_length() > _FLAG_MAX_BITS:
-        raise ValueError(f"{base}^{exp}: need exponent >= 0 and "
-                         f"exponent * bits(base) <= {_FLAG_MAX_BITS}")
+        raise argparse.ArgumentTypeError(f"{base}^{exp}: need exponent >= 0 and "
+                                         f"exponent * bits(base) <= {_FLAG_MAX_BITS}")
     return base ** exp
 
 
@@ -52,13 +52,14 @@ def _int_flag(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for the search pair scan")
-    common.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS,
-                        help="working precision for interval evaluations")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites and factorization")
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--bound", type=_int_flag, required=True,
+                         help="maximum C^Z (accepts 10^12 / 1e12 spellings)")
+    bounded.add_argument("--min-x", type=int, default=3)
+    bounded.add_argument("--min-y", type=int, default=3)
+    bounded.add_argument("--min-z", type=int, default=3)
+    bounded.add_argument("--out", required=True, help="CSV output path")
+    bounded.add_argument("--report", help="optional JSON report path")
 
     parser = argparse.ArgumentParser(
         prog="bealsearch",
@@ -66,39 +67,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_search = sub.add_parser("search", parents=[common],
+    p_search = sub.add_parser("search", parents=[bounded],
                               help="bounded exhaustive search (scan anchored on C^Z)")
-    p_search.add_argument("--bound", type=_int_flag, required=True,
-                          help="maximum C^Z (accepts 10^12 / 1e12 spellings)")
-    p_search.add_argument("--min-x", type=int, default=3)
-    p_search.add_argument("--min-y", type=int, default=3)
-    p_search.add_argument("--min-z", type=int, default=3)
-    p_search.add_argument("--out", required=True, help="CSV output path")
-    p_search.add_argument("--report", help="optional JSON report path")
+    p_search.add_argument("--workers", type=int, default=1,
+                          help="parallel workers for the pair scan")
+    p_search.add_argument("--seed", type=int, default=0,
+                          help="recorded in the report's config echo only; "
+                               "the search is deterministic")
     p_search.set_defaults(func=cmd_search)
 
-    p_oracle = sub.add_parser("oracle", parents=[common],
+    p_oracle = sub.add_parser("oracle", parents=[bounded],
                               help="naive triple-enumeration oracle (bound <= 10^7)")
-    p_oracle.add_argument("--bound", type=_int_flag, required=True)
-    p_oracle.add_argument("--min-x", type=int, default=3)
-    p_oracle.add_argument("--min-y", type=int, default=3)
-    p_oracle.add_argument("--min-z", type=int, default=3)
-    p_oracle.add_argument("--out", required=True, help="CSV output path")
-    p_oracle.add_argument("--report", help="optional JSON report path")
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_verify = sub.add_parser("verify-identities", parents=[common],
-                              help="randomized exact-identity suite")
+    p_verify = sub.add_parser("verify-identities", help="randomized exact-identity suite")
     p_verify.add_argument("--cases", type=int, default=1000)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed of the random cases")
     p_verify.set_defaults(func=cmd_verify_identities)
 
-    p_classify = sub.add_parser("classify", parents=[common],
-                                help="full classification bundle for one triple")
+    p_classify = sub.add_parser("classify", help="full classification bundle for one triple")
     p_classify.add_argument("--triple", required=True, metavar="A,X,B,Y,C,Z")
     p_classify.set_defaults(func=cmd_classify)
 
-    p_plot = sub.add_parser("emit-plot", parents=[common],
-                            help="2-D SVG scatter from a hits CSV")
+    p_plot = sub.add_parser("emit-plot", help="2-D SVG scatter from a hits CSV")
     p_plot.add_argument("--in", dest="infile", required=True)
     p_plot.add_argument("--out", required=True)
     p_plot.add_argument("--axes", choices=sorted(svgplot.AXIS_CHOICES), default="axbycz")
@@ -201,9 +192,9 @@ def _coprimality_obj(triple: BealTriple) -> dict | None:
     }
 
 
-def _scalar_obj(triple: BealTriple, pair, precision_bits: int) -> dict:
+def _scalar_obj(triple: BealTriple, pair) -> dict:
     try:
-        m = scalar_m(triple, pair, precision_bits)
+        m = scalar_m(triple, pair)
     except (NoRealRoot, ZeroDenominator) as exc:
         return {"estimate": None, "exact": None, "error": str(exc)}
     if isinstance(m, IntervalValue):
@@ -211,7 +202,7 @@ def _scalar_obj(triple: BealTriple, pair, precision_bits: int) -> dict:
     return {"estimate": _fraction_str(m), "exact": _fraction_str(m), "error": None}
 
 
-def classify_obj(triple: BealTriple, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
+def classify_obj(triple: BealTriple) -> dict:
     """The full classification bundle for one triple, JSON-serializable."""
     pair_cb = canonical_alpha_beta(triple, Plane.CB)
     pair_ca = canonical_alpha_beta(triple, Plane.CA)
@@ -235,7 +226,7 @@ def classify_obj(triple: BealTriple, precision_bits: int = DEFAULT_PRECISION_BIT
         "beta": _radical_obj(pair_cb.beta),
         "alpha_ca": _radical_obj(pair_ca.alpha),
         "beta_ca": _radical_obj(pair_ca.beta),
-        "scalar_m": _scalar_obj(triple, pair_cb, precision_bits),
+        "scalar_m": _scalar_obj(triple, pair_cb),
         "slopes": {
             "m_cb": _slope_obj(slopes.m_cb),
             "m_ca": _slope_obj(slopes.m_ca),
@@ -246,7 +237,7 @@ def classify_obj(triple: BealTriple, precision_bits: int = DEFAULT_PRECISION_BIT
 
 def cmd_classify(args) -> int:
     triple = BealTriple.parse(args.triple)
-    print(json.dumps(classify_obj(triple, args.precision_bits), indent=2))
+    print(json.dumps(classify_obj(triple), indent=2))
     return 0
 
 

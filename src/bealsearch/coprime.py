@@ -30,10 +30,6 @@ class CoprimalityReport:
     # per-pair shared prime factorizations; None when the budget ran out
     shared_primes: dict[str, FactorList | None]
 
-    @property
-    def three_way_coprime(self) -> bool:
-        return self.gcd_abc == 1
-
 
 def _shared_factors(g: int, seed: int, budget: int) -> FactorList | None:
     if g == 1:

@@ -13,18 +13,11 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import BealsearchError
 from .search import SearchReport
-
-CSV_COLUMNS = [
-    "A", "X", "B", "Y", "C", "Z",
-    "A_pow_X", "B_pow_Y", "C_pow_Z", "gcd_abc",
-    "alpha_class", "beta_class",
-    "m_cb", "m_ca", "m_ba",
-]
 
 _CLASS_NAMES = {"rational", "irrational", "no_real_root"}
 _DECIMAL_RE = re.compile(r"^(0|[1-9][0-9]*)$")
@@ -37,7 +30,7 @@ class SchemaError(BealsearchError):
 
 @dataclass(frozen=True)
 class HitRecord:
-    """One hit in serialized form (all fields are strings)."""
+    """One hit in serialized form (all fields are strings, in CSV column order)."""
 
     A: str
     X: str
@@ -105,6 +98,9 @@ class HitRecord:
         return record.validate()
 
 
+CSV_COLUMNS = [f.name for f in fields(HitRecord)]
+
+
 def records_from_report(report: SearchReport) -> list[HitRecord]:
     return [HitRecord.from_hit(hit) for hit in report.hits]
 
@@ -158,7 +154,6 @@ def report_to_obj(report: SearchReport, include_timing: bool = True) -> dict:
             "min_x": config.min_x,
             "min_y": config.min_y,
             "min_z": config.min_z,
-            "require_reduced": config.require_reduced,
             "workers": config.workers,
             "seed": config.seed,
         },

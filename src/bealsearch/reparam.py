@@ -19,7 +19,7 @@ search hit rather than assumed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -38,15 +38,11 @@ class Plane(enum.Enum):
 
 @dataclass(frozen=True)
 class ReparamPair:
-    """Canonical (alpha, beta) radicals for one plane, plus optional scaling."""
+    """Canonical (alpha, beta) radicals for one plane."""
 
     alpha: Radical
     beta: Radical
     plane: Plane
-    scalar_m: Fraction | IntervalValue | None = None
-
-    def with_scalar(self, m: Fraction | IntervalValue) -> "ReparamPair":
-        return replace(self, scalar_m=m)
 
 
 def _plane_params(triple: BealTriple, plane: Plane) -> tuple[int, int, int, int]:

@@ -52,9 +52,8 @@ class SearchConfig:
     min_x: int = 3
     min_y: int = 3
     min_z: int = 3
-    require_reduced: bool = True
     workers: int = 1
-    seed: int = 0
+    seed: int = 0  # echoed in the JSON report only; the search is deterministic
 
     def __post_init__(self):
         if self.bound < 1:
@@ -142,7 +141,7 @@ def _pairs_within(values: list[int], bound: int) -> int:
                for i, value in enumerate(values) if 2 * value <= bound)
 
 
-# Worker-side lanes for the striped right-side scan (set once per process).
+# Pool workers' lanes, set once per worker process by the pool initializer.
 _LANES: tuple = ()
 
 
@@ -151,7 +150,11 @@ def _init_lanes(right, left_set, high, low_set) -> None:
     _LANES = (right, left_set, high, low_set)
 
 
-def _match_stripe(stripe: tuple[int, int]) -> list[tuple[int, int]]:
+def _match_in_worker(stripe: tuple[int, int]) -> list[tuple[int, int]]:
+    return _match_stripe(_LANES, *stripe)
+
+
+def _match_stripe(lanes: tuple, start: int, step: int) -> list[tuple[int, int]]:
     """All pairs (a, b), a <= b, a + b = c, for right values c[start::step].
 
     The larger term b is at least ceil(c/2).  When it is a high-exponent
@@ -161,8 +164,7 @@ def _match_stripe(stripe: tuple[int, int]) -> list[tuple[int, int]]:
     empty.  The two cases are disjoint, so each qualifying unordered pair is
     found exactly once, and each lookup is a C-level set intersection.
     """
-    start, step = stripe
-    right, left_set, high, low_set = _LANES
+    right, left_set, high, low_set = lanes
     found: list[tuple[int, int]] = []
     for c in right[start::step]:
         first = bisect_left(high, c - c // 2)
@@ -234,8 +236,7 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
     return VerificationRecord(checks=checks, gcd_abc=gcd_abc)
 
 
-def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
-                 require_reduced: bool = True) -> SearchHit:
+def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3)) -> SearchHit:
     """Attach gcd, canonical parameter classes, slopes, and verification."""
     pair = canonical_alpha_beta(triple, Plane.CB)
     slopes = slope_set(triple)
@@ -245,7 +246,7 @@ def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
         alpha_class=pair.alpha.classification,
         beta_class=pair.beta.classification,
         slopes=slopes,
-        verification=verify_hit(triple, minimums, require_reduced, slopes=slopes, pair=pair),
+        verification=verify_hit(triple, minimums, slopes=slopes, pair=pair),
     )
 
 
@@ -263,14 +264,13 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     low = [entry.value for entry in entries if lo_exp <= entry.exponent < hi_exp]
     lanes = (right, set(left), high, set(low))
 
-    stripes = [(w, config.workers) for w in range(config.workers)]
     if config.workers == 1 or not right:
-        _init_lanes(*lanes)
-        results = [_match_stripe(stripe) for stripe in stripes]
+        results = [_match_stripe(lanes, 0, 1)]
     else:
+        stripes = [(w, config.workers) for w in range(config.workers)]
         with multiprocessing.Pool(processes=config.workers, initializer=_init_lanes,
                                   initargs=lanes) as pool:
-            results = pool.map(_match_stripe, stripes)
+            results = pool.map(_match_in_worker, stripes)
 
     raw_pairs = [pair for found in results for pair in found]
     raw_pairs.sort(key=lambda p: (p[0] + p[1], p[1], p[0]))
@@ -281,7 +281,7 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         b = power_index[vb]
         c = power_index[va + vb]
         triple = BealTriple(a.base, a.exponent, b.base, b.exponent, c.base, c.exponent)
-        hits.append(annotate_hit(triple, config.minimums, config.require_reduced))
+        hits.append(annotate_hit(triple, config.minimums))
 
     # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
     # meeting the minimums): all left pairs minus the pairs of two low values.

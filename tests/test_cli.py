@@ -11,6 +11,10 @@ from bealsearch import svgplot
 from bealsearch.cli import main
 from bealsearch.records import read_csv
 
+# the hit-file header as documented in the README
+HEADER = ("A,X,B,Y,C,Z,A_pow_X,B_pow_Y,C_pow_Z,gcd_abc,"
+          "alpha_class,beta_class,m_cb,m_ca,m_ba")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -35,7 +39,7 @@ def test_search_small_bound_writes_header_only(tmp_path, capsys):
     code, _, _ = run(capsys, "search", "--bound", "10", "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("A,X,B,Y,C,Z")
+    assert lines == [HEADER]
 
 
 def test_search_rejects_negative_bound(tmp_path, capsys):
@@ -57,10 +61,11 @@ def test_int_flag_spellings():
 
 
 def test_search_rejects_huge_bound_spellings_before_building(tmp_path, capsys):
-    for bound in ("10^999999999", "1e999999999"):
+    for bound in ("10^999999999", "1e999999999", "10^-3"):
         code, _, err = run(capsys, "search", "--bound", bound, "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "--bound" in err
+        assert "need exponent >= 0 and exponent * bits(base) <= 4096" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -68,10 +73,13 @@ def test_search_json_report(tmp_path, capsys):
     out = tmp_path / "h.csv"
     report = tmp_path / "r.json"
     code, _, _ = run(capsys, "search", "--bound", "3000", "--out", str(out),
-                     "--report", str(report), "--workers", "2")
+                     "--report", str(report), "--workers", "2", "--seed", "5")
     assert code == 0
     obj = json.loads(report.read_text())
+    assert sorted(obj["config"]) == sorted(["bound", "min_x", "min_y", "min_z",
+                                            "workers", "seed"])
     assert obj["config"]["workers"] == 2
+    assert obj["config"]["seed"] == 5
     assert obj["counts"]["hits"] == len(obj["hits"]) == 10
 
 
@@ -170,6 +178,33 @@ def test_bad_flags_exit_two(capsys):
     assert main(["search"]) == 2          # missing required flags
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys):
+    hits = tmp_path / "hits.csv"
+    hits.write_text(HEADER + "\n")
+    commands = {
+        "oracle": ["oracle", "--bound", "10^4", "--out", str(tmp_path / "o.csv")],
+        "classify": ["classify", "--triple", "3,3,6,3,3,5"],
+        "emit-plot": ["emit-plot", "--in", str(hits), "--out", str(tmp_path / "f.svg")],
+        "verify-identities": ["verify-identities", "--cases", "1"],
+        "search": ["search", "--bound", "10^4", "--out", str(tmp_path / "s.csv")],
+    }
+    workers, precision, seed = ["--workers", "2"], ["--precision-bits", "64"], ["--seed", "1"]
+    unread = {
+        "oracle": [workers, precision, seed],
+        "classify": [workers, precision, seed],
+        "emit-plot": [workers, precision, seed],
+        "verify-identities": [workers, precision],
+        "search": [precision],
+    }
+    for command, flags in unread.items():
+        for flag in flags:
+            assert run(capsys, *commands[command], *flag)[0] == 2, (command, flag)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hits.csv"]
+    # the same commands without the unread flag succeed
+    for command, argv in commands.items():
+        assert run(capsys, *argv)[0] == 0, command
 
 
 def test_search_anomaly_exit_three(tmp_path, capsys, monkeypatch):

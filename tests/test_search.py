@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bealsearch.search as search_mod
 from bealsearch.errors import BoundTooLarge
 from bealsearch.search import (SearchConfig, annotate_hit, brute_force_oracle,
                                enumerate_powers, search_solutions, verify_hit)
@@ -106,6 +107,12 @@ def test_worker_determinism():
     assert (reports[0].counts["pairs_tested"]
             == reports[1].counts["pairs_tested"]
             == reports[2].counts["pairs_tested"])
+
+
+def test_serial_search_leaves_no_module_state():
+    assert search_mod._LANES == ()
+    assert search_solutions(SearchConfig(bound=10 ** 8)).counts["hits"] > 0
+    assert search_mod._LANES == ()
 
 
 def test_asymmetric_minimums_accept_either_orientation():
