@@ -30,10 +30,10 @@ from .triples import BealTriple
 _FLAG_MAX_BITS = 4096
 
 
-def _flag_power(base: int, exp: int) -> int:
+def _flag_power(base: int, exp: int, text: str) -> int:
     """base**exp, refused before it is built unless it is a modest integer."""
     if exp < 0 or exp * base.bit_length() > _FLAG_MAX_BITS:
-        raise argparse.ArgumentTypeError(f"{base}^{exp}: need exponent >= 0 and "
+        raise argparse.ArgumentTypeError(f"{text}: need exponent >= 0 and "
                                          f"exponent * bits(base) <= {_FLAG_MAX_BITS}")
     return base ** exp
 
@@ -43,11 +43,11 @@ def _int_flag(text: str) -> int:
     t = text.strip().replace("_", "")
     if "^" in t:
         base, _, exp = t.partition("^")
-        return _flag_power(int(base), int(exp))
+        return _flag_power(int(base), int(exp), text)
     lower = t.lower()
     if "e" in lower and "." not in lower:
         base, _, exp = lower.partition("e")
-        return (int(base) if base else 1) * _flag_power(10, int(exp))
+        return (int(base) if base else 1) * _flag_power(10, int(exp), text)
     return int(t)
 
 
@@ -99,11 +99,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_outputs(report, out_path: str, report_path: str | None) -> None:
-    records.write_csv(records.records_from_report(report), out_path)
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
+def _finish(report, args, summary: str) -> int:
+    """Write the CSV and JSON outputs, print the summary, and name failed checks."""
+    records.write_csv(records.records_from_report(report), args.out)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(records.emit_json(report))
+    print(summary)
+    failures = [hit for hit in report.hits if not hit.verification.passed]
+    for hit in failures:
+        print(f"VERIFICATION FAILED for {hit.triple}: "
+              f"{hit.verification.failed_checks()}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def cmd_search(args) -> int:
@@ -113,53 +120,38 @@ def cmd_search(args) -> int:
         workers=args.workers, seed=args.seed,
     )
     report = search_solutions(config)
-    _write_outputs(report, args.out, args.report)
-    failures = [hit for hit in report.hits if not hit.verification.passed]
-    print(f"search: bound={config.bound} hits={len(report.hits)} "
-          f"pairs_tested={report.counts['pairs_tested']} "
-          f"wall={report.wall_time_s:.2f}s -> {args.out}")
-    if failures:
-        for hit in failures:
-            print(f"VERIFICATION FAILED for {hit.triple}: "
-                  f"{hit.verification.failed_checks()}", file=sys.stderr)
-        return 3
-    return 0
+    return _finish(report, args, f"search: bound={config.bound} hits={len(report.hits)} "
+                                 f"pairs_tested={report.counts['pairs_tested']} "
+                                 f"wall={report.wall_time_s:.2f}s -> {args.out}")
 
 
 def cmd_oracle(args) -> int:
     report = brute_force_oracle(args.bound, (args.min_x, args.min_y, args.min_z))
-    _write_outputs(report, args.out, args.report)
-    print(f"oracle: bound={args.bound} hits={len(report.hits)} "
-          f"wall={report.wall_time_s:.2f}s -> {args.out}")
-    return 3 if any(not hit.verification.passed for hit in report.hits) else 0
+    return _finish(report, args, f"oracle: bound={args.bound} hits={len(report.hits)} "
+                                 f"wall={report.wall_time_s:.2f}s -> {args.out}")
 
 
 def cmd_verify_identities(args) -> int:
     if args.cases < 1:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
     failures = identity.run_random_suite(args.cases, args.seed)
-    checked = args.cases
     if failures:
         for description in failures[:10]:
             print(f"IDENTITY FAILED: {description}", file=sys.stderr)
-        print(f"verify-identities: {len(failures)}/{checked} instances FAILED")
+        print(f"verify-identities: {len(failures)}/{args.cases} instances FAILED")
         return 4
-    print(f"verify-identities: {checked} instances held exactly (seed={args.seed})")
+    print(f"verify-identities: {args.cases} instances held exactly (seed={args.seed})")
     return 0
-
-
-def _fraction_str(value) -> str:
-    return str(Fraction(value))
 
 
 def _radical_obj(radical: Radical) -> dict:
     cls = radical.classification
     return {
         "sign": radical.sign,
-        "radicand": _fraction_str(radical.radicand),
+        "radicand": str(radical.radicand),
         "degree": radical.degree,
         "class": cls.kind,
-        "value": _fraction_str(cls.value) if cls.value is not None else None,
+        "value": str(cls.value) if cls.value is not None else None,
     }
 
 
@@ -199,7 +191,7 @@ def _scalar_obj(triple: BealTriple, pair) -> dict:
         return {"estimate": None, "exact": None, "error": str(exc)}
     if isinstance(m, IntervalValue):
         return {"estimate": m.decimal(30), "exact": None, "error": None}
-    return {"estimate": _fraction_str(m), "exact": _fraction_str(m), "error": None}
+    return {"estimate": str(m), "exact": str(m), "error": None}
 
 
 def classify_obj(triple: BealTriple) -> dict:

@@ -60,11 +60,6 @@ class IntervalValue:
         with mp.workprec(self.precision_bits + GUARD_BITS):
             return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            value = _as_mpf_operand(x)
-            return self.lo <= value <= self.hi
-
     def distance_to(self, x) -> mpf:
         """Upper bound on |true value - x| given the enclosure."""
         with mp.workprec(self.precision_bits + GUARD_BITS):

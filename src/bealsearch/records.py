@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .errors import BealsearchError
@@ -147,16 +147,8 @@ def read_csv(path: str) -> list[HitRecord]:
 # --- JSON ---------------------------------------------------------------------
 
 def report_to_obj(report: SearchReport, include_timing: bool = True) -> dict:
-    config = report.config
     obj = {
-        "config": {
-            "bound": str(config.bound),
-            "min_x": config.min_x,
-            "min_y": config.min_y,
-            "min_z": config.min_z,
-            "workers": config.workers,
-            "seed": config.seed,
-        },
+        "config": {**asdict(report.config), "bound": str(report.config.bound)},
         "counts": dict(report.counts),
         "hits": [record.to_obj() for record in records_from_report(report)],
     }

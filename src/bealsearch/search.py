@@ -5,8 +5,8 @@ and anchors the scan on the right-hand side: for each candidate C**Z = c it
 looks up c - B**Y among the left-side powers, with the larger term B**Y
 running over the sorted powers in [ceil(c/2), c).  Each lookup is one C-level
 set intersection over a lane slice, so no Python bytecode runs per pair.  The
-right-side values are striped by index across workers; found pairs are
-merged and sorted before annotation, so reports are deterministic for any
+right-side values are striped by index across workers; the annotated hits
+are sorted by SearchHit.sort_key, so reports are deterministic for any
 worker count.
 
 A deliberately naive triple-enumeration oracle with its own power
@@ -250,6 +250,16 @@ def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3))
     )
 
 
+def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: int,
+            pairs_tested: int, started: float) -> SearchReport:
+    """Annotate and order the found triples; the one report path of both engines."""
+    hits = sorted((annotate_hit(triple, config.minimums) for triple in triples),
+                  key=lambda hit: hit.sort_key)
+    counts = {"powers_enumerated": powers_enumerated, "pairs_tested": pairs_tested,
+              "hits": len(hits)}
+    return SearchReport(config, hits, counts, time.perf_counter() - started)
+
+
 def search_solutions(config: SearchConfig) -> SearchReport:
     """Find every in-bound solution, annotated and deterministically sorted."""
     started = time.perf_counter()
@@ -272,31 +282,19 @@ def search_solutions(config: SearchConfig) -> SearchReport:
                                   initargs=lanes) as pool:
             results = pool.map(_match_in_worker, stripes)
 
-    raw_pairs = [pair for found in results for pair in found]
-    raw_pairs.sort(key=lambda p: (p[0] + p[1], p[1], p[0]))
-
-    hits = []
-    for va, vb in raw_pairs:
-        a = power_index[va]
-        b = power_index[vb]
-        c = power_index[va + vb]
-        triple = BealTriple(a.base, a.exponent, b.base, b.exponent, c.base, c.exponent)
-        hits.append(annotate_hit(triple, config.minimums))
+    triples = []
+    for found in results:
+        for va, vb in found:
+            a = power_index[va]
+            b = power_index[vb]
+            c = power_index[va + vb]
+            triples.append(BealTriple(a.base, a.exponent, b.base, b.exponent,
+                                      c.base, c.exponent))
 
     # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
     # meeting the minimums): all left pairs minus the pairs of two low values.
     pairs_tested = _pairs_within(left, config.bound) - _pairs_within(low, config.bound)
-    counts = {
-        "powers_enumerated": len(entries),
-        "pairs_tested": pairs_tested,
-        "hits": len(hits),
-    }
-    return SearchReport(
-        config=config,
-        hits=hits,
-        counts=counts,
-        wall_time_s=time.perf_counter() - started,
-    )
+    return _report(config, triples, len(entries), pairs_tested, started)
 
 
 def _oracle_powers(bound: int, min_exp: int) -> list[tuple[int, int, int]]:
@@ -335,12 +333,10 @@ def brute_force_oracle(bound: int, minimums: tuple[int, int, int] = (3, 3, 3)) -
     """
     if bound > ORACLE_MAX_BOUND:
         raise BoundTooLarge(f"oracle bound {bound} exceeds {ORACLE_MAX_BOUND}")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
     min_x, min_y, min_z = minimums
+    config = SearchConfig(bound=bound, min_x=min_x, min_y=min_y, min_z=min_z)
     started = time.perf_counter()
-    lo_exp = min(minimums)
-    table = _oracle_powers(bound, lo_exp)
+    table = _oracle_powers(bound, min(minimums))
     found = []
     pairs_tested = 0
     for i, (va, a_base, a_exp) in enumerate(table):
@@ -361,17 +357,4 @@ def brute_force_oracle(bound: int, minimums: tuple[int, int, int] = (3, 3, 3)) -
                 if vc == s and c_exp >= min_z:
                     found.append(
                         BealTriple(a_base, a_exp, b_base, b_exp, c_base, c_exp))
-    found.sort(key=lambda t: (t.cz, t.by, t.ax))
-    hits = [annotate_hit(triple, minimums) for triple in found]
-    config = SearchConfig(bound=bound, min_x=min_x, min_y=min_y, min_z=min_z)
-    counts = {
-        "powers_enumerated": len(table),
-        "pairs_tested": pairs_tested,
-        "hits": len(hits),
-    }
-    return SearchReport(
-        config=config,
-        hits=hits,
-        counts=counts,
-        wall_time_s=time.perf_counter() - started,
-    )
+    return _report(config, found, len(table), pairs_tested, started)

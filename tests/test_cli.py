@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, file outputs, JSON contract."""
 
+import argparse
 import hashlib
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import bealsearch.cli as cli_mod
 from bealsearch import svgplot
@@ -61,10 +65,11 @@ def test_int_flag_spellings():
 
 
 def test_search_rejects_huge_bound_spellings_before_building(tmp_path, capsys):
-    for bound in ("10^999999999", "1e999999999", "10^-3"):
+    for bound in ("10^999999999", "1e999999999", "2e999999999", "10^-3"):
         code, _, err = run(capsys, "search", "--bound", bound, "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "--bound" in err
+        assert f"{bound}: need" in err
         assert "need exponent >= 0 and exponent * bits(base) <= 4096" in err
     assert not (tmp_path / "x.csv").exists()
 
@@ -207,7 +212,8 @@ def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys):
         assert run(capsys, *argv)[0] == 0, command
 
 
-def test_search_anomaly_exit_three(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["search", "oracle"])
+def test_search_anomaly_exit_three(command, tmp_path, capsys, monkeypatch):
     # force a verification failure to exercise the anomaly signal
     import bealsearch.search as search_mod
 
@@ -220,9 +226,44 @@ def test_search_anomaly_exit_three(tmp_path, capsys, monkeypatch):
         return search_mod.VerificationRecord(checks=checks, gcd_abc=record.gcd_abc)
 
     monkeypatch.setattr(search_mod, "verify_hit", broken)
-    code, _, err = run(capsys, "search", "--bound", "20", "--out", str(tmp_path / "h.csv"))
+    code, _, err = run(capsys, command, "--bound", "20", "--out", str(tmp_path / "h.csv"))
     assert code == 3
     assert "VERIFICATION FAILED" in err
+
+
+def test_oracle_refuses_bad_minimums_before_scanning(tmp_path, capsys, monkeypatch):
+    import bealsearch.search as search_mod
+
+    def no_scan(bound, min_exp):
+        raise AssertionError("the oracle built its power table before checking its input")
+
+    monkeypatch.setattr(search_mod, "_oracle_powers", no_scan)
+    with pytest.raises(ValueError, match="exponent minimums"):
+        search_mod.brute_force_oracle(10 ** 4, (1, 3, 3))
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        search_mod.brute_force_oracle(0)
+    code, _, err = run(capsys, "oracle", "--bound", "10^4", "--min-x", "1",
+                       "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert "exponent minimums must be >= 3" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        match[1]: set(re.findall(r"`(--[\w-]+)`", match[2]))
+        for match in re.finditer(r"^\| `([\w-]+)` \| (.*) \|$", section, re.MULTILINE)
+    }
+    subparsers = next(action for action in cli_mod.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    declared = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert documented == declared
 
 
 def test_identity_failure_exit_four(capsys, monkeypatch):
