@@ -35,8 +35,11 @@ class ExpansionInstance:
     n: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
+        # run_random_suite re-instantiates per free limit n; skip re-wrapping
+        if not isinstance(self.p, Fraction):
+            object.__setattr__(self, "p", Fraction(self.p))
+        if not isinstance(self.q, Fraction):
+            object.__setattr__(self, "q", Fraction(self.q))
         if self.p == 0 or self.q == 0:
             raise ValueError("p and q must be non-zero")
         if self.n < 0:

@@ -1,13 +1,31 @@
 """Bounded exhaustive search for A**X + B**Y = C**Z.
 
 The main engine enumerates every reduced-base perfect power up to the bound
-and anchors the scan on the right-hand side: for each candidate C**Z = c it
-looks up c - B**Y among the left-side powers, with the larger term B**Y
-running over the sorted powers in [ceil(c/2), c).  Each lookup is one C-level
-set intersection over a lane slice, so no Python bytecode runs per pair.  The
-right-side values are striped by index across workers; the annotated hits
-are sorted by SearchHit.sort_key, so reports are deterministic for any
-worker count.
+and finds each qualifying pair a + b = c (a <= b, c a right-side power) in
+exactly one of two sweeps, split by whether b and c are both cubes.  A value
+is a cube when its reduced exponent is divisible by 3.
+
+Cube-difference sweep (b and c both cubes).  Then a = C**3 - B**3 =
+d(3B**2 + 3dB + d**2) with d = C - B, so d divides a = A**X.  Since b >= a,
+B >= a**(1/3) and a >= 3dB**2 >= 3d a**(2/3), so 27d**3 <= a; since c <=
+bound, a <= 3dC**2 <= 3d bound**(2/3), so a**3 <= 27d**3 bound**2.  For
+each a with 2a <= bound the divisors d in that range come from the prime
+factors of A, read from a smallest-prime-factor table built once per
+search, and each d fixes B exactly through one integer square root, with no
+lookup per pair.  The sweep skips every a that is itself a cube, since a
+sum of two cubes is never a cube (Fermat's Last Theorem for n = 3); so it
+runs over the non-cube left values only, about bound**(1/4) of them.
+
+Lookup sweep (every other pair).  For each c, the larger term b runs over a
+sorted lane slice in [ceil(c/2), c) and c - b is found by one C-level set
+intersection; in the asymmetric case a second intersection looks up the
+low-only b = c - a from the high a <= c // 2.  When c is a cube, b runs over
+the values that are not cubes only, so no pair of the first sweep is found
+again.
+
+Both sweeps are striped by index across workers (a for the first, c for
+the second); the annotated hits are sorted by SearchHit.sort_key, so
+reports are deterministic for any worker count.
 
 A deliberately naive triple-enumeration oracle with its own power
 enumeration (repeated multiplication, no root extraction, no sum index)
@@ -16,18 +34,24 @@ provides the independent cross-check used by the acceptance suite.
 Exponent minimums apply to the unordered pair: a canonical hit (A**X <=
 B**Y) qualifies when either orientation of its left side meets (min_x,
 min_y), equivalently min(X, Y) >= min(min_x, min_y) and max(X, Y) >=
-max(min_x, min_y).
+max(min_x, min_y).  Left values (exponent >= the smaller minimum) whose
+exponent meets the larger minimum are high, the others low-only; a pair
+qualifies when its larger term is high, or when it is low-only and the
+smaller term is high.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from math import isqrt
 from operator import sub
+from typing import NamedTuple
 
 from .coprime import Restriction, exponent_restriction
 from .errors import BoundTooLarge
@@ -103,6 +127,7 @@ class SearchReport:
     hits: list[SearchHit]
     counts: dict[str, int] = field(default_factory=dict)
     wall_time_s: float = 0.0
+    phases: dict[str, float] = field(default_factory=dict)  # enumerate_s, scan_s, annotate_s
 
     @property
     def triples(self) -> list[BealTriple]:
@@ -120,6 +145,8 @@ def enumerate_powers(bound: int, min_exp: int = 3) -> list[PowerEntry]:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if min_exp < 1:
         raise ValueError(f"min_exp must be >= 1, got {min_exp}")
+    if min_exp >= bound.bit_length():  # 2**min_exp > bound: no powers, none built
+        return []
     entries = []
     base = 2
     while base ** min_exp <= bound:
@@ -145,36 +172,127 @@ def _pairs_within(values: list[int], bound: int) -> int:
 _LANES: tuple = ()
 
 
-def _init_lanes(right, left_set, high, low_set) -> None:
+class _Lanes(NamedTuple):
+    """What both sweeps read; every list is sorted by value."""
+
+    bound: int
+    minimums: tuple[int, int, int]  # (smaller left minimum, larger left minimum, min_z)
+    power_index: dict[int, PowerEntry]
+    small: list[PowerEntry]   # left entries A^X, not cubes, with 2 A^X <= bound
+    spf: array                # smallest prime factor of each n <= the largest small base
+    right_cubes: list[int]    # right values that are cubes
+    right_other: list[int]    # the other right values
+    left_set: set[int]
+    high: list[int]           # left values with exponent >= the larger minimum
+    high_other: list[int]     # high values that are not cubes
+    low_set: set[int]         # left values with exponent below the larger minimum
+    low_other: set[int]       # low values that are not cubes
+
+
+def _init_lanes(lanes: _Lanes) -> None:
     global _LANES
-    _LANES = (right, left_set, high, low_set)
+    _LANES = lanes
 
 
 def _match_in_worker(stripe: tuple[int, int]) -> list[tuple[int, int]]:
     return _match_stripe(_LANES, *stripe)
 
 
-def _match_stripe(lanes: tuple, start: int, step: int) -> list[tuple[int, int]]:
-    """All pairs (a, b), a <= b, a + b = c, for right values c[start::step].
+def _smallest_prime_factors(limit: int) -> array:
+    """spf[n] is the smallest prime factor of n for 2 <= n <= limit (spf[1] = 1)."""
+    spf = array("q", range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for n in range(p * p, limit + 1, p):
+                if spf[n] == n:
+                    spf[n] = p
+    return spf
 
-    The larger term b is at least ceil(c/2).  When it is a high-exponent
-    value, the smaller term c - b may be any left value; otherwise b is
-    low-only and the smaller term a = c - b must be high, with a <= c // 2.
-    With symmetric minimums every left value is high and the low-only set is
-    empty.  The two cases are disjoint, so each qualifying unordered pair is
-    found exactly once, and each lookup is a C-level set intersection.
+
+def _match_stripe(lanes: _Lanes, start: int, step: int) -> list[tuple[int, int]]:
+    """All pairs (a, b), a <= b, a + b = c, from the stripes [start::step].
+
+    The cube-difference sweep takes the values a = small[start::step], the
+    lookup sweep the right values c[start::step].  The two sweeps find
+    disjoint pair sets; see the module docstring.
     """
-    right, left_set, high, low_set = lanes
+    return _cube_pairs(lanes, start, step) + _lookup_pairs(lanes, start, step)
+
+
+def _cube_pairs(lanes: _Lanes, start: int, step: int) -> list[tuple[int, int]]:
+    """Pairs (u, B**3) with u + B**3 = (B+d)**3, solved from the divisors d of u.
+
+    d runs over the divisors of u = A**X with u**3 <= 27d**3 bound**2 and
+    27d**3 <= u (see the module docstring).  For each, 3d(B**2 + dB) =
+    u - d**3 fixes B: with q = (u - d**3) / 3d, (2B + d)**2 = 4q + d**2.
+    """
+    spf, power_index = lanes.spf, lanes.power_index
+    lo_exp, hi_exp, min_z = lanes.minimums
+    scale = 27 * lanes.bound ** 2
     found: list[tuple[int, int]] = []
-    for c in right[start::step]:
-        first = bisect_left(high, c - c // 2)
-        last = bisect_left(high, c, first)
-        found.extend((a, c - a) for a in
-                     left_set.intersection(map(sub, repeat(c), high[first:last])))
-        if low_set:
-            last = bisect_right(high, c // 2)
-            found.extend((c - b, b) for b in
-                         low_set.intersection(map(sub, repeat(c), high[:last])))
+    for entry in lanes.small[start::step]:
+        u = entry.value
+        most_cube = u // 27
+        least_cube = -(-u ** 3 // scale)  # the least d**3 that can reach the bound
+        divisors = [1]
+        n = entry.base
+        while n > 1:
+            p = spf[n]
+            k = 0
+            while spf[n] == p:
+                n //= p
+                k += 1
+            grown = []
+            for d in divisors:
+                for _ in range(k * entry.exponent):
+                    d *= p
+                    if d * d * d > most_cube:
+                        break
+                    grown.append(d)
+            divisors += grown
+        for d in divisors:
+            cube = d * d * d
+            if cube < least_cube:
+                continue
+            q, r = divmod(u - cube, 3 * d)
+            if r:
+                continue
+            square = 4 * q + d * d
+            root = isqrt(square)
+            if root * root != square:
+                continue
+            base = (root - d) >> 1  # root**2 = d**2 mod 4, so root - d is even
+            b = base * base * base
+            b_entry = power_index.get(b)
+            c_entry = power_index.get((base + d) ** 3)
+            if (b > u and b_entry and c_entry and c_entry.exponent >= min_z
+                    and b_entry.exponent >= lo_exp
+                    and max(b_entry.exponent, entry.exponent) >= hi_exp):
+                found.append((u, b))
+    return found
+
+
+def _lookup_pairs(lanes: _Lanes, start: int, step: int) -> list[tuple[int, int]]:
+    """The pairs not found by _cube_pairs, one C-level set lookup per lane slice.
+
+    For each right value c: a high larger term b in [ceil(c/2), c) with
+    c - b any left value; then, in the asymmetric case, a high smaller term
+    a <= c // 2 with c - a low-only.  When c is a cube the larger term
+    runs over the values that are not cubes only.
+    """
+    left_set, high = lanes.left_set, lanes.high
+    found: list[tuple[int, int]] = []
+    for right, larger, low_only in ((lanes.right_other, high, lanes.low_set),
+                                    (lanes.right_cubes, lanes.high_other, lanes.low_other)):
+        for c in right[start::step]:
+            first = bisect_left(larger, c - c // 2)
+            last = bisect_left(larger, c, first)
+            found.extend((a, c - a) for a in
+                         left_set.intersection(map(sub, repeat(c), larger[first:last])))
+            if low_only:
+                last = bisect_right(high, c // 2)
+                found.extend((c - b, b) for b in
+                             low_only.intersection(map(sub, repeat(c), high[:last])))
     return found
 
 
@@ -251,13 +369,21 @@ def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3))
 
 
 def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: int,
-            pairs_tested: int, started: float) -> SearchReport:
-    """Annotate and order the found triples; the one report path of both engines."""
+            pairs_tested: int, started: float, enumerated: float) -> SearchReport:
+    """Annotate and order the found triples; the one report path of both engines.
+
+    started and enumerated are the perf_counter readings at the start and
+    at the end of power enumeration; the scan phase runs until this call.
+    """
+    scanned = time.perf_counter()
     hits = sorted((annotate_hit(triple, config.minimums) for triple in triples),
                   key=lambda hit: hit.sort_key)
     counts = {"powers_enumerated": powers_enumerated, "pairs_tested": pairs_tested,
               "hits": len(hits)}
-    return SearchReport(config, hits, counts, time.perf_counter() - started)
+    done = time.perf_counter()
+    phases = {"enumerate_s": enumerated - started, "scan_s": scanned - enumerated,
+              "annotate_s": done - scanned}
+    return SearchReport(config, hits, counts, done - started, phases)
 
 
 def search_solutions(config: SearchConfig) -> SearchReport:
@@ -266,20 +392,36 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     lo_exp = min(config.min_x, config.min_y)
     hi_exp = max(config.min_x, config.min_y)
     entries = enumerate_powers(config.bound, min_exp=min(lo_exp, config.min_z))
+    enumerated = time.perf_counter()
 
     power_index = {entry.value: entry for entry in entries}
-    right = [entry.value for entry in entries if entry.exponent >= config.min_z]
-    left = [entry.value for entry in entries if entry.exponent >= lo_exp]
-    high = [entry.value for entry in entries if entry.exponent >= hi_exp]
-    low = [entry.value for entry in entries if lo_exp <= entry.exponent < hi_exp]
-    lanes = (right, set(left), high, set(low))
+    right = [entry for entry in entries if entry.exponent >= config.min_z]
+    left = [entry for entry in entries if entry.exponent >= lo_exp]
+    high = [entry for entry in left if entry.exponent >= hi_exp]
+    low = [entry for entry in left if entry.exponent < hi_exp]
+    # The cube sweep's A^X are never cubes: a sum of two cubes is never a
+    # cube (Fermat's Last Theorem for n = 3, proved by Euler).
+    small = [entry for entry in left if entry.exponent % 3 and 2 * entry.value <= config.bound]
+    lanes = _Lanes(
+        bound=config.bound,
+        minimums=(lo_exp, hi_exp, config.min_z),
+        power_index=power_index,
+        small=small,
+        spf=_smallest_prime_factors(max((entry.base for entry in small), default=1)),
+        right_cubes=[entry.value for entry in right if entry.exponent % 3 == 0],
+        right_other=[entry.value for entry in right if entry.exponent % 3],
+        left_set={entry.value for entry in left},
+        high=[entry.value for entry in high],
+        high_other=[entry.value for entry in high if entry.exponent % 3],
+        low_set={entry.value for entry in low},
+        low_other={entry.value for entry in low if entry.exponent % 3})
 
     if config.workers == 1 or not right:
         results = [_match_stripe(lanes, 0, 1)]
     else:
         stripes = [(w, config.workers) for w in range(config.workers)]
         with multiprocessing.Pool(processes=config.workers, initializer=_init_lanes,
-                                  initargs=lanes) as pool:
+                                  initargs=(lanes,)) as pool:
             results = pool.map(_match_in_worker, stripes)
 
     triples = []
@@ -293,8 +435,9 @@ def search_solutions(config: SearchConfig) -> SearchReport:
 
     # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
     # meeting the minimums): all left pairs minus the pairs of two low values.
-    pairs_tested = _pairs_within(left, config.bound) - _pairs_within(low, config.bound)
-    return _report(config, triples, len(entries), pairs_tested, started)
+    pairs_tested = (_pairs_within([entry.value for entry in left], config.bound)
+                    - _pairs_within([entry.value for entry in low], config.bound))
+    return _report(config, triples, len(entries), pairs_tested, started, enumerated)
 
 
 def _oracle_powers(bound: int, min_exp: int) -> list[tuple[int, int, int]]:
@@ -303,6 +446,8 @@ def _oracle_powers(bound: int, min_exp: int) -> list[tuple[int, int, int]]:
     A base is kept when it is not itself a power of a smaller integer, which
     is detected by enumerating all small powers rather than extracting roots.
     """
+    if min_exp >= bound.bit_length():  # 2**min_exp > bound: no powers, none built
+        return []
     small_powers = set()
     base = 2
     while base * base <= bound:
@@ -337,6 +482,7 @@ def brute_force_oracle(bound: int, minimums: tuple[int, int, int] = (3, 3, 3)) -
     config = SearchConfig(bound=bound, min_x=min_x, min_y=min_y, min_z=min_z)
     started = time.perf_counter()
     table = _oracle_powers(bound, min(minimums))
+    enumerated = time.perf_counter()
     found = []
     pairs_tested = 0
     for i, (va, a_base, a_exp) in enumerate(table):
@@ -357,4 +503,4 @@ def brute_force_oracle(bound: int, minimums: tuple[int, int, int] = (3, 3, 3)) -
                 if vc == s and c_exp >= min_z:
                     found.append(
                         BealTriple(a_base, a_exp, b_base, b_exp, c_base, c_exp))
-    return _report(config, found, len(table), pairs_tested, started)
+    return _report(config, found, len(table), pairs_tested, started, enumerated)

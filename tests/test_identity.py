@@ -56,6 +56,15 @@ def test_general_expansion_n2_terms():
     assert sum(terms) == -1
 
 
+def test_instance_keeps_fractions_and_wraps_other_numbers():
+    # run_random_suite builds one instance per free limit from the same p, q
+    p = Fraction(2, 3)
+    inst = ExpansionInstance(p, 5, 2, 3)
+    assert inst.p is p
+    assert type(inst.q) is Fraction and inst.q == 5
+    assert ExpansionInstance(inst.p, inst.q, 2, 3, 4).q is inst.q
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         ExpansionInstance(Fraction(0), Fraction(3), 1, 1)

@@ -40,6 +40,16 @@ def test_json_round_trip(report, records):
     assert "wall_time_s" not in json.loads(canonical_json(report))
 
 
+def test_phase_timings_are_reported_but_not_canonical(report):
+    obj = json.loads(emit_json(report))
+    assert set(obj["phases"]) == {"enumerate_s", "scan_s", "annotate_s"}
+    assert all(seconds >= 0 for seconds in obj["phases"].values())
+    assert sum(obj["phases"].values()) <= obj["wall_time_s"] + 1e-6
+    canonical = json.loads(canonical_json(report))
+    assert "phases" not in canonical
+    assert set(canonical) == {"config", "counts", "hits"}
+
+
 def test_record_fields_are_canonical(records):
     for record in records:
         record.validate()

@@ -1,5 +1,6 @@
 """Search engine: enumeration, oracle equivalence, determinism, verification."""
 
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 import bealsearch.search as search_mod
 from bealsearch.errors import BoundTooLarge
-from bealsearch.search import (SearchConfig, annotate_hit, brute_force_oracle,
-                               enumerate_powers, search_solutions, verify_hit)
+from bealsearch.search import (ORACLE_MAX_BOUND, SearchConfig, annotate_hit,
+                               brute_force_oracle, enumerate_powers, search_solutions,
+                               verify_hit)
 from bealsearch.triples import BealTriple
 
 
@@ -58,6 +60,9 @@ def test_completeness_spot_checks():
     assert BealTriple(3, 6, 18, 3, 3, 8) in triples      # 729 + 5832 = 6561
     assert BealTriple(7, 3, 7, 4, 14, 3) in triples
     assert BealTriple(33, 5, 66, 5, 33, 6) in triples    # 33^5 + 66^5 = 33^6
+    # B^Y and C^Z both cubes: the first hits of the cube-difference sweep
+    assert BealTriple(13, 5, 91, 3, 104, 3) in triples   # 13^5 + 91^3 = 104^3
+    assert BealTriple(61, 4, 244, 3, 305, 3) in triples  # 61^4 + 244^3 = 305^3
 
 
 def test_oracle_equivalence_small_bounds():
@@ -77,6 +82,51 @@ def test_oracle_equivalence_small_bounds():
         assert counts == (pairs, pairs), (minimums, bound)
 
 
+def test_oracle_equivalence_at_the_oracle_ceiling():
+    # Below 10^6 no hit has B^Y and C^Z both cubes (the first is
+    # 13^5 + 91^3 = 104^3), so the random property above cannot see the
+    # cube-difference sweep; at 10^7 the oracle still runs in about a second.
+    for minimums, workers in (((3, 3, 3), (1, 2)), ((4, 3, 3), (1,))):
+        slow = brute_force_oracle(ORACLE_MAX_BOUND, minimums)
+        for w in workers:
+            min_x, min_y, min_z = minimums
+            fast = search_solutions(SearchConfig(bound=ORACLE_MAX_BOUND, min_x=min_x,
+                                                 min_y=min_y, min_z=min_z, workers=w))
+            assert fast.triples == slow.triples, (minimums, w)
+            assert fast.counts["pairs_tested"] == slow.counts["pairs_tested"]
+        assert BealTriple(13, 5, 91, 3, 104, 3) in slow.triples
+
+
+def _lookup_reference(bound: int, minimums: tuple[int, int, int]) -> list[BealTriple]:
+    """The plain right-anchored scan: for each C^Z, look up C^Z - B^Y over
+    every left value B^Y in [C^Z/2, C^Z), one Python-level lookup per pair."""
+    min_x, min_y, min_z = minimums
+    lo, hi = sorted((min_x, min_y))
+    entries = enumerate_powers(bound, min(lo, min_z))
+    left = {entry.value: entry for entry in entries if entry.exponent >= lo}
+    values = sorted(left)
+    found = []
+    for c in entries:
+        if c.exponent < min_z:
+            continue
+        for vb in values[bisect_left(values, c.value - c.value // 2):
+                         bisect_left(values, c.value)]:
+            a, b = left.get(c.value - vb), left[vb]
+            if a is not None and max(a.exponent, b.exponent) >= hi:
+                found.append(BealTriple(a.base, a.exponent, b.base, b.exponent,
+                                        c.base, c.exponent))
+    return sorted(found, key=lambda t: (t.cz, t.by, t.ax))
+
+
+@pytest.mark.parametrize("minimums", [(3, 3, 3), (3, 4, 3), (3, 5, 4), (4, 4, 3),
+                                      (3, 3, 4), (3, 5, 3)])
+def test_search_matches_plain_lookup_past_the_oracle(minimums):
+    min_x, min_y, min_z = minimums
+    report = search_solutions(SearchConfig(bound=10 ** 10, min_x=min_x, min_y=min_y,
+                                           min_z=min_z))
+    assert report.triples == _lookup_reference(10 ** 10, minimums)
+
+
 @settings(max_examples=20, deadline=None)
 @given(bound=st.integers(min_value=1, max_value=10 ** 6),
        minimums=st.tuples(*[st.integers(min_value=3, max_value=6)] * 3),
@@ -89,6 +139,26 @@ def test_search_matches_oracle_property(bound, minimums, workers):
     slow = brute_force_oracle(bound, minimums)
     assert fast.triples == slow.triples
     assert fast.counts["pairs_tested"] == slow.counts["pairs_tested"]
+
+
+class _UnbuildableExponent(int):
+    """An exponent minimum whose power 2**m must never be built."""
+
+    def __rpow__(self, base, modulo=None):
+        raise AssertionError(f"{base}**{int(self)} was built")
+
+
+def test_huge_exponent_minimums_build_no_power():
+    huge = _UnbuildableExponent(10 ** 7)
+    assert enumerate_powers(10 ** 12, huge) == []
+    assert search_mod._oracle_powers(10 ** 6, huge) == []
+    report = search_solutions(SearchConfig(bound=10 ** 12, min_x=huge, min_y=huge,
+                                           min_z=huge))
+    assert report.hits == [] and report.counts["powers_enumerated"] == 0
+    assert brute_force_oracle(10 ** 6, (huge, huge, huge)).hits == []
+    # the cut-off is exact: 2**39 <= 10**12 < 2**40
+    assert enumerate_powers(10 ** 12, 39)[0].value == 2 ** 39
+    assert enumerate_powers(10 ** 12, 40) == []
 
 
 def test_oracle_rejects_large_bounds():
