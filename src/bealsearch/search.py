@@ -1,43 +1,39 @@
 """Bounded exhaustive search for A**X + B**Y = C**Z.
 
 The main engine enumerates every reduced-base perfect power up to the bound
-and finds each qualifying pair a + b = c (a <= b, c a right-side power) in
-exactly one of two sweeps, split by whether b and c are both cubes.  A value
-is a cube when its reduced exponent is divisible by 3.
+(a sieve over the bases marks the perfect powers, with no root per base)
+and finds each qualifying pair a + b = c (a <= b, c a right-side power)
+exactly once.  A value is a cube when its reduced exponent is divisible by
+3.  At most two of a, b, c are cubes, since a sum of two cubes is never a
+cube (Fermat's Last Theorem for n = 3, proved by Euler), so the scan runs
+over the non-cube values v only, about bound**(1/4) of them, and finds each
+pair from one v, by the number of cube terms.
 
-Cube-difference sweep (b and c both cubes).  Then a = C**3 - B**3 =
-d(3B**2 + 3dB + d**2) with d = C - B, so d divides a = A**X.  Since b >= a,
-B >= a**(1/3) and a >= 3dB**2 >= 3d a**(2/3), so 27d**3 <= a; since c <=
-bound, a <= 3dC**2 <= 3d bound**(2/3), so a**3 <= 27d**3 bound**2.  For
-each a with 2a <= bound the divisors d in that range come from the prime
-factors of A, read from a smallest-prime-factor table built once per
-search, and each d fixes B exactly through one integer square root, with no
-lookup per pair.  The sweep skips every a that is itself a cube, since a
-sum of two cubes is never a cube (Fermat's Last Theorem for n = 3); so it
-runs over the non-cube left values only, about bound**(1/4) of them.
+Two cubes: v, the third term, is a difference or a sum of two cubes, solved
+from the divisors of v = A**X up to (4v)**(1/3), which come from the prime
+factors of A in a smallest-prime-factor table.  A divisor d with d**3 < v
+gives v = (B+d)**3 - B**3 = d(3B**2 + 3dB + d**2), and one integer square
+root fixes B; v <= 3dC**2 <= 3d bound**(2/3) leaves only v**3 <= 27d**3
+bound**2.  Any other divisor s gives v = A'**3 + B'**3 with s = A' + B'
+(so v < s**3 <= 4v), A'B' = (s**2 - v/s)/3 and (B' - A')**2 = s**2 - 4A'B'.
 
-Lookup sweep (every other pair).  For each c, the larger term b runs over a
-sorted lane slice in [ceil(c/2), c) and c - b is found by one C-level set
-intersection; in the asymmetric case a second intersection looks up the
-low-only b = c - a from the high a <= c // 2.  When c is a cube, b runs over
-the values that are not cubes only, so no pair of the first sweep is found
-again.
+At most one cube: for each non-cube a, one C-level set intersection of
+a + b over the non-cube b in [a, bound - a] with the right values; for each
+non-cube c, one intersection of c - x over the non-cube left values x < c
+with the left cubes.
 
-Both sweeps are striped by index across workers (a for the first, c for
-the second); the annotated hits are sorted by SearchHit.sort_key, so
-reports are deterministic for any worker count.
-
-A deliberately naive triple-enumeration oracle with its own power
+The scan is striped by index of v across workers; the annotated hits are
+sorted by SearchHit.sort_key, so reports are deterministic for any worker
+count.  A deliberately naive triple-enumeration oracle with its own power
 enumeration (repeated multiplication, no root extraction, no sum index)
 provides the independent cross-check used by the acceptance suite.
 
 Exponent minimums apply to the unordered pair: a canonical hit (A**X <=
 B**Y) qualifies when either orientation of its left side meets (min_x,
 min_y), equivalently min(X, Y) >= min(min_x, min_y) and max(X, Y) >=
-max(min_x, min_y).  Left values (exponent >= the smaller minimum) whose
-exponent meets the larger minimum are high, the others low-only; a pair
-qualifies when its larger term is high, or when it is low-only and the
-smaller term is high.
+max(min_x, min_y).  Left values have exponent >= the smaller minimum; the
+scan finds the pairs of left values, and the rule on the larger minimum is
+applied once, where the triples are built.
 """
 
 from __future__ import annotations
@@ -50,12 +46,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .coprime import Restriction, exponent_restriction
 from .errors import BoundTooLarge
-from .exact_arith import RadicalClass, is_perfect_power
+from .exact_arith import RadicalClass, iroot, is_perfect_power
 from .reparam import Plane, ReparamPair, canonical_alpha_beta
 from .slopes import SlopeSet, slope_set
 from .triples import BealTriple
@@ -127,7 +123,7 @@ class SearchReport:
     hits: list[SearchHit]
     counts: dict[str, int] = field(default_factory=dict)
     wall_time_s: float = 0.0
-    phases: dict[str, float] = field(default_factory=dict)  # enumerate_s, scan_s, annotate_s
+    phases: dict[str, float] = field(default_factory=dict)  # seconds, see _report
 
     @property
     def triples(self) -> list[BealTriple]:
@@ -139,7 +135,9 @@ def enumerate_powers(bound: int, min_exp: int = 3) -> list[PowerEntry]:
 
     Bases that are themselves perfect powers are skipped; their powers are
     reachable from the reduced base with a larger exponent, so every perfect
-    power value below the bound appears exactly once.
+    power value below the bound appears exactly once.  Each reduced base
+    marks its own powers in a sieve over the bases, so a base is reduced
+    exactly when no smaller base has marked it.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -147,17 +145,22 @@ def enumerate_powers(bound: int, min_exp: int = 3) -> list[PowerEntry]:
         raise ValueError(f"min_exp must be >= 1, got {min_exp}")
     if min_exp >= bound.bit_length():  # 2**min_exp > bound: no powers, none built
         return []
+    limit = iroot(bound, min_exp)[0]
+    marked = bytearray(limit + 1)
     entries = []
-    base = 2
-    while base ** min_exp <= bound:
-        if base < 4 or is_perfect_power(base) is None:
-            value = base ** min_exp
-            exponent = min_exp
-            while value <= bound:
-                entries.append(PowerEntry(value, base, exponent))
-                exponent += 1
-                value *= base
-        base += 1
+    for base in range(2, limit + 1):
+        if marked[base]:
+            continue
+        power = base * base
+        while power <= limit:
+            marked[power] = 1
+            power *= base
+        value = base ** min_exp
+        exponent = min_exp
+        while value <= bound:
+            entries.append(PowerEntry(value, base, exponent))
+            exponent += 1
+            value *= base
     entries.sort(key=lambda entry: entry.value)
     return entries
 
@@ -173,20 +176,17 @@ _LANES: tuple = ()
 
 
 class _Lanes(NamedTuple):
-    """What both sweeps read; every list is sorted by value."""
+    """What the scan reads; every list is sorted by value."""
 
     bound: int
-    minimums: tuple[int, int, int]  # (smaller left minimum, larger left minimum, min_z)
+    lo_exp: int                 # the smaller left minimum
+    min_z: int
     power_index: dict[int, PowerEntry]
-    small: list[PowerEntry]   # left entries A^X, not cubes, with 2 A^X <= bound
-    spf: array                # smallest prime factor of each n <= the largest small base
-    right_cubes: list[int]    # right values that are cubes
-    right_other: list[int]    # the other right values
-    left_set: set[int]
-    high: list[int]           # left values with exponent >= the larger minimum
-    high_other: list[int]     # high values that are not cubes
-    low_set: set[int]         # left values with exponent below the larger minimum
-    low_other: set[int]       # low values that are not cubes
+    non_cubes: list[PowerEntry]  # entries that are not cubes
+    spf: array                  # smallest prime factor of each n <= the largest such base
+    left_other: list[int]       # left values that are not cubes
+    left_cubes: set[int]        # left values that are cubes
+    right_set: set[int]
 
 
 def _init_lanes(lanes: _Lanes) -> None:
@@ -210,89 +210,83 @@ def _smallest_prime_factors(limit: int) -> array:
 
 
 def _match_stripe(lanes: _Lanes, start: int, step: int) -> list[tuple[int, int]]:
-    """All pairs (a, b), a <= b, a + b = c, from the stripes [start::step].
+    """All pairs {a, b} of left values, a + b = c, found from the non-cube
+    values v = non_cubes[start::step]; each pair is found from one v only.
 
-    The cube-difference sweep takes the values a = small[start::step], the
-    lookup sweep the right values c[start::step].  The two sweeps find
-    disjoint pair sets; see the module docstring.
+    With at most one cube term: v = a <= b with b not a cube, or v = c with
+    exactly one of a, b a cube.  With two cube terms, v is the third term
+    (see _cube_pairs).  The pairs come unordered.
     """
-    return _cube_pairs(lanes, start, step) + _lookup_pairs(lanes, start, step)
-
-
-def _cube_pairs(lanes: _Lanes, start: int, step: int) -> list[tuple[int, int]]:
-    """Pairs (u, B**3) with u + B**3 = (B+d)**3, solved from the divisors d of u.
-
-    d runs over the divisors of u = A**X with u**3 <= 27d**3 bound**2 and
-    27d**3 <= u (see the module docstring).  For each, 3d(B**2 + dB) =
-    u - d**3 fixes B: with q = (u - d**3) / 3d, (2B + d)**2 = 4q + d**2.
-    """
-    spf, power_index = lanes.spf, lanes.power_index
-    lo_exp, hi_exp, min_z = lanes.minimums
-    scale = 27 * lanes.bound ** 2
+    bound, lo_exp, min_z = lanes.bound, lanes.lo_exp, lanes.min_z
+    left_other, left_cubes, right_set = lanes.left_other, lanes.left_cubes, lanes.right_set
     found: list[tuple[int, int]] = []
-    for entry in lanes.small[start::step]:
-        u = entry.value
-        most_cube = u // 27
-        least_cube = -(-u ** 3 // scale)  # the least d**3 that can reach the bound
-        divisors = [1]
-        n = entry.base
-        while n > 1:
-            p = spf[n]
-            k = 0
-            while spf[n] == p:
-                n //= p
-                k += 1
-            grown = []
-            for d in divisors:
-                for _ in range(k * entry.exponent):
-                    d *= p
-                    if d * d * d > most_cube:
-                        break
-                    grown.append(d)
-            divisors += grown
-        for d in divisors:
-            cube = d * d * d
-            if cube < least_cube:
-                continue
-            q, r = divmod(u - cube, 3 * d)
-            if r:
-                continue
-            square = 4 * q + d * d
-            root = isqrt(square)
-            if root * root != square:
-                continue
-            base = (root - d) >> 1  # root**2 = d**2 mod 4, so root - d is even
-            b = base * base * base
-            b_entry = power_index.get(b)
-            c_entry = power_index.get((base + d) ** 3)
-            if (b > u and b_entry and c_entry and c_entry.exponent >= min_z
-                    and b_entry.exponent >= lo_exp
-                    and max(b_entry.exponent, entry.exponent) >= hi_exp):
-                found.append((u, b))
+    for entry in lanes.non_cubes[start::step]:
+        v = entry.value
+        left, right = entry.exponent >= lo_exp, entry.exponent >= min_z
+        if left and 2 * v <= bound:
+            first = bisect_left(left_other, v)
+            last = bisect_right(left_other, bound - v, first)
+            found.extend((v, c - v) for c in
+                         right_set.intersection(map(add, repeat(v), left_other[first:last])))
+        if right:
+            last = bisect_left(left_other, v)
+            found.extend((v - x, x) for x in
+                         left_cubes.intersection(map(sub, repeat(v), left_other[:last])))
+        found += _cube_pairs(lanes, entry, left, right)
     return found
 
 
-def _lookup_pairs(lanes: _Lanes, start: int, step: int) -> list[tuple[int, int]]:
-    """The pairs not found by _cube_pairs, one C-level set lookup per lane slice.
+def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
+                right: bool) -> list[tuple[int, int]]:
+    """The pairs whose two other terms are cubes, for the non-cube v = entry.value.
 
-    For each right value c: a high larger term b in [ceil(c/2), c) with
-    c - b any left value; then, in the asymmetric case, a high smaller term
-    a <= c // 2 with c - a low-only.  When c is a cube the larger term
-    runs over the values that are not cubes only.
+    Every divisor d of v = A**X with d**3 <= 4v is tried.  When d**3 < v and
+    v is a left value, v + B**3 = (B+d)**3: with q = (v - d**3) / 3d,
+    (2B + d)**2 = 4q + d**2, and only d with v**3 <= 27d**3 bound**2 can
+    keep (B+d)**3 within the bound.  When d**3 > v and v is a right value,
+    v = A'**3 + B'**3 with d = A' + B': A'B' = (d**2 - v/d) / 3 and
+    (B' - A')**2 = d**2 - 4A'B' >= 0, as d**3 <= 4v.
     """
-    left_set, high = lanes.left_set, lanes.high
+    spf, power_index, lo_exp = lanes.spf, lanes.power_index, lanes.lo_exp
+    v = entry.value
+    most = 4 * v
+    least = -(-v ** 3 // (27 * lanes.bound ** 2))
+    divisors = [1]
+    n = entry.base
+    while n > 1:
+        p = spf[n]
+        k = 0
+        while spf[n] == p:
+            n //= p
+            k += 1
+        grown = []
+        for d in divisors:
+            for _ in range(k * entry.exponent):
+                d *= p
+                if d * d * d > most:
+                    break
+                grown.append(d)
+        divisors += grown
     found: list[tuple[int, int]] = []
-    for right, larger, low_only in ((lanes.right_other, high, lanes.low_set),
-                                    (lanes.right_cubes, lanes.high_other, lanes.low_other)):
-        for c in right[start::step]:
-            first = bisect_left(larger, c - c // 2)
-            last = bisect_left(larger, c, first)
-            found.extend((a, c - a) for a in
-                         left_set.intersection(map(sub, repeat(c), larger[first:last])))
-            if low_only:
-                last = bisect_right(high, c // 2)
-                found.extend((c - b, b) for b in
-                             low_only.intersection(map(sub, repeat(c), high[:last])))
+    for d in divisors:
+        cube = d * d * d
+        if left and least <= cube < v:
+            q, r = divmod(v - cube, 3 * d)
+            square = 4 * q + d * d  # (2B + d)**2
+            if not r and (root := isqrt(square)) * root == square:
+                base = (root - d) >> 1  # root**2 = d**2 mod 4, so root - d is even
+                b = power_index.get(base ** 3)
+                c = power_index.get((base + d) ** 3)
+                if b and c and b.exponent >= lo_exp and c.exponent >= lanes.min_z:
+                    found.append((v, b.value))
+        elif right and cube > v:
+            q, r = divmod(d * d - v // d, 3)  # A'B'
+            square = d * d - 4 * q  # (B' - A')**2
+            if not r and (root := isqrt(square)) * root == square:
+                a = power_index.get(((d - root) >> 1) ** 3)
+                b = power_index.get(((d + root) >> 1) ** 3)
+                if a and b and a.exponent >= lo_exp and b.exponent >= lo_exp:
+                    found.append((a.value, b.value))
     return found
 
 
@@ -369,11 +363,13 @@ def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3))
 
 
 def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: int,
-            pairs_tested: int, started: float, enumerated: float) -> SearchReport:
+            pairs_tested: int, started: float, enumerated: float,
+            indexed: float) -> SearchReport:
     """Annotate and order the found triples; the one report path of both engines.
 
-    started and enumerated are the perf_counter readings at the start and
-    at the end of power enumeration; the scan phase runs until this call.
+    started, enumerated and indexed are the perf_counter readings at the
+    start, at the end of power enumeration and at the end of the index
+    build; the scan phase runs until this call.
     """
     scanned = time.perf_counter()
     hits = sorted((annotate_hit(triple, config.minimums) for triple in triples),
@@ -381,8 +377,8 @@ def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: 
     counts = {"powers_enumerated": powers_enumerated, "pairs_tested": pairs_tested,
               "hits": len(hits)}
     done = time.perf_counter()
-    phases = {"enumerate_s": enumerated - started, "scan_s": scanned - enumerated,
-              "annotate_s": done - scanned}
+    phases = {"enumerate_s": enumerated - started, "index_s": indexed - enumerated,
+              "scan_s": scanned - indexed, "annotate_s": done - scanned}
     return SearchReport(config, hits, counts, done - started, phases)
 
 
@@ -394,29 +390,27 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     entries = enumerate_powers(config.bound, min_exp=min(lo_exp, config.min_z))
     enumerated = time.perf_counter()
 
-    power_index = {entry.value: entry for entry in entries}
-    right = [entry for entry in entries if entry.exponent >= config.min_z]
     left = [entry for entry in entries if entry.exponent >= lo_exp]
-    high = [entry for entry in left if entry.exponent >= hi_exp]
-    low = [entry for entry in left if entry.exponent < hi_exp]
-    # The cube sweep's A^X are never cubes: a sum of two cubes is never a
-    # cube (Fermat's Last Theorem for n = 3, proved by Euler).
-    small = [entry for entry in left if entry.exponent % 3 and 2 * entry.value <= config.bound]
+    low = [entry.value for entry in left if entry.exponent < hi_exp]
+    # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
+    # meeting the minimums): all left pairs minus the pairs of two low values.
+    pairs_tested = (_pairs_within([entry.value for entry in left], config.bound)
+                    - _pairs_within(low, config.bound))
+    power_index = {entry.value: entry for entry in entries}
+    non_cubes = [entry for entry in entries if entry.exponent % 3]
     lanes = _Lanes(
         bound=config.bound,
-        minimums=(lo_exp, hi_exp, config.min_z),
+        lo_exp=lo_exp,
+        min_z=config.min_z,
         power_index=power_index,
-        small=small,
-        spf=_smallest_prime_factors(max((entry.base for entry in small), default=1)),
-        right_cubes=[entry.value for entry in right if entry.exponent % 3 == 0],
-        right_other=[entry.value for entry in right if entry.exponent % 3],
-        left_set={entry.value for entry in left},
-        high=[entry.value for entry in high],
-        high_other=[entry.value for entry in high if entry.exponent % 3],
-        low_set={entry.value for entry in low},
-        low_other={entry.value for entry in low if entry.exponent % 3})
+        non_cubes=non_cubes,
+        spf=_smallest_prime_factors(max((entry.base for entry in non_cubes), default=1)),
+        left_other=[entry.value for entry in left if entry.exponent % 3],
+        left_cubes={entry.value for entry in left if entry.exponent % 3 == 0},
+        right_set={entry.value for entry in entries if entry.exponent >= config.min_z})
+    indexed = time.perf_counter()
 
-    if config.workers == 1 or not right:
+    if config.workers == 1 or not lanes.right_set:
         results = [_match_stripe(lanes, 0, 1)]
     else:
         stripes = [(w, config.workers) for w in range(config.workers)]
@@ -426,18 +420,13 @@ def search_solutions(config: SearchConfig) -> SearchReport:
 
     triples = []
     for found in results:
-        for va, vb in found:
-            a = power_index[va]
-            b = power_index[vb]
-            c = power_index[va + vb]
-            triples.append(BealTriple(a.base, a.exponent, b.base, b.exponent,
-                                      c.base, c.exponent))
-
-    # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
-    # meeting the minimums): all left pairs minus the pairs of two low values.
-    pairs_tested = (_pairs_within([entry.value for entry in left], config.bound)
-                    - _pairs_within([entry.value for entry in low], config.bound))
-    return _report(config, triples, len(entries), pairs_tested, started, enumerated)
+        for pair in found:
+            a, b = (power_index[value] for value in sorted(pair))
+            if max(a.exponent, b.exponent) >= hi_exp:
+                c = power_index[a.value + b.value]
+                triples.append(BealTriple(a.base, a.exponent, b.base, b.exponent,
+                                          c.base, c.exponent))
+    return _report(config, triples, len(entries), pairs_tested, started, enumerated, indexed)
 
 
 def _oracle_powers(bound: int, min_exp: int) -> list[tuple[int, int, int]]:
@@ -503,4 +492,5 @@ def brute_force_oracle(bound: int, minimums: tuple[int, int, int] = (3, 3, 3)) -
                 if vc == s and c_exp >= min_z:
                     found.append(
                         BealTriple(a_base, a_exp, b_base, b_exp, c_base, c_exp))
-    return _report(config, found, len(table), pairs_tested, started, enumerated)
+    return _report(config, found, len(table), pairs_tested, started, enumerated,
+                   enumerated)

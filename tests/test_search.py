@@ -1,6 +1,6 @@
 """Search engine: enumeration, oracle equivalence, determinism, verification."""
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import pytest
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import bealsearch.search as search_mod
 from bealsearch.errors import BoundTooLarge
-from bealsearch.search import (ORACLE_MAX_BOUND, SearchConfig, annotate_hit,
+from bealsearch.exact_arith import is_perfect_power
+from bealsearch.search import (ORACLE_MAX_BOUND, PowerEntry, SearchConfig, annotate_hit,
                                brute_force_oracle, enumerate_powers, search_solutions,
                                verify_hit)
 from bealsearch.triples import BealTriple
@@ -30,6 +31,31 @@ def test_enumerate_powers_bases_are_reduced():
         # base is not a perfect power: no smaller-base representation exists
         assert all(b ** e != base for b in range(2, 32) for e in range(2, 21)
                    if b ** e <= base)
+
+
+def _reference_powers(bound: int, min_exp: int) -> list[PowerEntry]:
+    """enumerate_powers built from is_perfect_power, one root extraction per base."""
+    entries = []
+    base = 2
+    while base ** min_exp <= bound:
+        if is_perfect_power(base) is None:
+            value, exponent = base ** min_exp, min_exp
+            while value <= bound:
+                entries.append(PowerEntry(value, base, exponent))
+                value, exponent = value * base, exponent + 1
+        base += 1
+    return sorted(entries, key=lambda entry: entry.value)
+
+
+def test_enumerate_powers_matches_perfect_power_reference():
+    for min_exp in range(1, 5):
+        reference = _reference_powers(3000, min_exp)
+        values = [entry.value for entry in reference]
+        for bound in range(1, 3001):
+            expected = reference[:bisect_right(values, bound)]
+            assert enumerate_powers(bound, min_exp) == expected, (bound, min_exp)
+    for bound in (10 ** 12, 10 ** 13):
+        assert enumerate_powers(bound, 3) == _reference_powers(bound, 3), bound
 
 
 def test_search_examples():
@@ -60,9 +86,22 @@ def test_completeness_spot_checks():
     assert BealTriple(3, 6, 18, 3, 3, 8) in triples      # 729 + 5832 = 6561
     assert BealTriple(7, 3, 7, 4, 14, 3) in triples
     assert BealTriple(33, 5, 66, 5, 33, 6) in triples    # 33^5 + 66^5 = 33^6
-    # B^Y and C^Z both cubes: the first hits of the cube-difference sweep
+    # B^Y and C^Z both cubes: the first hits where the larger term is a cube
+    # and the smaller a difference of two cubes
     assert BealTriple(13, 5, 91, 3, 104, 3) in triples   # 13^5 + 91^3 = 104^3
     assert BealTriple(61, 4, 244, 3, 305, 3) in triples  # 61^4 + 244^3 = 305^3
+
+
+def test_each_cube_pattern_has_a_named_hit():
+    # One hit per class of the scan, by which terms are cubes (see the
+    # search module docstring); removing any branch loses one of them.
+    triples = set(search_solutions(SearchConfig(bound=10 ** 10)).triples)
+    assert BealTriple(2, 3, 2, 3, 2, 4) in triples      # cube + cube = non-cube
+    assert BealTriple(7, 3, 7, 4, 14, 3) in triples     # cube + non-cube = cube
+    assert BealTriple(13, 5, 91, 3, 104, 3) in triples  # non-cube + cube = cube
+    assert BealTriple(31, 5, 31, 6, 62, 5) in triples   # non-cube + cube = non-cube
+    assert BealTriple(2, 5, 2, 5, 2, 6) in triples      # non-cube + non-cube = cube
+    assert BealTriple(2, 4, 2, 4, 2, 5) in triples      # no cube at all
 
 
 def test_oracle_equivalence_small_bounds():
@@ -84,8 +123,9 @@ def test_oracle_equivalence_small_bounds():
 
 def test_oracle_equivalence_at_the_oracle_ceiling():
     # Below 10^6 no hit has B^Y and C^Z both cubes (the first is
-    # 13^5 + 91^3 = 104^3), so the random property above cannot see the
-    # cube-difference sweep; at 10^7 the oracle still runs in about a second.
+    # 13^5 + 91^3 = 104^3), so the random property above cannot see a
+    # difference of cubes whose cube is the larger term; at 10^7 the oracle
+    # still runs in about a second.
     for minimums, workers in (((3, 3, 3), (1, 2)), ((4, 3, 3), (1,))):
         slow = brute_force_oracle(ORACLE_MAX_BOUND, minimums)
         for w in workers:
@@ -119,7 +159,8 @@ def _lookup_reference(bound: int, minimums: tuple[int, int, int]) -> list[BealTr
 
 
 @pytest.mark.parametrize("minimums", [(3, 3, 3), (3, 4, 3), (3, 5, 4), (4, 4, 3),
-                                      (3, 3, 4), (3, 5, 3)])
+                                      (3, 3, 4), (3, 5, 3), (4, 3, 3), (3, 3, 6),
+                                      (5, 5, 5)])
 def test_search_matches_plain_lookup_past_the_oracle(minimums):
     min_x, min_y, min_z = minimums
     report = search_solutions(SearchConfig(bound=10 ** 10, min_x=min_x, min_y=min_y,
