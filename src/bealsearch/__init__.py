@@ -3,6 +3,7 @@
 Subpackage map:
     exact_arith  integer/rational kernels: roots, perfect powers, radicals
     identity     difference-of-powers expansion identities
+    intervals    exact rational enclosures of irrational quantities
     coprime      coprimality propagation and exponent restrictions
     reparam      two-parameter reparameterization and its scaling factor
     slopes       origin-line slopes, lattice points, binomial series

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -68,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser("search", parents=[bounded],
-                              help="bounded exhaustive search (scan anchored on C^Z)")
+                              help="bounded exhaustive search (scan over the non-cube powers)")
     p_search.add_argument("--workers", type=int, default=1,
-                          help="parallel workers for the pair scan")
+                          help="parallel workers for the pair scan, at most the CPU count")
     p_search.add_argument("--seed", type=int, default=0,
                           help="recorded in the report's config echo only; "
                                "the search is deterministic")
@@ -114,6 +115,9 @@ def _finish(report, args, summary: str) -> int:
 
 
 def cmd_search(args) -> int:
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        raise ValueError(f"--workers {args.workers} exceeds the {cpus} CPUs of this machine")
     config = SearchConfig(
         bound=args.bound,
         min_x=args.min_x, min_y=args.min_y, min_z=args.min_z,

@@ -1,130 +1,141 @@
-"""Directed-rounding interval evaluation on top of mpmath.
+"""Exact rational enclosures of irrational quantities.
 
 Irrational quantities (radical roots, the scaling factor between a radical
-pair and the exact root it reconstructs) are evaluated as enclosing
-intervals so that a result is only ever compared against a tolerance when
-its certified width is below that tolerance.  Exact inputs (ints, Fractions)
-enter the interval domain with outward rounding, so every returned interval
-is a true enclosure.
-
-mpmath's interval context carries a global precision; the helpers here
-save and restore it around each evaluation.  That makes them safe for the
-process-per-worker parallelism used elsewhere, though not for free-threaded
-use.
+pair and the exact root it reconstructs, the binomial-series prefactor) are
+closed intervals with Fraction endpoints.  An irrational radical is enclosed
+by one integer root; exact inputs are points.  +, -, *, / and integer powers
+act on the endpoints exactly, so every interval is a true enclosure.
 """
 
 from __future__ import annotations
 
-import contextlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv, mp, mpf
-
 from .errors import NoRealRoot
-from .exact_arith import Radical
-
-# Extra working bits so the requested precision survives rounding in the
-# handful of interval operations each evaluation performs.
-GUARD_BITS = 32
+from .exact_arith import Radical, iroot
 
 DEFAULT_PRECISION_BITS = 256
 
 
-@contextlib.contextmanager
-def workprec(bits: int):
-    """Temporarily set the interval context precision."""
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield iv
-    finally:
-        iv.prec = old
-
-
 @dataclass(frozen=True)
 class IntervalValue:
-    """A certified real enclosure [lo, hi] from a directed-rounding run."""
+    """A certified real enclosure [lo, hi] with Fraction endpoints."""
 
-    lo: mpf
-    hi: mpf
-    precision_bits: int
-
-    @property
-    def mid(self) -> mpf:
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            return (self.lo + self.hi) / 2
+    lo: Fraction
+    hi: Fraction
 
     @property
-    def width(self) -> mpf:
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            return self.hi - self.lo
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
 
-    def distance_to(self, x) -> mpf:
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def distance_to(self, x) -> Fraction:
         """Upper bound on |true value - x| given the enclosure."""
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            value = _as_mpf_operand(x)
-            return max(abs(self.hi - value), abs(self.lo - value))
+        return max(abs(self.hi - x), abs(self.lo - x))
 
     def decimal(self, digits: int = 30) -> str:
-        return mp.nstr(self.mid, digits)
+        return _decimal(self.mid, digits)
 
-    def __str__(self) -> str:
-        return f"[{mp.nstr(self.lo, 20)}, {mp.nstr(self.hi, 20)}]"
+    def __contains__(self, x) -> bool:
+        return self.lo <= x <= self.hi
+
+    def __add__(self, other) -> IntervalValue:
+        other = _interval(other)
+        return IntervalValue(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other) -> IntervalValue:
+        other = _interval(other)
+        return IntervalValue(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other) -> IntervalValue:
+        other = _interval(other)
+        products = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return IntervalValue(min(products), max(products))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> IntervalValue:
+        other = _interval(other)
+        if 0 in other:
+            raise ZeroDivisionError(f"divisor {other} encloses 0")
+        return self * IntervalValue(1 / other.hi, 1 / other.lo)
+
+    def __pow__(self, n: int) -> IntervalValue:
+        """The tight enclosure of x**n for an integer n >= 0."""
+        if n < 0:
+            raise ValueError(f"interval power needs n >= 0, got {n}")
+        a, b = self.lo ** n, self.hi ** n
+        if n % 2 == 1 or self.lo >= 0:
+            return IntervalValue(a, b)
+        if self.hi <= 0:
+            return IntervalValue(b, a)
+        return IntervalValue(Fraction(0), max(a, b))
 
 
-def _as_mpf_operand(x):
-    if isinstance(x, Fraction):
-        with mp.workprec(mp.prec + 64):
-            return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
-
-
-def to_ivmpf(x):
-    """Convert an exact or interval quantity to an ivmpf under iv.prec."""
+def _interval(x) -> IntervalValue:
     if isinstance(x, IntervalValue):
-        return iv.mpf([x.lo, x.hi])
-    if isinstance(x, Fraction):
-        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-    if isinstance(x, Radical):
-        return _radical_ivmpf(x)
-    return iv.mpf(x)
+        return x
+    x = Fraction(x)
+    return IntervalValue(x, x)
 
 
-def _radical_ivmpf(radical: Radical):
-    """Enclose sign * radicand**(1/degree); exact when the root is rational."""
-    exact = radical.classification.value
-    if exact is not None:
-        return to_ivmpf(exact)
-    if radical.classification.kind == "no_real_root":
-        raise NoRealRoot(f"{radical} has no real value")
-    base = to_ivmpf(radical.radicand)
-    root = base ** (iv.mpf(1) / iv.mpf(radical.degree))
-    return root if radical.sign == 1 else -root
+def enclose(value, bits: int) -> IntervalValue:
+    """Enclose an exact, radical or interval quantity.
 
-
-def from_ivmpf(x, precision_bits: int) -> IntervalValue:
-    """Freeze an ivmpf into an IntervalValue with plain mpf endpoints."""
-    a, b = x._mpi_
-    return IntervalValue(mp.make_mpf(a), mp.make_mpf(b), precision_bits)
-
-
-def evaluate(expr, precision_bits: int = DEFAULT_PRECISION_BITS) -> IntervalValue:
-    """Run expr() in an interval context of precision_bits + guard bits.
-
-    expr receives no arguments and must return an ivmpf built through
-    to_ivmpf / iv operations.
+    An irrational Radical becomes [r, r+1] / 2**bits with r the floor of its
+    absolute value times 2**bits, so its width is 2**-bits; every other
+    value is enclosed exactly.  Raises NoRealRoot for an even root of a
+    negative quantity.
     """
-    with workprec(precision_bits + GUARD_BITS):
-        result = expr()
-    return from_ivmpf(result, precision_bits)
+    if not isinstance(value, Radical):
+        return _interval(value)
+    exact = value.exact_value
+    if exact is not None:
+        return _interval(exact)
+    if value.classification.kind == "no_real_root":
+        raise NoRealRoot(f"{value} has no real value")
+    q = value.radicand
+    r, _ = iroot((q.numerator << (bits * value.degree)) // q.denominator, value.degree)
+    lo, hi = Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
+    return IntervalValue(lo, hi) if value.sign == 1 else IntervalValue(-hi, -lo)
 
 
-def radical_interval(radical: Radical, precision_bits: int = DEFAULT_PRECISION_BITS) -> IntervalValue:
-    return evaluate(lambda: _radical_ivmpf(radical), precision_bits)
+_LOG2_10 = math.log(10, 2)
 
 
-def arctangent(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
-    """Plain high-precision arctangent (diagnostic output, not certified)."""
-    with mp.workprec(precision_bits):
-        return mp.atan(_as_mpf_operand(x))
+def _decimal(x: Fraction, dps: int) -> str:
+    """x to dps significant digits, formatted as mpmath's nstr(x, dps) so
+    classify output keeps its bytes: |x| is floored to a binary, then a
+    decimal, fixed point of at least dps + 3 digits; the next digit rounds
+    half up; notation is fixed for decimal exponents strictly between
+    min(-(dps // 3), -5) and dps; trailing zeros are stripped down to ".0".
+    """
+    if x == 0:
+        return "0.0"
+    sign = "-" if x < 0 else ""
+    n, d = abs(x.numerator), x.denominator
+    # e is the binary exponent with 2**(e - 1) <= |x| < 2**e
+    e = n.bit_length() - d.bit_length()
+    if n << max(-e, 0) >= d << max(e, 0):
+        e += 1
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - e, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    digits = str(((n << fixprec) // d) * 10 ** fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    rounded = str(int(digits[:dps]) + (len(digits) > dps and digits[dps] >= "5"))
+    if len(rounded) > dps:  # the carry ran through every digit
+        exponent += 1
+    digits = rounded[:dps]
+    suffix = ""
+    if min(-(dps // 3), -5) < exponent < dps:
+        digits = "0" * -exponent + digits if exponent < 0 else digits.ljust(exponent + 1, "0")
+        split = max(exponent, 0) + 1
+    else:
+        split, suffix = 1, f"e{exponent:+d}"
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return sign + (digits + "0" if digits.endswith(".") else digits) + suffix

@@ -22,12 +22,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
-from . import intervals
 from .errors import DegenerateBeta, ZeroDenominator
 from .exact_arith import Radical
-from .intervals import DEFAULT_PRECISION_BITS, GUARD_BITS, IntervalValue
+from .intervals import DEFAULT_PRECISION_BITS, IntervalValue, enclose
 from .triples import BealTriple
 
 
@@ -106,9 +103,11 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
     root is the degree-th root of the plane's power difference (exactly A for
     plane CB on a solution triple, B for plane CA).  Returns an exact
     Fraction when the pair and the root are all rational; otherwise an
-    interval certified to relative error <= 2**(1 - precision_bits),
-    escalating the working precision as needed.  Raises ZeroDenominator when
-    the denominator encloses 0 at the maximum escalated precision.
+    interval whose width is at most 2**(1 - precision_bits) times its
+    midpoint.  The radicals are first enclosed to width 2**-precision_bits,
+    and that width is squared up to four times until the bound holds.
+    Raises ZeroDenominator when the denominator still encloses 0 at the
+    narrowest of those widths.
     """
     base, c, degree, co = _plane_params(triple, pair.plane)
     diff = Fraction(c) ** triple.Z - Fraction(base) ** co
@@ -128,19 +127,13 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
     bits = precision_bits
     zero_enclosed = False
     for _ in range(_MAX_ESCALATIONS):
-        with intervals.workprec(bits + GUARD_BITS):
-            num = intervals.to_ivmpf(root)
-            den = intervals.to_ivmpf(s) * intervals.to_ivmpf(pair.alpha) \
-                - intervals.to_ivmpf(prod) * intervals.to_ivmpf(pair.beta)
-            zero_enclosed = 0 in den
-            if zero_enclosed:
-                bits *= 2
-                continue
+        num = enclose(root, bits)
+        den = s * enclose(pair.alpha, bits) - prod * enclose(pair.beta, bits)
+        zero_enclosed = 0 in den
+        if not zero_enclosed:
             m = num / den
-        result = intervals.from_ivmpf(m, precision_bits)
-        with mp.workprec(bits + GUARD_BITS):
-            if abs(result.width) <= abs(result.mid) * mp.mpf(2) ** (1 - precision_bits):
-                return result
+            if m.width * 2 ** (precision_bits - 1) <= abs(m.mid):
+                return m
         bits *= 2
     if zero_enclosed:
         raise ZeroDenominator(
@@ -155,7 +148,9 @@ def reconstruct(B: int, C: int, X: int, alpha, beta, M=None,
 
     alpha, beta and M may each be exact (int/Fraction/rational Radical) or
     interval-valued (irrational Radical/IntervalValue).  The result is an
-    exact Fraction whenever every operand is exact.
+    exact Fraction whenever every operand is exact; otherwise each irrational
+    radical is enclosed to width 2**-precision_bits and the result is the
+    enclosure that follows exactly from those.
     """
     if M is None:
         M = Fraction(1)
@@ -163,7 +158,6 @@ def reconstruct(B: int, C: int, X: int, alpha, beta, M=None,
     if all(v is not None for v in operands):
         a, b, m = operands
         return ((C + B) * m * a - C * B * m * b) ** X
-    return intervals.evaluate(
-        lambda: (intervals.to_ivmpf(C + B) * intervals.to_ivmpf(M) * intervals.to_ivmpf(alpha)
-                 - intervals.to_ivmpf(C * B) * intervals.to_ivmpf(M) * intervals.to_ivmpf(beta)) ** X,
-        precision_bits)
+    m = enclose(M, precision_bits)
+    return ((C + B) * m * enclose(alpha, precision_bits)
+            - C * B * m * enclose(beta, precision_bits)) ** X

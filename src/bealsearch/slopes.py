@@ -19,12 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv, mpf
-
-from . import intervals
 from .errors import Divergent
 from .exact_arith import Radical, RadicalClass, classify_radical
-from .intervals import DEFAULT_PRECISION_BITS, IntervalValue
+from .intervals import DEFAULT_PRECISION_BITS, IntervalValue, enclose
 from .triples import BealTriple
 
 
@@ -35,7 +32,6 @@ class SlopeSet:
     m_cb: Fraction | Radical
     m_ca: Fraction | Radical
     m_ba: Fraction
-    angles: tuple[mpf, mpf, mpf] | None = None
 
 
 @dataclass(frozen=True)
@@ -52,32 +48,17 @@ def _slope_value(power_sum: int, base: int, Z: int) -> Fraction | Radical:
     return exact if exact is not None else radical
 
 
-def slope_set(triple: BealTriple, with_angles: bool = False,
-              precision_bits: int = DEFAULT_PRECISION_BITS) -> SlopeSet:
+def slope_set(triple: BealTriple) -> SlopeSet:
     """Exact slopes of the origin lines through the candidate point.
 
     On an equation-satisfying triple the two root-form slopes are rational
     and equal C/B and C/A exactly; m_ba is always the plain ratio B/A.
-    Angle diagnostics (arctangents at the working precision) are attached
-    on request and carry no correctness contract.
     """
     s = triple.ax + triple.by
     m_cb = _slope_value(s, triple.B, triple.Z)
     m_ca = _slope_value(s, triple.A, triple.Z)
     m_ba = Fraction(triple.B, triple.A)
-    angles = None
-    if with_angles:
-        angles = tuple(
-            intervals.arctangent(_numeric(m, precision_bits), precision_bits)
-            for m in (m_cb, m_ca, m_ba)
-        )
-    return SlopeSet(m_cb=m_cb, m_ca=m_ca, m_ba=m_ba, angles=angles)
-
-
-def _numeric(value: Fraction | Radical, precision_bits: int):
-    if isinstance(value, Radical):
-        return intervals.radical_interval(value, precision_bits).mid
-    return value
+    return SlopeSet(m_cb=m_cb, m_ca=m_ca, m_ba=m_ba)
 
 
 def slope_candidate(A: int, B: int, X: int, Y: int, Z: int) -> tuple[RadicalClass, RadicalClass]:
@@ -125,8 +106,9 @@ def binomial_series_slope(a: int, b: int, k: int, X: int, Y: int, Z: int,
     Evaluates prefactor * sum_{i=0}^{terms} binom(1/Z, i) * (bk)**(Y*i) / (ak)**(X*i)
     where the prefactor is (ak)**(X/Z - 1) in the CA plane and
     (ak)**(X/Z) / (bk) in the CB plane.  The binomial coefficients and the
-    sum accumulate as exact rationals; the irrational prefactor is applied
-    once at the end.  Raises Divergent when (bk)**Y >= (ak)**X.
+    sum accumulate as exact rationals; the prefactor, enclosed to width
+    2**-precision_bits when irrational, is applied once at the end.  Raises
+    Divergent when (bk)**Y >= (ak)**X.
     """
     if min(a, b, k) < 1:
         raise ValueError(f"a, b, k must be >= 1, got ({a}, {b}, {k})")
@@ -145,15 +127,8 @@ def binomial_series_slope(a: int, b: int, k: int, X: int, Y: int, Z: int,
         coefficient *= (Fraction(1, Z) - (i - 1)) / i
         power *= ratio
         total += coefficient * power
-
-    def expr():
-        base = intervals.to_ivmpf(ak)
-        if plane == "ca":
-            exponent = iv.mpf(X - Z) / iv.mpf(Z)
-            prefactor = base ** exponent
-        else:
-            exponent = iv.mpf(X) / iv.mpf(Z)
-            prefactor = base ** exponent / intervals.to_ivmpf(bk)
-        return prefactor * intervals.to_ivmpf(total)
-
-    return intervals.evaluate(expr, precision_bits)
+    if plane == "ca":
+        prefactor = enclose(Radical(1, Fraction(ak) ** (X - Z), Z), precision_bits)
+    else:
+        prefactor = enclose(Radical(1, Fraction(ak) ** X, Z), precision_bits) / bk
+    return prefactor * total

@@ -29,6 +29,11 @@ KNOWN_HITS = [
 ]
 
 
+def exact(x) -> Fraction:
+    """The exact value an mpmath mpf stores, with no rounding to 53 bits."""
+    return int(mp.sign(x)) * Fraction(x.man) * Fraction(2) ** x.exp  # x.man is unsigned
+
+
 @contextlib.contextmanager
 def criterion(number: int, description: str):
     started = time.perf_counter()
@@ -161,20 +166,20 @@ def test_criterion_7_scalar_m():
         pair = canonical_alpha_beta(triple, Plane.CB)
         m = scalar_m(triple, pair, 256)
         value = reconstruct(6, 3, 3, pair.alpha, pair.beta, m, 256)
-        tolerance = mp.mpf(10) ** -25
+        tolerance = Fraction(1, 10 ** 25)
         assert value.width < tolerance
         assert value.distance_to(27) < tolerance
         with mp.workprec(400):
-            oracle = 3 / (18 - 18 * (mp.mpf(71) / 216) ** (mp.mpf(1) / 3))
-        assert m.width < mp.mpf(10) ** -60
-        assert m.distance_to(oracle) < mp.mpf(10) ** -60
-        assert abs(m.mid - mp.mpf("0.537861")) < mp.mpf(10) ** -5
+            oracle = exact(3 / (18 - 18 * (mp.mpf(71) / 216) ** (mp.mpf(1) / 3)))
+        assert m.width < Fraction(1, 10 ** 60)
+        assert m.distance_to(oracle) < Fraction(1, 10 ** 60)
+        assert abs(m.mid - Fraction("0.537861")) < Fraction(1, 10 ** 5)
 
 
 def test_criterion_8_binomial_series():
     with criterion(8, "80-term series matches slope 1/2 within 1e-20; (7,7,14) diverges"):
         value = binomial_series_slope(2, 1, 3, 3, 3, 5, "ca", terms=80, precision_bits=256)
-        tolerance = mp.mpf(10) ** -20
+        tolerance = Fraction(1, 10 ** 20)
         assert value.width < tolerance
         assert value.distance_to(Fraction(1, 2)) < tolerance
         diverged = False

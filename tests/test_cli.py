@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -185,6 +186,15 @@ def test_bad_flags_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_search_refuses_more_workers_than_cpus(tmp_path, capsys):
+    out = tmp_path / "hits.csv"
+    code, _, err = run(capsys, "search", "--bound", "10^4", "--out", str(out),
+                       "--workers", str((os.cpu_count() or 1) + 1))
+    assert code == 2
+    assert "--workers" in err and "CPUs" in err
+    assert not out.exists()
+
+
 def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys):
     hits = tmp_path / "hits.csv"
     hits.write_text(HEADER + "\n")
@@ -291,8 +301,8 @@ def test_emit_plot_escapes_markup_in_title(tmp_path, capsys):
 
 def test_cli_import_skips_network_modules():
     code = ("import sys, bealsearch.cli; "
-            "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'email') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath' "
+            "or m in ('urllib.request', 'http.client', 'ssl', 'email')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"

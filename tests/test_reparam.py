@@ -19,6 +19,11 @@ HIT_2K = BealTriple(2, 9, 2, 9, 2, 10)
 HIT_714 = BealTriple(7, 3, 7, 4, 14, 3)
 
 
+def exact(x) -> Fraction:
+    """The exact value an mpmath mpf stores, with no rounding to 53 bits."""
+    return int(mp.sign(x)) * Fraction(x.man) * Fraction(2) ** x.exp  # x.man is unsigned
+
+
 def test_canonical_pair_examples():
     pair = canonical_alpha_beta(HIT_3365, Plane.CB)
     assert pair.alpha.exact_value == 2
@@ -74,10 +79,10 @@ def test_scalar_m_oracle_value():
     m = scalar_m(HIT_3365, pair, 256)
     assert isinstance(m, IntervalValue)
     with mp.workprec(400):
-        oracle = 3 / (18 - 18 * (mp.mpf(71) / 216) ** (mp.mpf(1) / 3))
-        assert m.width < mp.mpf(2) ** -200
-        assert m.distance_to(oracle) < mp.mpf(2) ** -200
-    assert abs(m.mid - mp.mpf("0.537861")) < 1e-5
+        oracle = exact(3 / (18 - 18 * (mp.mpf(71) / 216) ** (mp.mpf(1) / 3)))
+    assert m.width < Fraction(1, 2 ** 200)
+    assert m.distance_to(oracle) < Fraction(1, 2 ** 200)
+    assert abs(m.mid - Fraction("0.537861")) < Fraction(1, 10 ** 5)
 
 
 def test_scalar_m_exact_pair_is_one():
@@ -100,13 +105,12 @@ def test_scalar_m_precision_contract():
     m128 = scalar_m(HIT_3365, pair, 128)
     m256 = scalar_m(HIT_3365, pair, 256)
     m512 = scalar_m(HIT_3365, pair, 512)
-    with mp.workprec(600):
-        assert m128.width > m256.width > m512.width
-        assert m256.width < m128.width * mp.mpf(2) ** -64
-        # doubling the precision moves the reported value by less than 2**(1-256)
-        assert abs(m512.mid - m256.mid) < mp.mpf(2) ** (1 - 256)
-        for m, bits in ((m128, 128), (m256, 256), (m512, 512)):
-            assert m.width <= abs(m.mid) * mp.mpf(2) ** (1 - bits)
+    assert m128.width > m256.width > m512.width
+    assert m256.width < m128.width * Fraction(1, 2 ** 64)
+    # doubling the precision moves the reported value by less than 2**(1-256)
+    assert abs(m512.mid - m256.mid) < Fraction(1, 2 ** 255)
+    for m, bits in ((m128, 128), (m256, 256), (m512, 512)):
+        assert m.width <= abs(m.mid) * Fraction(2) ** (1 - bits)
 
 
 def test_scalar_m_zero_denominator():
@@ -128,8 +132,8 @@ def test_reconstruct_examples():
     m = scalar_m(HIT_3365, pair, 256)
     value = reconstruct(6, 3, 3, pair.alpha, pair.beta, m, 256)
     assert isinstance(value, IntervalValue)
-    assert value.width < mp.mpf(10) ** -25
-    assert value.distance_to(27) < mp.mpf(10) ** -25
+    assert value.width < Fraction(1, 10 ** 25)
+    assert value.distance_to(27) < Fraction(1, 10 ** 25)
 
 
 def test_reconstruct_round_trip_exact():
@@ -151,4 +155,4 @@ def test_reconstruct_interval_accepts_mixed_operands():
     pair = canonical_alpha_beta(HIT_714, Plane.CB)
     value = reconstruct(HIT_714.B, HIT_714.C, HIT_714.X, pair.alpha, pair.beta,
                         scalar_m(HIT_714, pair, 192), 192)
-    assert value.distance_to(HIT_714.cz - HIT_714.by) < mp.mpf(10) ** -20
+    assert value.distance_to(HIT_714.cz - HIT_714.by) < Fraction(1, 10 ** 20)
