@@ -31,23 +31,15 @@ class CoprimalityReport:
     shared_primes: dict[str, FactorList | None]
 
 
-def _shared_factors(g: int, seed: int, budget: int) -> FactorList | None:
-    if g == 1:
-        return []
-    try:
-        return factorize(g, budget=budget, seed=seed)
-    except BudgetExceeded:
-        return None
-
-
-def check_coprimality_propagation(a: int, b: int, c: int, seed: int = 0,
+def check_coprimality_propagation(a: int, b: int, c: int,
                                   budget: int = DEFAULT_FACTOR_BUDGET) -> CoprimalityReport:
     """Populate all pairwise and 3-way gcds for an additive triple a + b = c.
 
     Raises NotAdditiveTriple when a + b != c; the propagation facts only
-    hold on genuine additive triples.  shared_primes entries fall back to
-    None (gcd-only reporting) when a gcd resists factorization within the
-    budget.
+    hold on genuine additive triples.  There gcd(a, b) = gcd(a, c) =
+    gcd(b, c), so the shared gcd is factored once for all three pairs; the
+    shared_primes entries fall back to None (gcd-only reporting) when it
+    resists factorization within the budget.
     """
     if a < 1 or b < 1 or c < 1:
         raise ValueError(f"terms must be >= 1, got ({a}, {b}, {c})")
@@ -57,17 +49,19 @@ def check_coprimality_propagation(a: int, b: int, c: int, seed: int = 0,
     gcd_ac = math.gcd(a, c)
     gcd_bc = math.gcd(b, c)
     gcd_abc = math.gcd(gcd_ab, c)
+    shared: FactorList | None = []
+    if gcd_ab > 1:
+        try:
+            shared = factorize(gcd_ab, budget=budget)
+        except BudgetExceeded:
+            shared = None
     return CoprimalityReport(
         gcd_ab=gcd_ab,
         gcd_ac=gcd_ac,
         gcd_bc=gcd_bc,
         gcd_abc=gcd_abc,
         pairwise_all_one=(gcd_ab == gcd_ac == gcd_bc == 1),
-        shared_primes={
-            "ab": _shared_factors(gcd_ab, seed, budget),
-            "ac": _shared_factors(gcd_ac, seed, budget),
-            "bc": _shared_factors(gcd_bc, seed, budget),
-        },
+        shared_primes={"ab": shared, "ac": shared, "bc": shared},
     )
 
 

@@ -46,4 +46,4 @@ class Divergent(BealsearchError):
 
 
 class BoundTooLarge(BealsearchError):
-    """The brute-force oracle refuses bounds above its naive budget."""
+    """The oracle's naive budget or a search's power table refuses the bound."""

@@ -305,15 +305,14 @@ def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, 
     return (g if 1 < g < n else None), max(steps, 1)
 
 
-def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET, seed: int = 0) -> FactorList:
+def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> FactorList:
     """Full prime factorization as a sorted [(prime, multiplicity), ...] list.
 
     Trial division up to 10**6 by block gcd: one gcd of n with the product
     of each block of primes, then division only by the block primes that
     divide it.  Then perfect-power reduction and Brent's rho with an rng
-    seeded deterministically from (n, seed).  Raises BudgetExceeded when the
-    rho step budget runs out; callers degrade to gcd-only reporting in that
-    case.
+    seeded deterministically from n.  Raises BudgetExceeded when the rho
+    step budget runs out; callers degrade to gcd-only reporting in that case.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
@@ -337,7 +336,7 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET, seed: int = 0) -> Fac
             # below the trial limit squared any survivor is prime
             factors[n] = factors.get(n, 0) + 1
         else:
-            rng = random.Random(n * 0x9E3779B97F4A7C15 + seed)
+            rng = random.Random(n * 0x9E3779B97F4A7C15)
             remaining = budget
             stack = [(n, 1)]
             while stack:

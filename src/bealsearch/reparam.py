@@ -104,10 +104,11 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
     plane CB on a solution triple, B for plane CA).  Returns an exact
     Fraction when the pair and the root are all rational; otherwise an
     interval whose width is at most 2**(1 - precision_bits) times its
-    midpoint.  The radicals are first enclosed to width 2**-precision_bits,
-    and that width is squared up to four times until the bound holds.
-    Raises ZeroDenominator when the denominator still encloses 0 at the
-    narrowest of those widths.
+    midpoint.  The radicals are first enclosed to width 2**-bits, with bits
+    = precision_bits + the bit length of C*B (the plane's two bases), since
+    the denominator multiplies their widths by C+B and C*B; the width is
+    squared up to four times until the bound holds.  Raises ZeroDenominator
+    when the denominator still encloses 0 at the narrowest of those widths.
     """
     base, c, degree, co = _plane_params(triple, pair.plane)
     diff = Fraction(c) ** triple.Z - Fraction(base) ** co
@@ -124,7 +125,7 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
         if exact_root is not None:
             return exact_root / denominator
 
-    bits = precision_bits
+    bits = precision_bits + prod.bit_length()
     zero_enclosed = False
     for _ in range(_MAX_ESCALATIONS):
         num = enclose(root, bits)

@@ -9,13 +9,14 @@ cube (Fermat's Last Theorem for n = 3, proved by Euler), so the scan runs
 over the non-cube values v only, about bound**(1/4) of them, and finds each
 pair from one v, by the number of cube terms.
 
-Two cubes: v, the third term, is a difference or a sum of two cubes, solved
-from the divisors of v = A**X up to (4v)**(1/3), which come from the prime
-factors of A in a smallest-prime-factor table.  A divisor d with d**3 < v
-gives v = (B+d)**3 - B**3 = d(3B**2 + 3dB + d**2), and one integer square
-root fixes B; v <= 3dC**2 <= 3d bound**(2/3) leaves only v**3 <= 27d**3
-bound**2.  Any other divisor s gives v = A'**3 + B'**3 with s = A' + B'
-(so v < s**3 <= 4v), A'B' = (s**2 - v/s)/3 and (B' - A')**2 = s**2 - 4A'B'.
+Two cubes: v, the third term, is one identity v = x**3 + y**3, solved from
+each divisor s = x + y of v = A**X with s**3 <= 4v (the divisors come from
+the prime factors of A in a smallest-prime-factor table): xy = (s**2 -
+v/s)/3 and (x - y)**2 = s**2 - 4xy, and one integer square root fixes x and
+y.  The sign of y picks the case.  y < 0 (s**3 < v) is a difference,
+v + |y|**3 = x**3, with v a left value; v <= 3s x**2 <= 3s bound**(2/3)
+leaves only s with v**3 <= 27 s**3 bound**2.  y > 0 (s**3 > v) is a sum of
+the left cubes x**3 and y**3, with v a right value.
 
 At most one cube: for each non-cube a, one C-level set intersection of
 a + b over the non-cube b in [a, bound - a] with the right values; for each
@@ -57,6 +58,9 @@ from .slopes import SlopeSet, slope_set
 from .triples import BealTriple
 
 ORACLE_MAX_BOUND = 10 ** 7
+# A search's power table, at about 280 bytes per power with its index (295 MB
+# for the 1,036,001 powers to 10**18): about 560 MB.  10**21 needs about 10**7.
+MAX_POWERS = 2 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,12 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Per-check outcomes for one candidate hit; failures are data."""
+    """Per-check outcomes for one hit, with the slopes and CB pair they read."""
 
     checks: dict[str, bool]
     gcd_abc: int
+    slopes: SlopeSet
+    pair: ReparamPair
 
     @property
     def passed(self) -> bool:
@@ -181,7 +187,6 @@ class _Lanes(NamedTuple):
     bound: int
     lo_exp: int                 # the smaller left minimum
     min_z: int
-    power_index: dict[int, PowerEntry]
     non_cubes: list[PowerEntry]  # entries that are not cubes
     spf: array                  # smallest prime factor of each n <= the largest such base
     left_other: list[int]       # left values that are not cubes
@@ -240,17 +245,15 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
                 right: bool) -> list[tuple[int, int]]:
     """The pairs whose two other terms are cubes, for the non-cube v = entry.value.
 
-    Every divisor d of v = A**X with d**3 <= 4v is tried.  When d**3 < v and
-    v is a left value, v + B**3 = (B+d)**3: with q = (v - d**3) / 3d,
-    (2B + d)**2 = 4q + d**2, and only d with v**3 <= 27d**3 bound**2 can
-    keep (B+d)**3 within the bound.  When d**3 > v and v is a right value,
-    v = A'**3 + B'**3 with d = A' + B': A'B' = (d**2 - v/d) / 3 and
-    (B' - A')**2 = d**2 - 4A'B' >= 0, as d**3 <= 4v.
+    One solve of v = x**3 + y**3 per divisor s = x + y of v with s**3 <= 4v
+    (see the module docstring): y < 0 is a difference, v + |y|**3 = x**3 with
+    v a left value, only for v**3 <= 27 s**3 bound**2; y > 0 is a sum of the
+    left cubes x**3 and y**3, with v a right value.
     """
-    spf, power_index, lo_exp = lanes.spf, lanes.power_index, lanes.lo_exp
+    spf, left_cubes, right_set = lanes.spf, lanes.left_cubes, lanes.right_set
     v = entry.value
-    most = 4 * v
-    least = -(-v ** 3 // (27 * lanes.bound ** 2))
+    least = -(-v ** 3 // (27 * lanes.bound ** 2)) if left else v + 1  # s**3 >= least
+    most = 4 * v if right else v - 1                                     # s**3 <= most
     divisors = [1]
     n = entry.base
     while n > 1:
@@ -260,49 +263,40 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
             n //= p
             k += 1
         grown = []
-        for d in divisors:
+        for s in divisors:
             for _ in range(k * entry.exponent):
-                d *= p
-                if d * d * d > most:
+                s *= p
+                if s * s * s > most:
                     break
-                grown.append(d)
+                grown.append(s)
         divisors += grown
     found: list[tuple[int, int]] = []
-    for d in divisors:
-        cube = d * d * d
-        if left and least <= cube < v:
-            q, r = divmod(v - cube, 3 * d)
-            square = 4 * q + d * d  # (2B + d)**2
-            if not r and (root := isqrt(square)) * root == square:
-                base = (root - d) >> 1  # root**2 = d**2 mod 4, so root - d is even
-                b = power_index.get(base ** 3)
-                c = power_index.get((base + d) ** 3)
-                if b and c and b.exponent >= lo_exp and c.exponent >= lanes.min_z:
-                    found.append((v, b.value))
-        elif right and cube > v:
-            q, r = divmod(d * d - v // d, 3)  # A'B'
-            square = d * d - 4 * q  # (B' - A')**2
-            if not r and (root := isqrt(square)) * root == square:
-                a = power_index.get(((d - root) >> 1) ** 3)
-                b = power_index.get(((d + root) >> 1) ** 3)
-                if a and b and a.exponent >= lo_exp and b.exponent >= lo_exp:
-                    found.append((a.value, b.value))
+    for s in divisors:
+        if s * s * s < least:
+            continue
+        xy, r = divmod(s * s - v // s, 3)
+        square = s * s - 4 * xy  # (x - y)**2
+        if r or (root := isqrt(square)) * root != square:
+            continue
+        x, y = (s + root) >> 1, (s - root) >> 1  # root**2 = s**2 mod 4: same parity
+        if y < 0:
+            if (-y) ** 3 in left_cubes and x ** 3 in right_set:
+                found.append((v, (-y) ** 3))
+        elif y ** 3 in left_cubes and x ** 3 in left_cubes:
+            found.append((y ** 3, x ** 3))
     return found
 
 
 def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
-               require_reduced: bool = True, *, slopes: SlopeSet | None = None,
-               pair: ReparamPair | None = None) -> VerificationRecord:
+               require_reduced: bool = True) -> VerificationRecord:
     """Run every hit-level check on a candidate triple.
 
     Checks: exact equation, reduced bases (>= 2, not perfect powers),
     canonical ordering, orientation-aware exponent minimums, common factor
     > 1, the divisibility restriction on (X, Y, Z), rational root-form
     slopes matching C/B and C/A, and rational-canonical-parameter /
-    common-factor consistency.  Failures are recorded, not raised.
-
-    slopes and pair, when given, must be slope_set(triple) and
-    canonical_alpha_beta(triple, Plane.CB); they are computed when omitted.
+    common-factor consistency.  Failures are recorded, not raised.  The
+    slopes and canonical pair the checks read are returned on the record.
     """
     min_x, min_y, min_z = minimums
     checks: dict[str, bool] = {}
@@ -329,8 +323,7 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
     else:
         checks["exponent_restriction"] = False
 
-    if slopes is None:
-        slopes = slope_set(triple)
+    slopes = slope_set(triple)
     checks["slopes_rational"] = (
         isinstance(slopes.m_cb, Fraction)
         and isinstance(slopes.m_ca, Fraction)
@@ -338,27 +331,25 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
         and slopes.m_ca == Fraction(triple.C, triple.A)
     )
 
-    if pair is None:
-        pair = canonical_alpha_beta(triple, Plane.CB)
+    pair = canonical_alpha_beta(triple, Plane.CB)
     rational_parameter = (
         pair.alpha.classification.is_rational or pair.beta.classification.is_rational
     )
     checks["rational_parameters_imply_common_factor"] = (not rational_parameter) or gcd_abc > 1
 
-    return VerificationRecord(checks=checks, gcd_abc=gcd_abc)
+    return VerificationRecord(checks=checks, gcd_abc=gcd_abc, slopes=slopes, pair=pair)
 
 
 def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3)) -> SearchHit:
     """Attach gcd, canonical parameter classes, slopes, and verification."""
-    pair = canonical_alpha_beta(triple, Plane.CB)
-    slopes = slope_set(triple)
+    record = verify_hit(triple, minimums)
     return SearchHit(
         triple=triple,
-        gcd_abc=triple.gcd_abc,
-        alpha_class=pair.alpha.classification,
-        beta_class=pair.beta.classification,
-        slopes=slopes,
-        verification=verify_hit(triple, minimums, slopes=slopes, pair=pair),
+        gcd_abc=record.gcd_abc,
+        alpha_class=record.pair.alpha.classification,
+        beta_class=record.pair.beta.classification,
+        slopes=record.slopes,
+        verification=record,
     )
 
 
@@ -383,11 +374,22 @@ def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: 
 
 
 def search_solutions(config: SearchConfig) -> SearchReport:
-    """Find every in-bound solution, annotated and deterministically sorted."""
+    """Find every in-bound solution, annotated and deterministically sorted.
+
+    Raises BoundTooLarge before building anything when the power table, as
+    counted from one integer root per exponent, would exceed MAX_POWERS.
+    """
     started = time.perf_counter()
     lo_exp = min(config.min_x, config.min_y)
     hi_exp = max(config.min_x, config.min_y)
-    entries = enumerate_powers(config.bound, min_exp=min(lo_exp, config.min_z))
+    min_exp = min(lo_exp, config.min_z)
+    powers = 0
+    for e in range(min_exp, config.bound.bit_length()):
+        powers += iroot(config.bound, e)[0] - 1
+        if powers > MAX_POWERS:
+            raise BoundTooLarge(f"bound {config.bound} needs more than the "
+                                f"{MAX_POWERS} powers a search builds")
+    entries = enumerate_powers(config.bound, min_exp=min_exp)
     enumerated = time.perf_counter()
 
     left = [entry for entry in entries if entry.exponent >= lo_exp]
@@ -402,7 +404,6 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         bound=config.bound,
         lo_exp=lo_exp,
         min_z=config.min_z,
-        power_index=power_index,
         non_cubes=non_cubes,
         spf=_smallest_prime_factors(max((entry.base for entry in non_cubes), default=1)),
         left_other=[entry.value for entry in left if entry.exponent % 3],

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, JSON contract."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -78,13 +79,14 @@ def test_search_rejects_huge_bound_spellings_before_building(tmp_path, capsys):
 def test_search_json_report(tmp_path, capsys):
     out = tmp_path / "h.csv"
     report = tmp_path / "r.json"
+    workers = min(2, os.cpu_count() or 1)
     code, _, _ = run(capsys, "search", "--bound", "3000", "--out", str(out),
-                     "--report", str(report), "--workers", "2", "--seed", "5")
+                     "--report", str(report), "--workers", str(workers), "--seed", "5")
     assert code == 0
     obj = json.loads(report.read_text())
     assert sorted(obj["config"]) == sorted(["bound", "min_x", "min_y", "min_z",
                                             "workers", "seed"])
-    assert obj["config"]["workers"] == 2
+    assert obj["config"]["workers"] == workers
     assert obj["config"]["seed"] == 5
     assert obj["counts"]["hits"] == len(obj["hits"]) == 10
 
@@ -195,6 +197,20 @@ def test_search_refuses_more_workers_than_cpus(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_search_refuses_a_power_table_that_cannot_fit(tmp_path, capsys, monkeypatch):
+    import bealsearch.search as search_mod
+
+    def no_table(bound, min_exp=3):
+        raise AssertionError("the search built its power table before checking its bound")
+
+    monkeypatch.setattr(search_mod, "enumerate_powers", no_table)
+    out = tmp_path / "hits.csv"
+    code, _, err = run(capsys, "search", "--bound", "10^21", "--out", str(out))
+    assert code == 2
+    assert "powers a search builds" in err
+    assert not out.exists()
+
+
 def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys):
     hits = tmp_path / "hits.csv"
     hits.write_text(HEADER + "\n")
@@ -229,11 +245,11 @@ def test_search_anomaly_exit_three(command, tmp_path, capsys, monkeypatch):
 
     real = search_mod.verify_hit
 
-    def broken(triple, minimums=(3, 3, 3), require_reduced=True, **computed):
-        record = real(triple, minimums, require_reduced, **computed)
+    def broken(triple, minimums=(3, 3, 3), require_reduced=True):
+        record = real(triple, minimums, require_reduced)
         checks = dict(record.checks)
         checks["equation_exact"] = False
-        return search_mod.VerificationRecord(checks=checks, gcd_abc=record.gcd_abc)
+        return dataclasses.replace(record, checks=checks)
 
     monkeypatch.setattr(search_mod, "verify_hit", broken)
     code, _, err = run(capsys, command, "--bound", "20", "--out", str(tmp_path / "h.csv"))
@@ -321,7 +337,8 @@ def test_reused_parser_matches_fresh_calls(tmp_path, capsys, monkeypatch):
     for directory in (first, second, fresh):
         directory.mkdir()
     code, out_first, _ = run(capsys, "search", "--bound", "3000", "--min-x", "4",
-                             "--workers", "2", "--out", str(first / "h.csv"),
+                             "--workers", str(min(2, os.cpu_count() or 1)),
+                             "--out", str(first / "h.csv"),
                              "--report", str(first / "r.json"))
     assert code == 0 and (first / "r.json").exists()
     (first / "r.json").unlink()

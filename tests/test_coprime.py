@@ -58,6 +58,19 @@ def test_propagation_on_power_triples():
         assert report.gcd_abc > 1  # no coprime hit at this scale
 
 
+def test_propagation_factors_the_shared_gcd_once(monkeypatch):
+    import bealsearch.coprime as coprime_mod
+
+    calls = []
+    real = coprime_mod.factorize
+    monkeypatch.setattr(coprime_mod, "factorize",
+                        lambda n, **kwargs: calls.append(n) or real(n, **kwargs))
+    report = check_coprimality_propagation(3 ** 3, 6 ** 3, 3 ** 5)  # 3^3 + 6^3 = 3^5
+    assert calls == [27]
+    assert report.gcd_ab == report.gcd_ac == report.gcd_bc == 27
+    assert report.shared_primes == {"ab": [(3, 3)], "ac": [(3, 3)], "bc": [(3, 3)]}
+
+
 def test_propagation_budget_degrades_to_gcd_only():
     hard = (2 ** 127 - 1) * (2 ** 521 - 1)
     report = check_coprimality_propagation(hard, hard, 2 * hard, budget=4)

@@ -113,6 +113,20 @@ def test_scalar_m_precision_contract():
         assert m.width <= abs(m.mid) * Fraction(2) ** (1 - bits)
 
 
+def test_scalar_m_encloses_in_one_round(monkeypatch):
+    import bealsearch.reparam as reparam_mod
+
+    calls = []
+    real = reparam_mod.enclose
+    monkeypatch.setattr(reparam_mod, "enclose",
+                        lambda value, bits: calls.append(bits) or real(value, bits))
+    pair = canonical_alpha_beta(HIT_3365, Plane.CB)
+    m = scalar_m(HIT_3365, pair)
+    assert isinstance(m, IntervalValue)
+    # root, alpha and beta once each, at 256 bits plus the 5 bits of C*B = 18
+    assert calls == [256 + 5] * 3
+
+
 def test_scalar_m_zero_denominator():
     pair = ReparamPair(
         alpha=Radical.of(Fraction(2), 1),

@@ -202,6 +202,25 @@ def test_huge_exponent_minimums_build_no_power():
     assert enumerate_powers(10 ** 12, 40) == []
 
 
+class _Built(Exception):
+    """Raised by a stand-in enumerate_powers: the bound passed the ceiling."""
+
+
+def test_search_refuses_a_power_table_that_cannot_fit(monkeypatch):
+    def no_table(bound, min_exp=3):
+        raise _Built(bound, min_exp)
+
+    monkeypatch.setattr(search_mod, "enumerate_powers", no_table)
+    for minimums in ((3, 3, 3), (4, 3, 3), (3, 3, 4)):
+        with pytest.raises(BoundTooLarge, match="powers a search builds"):
+            search_solutions(SearchConfig(10 ** 21, *minimums))
+    # 10**18 (1,036,001 powers) and 10**21 with exponents >= 4 reach the table
+    with pytest.raises(_Built):
+        search_solutions(SearchConfig(10 ** 18))
+    with pytest.raises(_Built):
+        search_solutions(SearchConfig(10 ** 21, 4, 4, 4))
+
+
 def test_oracle_rejects_large_bounds():
     with pytest.raises(BoundTooLarge):
         brute_force_oracle(10 ** 7 + 1)
