@@ -155,6 +155,7 @@ def report_to_obj(report: SearchReport, include_timing: bool = True) -> dict:
     if include_timing:
         obj["wall_time_s"] = report.wall_time_s
         obj["phases"] = dict(report.phases)
+        obj["scan_probes"] = report.scan_probes
     return obj
 
 

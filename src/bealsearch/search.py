@@ -3,25 +3,38 @@
 The main engine enumerates every reduced-base perfect power up to the bound
 (a sieve over the bases marks the perfect powers, with no root per base)
 and finds each qualifying pair a + b = c (a <= b, c a right-side power)
-exactly once.  A value is a cube when its reduced exponent is divisible by
-3.  At most two of a, b, c are cubes, since a sum of two cubes is never a
-cube (Fermat's Last Theorem for n = 3, proved by Euler), so the scan runs
-over the non-cube values v only, about bound**(1/4) of them, and finds each
-pair from one v, by the number of cube terms.
+exactly once.  Its reduced exponent puts each value in one of three classes:
 
-Two cubes: v, the third term, is one identity v = x**3 + y**3, solved from
-each divisor s = x + y of v = A**X with s**3 <= 4v (the divisors come from
-the prime factors of A in a smallest-prime-factor table): xy = (s**2 -
-v/s)/3 and (x - y)**2 = s**2 - 4xy, and one integer square root fixes x and
-y.  The sign of y picks the case.  y < 0 (s**3 < v) is a difference,
-v + |y|**3 = x**3, with v a left value; v <= 3s x**2 <= 3s bound**(2/3)
-leaves only s with v**3 <= 27 s**3 bound**2.  y > 0 (s**3 > v) is a sum of
-the left cubes x**3 and y**3, with v a right value.
+  K  a cube: 3 divides the exponent;
+  Q  the exponent is a power of two, so the value is a 4th power;
+  H  any other exponent, which then has a prime factor >= 5.
 
-At most one cube: for each non-cube a, one C-level set intersection of
-a + b over the non-cube b in [a, bound - a] with the right values; for each
-non-cube c, one intersection of c - x over the non-cube left values x < c
-with the left cubes.
+No pair is K + K = K (a sum of two cubes is never a cube: Fermat's Last
+Theorem for n = 3, proved by Euler) and none is Q + Q = Q (Fermat's own
+n = 4).  So the scan runs over the non-cube values v only, about
+bound**(1/4) of them, and finds each pair from one v, its owner:
+
+1. Two cubes: v, the third term, is one identity v = x**3 + y**3, solved
+   from each divisor s = x + y of v = A**X with s**3 <= 4v (the divisors
+   come from the prime factors of A in a smallest-prime-factor table):
+   xy = (s**2 - v/s)/3 and (x - y)**2 = s**2 - 4xy, and one integer square
+   root fixes x and y.  The sign of y picks the case.  y < 0 (s**3 < v) is
+   a difference, v + |y|**3 = x**3, with v a left value; v <= 3s x**2 <=
+   3s bound**(2/3) leaves only s with v**3 <= 27 s**3 bound**2.  y > 0
+   (s**3 > v) is a sum of the left cubes x**3 and y**3, with v a right
+   value.
+2. c is the one cube: v = a, over the non-cube b >= a.
+3. a or b is the one cube: v = c, over the non-cube x < c (the other term).
+4. No cube, c in H: v = c, over the non-cube x in [c/2, c).
+5. No cube, c in Q: then a or b is in H, and v = h is that term, over the
+   non-cube y; a y in H with y < h is skipped, as that pair is found from y.
+
+Sweeps 2, 3 and 5 keep only the partners whose sum or difference can be a
+cube or a 4th power: cubes fall in the 9 residues {0, 1, 8, 27, 28, 35, 36,
+55, 62} mod 63 and 4th powers in the 4 residues {0, 1, 16, 65} mod 80.  The
+partners are built once per search as 63 + 80 sorted lists, keyed by the
+residue of v, so each sweep is one bisect and one C-level set intersection
+per value.
 
 The scan is striped by index of v across workers; the annotated hits are
 sorted by SearchHit.sort_key, so reports are deterministic for any worker
@@ -112,11 +125,23 @@ class VerificationRecord:
 @dataclass(frozen=True)
 class SearchHit:
     triple: BealTriple
-    gcd_abc: int
-    alpha_class: RadicalClass
-    beta_class: RadicalClass
-    slopes: SlopeSet
     verification: VerificationRecord
+
+    @property
+    def gcd_abc(self) -> int:
+        return self.verification.gcd_abc
+
+    @property
+    def alpha_class(self) -> RadicalClass:
+        return self.verification.pair.alpha.classification
+
+    @property
+    def beta_class(self) -> RadicalClass:
+        return self.verification.pair.beta.classification
+
+    @property
+    def slopes(self) -> SlopeSet:
+        return self.verification.slopes
 
     @property
     def sort_key(self) -> tuple[int, int, int]:
@@ -130,6 +155,7 @@ class SearchReport:
     counts: dict[str, int] = field(default_factory=dict)
     wall_time_s: float = 0.0
     phases: dict[str, float] = field(default_factory=dict)  # seconds, see _report
+    scan_probes: int | None = None  # set probes of the pair scan; None for the oracle
 
     @property
     def triples(self) -> list[BealTriple]:
@@ -181,6 +207,25 @@ def _pairs_within(values: list[int], bound: int) -> int:
 _LANES: tuple = ()
 
 
+# The residues of the cubes mod 63 and of the 4th powers mod 80.
+CUBE_RESIDUES = frozenset(pow(n, 3, 63) for n in range(63))      # 9 of 63
+QUARTIC_RESIDUES = frozenset(pow(n, 4, 80) for n in range(80))   # {0, 1, 16, 65}
+
+
+def _is_quartic(exponent: int) -> bool:
+    """A non-cube reduced exponent >= 3 is in class Q: a power of two."""
+    return exponent & (exponent - 1) == 0
+
+
+def _partner_lists(values: list[int], modulus: int, residues: frozenset) -> list[list[int]]:
+    """lists[r] holds, in order, the values y with (r + y) % modulus in residues."""
+    lists: list[list[int]] = [[] for _ in range(modulus)]
+    for y in values:
+        for t in residues:
+            lists[(t - y) % modulus].append(y)
+    return lists
+
+
 class _Lanes(NamedTuple):
     """What the scan reads; every list is sorted by value."""
 
@@ -190,8 +235,13 @@ class _Lanes(NamedTuple):
     non_cubes: list[PowerEntry]  # entries that are not cubes
     spf: array                  # smallest prime factor of each n <= the largest such base
     left_other: list[int]       # left values that are not cubes
+    left_other_set: set[int]
+    left_h: set[int]            # left values in class H
     left_cubes: set[int]        # left values that are cubes
-    right_set: set[int]
+    right_cubes: set[int]       # right values that are cubes
+    right_quartics: set[int]    # right values in class Q
+    cube_partners: list[list[int]]     # _partner_lists(left_other, 63, CUBE_RESIDUES)
+    quartic_partners: list[list[int]]  # _partner_lists(left_other, 80, QUARTIC_RESIDUES)
 
 
 def _init_lanes(lanes: _Lanes) -> None:
@@ -199,7 +249,7 @@ def _init_lanes(lanes: _Lanes) -> None:
     _LANES = lanes
 
 
-def _match_in_worker(stripe: tuple[int, int]) -> list[tuple[int, int]]:
+def _match_in_worker(stripe: tuple[int, int]) -> tuple[list[tuple[int, int]], int]:
     return _match_stripe(_LANES, *stripe)
 
 
@@ -214,43 +264,71 @@ def _smallest_prime_factors(limit: int) -> array:
     return spf
 
 
-def _match_stripe(lanes: _Lanes, start: int, step: int) -> list[tuple[int, int]]:
+def _match_stripe(lanes: _Lanes, start: int, step: int) -> tuple[list[tuple[int, int]], int]:
     """All pairs {a, b} of left values, a + b = c, found from the non-cube
-    values v = non_cubes[start::step]; each pair is found from one v only.
+    values v = non_cubes[start::step], and the number of set probes made.
 
-    With at most one cube term: v = a <= b with b not a cube, or v = c with
-    exactly one of a, b a cube.  With two cube terms, v is the third term
-    (see _cube_pairs).  The pairs come unordered.
+    Each pair is found from its one owner v (see the module docstring):
+    two cubes, v the third term (_cube_pairs); c the one cube, v = a and
+    a + b in a cube residue mod 63; a or b the one cube, v = c and c - x in
+    a cube residue mod 63; no cube and c in H, v = c; no cube and c in Q,
+    v = h the term in H (the smaller one if both are) and h + y in a 4th
+    power residue mod 80.  The pairs come unordered.
     """
     bound, lo_exp, min_z = lanes.bound, lanes.lo_exp, lanes.min_z
-    left_other, left_cubes, right_set = lanes.left_other, lanes.left_cubes, lanes.right_set
+    left_other, left_other_set, left_h = lanes.left_other, lanes.left_other_set, lanes.left_h
+    left_cubes, right_cubes, right_quartics = (lanes.left_cubes, lanes.right_cubes,
+                                               lanes.right_quartics)
+    cube_partners, quartic_partners = lanes.cube_partners, lanes.quartic_partners
     found: list[tuple[int, int]] = []
+    probes = 0
     for entry in lanes.non_cubes[start::step]:
         v = entry.value
         left, right = entry.exponent >= lo_exp, entry.exponent >= min_z
-        if left and 2 * v <= bound:
-            first = bisect_left(left_other, v)
-            last = bisect_right(left_other, bound - v, first)
+        in_h = not _is_quartic(entry.exponent)
+        if left and 2 * v <= bound:  # v = a, c a cube
+            partners = cube_partners[v % 63]
+            first = bisect_left(partners, v)
+            last = bisect_right(partners, bound - v, first)
+            probes += last - first
             found.extend((v, c - v) for c in
-                         right_set.intersection(map(add, repeat(v), left_other[first:last])))
-        if right:
-            last = bisect_left(left_other, v)
+                         right_cubes.intersection(map(add, repeat(v), partners[first:last])))
+        if right:  # v = c, one of a, b a cube
+            partners = cube_partners[-v % 63]
+            last = bisect_left(partners, v)
+            probes += last
             found.extend((v - x, x) for x in
-                         left_cubes.intersection(map(sub, repeat(v), left_other[:last])))
-        found += _cube_pairs(lanes, entry, left, right)
-    return found
+                         left_cubes.intersection(map(sub, repeat(v), partners[:last])))
+        if right and in_h:  # v = c in H, no cube
+            first = bisect_left(left_other, v - v // 2)
+            last = bisect_left(left_other, v, first)
+            probes += last - first
+            found.extend((v - x, x) for x in
+                         left_other_set.intersection(map(sub, repeat(v), left_other[first:last])))
+        if left and in_h:  # v in H, no cube, c in Q
+            partners = quartic_partners[v % 80]
+            last = bisect_right(partners, bound - v)
+            probes += last
+            found.extend((v, c - v) for c in
+                         right_quartics.intersection(map(add, repeat(v), partners[:last]))
+                         if c - v >= v or c - v not in left_h)
+        pairs, tried = _cube_pairs(lanes, entry, left, right)
+        found += pairs
+        probes += tried
+    return found, probes
 
 
 def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
-                right: bool) -> list[tuple[int, int]]:
-    """The pairs whose two other terms are cubes, for the non-cube v = entry.value.
+                right: bool) -> tuple[list[tuple[int, int]], int]:
+    """The pairs whose two other terms are cubes, for the non-cube v = entry.value,
+    and the number of divisors tried.
 
     One solve of v = x**3 + y**3 per divisor s = x + y of v with s**3 <= 4v
     (see the module docstring): y < 0 is a difference, v + |y|**3 = x**3 with
     v a left value, only for v**3 <= 27 s**3 bound**2; y > 0 is a sum of the
     left cubes x**3 and y**3, with v a right value.
     """
-    spf, left_cubes, right_set = lanes.spf, lanes.left_cubes, lanes.right_set
+    spf, left_cubes, right_cubes = lanes.spf, lanes.left_cubes, lanes.right_cubes
     v = entry.value
     least = -(-v ** 3 // (27 * lanes.bound ** 2)) if left else v + 1  # s**3 >= least
     most = 4 * v if right else v - 1                                     # s**3 <= most
@@ -270,21 +348,20 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
                     break
                 grown.append(s)
         divisors += grown
+    tried = [s for s in divisors if s * s * s >= least]
     found: list[tuple[int, int]] = []
-    for s in divisors:
-        if s * s * s < least:
-            continue
+    for s in tried:
         xy, r = divmod(s * s - v // s, 3)
         square = s * s - 4 * xy  # (x - y)**2
         if r or (root := isqrt(square)) * root != square:
             continue
         x, y = (s + root) >> 1, (s - root) >> 1  # root**2 = s**2 mod 4: same parity
         if y < 0:
-            if (-y) ** 3 in left_cubes and x ** 3 in right_set:
+            if (-y) ** 3 in left_cubes and x ** 3 in right_cubes:
                 found.append((v, (-y) ** 3))
         elif y ** 3 in left_cubes and x ** 3 in left_cubes:
             found.append((y ** 3, x ** 3))
-    return found
+    return found, len(tried)
 
 
 def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
@@ -342,20 +419,12 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
 
 def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3)) -> SearchHit:
     """Attach gcd, canonical parameter classes, slopes, and verification."""
-    record = verify_hit(triple, minimums)
-    return SearchHit(
-        triple=triple,
-        gcd_abc=record.gcd_abc,
-        alpha_class=record.pair.alpha.classification,
-        beta_class=record.pair.beta.classification,
-        slopes=record.slopes,
-        verification=record,
-    )
+    return SearchHit(triple, verify_hit(triple, minimums))
 
 
 def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: int,
             pairs_tested: int, started: float, enumerated: float,
-            indexed: float) -> SearchReport:
+            indexed: float, scan_probes: int | None = None) -> SearchReport:
     """Annotate and order the found triples; the one report path of both engines.
 
     started, enumerated and indexed are the perf_counter readings at the
@@ -370,7 +439,7 @@ def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: 
     done = time.perf_counter()
     phases = {"enumerate_s": enumerated - started, "index_s": indexed - enumerated,
               "scan_s": scanned - indexed, "annotate_s": done - scanned}
-    return SearchReport(config, hits, counts, done - started, phases)
+    return SearchReport(config, hits, counts, done - started, phases, scan_probes)
 
 
 def search_solutions(config: SearchConfig) -> SearchReport:
@@ -400,18 +469,29 @@ def search_solutions(config: SearchConfig) -> SearchReport:
                     - _pairs_within(low, config.bound))
     power_index = {entry.value: entry for entry in entries}
     non_cubes = [entry for entry in entries if entry.exponent % 3]
+    cubes = [entry for entry in entries if entry.exponent % 3 == 0]
+    left_other = [entry.value for entry in left if entry.exponent % 3]
+    left_cubes = {entry.value for entry in cubes if entry.exponent >= lo_exp}
     lanes = _Lanes(
         bound=config.bound,
         lo_exp=lo_exp,
         min_z=config.min_z,
         non_cubes=non_cubes,
         spf=_smallest_prime_factors(max((entry.base for entry in non_cubes), default=1)),
-        left_other=[entry.value for entry in left if entry.exponent % 3],
-        left_cubes={entry.value for entry in left if entry.exponent % 3 == 0},
-        right_set={entry.value for entry in entries if entry.exponent >= config.min_z})
+        left_other=left_other,
+        left_other_set=set(left_other),
+        left_h={entry.value for entry in left
+                if entry.exponent % 3 and not _is_quartic(entry.exponent)},
+        left_cubes=left_cubes,
+        right_cubes=(left_cubes if config.min_z == lo_exp else
+                     {entry.value for entry in cubes if entry.exponent >= config.min_z}),
+        right_quartics={entry.value for entry in non_cubes
+                        if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
+        cube_partners=_partner_lists(left_other, 63, CUBE_RESIDUES),
+        quartic_partners=_partner_lists(left_other, 80, QUARTIC_RESIDUES))
     indexed = time.perf_counter()
 
-    if config.workers == 1 or not lanes.right_set:
+    if config.workers == 1 or config.min_z >= config.bound.bit_length():  # no right value
         results = [_match_stripe(lanes, 0, 1)]
     else:
         stripes = [(w, config.workers) for w in range(config.workers)]
@@ -420,14 +500,15 @@ def search_solutions(config: SearchConfig) -> SearchReport:
             results = pool.map(_match_in_worker, stripes)
 
     triples = []
-    for found in results:
+    for found, _ in results:
         for pair in found:
             a, b = (power_index[value] for value in sorted(pair))
             if max(a.exponent, b.exponent) >= hi_exp:
                 c = power_index[a.value + b.value]
                 triples.append(BealTriple(a.base, a.exponent, b.base, b.exponent,
                                           c.base, c.exponent))
-    return _report(config, triples, len(entries), pairs_tested, started, enumerated, indexed)
+    return _report(config, triples, len(entries), pairs_tested, started, enumerated, indexed,
+                   sum(probes for _, probes in results))
 
 
 def _oracle_powers(bound: int, min_exp: int) -> list[tuple[int, int, int]]:

@@ -122,3 +122,8 @@ def test_svg_log_and_abc_axes(records):
     assert "log10(A)" in svg and "log10(B)" in svg
     with pytest.raises(ValueError):
         emit_scatter(records, axes="bogus")
+
+
+def test_scan_probes_are_reported_but_not_canonical(report):
+    assert json.loads(emit_json(report))["scan_probes"] == report.scan_probes > 0
+    assert "scan_probes" not in json.loads(canonical_json(report))

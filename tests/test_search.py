@@ -93,15 +93,16 @@ def test_completeness_spot_checks():
 
 
 def test_each_cube_pattern_has_a_named_hit():
-    # One hit per class of the scan, by which terms are cubes (see the
-    # search module docstring); removing any branch loses one of them.
+    # One hit per class of the scan, by which terms are cubes and the class
+    # of C^Z (see the search module docstring); removing any branch loses one.
     triples = set(search_solutions(SearchConfig(bound=10 ** 10)).triples)
     assert BealTriple(2, 3, 2, 3, 2, 4) in triples      # cube + cube = non-cube
     assert BealTriple(7, 3, 7, 4, 14, 3) in triples     # cube + non-cube = cube
     assert BealTriple(13, 5, 91, 3, 104, 3) in triples  # non-cube + cube = cube
     assert BealTriple(31, 5, 31, 6, 62, 5) in triples   # non-cube + cube = non-cube
     assert BealTriple(2, 5, 2, 5, 2, 6) in triples      # non-cube + non-cube = cube
-    assert BealTriple(2, 4, 2, 4, 2, 5) in triples      # no cube at all
+    assert BealTriple(2, 4, 2, 4, 2, 5) in triples      # no cube, C^Z in H
+    assert BealTriple(2, 7, 2, 7, 2, 8) in triples      # no cube, C^Z in Q
 
 
 def test_oracle_equivalence_small_bounds():
@@ -166,6 +167,59 @@ def test_search_matches_plain_lookup_past_the_oracle(minimums):
     report = search_solutions(SearchConfig(bound=10 ** 10, min_x=min_x, min_y=min_y,
                                            min_z=min_z))
     assert report.triples == _lookup_reference(10 ** 10, minimums)
+
+
+def _scan_lanes(monkeypatch, config):
+    """The lanes search_solutions hands to the scan, caught on their way in."""
+    caught = []
+    real = search_mod._match_stripe
+
+    def catching(lanes, start, step):
+        caught.append(lanes)
+        return real(lanes, start, step)
+
+    monkeypatch.setattr(search_mod, "_match_stripe", catching)
+    search_solutions(config)
+    monkeypatch.undo()
+    return caught[0]
+
+
+@pytest.mark.parametrize("bound, minimums, named", [
+    (10 ** 12, (3, 3, 3), []),
+    # 129^7 + 258^7 = 129^8: two H terms with c in Q, found from 129^7 and
+    # skipped from 258^7
+    (10 ** 17, (5, 5, 5), [(129 ** 7, 258 ** 7)])])
+def test_scan_finds_each_pair_once(monkeypatch, bound, minimums, named):
+    # Each pair has one owner among the five sweeps of the module docstring.
+    lanes = _scan_lanes(monkeypatch, SearchConfig(bound, *minimums))
+    reference = sorted((t.ax, t.by) for t in _lookup_reference(bound, minimums))
+    assert set(named) <= set(reference)
+    for step in (1, 2, 3):
+        found = [tuple(sorted(pair))
+                 for start in range(step)
+                 for pair in search_mod._match_stripe(lanes, start, step)[0]]
+        assert len(found) == len(set(found)), step
+        assert sorted(found) == reference, step
+
+
+def test_partner_lists_hold_the_admissible_residues(monkeypatch):
+    lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 12))
+    for partners, modulus, residues, lists_per_value in (
+            (lanes.cube_partners, 63, {0, 1, 8, 27, 28, 35, 36, 55, 62}, 9),
+            (lanes.quartic_partners, 80, {0, 1, 16, 65}, 4)):
+        assert len(partners) == modulus
+        assert Counter(y for values in partners for y in values) == dict.fromkeys(
+            lanes.left_other, lists_per_value)
+        for r, values in enumerate(partners):
+            assert values == sorted(values)
+            assert values == [y for y in lanes.left_other if (r + y) % modulus in residues]
+
+
+def test_scan_probes_are_counted_and_few():
+    reports = [search_solutions(SearchConfig(bound=10 ** 12, workers=w)) for w in (1, 2)]
+    assert reports[0].scan_probes == reports[1].scan_probes
+    assert 0 < reports[0].scan_probes < reports[0].counts["pairs_tested"] // 20
+    assert brute_force_oracle(10 ** 4).scan_probes is None
 
 
 @settings(max_examples=20, deadline=None)
