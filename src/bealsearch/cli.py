@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import identity, records, svgplot
 from .coprime import check_coprimality_propagation, exponent_orientation, exponent_restriction
 from .errors import BealsearchError, NoRealRoot, ZeroDenominator
-from .exact_arith import Radical
+from .exact_arith import RATIONAL, Radical
 from .intervals import IntervalValue
 from .reparam import Plane, canonical_alpha_beta, scalar_m
 from .search import SearchConfig, brute_force_oracle, search_solutions
@@ -29,6 +29,10 @@ from .triples import BealTriple
 
 # Far past any bound a search can finish, and instant to build.
 _FLAG_MAX_BITS = 4096
+# classify's powers stay within this many bits, so every integer it prints
+# (the radicands reach denominators of about 4 times as many bits) stays
+# under CPython's 4,300-digit limit on int-to-str conversion.
+_CLASSIFY_MAX_BITS = 2048
 
 
 def _flag_power(base: int, exp: int, text: str) -> int:
@@ -107,10 +111,10 @@ def _finish(report, args, summary: str) -> int:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(records.emit_json(report))
     print(summary)
-    failures = [hit for hit in report.hits if not hit.verification.passed]
+    failures = [hit for hit in report.hits if not hit.passed]
     for hit in failures:
         print(f"VERIFICATION FAILED for {hit.triple}: "
-              f"{hit.verification.failed_checks()}", file=sys.stderr)
+              f"{hit.failed_checks()}", file=sys.stderr)
     return 3 if failures else 0
 
 
@@ -162,7 +166,7 @@ def _radical_obj(radical: Radical) -> dict:
 def _slope_obj(value) -> dict:
     if isinstance(value, Fraction):
         x, y = smallest_lattice_point(value) if value > 0 else (None, None)
-        return {"class": "rational", "value": str(value),
+        return {"class": RATIONAL, "value": str(value),
                 "smallest_lattice_point": [x, y] if x is not None else None}
     obj = _radical_obj(value)
     obj.pop("sign")
@@ -233,6 +237,11 @@ def classify_obj(triple: BealTriple) -> dict:
 
 def cmd_classify(args) -> int:
     triple = BealTriple.parse(args.triple)
+    size = max(triple.X, triple.Y, triple.Z) * max(
+        triple.A.bit_length(), triple.B.bit_length(), triple.C.bit_length())
+    if size > _CLASSIFY_MAX_BITS:
+        raise ValueError(f"--triple {args.triple}: need max(X, Y, Z) * max(bits(A), bits(B), "
+                         f"bits(C)) <= {_CLASSIFY_MAX_BITS}, got {size}")
     print(json.dumps(classify_obj(triple), indent=2))
     return 0
 

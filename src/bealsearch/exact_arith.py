@@ -51,13 +51,18 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
         while (r + 1) ** k <= n:
             r += 1
         return r, r ** k == n
-    # Integer Newton iteration from an overestimate.
-    r = 1 << -(-n.bit_length() // k)
+    # Integer Newton iteration from one unit above a float estimate of the
+    # root, kept to its top 52 bits.  The first step lands at or above the
+    # floor root (AM-GM), and the steps shrink quadratically from there.
+    e = math.log2(n) / k
+    shift = max(int(e) - 52, 0)
+    r = (int(2.0 ** (e - shift)) + 1) << shift
     while True:
         nxt = ((k - 1) * r + n // r ** (k - 1)) // k
-        if nxt >= r:
-            break
+        moved = abs(nxt - r)
         r = nxt
+        if moved < 2:
+            break
     while r ** k > n:
         r -= 1
     while (r + 1) ** k <= n:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoRealRoot
-from .exact_arith import Radical, iroot
+from .exact_arith import NO_REAL_ROOT, Radical, iroot
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -97,7 +97,7 @@ def enclose(value, bits: int) -> IntervalValue:
     exact = value.exact_value
     if exact is not None:
         return _interval(exact)
-    if value.classification.kind == "no_real_root":
+    if value.classification.kind == NO_REAL_ROOT:
         raise NoRealRoot(f"{value} has no real value")
     q = value.radicand
     r, _ = iroot((q.numerator << (bits * value.degree)) // q.denominator, value.degree)

@@ -17,9 +17,10 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .errors import BealsearchError
+from .exact_arith import IRRATIONAL, NO_REAL_ROOT, RATIONAL
 from .search import SearchReport
 
-_CLASS_NAMES = {"rational", "irrational", "no_real_root"}
+_CLASS_NAMES = {RATIONAL, IRRATIONAL, NO_REAL_ROOT}
 _DECIMAL_RE = re.compile(r"^(0|[1-9][0-9]*)$")
 _FRACTION_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 

@@ -64,23 +64,21 @@ def canonical_alpha_beta(triple: BealTriple, plane: Plane = Plane.CB) -> Reparam
     return ReparamPair(alpha=alpha, beta=beta, plane=plane)
 
 
-def solve_beta_given_alpha(B: int, C: int, X: int, rootA: Fraction, alpha: Fraction) -> Fraction:
+def solve_beta_given_alpha(B: int, C: int, rootA: Fraction, alpha: Fraction) -> Fraction:
     """Derive beta from a chosen alpha so (C+B)*alpha - C*B*beta = rootA.
 
     rootA is the caller-certified exact value of (C**Z - B**Y)**(1/X); on a
     solution triple that is just A.  Raises DegenerateBeta when the derived
     value is 0, which callers report rather than silently accept.
     """
-    del X  # degree context only; the linear relation is degree-free
     beta = (Fraction(rootA) - (C + B) * Fraction(alpha)) / (-C * B)
     if beta == 0:
         raise DegenerateBeta(beta)
     return beta
 
 
-def solve_alpha_given_beta(B: int, C: int, X: int, rootA: Fraction, beta: Fraction) -> Fraction:
+def solve_alpha_given_beta(B: int, C: int, rootA: Fraction, beta: Fraction) -> Fraction:
     """Derive alpha from a chosen beta so (C+B)*alpha - C*B*beta = rootA."""
-    del X
     return (Fraction(rootA) + C * B * Fraction(beta)) / (C + B)
 
 

@@ -106,11 +106,11 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class VerificationRecord:
-    """Per-check outcomes for one hit, with the slopes and CB pair they read."""
+class SearchHit:
+    """One verified candidate: per-check outcomes, with the slopes and CB pair they read."""
 
+    triple: BealTriple
     checks: dict[str, bool]
-    gcd_abc: int
     slopes: SlopeSet
     pair: ReparamPair
 
@@ -121,27 +121,17 @@ class VerificationRecord:
     def failed_checks(self) -> list[str]:
         return [name for name, ok in self.checks.items() if not ok]
 
-
-@dataclass(frozen=True)
-class SearchHit:
-    triple: BealTriple
-    verification: VerificationRecord
-
     @property
     def gcd_abc(self) -> int:
-        return self.verification.gcd_abc
+        return self.triple.gcd_abc
 
     @property
     def alpha_class(self) -> RadicalClass:
-        return self.verification.pair.alpha.classification
+        return self.pair.alpha.classification
 
     @property
     def beta_class(self) -> RadicalClass:
-        return self.verification.pair.beta.classification
-
-    @property
-    def slopes(self) -> SlopeSet:
-        return self.verification.slopes
+        return self.pair.beta.classification
 
     @property
     def sort_key(self) -> tuple[int, int, int]:
@@ -265,15 +255,10 @@ def _smallest_prime_factors(limit: int) -> array:
 
 
 def _match_stripe(lanes: _Lanes, start: int, step: int) -> tuple[list[tuple[int, int]], int]:
-    """All pairs {a, b} of left values, a + b = c, found from the non-cube
-    values v = non_cubes[start::step], and the number of set probes made.
-
-    Each pair is found from its one owner v (see the module docstring):
-    two cubes, v the third term (_cube_pairs); c the one cube, v = a and
-    a + b in a cube residue mod 63; a or b the one cube, v = c and c - x in
-    a cube residue mod 63; no cube and c in H, v = c; no cube and c in Q,
-    v = h the term in H (the smaller one if both are) and h + y in a 4th
-    power residue mod 80.  The pairs come unordered.
+    """The unordered pairs (a, b) of left values with a + b a right value
+    whose owner (see the module docstring) is one of the non-cube values
+    non_cubes[start::step], and the number of set probes made: the
+    partners tried in set intersections plus the divisors _cube_pairs tried.
     """
     bound, lo_exp, min_z = lanes.bound, lanes.lo_exp, lanes.min_z
     left_other, left_other_set, left_h = lanes.left_other, lanes.left_other_set, lanes.left_h
@@ -320,13 +305,9 @@ def _match_stripe(lanes: _Lanes, start: int, step: int) -> tuple[list[tuple[int,
 
 def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
                 right: bool) -> tuple[list[tuple[int, int]], int]:
-    """The pairs whose two other terms are cubes, for the non-cube v = entry.value,
-    and the number of divisors tried.
-
-    One solve of v = x**3 + y**3 per divisor s = x + y of v with s**3 <= 4v
-    (see the module docstring): y < 0 is a difference, v + |y|**3 = x**3 with
-    v a left value, only for v**3 <= 27 s**3 bound**2; y > 0 is a sum of the
-    left cubes x**3 and y**3, with v a right value.
+    """The pairs whose other two terms are cubes, for the non-cube v = entry.value
+    as a left term (left) and as the sum (right), and the number of divisors
+    s = x + y of v tried, one solve of v = x**3 + y**3 each (module docstring).
     """
     spf, left_cubes, right_cubes = lanes.spf, lanes.left_cubes, lanes.right_cubes
     v = entry.value
@@ -364,8 +345,7 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
     return found, len(tried)
 
 
-def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
-               require_reduced: bool = True) -> VerificationRecord:
+def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3)) -> SearchHit:
     """Run every hit-level check on a candidate triple.
 
     Checks: exact equation, reduced bases (>= 2, not perfect powers),
@@ -373,17 +353,15 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
     > 1, the divisibility restriction on (X, Y, Z), rational root-form
     slopes matching C/B and C/A, and rational-canonical-parameter /
     common-factor consistency.  Failures are recorded, not raised.  The
-    slopes and canonical pair the checks read are returned on the record.
+    slopes and canonical pair the checks read are kept on the hit.
     """
     min_x, min_y, min_z = minimums
     checks: dict[str, bool] = {}
     checks["equation_exact"] = triple.equation_holds
-
-    reduced = all(
+    checks["bases_reduced"] = all(
         base >= 2 and is_perfect_power(base) is None
         for base in (triple.A, triple.B, triple.C)
     )
-    checks["bases_reduced"] = reduced or not require_reduced
     checks["canonical_order"] = triple.ax <= triple.by
     lo, hi = min(min_x, min_y), max(min_x, min_y)
     checks["exponent_minimums"] = (
@@ -414,12 +392,12 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
     )
     checks["rational_parameters_imply_common_factor"] = (not rational_parameter) or gcd_abc > 1
 
-    return VerificationRecord(checks=checks, gcd_abc=gcd_abc, slopes=slopes, pair=pair)
+    return SearchHit(triple, checks, slopes, pair)
 
 
 def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3)) -> SearchHit:
-    """Attach gcd, canonical parameter classes, slopes, and verification."""
-    return SearchHit(triple, verify_hit(triple, minimums))
+    """The verified hit for a found triple; the per-hit step a search report times."""
+    return verify_hit(triple, minimums)
 
 
 def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: int,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Divergent
-from .exact_arith import Radical, RadicalClass, classify_radical
+from .exact_arith import Radical, RadicalClass
 from .intervals import DEFAULT_PRECISION_BITS, IntervalValue, enclose
 from .triples import BealTriple
 
@@ -42,8 +42,13 @@ class CommonFactorDecomposition:
     c: int
 
 
+def _slope_radical(power_sum: int, base: int, Z: int) -> Radical:
+    """The slope power_sum**(1/Z) / base, as the radical (power_sum / base**Z)**(1/Z)."""
+    return Radical(1, Fraction(power_sum, base ** Z), Z)
+
+
 def _slope_value(power_sum: int, base: int, Z: int) -> Fraction | Radical:
-    radical = Radical(1, Fraction(power_sum, base ** Z), Z)
+    radical = _slope_radical(power_sum, base, Z)
     exact = radical.exact_value
     return exact if exact is not None else radical
 
@@ -72,10 +77,7 @@ def slope_candidate(A: int, B: int, X: int, Y: int, Z: int) -> tuple[RadicalClas
     if min(X, Y, Z) < 3:
         raise ValueError(f"exponents must be >= 3, got ({X}, {Y}, {Z})")
     s = A ** X + B ** Y
-    return (
-        classify_radical(1, Fraction(s, B ** Z), Z),
-        classify_radical(1, Fraction(s, A ** Z), Z),
-    )
+    return _slope_radical(s, B, Z).classification, _slope_radical(s, A, Z).classification
 
 
 def smallest_lattice_point(m: Fraction) -> tuple[int, int]:

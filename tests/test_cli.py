@@ -153,6 +153,24 @@ def test_classify_malformed_triple(capsys):
     assert code == 2
 
 
+def test_classify_admits_the_size_limit(capsys):
+    # max exponent 1024 times 2 bits is exactly the 2048 limit
+    code, out, _ = run(capsys, "classify", "--triple", "2,1023,2,1023,2,1024")
+    assert code == 0
+    assert json.loads(out)["equation_holds"] is True
+
+
+def test_classify_refuses_past_the_size_limit(capsys, monkeypatch):
+    def no_classify(triple):
+        raise AssertionError("classify computed before checking its input")
+
+    monkeypatch.setattr(cli_mod, "classify_obj", no_classify)
+    for triple, size in (("2,1023,2,1023,2,1025", 2050), ("2,1000000,3,3,5,3", 3000000)):
+        code, out, err = run(capsys, "classify", "--triple", triple)
+        assert (code, out) == (2, "")
+        assert f"<= 2048, got {size}" in err
+
+
 def test_emit_plot_round_trip(tmp_path, capsys):
     hits = tmp_path / "hits.csv"
     fig = tmp_path / "fig.svg"
@@ -245,11 +263,11 @@ def test_search_anomaly_exit_three(command, tmp_path, capsys, monkeypatch):
 
     real = search_mod.verify_hit
 
-    def broken(triple, minimums=(3, 3, 3), require_reduced=True):
-        record = real(triple, minimums, require_reduced)
-        checks = dict(record.checks)
+    def broken(triple, minimums=(3, 3, 3)):
+        hit = real(triple, minimums)
+        checks = dict(hit.checks)
         checks["equation_exact"] = False
-        return dataclasses.replace(record, checks=checks)
+        return dataclasses.replace(hit, checks=checks)
 
     monkeypatch.setattr(search_mod, "verify_hit", broken)
     code, _, err = run(capsys, command, "--bound", "20", "--out", str(tmp_path / "h.csv"))
@@ -290,6 +308,14 @@ def test_readme_flag_table_matches_parser():
         for name, parser in subparsers.choices.items()
     }
     assert documented == declared
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "irrational\n"
 
 
 def test_identity_failure_exit_four(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Persistence round-trips and SVG emission."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from bealsearch.records import (CSV_COLUMNS, SchemaError,
                                 canonical_json, emit_csv, emit_json,
                                 parse_csv, parse_json, records_from_report,
                                 report_to_obj)
-from bealsearch.search import SearchConfig, search_solutions
+from bealsearch.search import SearchConfig, brute_force_oracle, search_solutions
 from bealsearch.svgplot import emit_scatter
 
 
@@ -127,3 +128,34 @@ def test_svg_log_and_abc_axes(records):
 def test_scan_probes_are_reported_but_not_canonical(report):
     assert json.loads(emit_json(report))["scan_probes"] == report.scan_probes > 0
     assert "scan_probes" not in json.loads(canonical_json(report))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 of the CSV and of canonical_json, pinned so that any drift in the
+# bytes of a search's output fails here rather than only in a benchmark.
+@pytest.mark.parametrize("bound, minimums, workers, csv_digest, json_digest", [
+    (10 ** 8, (3, 3, 3), 1,
+     "a74981ac40a534304ec984f87426b8045b615267d99030ffc250519402e51f45",
+     "1e0226b5fb50912de93781590371ef2c3a62deaee689993b75009c5e9071e3e3"),
+    (10 ** 10, (3, 3, 3), 2,
+     "32d4c5c5ea116f8b954b49cae33cb073dfbe49d82ac7039fcc0574a40974b4bc",
+     "a15fce70c865f6c16eb1041ea43174aaf28a18ec8474a923210ef462ec90020e"),
+    (10 ** 10, (4, 3, 3), 1,
+     "640bae297734510e6ff8274cd8c62430af2d0448372dfa976d68f0692d0c3925",
+     "487155513e6a0d058c7405fd9bb8095be727b37b1a06d3d6bb19e2b9d8b3cad9"),
+    (10 ** 12, (3, 3, 3), 1,
+     "54419fd03f7ffa33e9319190f05d42661f0fca654dddc0abb30fc122fa9ce3ab",
+     "042693fdff07c0828bb8ff69183c24340589d843500b2d09734e3d888bb68ce3"),
+])
+def test_search_output_bytes_are_pinned(bound, minimums, workers, csv_digest, json_digest):
+    report = search_solutions(SearchConfig(bound, *minimums, workers=workers))
+    assert _sha256(emit_csv(records_from_report(report))) == csv_digest
+    assert _sha256(canonical_json(report)) == json_digest
+
+
+def test_oracle_output_bytes_are_pinned():
+    assert (_sha256(canonical_json(brute_force_oracle(10 ** 6)))
+            == "1141e5964dabae27d3d980db90c39f505915a212982344483d663327b33ab848")

@@ -50,16 +50,16 @@ def test_canonical_pair_ca_plane():
 
 
 def test_solve_beta_examples():
-    assert solve_beta_given_alpha(6, 3, 3, Fraction(3), Fraction(7, 3)) == 1
-    assert solve_beta_given_alpha(6, 3, 3, Fraction(3), Fraction(2)) == Fraction(5, 6)
+    assert solve_beta_given_alpha(6, 3, Fraction(3), Fraction(7, 3)) == 1
+    assert solve_beta_given_alpha(6, 3, Fraction(3), Fraction(2)) == Fraction(5, 6)
     with pytest.raises(DegenerateBeta):
-        solve_beta_given_alpha(6, 3, 3, Fraction(3), Fraction(1, 3))
+        solve_beta_given_alpha(6, 3, Fraction(3), Fraction(1, 3))
 
 
 def test_solve_alpha_examples():
-    assert solve_alpha_given_beta(6, 3, 3, Fraction(3), Fraction(1)) == Fraction(7, 3)
-    assert solve_alpha_given_beta(6, 3, 3, Fraction(3), Fraction(5, 6)) == 2
-    assert solve_alpha_given_beta(6, 3, 3, Fraction(3), Fraction(0)) == Fraction(1, 3)
+    assert solve_alpha_given_beta(6, 3, Fraction(3), Fraction(1)) == Fraction(7, 3)
+    assert solve_alpha_given_beta(6, 3, Fraction(3), Fraction(5, 6)) == 2
+    assert solve_alpha_given_beta(6, 3, Fraction(3), Fraction(0)) == Fraction(1, 3)
 
 
 def test_solve_round_trip():
@@ -67,10 +67,10 @@ def test_solve_round_trip():
     for _ in range(200):
         alpha = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
         try:
-            beta = solve_beta_given_alpha(6, 3, 3, Fraction(3), alpha)
+            beta = solve_beta_given_alpha(6, 3, Fraction(3), alpha)
         except DegenerateBeta:
             continue
-        assert solve_alpha_given_beta(6, 3, 3, Fraction(3), beta) == alpha
+        assert solve_alpha_given_beta(6, 3, Fraction(3), beta) == alpha
         assert 9 * alpha - 18 * beta == 3
 
 
@@ -159,7 +159,7 @@ def test_reconstruct_round_trip_exact():
         for _ in range(100):
             alpha = Fraction(rng.randint(-99, 99), rng.randint(1, 30))
             try:
-                beta = solve_beta_given_alpha(triple.B, triple.C, triple.X, root, alpha)
+                beta = solve_beta_given_alpha(triple.B, triple.C, root, alpha)
             except DegenerateBeta:
                 continue
             assert reconstruct(triple.B, triple.C, triple.X, alpha, beta) == difference

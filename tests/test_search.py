@@ -73,7 +73,7 @@ def test_search_hits_are_sorted_and_verified():
     report = search_solutions(SearchConfig(bound=10 ** 5))
     keys = [hit.sort_key for hit in report.hits]
     assert keys == sorted(keys)
-    assert all(hit.verification.passed for hit in report.hits)
+    assert all(hit.passed for hit in report.hits)
     assert all(hit.triple.equation_holds for hit in report.hits)
 
 
@@ -327,28 +327,26 @@ def test_config_validation():
 
 
 def test_verify_hit_examples():
-    record = verify_hit(BealTriple(3, 3, 6, 3, 3, 5))
-    assert record.passed and record.gcd_abc == 3
+    hit = verify_hit(BealTriple(3, 3, 6, 3, 3, 5))
+    assert hit.passed and hit.gcd_abc == 3
 
-    record = verify_hit(BealTriple(2, 3, 2, 3, 2, 5))
-    assert not record.passed
-    assert "equation_exact" in record.failed_checks()
-
-    record = verify_hit(BealTriple(4, 3, 4, 3, 2, 7))
-    assert "bases_reduced" in record.failed_checks()
-    assert BealTriple(4, 3, 4, 3, 2, 7).canonical() == BealTriple(2, 6, 2, 6, 2, 7)
+    hit = verify_hit(BealTriple(2, 3, 2, 3, 2, 5))
+    assert not hit.passed
+    assert "equation_exact" in hit.failed_checks()
 
 
 def test_verify_hit_relaxed_reduction():
-    record = verify_hit(BealTriple(4, 3, 4, 3, 2, 7), require_reduced=False)
-    assert "bases_reduced" not in record.failed_checks()
+    # 4^3 + 4^3 = 2^7 is a solution on unreduced bases: every other check holds
+    hit = verify_hit(BealTriple(4, 3, 4, 3, 2, 7))
+    assert hit.failed_checks() == ["bases_reduced"]
+    assert hit.triple.canonical() == BealTriple(2, 6, 2, 6, 2, 7)
 
 
 def test_verify_hit_orientation_aware_minimums():
-    record = verify_hit(BealTriple(7, 3, 7, 4, 14, 3), minimums=(4, 3, 3))
-    assert record.checks["exponent_minimums"]
-    record = verify_hit(BealTriple(3, 3, 6, 3, 3, 5), minimums=(4, 3, 3))
-    assert not record.checks["exponent_minimums"]
+    hit = verify_hit(BealTriple(7, 3, 7, 4, 14, 3), minimums=(4, 3, 3))
+    assert hit.checks["exponent_minimums"]
+    hit = verify_hit(BealTriple(3, 3, 6, 3, 3, 5), minimums=(4, 3, 3))
+    assert not hit.checks["exponent_minimums"]
 
 
 def test_annotate_hit_bundle():
@@ -357,7 +355,7 @@ def test_annotate_hit_bundle():
     assert hit.alpha_class.value == 2
     assert hit.beta_class.kind == "irrational"
     assert hit.slopes.m_cb == hit.triple.C / hit.triple.B == 0.5
-    assert hit.verification.passed
+    assert hit.passed
 
 
 def test_annotate_hit_computes_slopes_and_pair_once(monkeypatch):
@@ -381,7 +379,7 @@ def test_annotate_hit_computes_slopes_and_pair_once(monkeypatch):
         calls.clear()
         hit = annotate_hit(triple, minimums)
         assert calls == {"slope_set": 1, "canonical_alpha_beta": 1}
-        assert hit.verification == verify_hit(triple, minimums)
+        assert hit == verify_hit(triple, minimums)
 
 
 def test_rational_parameters_imply_common_factor_over_hits():
