@@ -1,18 +1,21 @@
-"""Time bealsearch.search.search_solutions in-process and record the numbers.
+"""Time bealsearch's search and exact kernels in-process and record the numbers.
 
-    python bench/run.py --label change --out BENCH_12.json
-    python bench/run.py --label parent --src ../parent/src --out BENCH_12.json
+    python bench/run.py --label change --out BENCH_14.json
+    python bench/run.py --label parent --src ../parent/src --out BENCH_14.json
 
-Each case is one search (bound, minimums 3,3,3, workers), run --repeats
-times in this process after one untimed warm-up search at 10^12.  Every run
-adds its samples to the case under --label in --out, so a parent tree and a
-changed tree can be timed alternately into one file; the statistics are
-recomputed over all samples of a label.  Per case the file holds the raw
-samples, and for the whole run (wall_s) and each phase of
-SearchReport.phases the median, minimum and quartiles, in seconds, plus the
-set probes of the scan per second of median scan_s when the report counts
-them (SearchReport.scan_probes).  The machine facts are nproc, the CPU model
-and the Python version.
+Each search case is one search (bound, minimums 3,3,3, workers), run
+--repeats times in this process after one untimed warm-up search at 10^12.
+Each kernel case calls one exact kernel on a fixed, seeded list of inputs,
+--repeats times; a sample is the mean time per call over at least
+KERNEL_MIN_S of calls.  Every run adds its samples to the case under --label
+in --out, so a parent tree and a changed tree can be timed alternately into
+one file; the statistics are recomputed over all samples of a label.  Per
+search case the file holds the raw samples, and for the whole run (wall_s)
+and each phase of SearchReport.phases the median, minimum and quartiles, in
+seconds, plus the set probes of the scan per second of median scan_s when
+the report counts them (SearchReport.scan_probes).  Per kernel case it holds
+the raw samples and their median, minimum and quartiles as us_per_call.  The
+machine facts are nproc, the CPU model and the Python version.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -28,6 +32,55 @@ from pathlib import Path
 
 CASES = [(10 ** 12, 1), (10 ** 14, 1), (10 ** 16, 1), (10 ** 14, 2)]
 PHASES = ("enumerate_s", "index_s", "scan_s", "annotate_s")
+KERNEL_MIN_S = 0.05
+
+
+def kernel_cases() -> dict[str, tuple]:
+    """Each kernel case: the kernel and the argument tuples of its calls."""
+    from fractions import Fraction
+
+    from bealsearch.exact_arith import classify_radical, iroot, is_perfect_power
+    from bealsearch.reparam import Plane, canonical_alpha_beta, scalar_m
+    from bealsearch.triples import BealTriple
+
+    rng = random.Random(14)
+
+    def odd_ints(bits: int, count: int) -> list[int]:
+        return [rng.getrandbits(bits) | 1 << (bits - 1) | 1 for _ in range(count)]
+
+    radicands = [(Fraction(p, q), degree)
+                 for p, q, degree in zip(odd_ints(64, 16), odd_ints(64, 16),
+                                         [3, 4, 5, 6, 7, 8, 9, 10] * 2)]
+    triple = BealTriple(3, 3, 6, 3, 3, 5)  # alpha rational, beta irrational
+    return {
+        "iroot 500 bits k 3,5,7": (iroot, [(n, k) for n in odd_ints(500, 16)
+                                           for k in (3, 5, 7)]),
+        "is_perfect_power 64 bits": (is_perfect_power, [(n,) for n in odd_ints(64, 16)]),
+        "is_perfect_power 500 bits": (is_perfect_power, [(n,) for n in odd_ints(500, 8)]),
+        "is_perfect_power 2000 bits": (is_perfect_power, [(n,) for n in odd_ints(2000, 4)]),
+        # half irrational, half the same radicands raised to their degree
+        "classify_radical": (classify_radical,
+                             [(1, r, d) for r, d in radicands]
+                             + [(1, r ** d, d) for r, d in radicands]),
+        "scalar_m 3,3,6,3,3,5": (scalar_m, [(triple, canonical_alpha_beta(triple, Plane.CB))]),
+    }
+
+
+def time_kernel(kernel, calls: list[tuple], repeats: int) -> list[float]:
+    """Per repeat, the mean microseconds per call over at least KERNEL_MIN_S."""
+    samples = []
+    for _ in range(repeats):
+        rounds = 0
+        started = time.perf_counter()
+        while True:
+            for args in calls:
+                kernel(*args)
+            rounds += 1
+            elapsed = time.perf_counter() - started
+            if elapsed >= KERNEL_MIN_S:
+                break
+        samples.append(1e6 * elapsed / (rounds * len(calls)))
+    return samples
 
 
 def cpu_model() -> str:
@@ -100,6 +153,13 @@ def main(argv=None) -> int:
         case["probes_per_s"] = probes / case["scan_s"]["median"] if probes else None
         print(f"{args.label}: {name}: wall {case['wall_s']['median']:.3f} s, "
               f"scan {case['scan_s']['median']:.3f} s over {case['repeats']} runs")
+    for name, (kernel, calls) in kernel_cases().items():
+        case = runs.setdefault(f"kernel {name}", {"calls": len(calls), "samples": []})
+        case["samples"] += time_kernel(kernel, calls, args.repeats)
+        case["repeats"] = len(case["samples"])
+        case["us_per_call"] = summary(case["samples"])
+        print(f"{args.label}: kernel {name}: {case['us_per_call']['median']:.1f} us per call "
+              f"over {case['repeats']} runs")
     out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -73,17 +74,31 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
 def is_perfect_power(n: int) -> tuple[int, int] | None:
     """Decompose n >= 2 as base**exponent with the maximal exponent >= 2.
 
-    Returns None when n is not a perfect power.  The returned base is never
-    itself a perfect power: if it were c**f, then n = c**(e*f) would have
-    been found first at the larger exponent.
+    Returns None when n is not a perfect power.  Only prime exponents are
+    tried: n is a perfect power iff it is a p-th power for some prime p <
+    bits(n).  The largest such p is taken and its root decomposed in turn,
+    so the exponents multiply to the maximal one and the returned base is
+    never itself a perfect power.
     """
     if n < 2:
         raise ValueError(f"is_perfect_power requires n >= 2, got {n}")
-    for e in range(n.bit_length() - 1, 1, -1):
-        root, exact = iroot(n, e)
+    bits = n.bit_length()
+    primes = _exponent_primes(bits.bit_length())
+    for i in range(bisect_left(primes, bits) - 1, -1, -1):
+        root, exact = iroot(n, primes[i])
         if exact:
-            return root, e
+            deeper = is_perfect_power(root)
+            if deeper is None:
+                return root, primes[i]
+            return deeper[0], deeper[1] * primes[i]
     return None
+
+
+@cache
+def _exponent_primes(size: int) -> tuple[int, ...]:
+    """The primes below 2**size: the exponents is_perfect_power tries on any n
+    with bits(n) <= 2**size, built on first use."""
+    return tuple(_primes_below(1 << size))
 
 
 def reduce_base(base: int, exp: int) -> tuple[int, int]:
@@ -115,7 +130,7 @@ class RadicalClass:
 
     @classmethod
     def rational(cls, value: Fraction) -> "RadicalClass":
-        return cls(RATIONAL, Fraction(value))
+        return cls(RATIONAL, value if isinstance(value, Fraction) else Fraction(value))
 
     @classmethod
     def irrational(cls) -> "RadicalClass":
@@ -147,11 +162,12 @@ def classify_radical(sign: int, radicand: Fraction | int, degree: int) -> Radica
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    radicand = Fraction(radicand)
+    if not isinstance(radicand, Fraction):
+        radicand = Fraction(radicand)
     if radicand < 0:
         raise ValueError(f"radicand must be >= 0, got {radicand}")
     if radicand == 0:
-        return RadicalClass.rational(Fraction(0))
+        return RadicalClass.rational(radicand)
     if sign == -1 and degree % 2 == 0:
         return RadicalClass.no_real_root()
     p, q = radicand.numerator, radicand.denominator
@@ -183,14 +199,16 @@ class Radical:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        object.__setattr__(self, "radicand", Fraction(self.radicand))
+        if not isinstance(self.radicand, Fraction):
+            object.__setattr__(self, "radicand", Fraction(self.radicand))
         if self.radicand < 0:
             raise ValueError(f"radicand must be >= 0, got {self.radicand}")
 
     @classmethod
     def of(cls, signed_radicand: Fraction | int, degree: int) -> "Radical":
         """Build from a signed radicand, splitting off the sign."""
-        signed_radicand = Fraction(signed_radicand)
+        if not isinstance(signed_radicand, Fraction):
+            signed_radicand = Fraction(signed_radicand)
         sign = -1 if signed_radicand < 0 else 1
         return cls(sign, abs(signed_radicand), degree)
 

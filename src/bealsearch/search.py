@@ -22,7 +22,13 @@ bound**(1/4) of them, and finds each pair from one v, its owner:
    a difference, v + |y|**3 = x**3, with v a left value; v <= 3s x**2 <=
    3s bound**(2/3) leaves only s with v**3 <= 27 s**3 bound**2.  y > 0
    (s**3 > v) is a sum of the left cubes x**3 and y**3, with v a right
-   value.
+   value.  The divisors are walked between the integer cube roots of the
+   two bounds on s**3, so the walk takes no cube.  A v outside the 25
+   residues of x**3 + y**3 mod 63 (CUBE_SUM_RESIDUES; -1 is a cube, so a
+   difference of cubes has the same residues) is skipped before any
+   divisor: that is about 45% of the non-cube values, and a skipped v adds
+   nothing to the scan's probe count (at 10**12 the skip lowers it from
+   411,448 to 404,352).
 2. c is the one cube: v = a, over the non-cube b >= a.
 3. a or b is the one cube: v = c, over the non-cube x < c (the other term).
 4. No cube, c in H: v = c, over the non-cube x in [c/2, c).
@@ -76,8 +82,7 @@ ORACLE_MAX_BOUND = 10 ** 7
 MAX_POWERS = 2 * 10 ** 6
 
 
-@dataclass(frozen=True)
-class PowerEntry:
+class PowerEntry(NamedTuple):
     value: int
     base: int
     exponent: int
@@ -153,7 +158,8 @@ class SearchReport:
 
 
 def enumerate_powers(bound: int, min_exp: int = 3) -> list[PowerEntry]:
-    """All reduced-base powers base**e <= bound with e >= min_exp, by value.
+    """All reduced-base powers base**e <= bound with e >= min_exp, by value,
+    as (value, base, exponent) tuples.
 
     Bases that are themselves perfect powers are skipped; their powers are
     reachable from the reduced base with a larger exponent, so every perfect
@@ -183,14 +189,16 @@ def enumerate_powers(bound: int, min_exp: int = 3) -> list[PowerEntry]:
             entries.append(PowerEntry(value, base, exponent))
             exponent += 1
             value *= base
-    entries.sort(key=lambda entry: entry.value)
+    entries.sort()  # the values are distinct, so this orders by value
     return entries
 
 
 def _pairs_within(values: list[int], bound: int) -> int:
     """Count pairs i <= j of the sorted values with values[i] + values[j] <= bound."""
-    return sum(bisect_right(values, bound - value) - i
-               for i, value in enumerate(values) if 2 * value <= bound)
+    half = bisect_right(values, bound // 2)  # the values i can take: 2 * values[i] <= bound
+    # pair i has bisect_right(values, bound - values[i]) - i partners j >= i
+    return (sum(map(bisect_right, repeat(values), map(sub, repeat(bound), values[:half])))
+            - half * (half - 1) // 2)
 
 
 # Pool workers' lanes, set once per worker process by the pool initializer.
@@ -200,6 +208,8 @@ _LANES: tuple = ()
 # The residues of the cubes mod 63 and of the 4th powers mod 80.
 CUBE_RESIDUES = frozenset(pow(n, 3, 63) for n in range(63))      # 9 of 63
 QUARTIC_RESIDUES = frozenset(pow(n, 4, 80) for n in range(80))   # {0, 1, 16, 65}
+# The residues mod 63 of x**3 + y**3, 25 of 63; as -1 is a cube, of x**3 - y**3 too.
+CUBE_SUM_RESIDUES = frozenset((x + y) % 63 for x in CUBE_RESIDUES for y in CUBE_RESIDUES)
 
 
 def _is_quartic(exponent: int) -> bool:
@@ -267,6 +277,7 @@ def _match_stripe(lanes: _Lanes, start: int, step: int) -> tuple[list[tuple[int,
     cube_partners, quartic_partners = lanes.cube_partners, lanes.quartic_partners
     found: list[tuple[int, int]] = []
     probes = 0
+    # Almost every intersection is empty, so the pairs are built only for the rest.
     for entry in lanes.non_cubes[start::step]:
         v = entry.value
         left, right = entry.exponent >= lo_exp, entry.exponent >= min_z
@@ -276,27 +287,30 @@ def _match_stripe(lanes: _Lanes, start: int, step: int) -> tuple[list[tuple[int,
             first = bisect_left(partners, v)
             last = bisect_right(partners, bound - v, first)
             probes += last - first
-            found.extend((v, c - v) for c in
-                         right_cubes.intersection(map(add, repeat(v), partners[first:last])))
+            sums = right_cubes.intersection(map(add, repeat(v), partners[first:last]))
+            if sums:
+                found.extend((v, c - v) for c in sums)
         if right:  # v = c, one of a, b a cube
             partners = cube_partners[-v % 63]
             last = bisect_left(partners, v)
             probes += last
-            found.extend((v - x, x) for x in
-                         left_cubes.intersection(map(sub, repeat(v), partners[:last])))
+            terms = left_cubes.intersection(map(sub, repeat(v), partners[:last]))
+            if terms:
+                found.extend((v - x, x) for x in terms)
         if right and in_h:  # v = c in H, no cube
             first = bisect_left(left_other, v - v // 2)
             last = bisect_left(left_other, v, first)
             probes += last - first
-            found.extend((v - x, x) for x in
-                         left_other_set.intersection(map(sub, repeat(v), left_other[first:last])))
+            terms = left_other_set.intersection(map(sub, repeat(v), left_other[first:last]))
+            if terms:
+                found.extend((v - x, x) for x in terms)
         if left and in_h:  # v in H, no cube, c in Q
             partners = quartic_partners[v % 80]
             last = bisect_right(partners, bound - v)
             probes += last
-            found.extend((v, c - v) for c in
-                         right_quartics.intersection(map(add, repeat(v), partners[:last]))
-                         if c - v >= v or c - v not in left_h)
+            sums = right_quartics.intersection(map(add, repeat(v), partners[:last]))
+            if sums:
+                found.extend((v, c - v) for c in sums if c - v >= v or c - v not in left_h)
         pairs, tried = _cube_pairs(lanes, entry, left, right)
         found += pairs
         probes += tried
@@ -308,11 +322,21 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
     """The pairs whose other two terms are cubes, for the non-cube v = entry.value
     as a left term (left) and as the sum (right), and the number of divisors
     s = x + y of v tried, one solve of v = x**3 + y**3 each (module docstring).
+
+    A v whose residue mod 63 is not in CUBE_SUM_RESIDUES is no sum or
+    difference of two cubes, and tries no divisor.  The divisors are walked
+    between the integer cube roots of the bounds on s**3, so the walk takes
+    no cube.
     """
-    spf, left_cubes, right_cubes = lanes.spf, lanes.left_cubes, lanes.right_cubes
     v = entry.value
+    if v % 63 not in CUBE_SUM_RESIDUES:
+        return [], 0
+    spf, left_cubes, right_cubes = lanes.spf, lanes.left_cubes, lanes.right_cubes
     least = -(-v ** 3 // (27 * lanes.bound ** 2)) if left else v + 1  # s**3 >= least
     most = 4 * v if right else v - 1                                     # s**3 <= most
+    low, exact = iroot(least, 3)
+    low += not exact  # the ceiling cube root: s >= low
+    high = iroot(most, 3)[0]  # s <= high
     divisors = [1]
     n = entry.base
     while n > 1:
@@ -325,11 +349,11 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
         for s in divisors:
             for _ in range(k * entry.exponent):
                 s *= p
-                if s * s * s > most:
+                if s > high:
                     break
                 grown.append(s)
         divisors += grown
-    tried = [s for s in divisors if s * s * s >= least]
+    tried = [s for s in divisors if s >= low]
     found: list[tuple[int, int]] = []
     for s in tried:
         xy, r = divmod(s * s - v // s, 3)

@@ -350,6 +350,17 @@ def test_cli_import_skips_network_modules():
     assert out.strip() == "[]"
 
 
+def test_cli_import_builds_no_cached_table():
+    # The trial-division blocks and the exponent primes are built on first
+    # use, so a command that needs neither pays nothing for them.
+    code = ("import bealsearch.cli; from bealsearch import exact_arith as e; "
+            "print(e._trial_blocks.cache_info().currsize, "
+            "e._exponent_primes.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["0", "0"]
+
+
 def _without_wall(text):
     return re.sub(r"wall=\S+", "wall=", text)
 

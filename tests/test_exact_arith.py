@@ -1,6 +1,7 @@
 """Kernel tests: roots, perfect powers, radical classification, factorization."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,27 @@ def test_is_perfect_power_small_range_oracle():
             exponent += 1
     for n in range(2, limit + 1):
         assert is_perfect_power(n) == powers.get(n), n
+
+
+def _every_exponent_perfect_power(n):
+    """The maximal decomposition by trying every exponent, largest first."""
+    for e in range(n.bit_length() - 1, 1, -1):
+        root, exact = iroot(n, e)
+        if exact:
+            return root, e
+    return None
+
+
+def test_is_perfect_power_matches_every_exponent_loop():
+    # Only prime exponents are tried; the result must equal the loop over all.
+    rng = random.Random(14)
+    cases = [*range(2, 20001), 2 ** 60, 3 ** 40, 6 ** 35, 10 ** 36, 30 ** 210,
+             *(rng.randrange(2, 2 ** 4096) for _ in range(4)),
+             *(rng.getrandbits(rng.randrange(2, 4097)) | 2 for _ in range(12)),
+             *(rng.randrange(2, 10 ** 6) ** rng.randrange(2, 64) for _ in range(60))]
+    for n in cases:
+        assert is_perfect_power(n) == _every_exponent_perfect_power(n), n
+    assert is_perfect_power(2 ** 60) == (2, 60) and is_perfect_power(6 ** 35) == (6, 35)
 
 
 @settings(deadline=None)

@@ -2,6 +2,7 @@
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -55,7 +56,16 @@ def test_enumerate_powers_matches_perfect_power_reference():
             expected = reference[:bisect_right(values, bound)]
             assert enumerate_powers(bound, min_exp) == expected, (bound, min_exp)
     for bound in (10 ** 12, 10 ** 13):
-        assert enumerate_powers(bound, 3) == _reference_powers(bound, 3), bound
+        entries = enumerate_powers(bound, 3)
+        assert all(type(entry) is PowerEntry for entry in entries), bound
+        assert entries == _reference_powers(bound, 3), bound
+
+
+def test_power_entry_is_a_tuple_in_field_order():
+    entry = PowerEntry(8, 2, 3)
+    assert entry == (8, 2, 3) and (entry.value, entry.base, entry.exponent) == (8, 2, 3)
+    value, base, exponent = enumerate_powers(100, 3)[-1]
+    assert (value, base, exponent) == (81, 3, 4)
 
 
 def test_search_examples():
@@ -138,9 +148,11 @@ def test_oracle_equivalence_at_the_oracle_ceiling():
         assert BealTriple(13, 5, 91, 3, 104, 3) in slow.triples
 
 
+@cache
 def _lookup_reference(bound: int, minimums: tuple[int, int, int]) -> list[BealTriple]:
     """The plain right-anchored scan: for each C^Z, look up C^Z - B^Y over
-    every left value B^Y in [C^Z/2, C^Z), one Python-level lookup per pair."""
+    every left value B^Y in [C^Z/2, C^Z), one Python-level lookup per pair.
+    Cached, as several tests read the same bound; callers must not mutate it."""
     min_x, min_y, min_z = minimums
     lo, hi = sorted((min_x, min_y))
     entries = enumerate_powers(bound, min(lo, min_z))
@@ -213,6 +225,48 @@ def test_partner_lists_hold_the_admissible_residues(monkeypatch):
         for r, values in enumerate(partners):
             assert values == sorted(values)
             assert values == [y for y in lanes.left_other if (r + y) % modulus in residues]
+
+
+def test_cube_sum_residues_are_those_of_sums_and_differences_of_cubes():
+    sums = {(x ** 3 + y ** 3) % 63 for x in range(63) for y in range(63)}
+    assert search_mod.CUBE_SUM_RESIDUES == sums
+    assert {(x ** 3 - y ** 3) % 63 for x in range(63) for y in range(63)} == sums
+    assert len(sums) == 25
+
+
+def test_two_cube_pairs_have_a_cube_sum_residue():
+    # Every reference pair with exactly two cube terms has its third term in
+    # a residue class mod 63 that the two-cube solve does not skip.
+    two_cubes = 0
+    for t in _lookup_reference(10 ** 12, (3, 3, 3)):
+        terms = ((t.ax, t.X), (t.by, t.Y), (t.cz, t.Z))
+        others = [value for value, exponent in terms if exponent % 3]
+        if len(others) == 1:
+            two_cubes += 1
+            assert others[0] % 63 in search_mod.CUBE_SUM_RESIDUES, t
+    assert two_cubes >= 10
+
+
+def test_cube_sum_skip_loses_no_pair(monkeypatch):
+    # At 10^14, past the plain reference's reach, the two-cube solve finds
+    # the same pairs with and without the mod-63 skip.
+    lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 14))
+
+    def solve_all():
+        found, tried = [], 0
+        for entry in lanes.non_cubes:
+            pairs, probes = search_mod._cube_pairs(lanes, entry, entry.exponent >= lanes.lo_exp,
+                                                    entry.exponent >= lanes.min_z)
+            assert not pairs or entry.value % 63 in search_mod.CUBE_SUM_RESIDUES, entry
+            found += pairs
+            tried += probes
+        return sorted(found), tried
+
+    skipped, skipped_tried = solve_all()
+    monkeypatch.setattr(search_mod, "CUBE_SUM_RESIDUES", frozenset(range(63)))
+    unskipped, unskipped_tried = solve_all()
+    assert skipped == unskipped and len(skipped) >= 10
+    assert skipped_tried < unskipped_tried
 
 
 def test_scan_probes_are_counted_and_few():
