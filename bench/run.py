@@ -1,21 +1,23 @@
 """Time bealsearch's search and exact kernels in-process and record the numbers.
 
-    python bench/run.py --label change --out BENCH_14.json
-    python bench/run.py --label parent --src ../parent/src --out BENCH_14.json
+    python bench/run.py --label change --out BENCH_15.json
+    python bench/run.py --label parent --src ../parent/src --out BENCH_15.json
 
 Each search case is one search (bound, minimums 3,3,3, workers), run
 --repeats times in this process after one untimed warm-up search at 10^12.
 Each kernel case calls one exact kernel on a fixed, seeded list of inputs,
 --repeats times; a sample is the mean time per call over at least
-KERNEL_MIN_S of calls.  Every run adds its samples to the case under --label
-in --out, so a parent tree and a changed tree can be timed alternately into
-one file; the statistics are recomputed over all samples of a label.  Per
-search case the file holds the raw samples, and for the whole run (wall_s)
-and each phase of SearchReport.phases the median, minimum and quartiles, in
-seconds, plus the set probes of the scan per second of median scan_s when
-the report counts them (SearchReport.scan_probes).  Per kernel case it holds
-the raw samples and their median, minimum and quartiles as us_per_call.  The
-machine facts are nproc, the CPU model and the Python version.
+KERNEL_MIN_S of calls.  One kernel case is the identity suite,
+run_random_suite, on one fixed seed and case count.  Every run adds its
+samples to the case under --label in --out, so a parent tree and a changed
+tree can be timed alternately into one file; the statistics are recomputed
+over all samples of a label.  Per search case the file holds the raw
+samples, and for the whole run (wall_s) and each phase of
+SearchReport.phases the median, minimum and quartiles, in seconds, plus the
+set probes of the scan per second of median scan_s when the report counts
+them (SearchReport.scan_probes).  Per kernel case it holds the raw samples
+and their median, minimum and quartiles as us_per_call.  The machine facts
+are nproc, the CPU model and the Python version.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ def kernel_cases() -> dict[str, tuple]:
     from fractions import Fraction
 
     from bealsearch.exact_arith import classify_radical, iroot, is_perfect_power
+    from bealsearch.identity import run_random_suite
     from bealsearch.reparam import Plane, canonical_alpha_beta, scalar_m
     from bealsearch.triples import BealTriple
 
@@ -63,6 +66,7 @@ def kernel_cases() -> dict[str, tuple]:
                              [(1, r, d) for r, d in radicands]
                              + [(1, r ** d, d) for r, d in radicands]),
         "scalar_m 3,3,6,3,3,5": (scalar_m, [(triple, canonical_alpha_beta(triple, Plane.CB))]),
+        "run_random_suite 200 cases seed 15": (run_random_suite, [(200, 15)]),
     }
 
 

@@ -165,9 +165,8 @@ def _radical_obj(radical: Radical) -> dict:
 
 def _slope_obj(value) -> dict:
     if isinstance(value, Fraction):
-        x, y = smallest_lattice_point(value) if value > 0 else (None, None)
         return {"class": RATIONAL, "value": str(value),
-                "smallest_lattice_point": [x, y] if x is not None else None}
+                "smallest_lattice_point": list(smallest_lattice_point(value))}
     obj = _radical_obj(value)
     obj.pop("sign")
     obj["smallest_lattice_point"] = None

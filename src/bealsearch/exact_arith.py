@@ -45,25 +45,19 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     if n.bit_length() < 50:
         # float seed is within one of the true root at this size
         r = int(n ** (1.0 / k))
-        if r < 1:
-            r = 1
-        while r ** k > n:
-            r -= 1
-        while (r + 1) ** k <= n:
-            r += 1
-        return r, r ** k == n
-    # Integer Newton iteration from one unit above a float estimate of the
-    # root, kept to its top 52 bits.  The first step lands at or above the
-    # floor root (AM-GM), and the steps shrink quadratically from there.
-    e = math.log2(n) / k
-    shift = max(int(e) - 52, 0)
-    r = (int(2.0 ** (e - shift)) + 1) << shift
-    while True:
-        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
-        moved = abs(nxt - r)
-        r = nxt
-        if moved < 2:
-            break
+    else:
+        # Integer Newton iteration from one unit above a float estimate of the
+        # root, kept to its top 52 bits.  The first step lands at or above the
+        # floor root (AM-GM), and the steps shrink quadratically from there.
+        e = math.log2(n) / k
+        shift = max(int(e) - 52, 0)
+        r = (int(2.0 ** (e - shift)) + 1) << shift
+        while True:
+            nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+            moved = abs(nxt - r)
+            r = nxt
+            if moved < 2:
+                break
     while r ** k > n:
         r -= 1
     while (r + 1) ** k <= n:

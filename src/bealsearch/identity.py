@@ -3,9 +3,10 @@
 The two-term factoring
     p**v - q**w = (p+q)(p**(v-1) - q**(w-1)) - pq(p**(v-2) - q**(w-2))
 generalizes to a binomial-weighted sum whose upper limit n is a free choice:
-every non-negative n yields the same total.  Negative intermediate exponents
-are evaluated over exact rationals rather than restricted, which is what
-makes the free upper limit checkable verbatim.
+every non-negative n yields the same total, so general_expansion takes n as
+its caller's argument.  Negative intermediate exponents are evaluated over
+exact rationals rather than restricted, which is what makes the free upper
+limit checkable verbatim.
 
 A related table decomposes C**Z - B**Y into rows indexed by i, pairing the
 shared coefficient binom(X,i)(C+B)**(X-i)(-CB)**i with the difference term
@@ -26,24 +27,18 @@ COEFFICIENT_LIMIT = 10
 
 @dataclass(frozen=True)
 class ExpansionInstance:
-    """One (p, q, v, w, n) input to the expansion identities."""
+    """One (p, q, v, w) input; the free limit n is general_expansion's argument."""
 
     p: Fraction
     q: Fraction
     v: int
     w: int
-    n: int = 0
 
     def __post_init__(self):
-        # run_random_suite re-instantiates per free limit n; skip re-wrapping
-        if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", Fraction(self.p))
-        if not isinstance(self.q, Fraction):
-            object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "p", Fraction(self.p))
+        object.__setattr__(self, "q", Fraction(self.q))
         if self.p == 0 or self.q == 0:
             raise ValueError("p and q must be non-zero")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,6 @@ def expand_difference(inst: ExpansionInstance) -> tuple[Fraction, Fraction]:
     """Evaluate both sides of the two-term factoring; they must be equal.
 
     Returns (lhs, rhs) with lhs = p**v - q**w and rhs the factored form.
-    inst.n is ignored.
     """
     p, q, v, w = inst.p, inst.q, inst.v, inst.w
     lhs = p ** v - q ** w
@@ -72,7 +66,7 @@ def expand_difference(inst: ExpansionInstance) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def general_expansion(inst: ExpansionInstance) -> Fraction:
+def general_expansion(inst: ExpansionInstance, n: int) -> Fraction:
     """Binomial-weighted expansion of p**v - q**w with free upper limit n.
 
     Returns sum_{i=0}^{n} binom(n,i) (p+q)**(n-i) (-pq)**i (p**(v-n-i) - q**(w-n-i)),
@@ -83,7 +77,9 @@ def general_expansion(inst: ExpansionInstance) -> Fraction:
     arithmetic with p**v - q**w computed in Fraction, so the suite compares
     two independent paths.
     """
-    v, w, n = inst.v, inst.w, inst.n
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    v, w = inst.v, inst.w
     a, b = inst.p.numerator, inst.p.denominator
     c, d = inst.q.numerator, inst.q.denominator
     # Exponents run from v-n down to v-2n.  Over the denominator a**ka * b**kb,
@@ -143,7 +139,6 @@ def random_instances(count: int, seed: int = 0):
             q=_nonzero_fraction(rng),
             v=rng.randint(lo, hi),
             w=rng.randint(lo, hi),
-            n=rng.choice(FREE_LIMIT_RANGE),
         )
 
 
@@ -152,8 +147,7 @@ def run_random_suite(cases: int, seed: int = 0) -> list[str]:
 
     For each instance the two-term factoring must match p**v - q**w exactly
     and the general expansion must reproduce it for every n in the free-limit
-    range, not just the instance's own n.  Returns failure descriptions
-    (empty means everything held).
+    range.  Returns failure descriptions (empty means everything held).
     """
     failures = []
     for inst in random_instances(cases, seed):
@@ -162,8 +156,7 @@ def run_random_suite(cases: int, seed: int = 0) -> list[str]:
             failures.append(f"two-term factoring broke on {inst}: {lhs} != {rhs}")
             continue
         for n in FREE_LIMIT_RANGE:
-            total = general_expansion(ExpansionInstance(inst.p, inst.q, inst.v, inst.w, n))
-            if total != lhs:
+            if general_expansion(inst, n) != lhs:
                 failures.append(f"free-limit expansion broke on {inst} at n={n}")
                 break
     return failures

@@ -38,10 +38,10 @@ def test_expand_difference_examples():
 
 
 def test_general_expansion_examples():
-    base = ExpansionInstance(Fraction(2), Fraction(3), 3, 2, 2)
-    assert general_expansion(base) == -1
-    assert general_expansion(ExpansionInstance(Fraction(2), Fraction(3), 3, 2, 0)) == -1
-    assert general_expansion(ExpansionInstance(Fraction(2), Fraction(3), 3, 2, 5)) == -1
+    base = ExpansionInstance(Fraction(2), Fraction(3), 3, 2)
+    assert general_expansion(base, 2) == -1
+    assert general_expansion(base, 0) == -1
+    assert general_expansion(base, 5) == -1
 
 
 def test_general_expansion_n2_terms():
@@ -57,19 +57,17 @@ def test_general_expansion_n2_terms():
 
 
 def test_instance_keeps_fractions_and_wraps_other_numbers():
-    # run_random_suite builds one instance per free limit from the same p, q
     p = Fraction(2, 3)
     inst = ExpansionInstance(p, 5, 2, 3)
-    assert inst.p is p
+    assert inst.p == p
     assert type(inst.q) is Fraction and inst.q == 5
-    assert ExpansionInstance(inst.p, inst.q, 2, 3, 4).q is inst.q
 
 
 def test_instance_validation():
     with pytest.raises(ValueError):
         ExpansionInstance(Fraction(0), Fraction(3), 1, 1)
-    with pytest.raises(ValueError):
-        ExpansionInstance(Fraction(2), Fraction(3), 1, 1, -1)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        general_expansion(ExpansionInstance(Fraction(2), Fraction(3), 1, 1), -1)
 
 
 @settings(deadline=None)
@@ -86,14 +84,14 @@ def test_two_term_identity_property(p, q, v, w):
 def test_free_upper_limit_property(p, q, v, w):
     expected = p ** v - q ** w
     for n in range(0, 11):
-        assert general_expansion(ExpansionInstance(p, q, v, w, n)) == expected
+        assert general_expansion(ExpansionInstance(p, q, v, w), n) == expected
 
 
 @settings(deadline=None, max_examples=300)
 @given(nonzero_fractions, nonzero_fractions, exponents, exponents,
        st.sampled_from(FREE_LIMIT_RANGE))
 def test_integer_expansion_matches_fraction_reference(p, q, v, w, n):
-    assert general_expansion(ExpansionInstance(p, q, v, w, n)) == fraction_expansion(p, q, v, w, n)
+    assert general_expansion(ExpansionInstance(p, q, v, w), n) == fraction_expansion(p, q, v, w, n)
 
 
 @pytest.mark.parametrize("p, q, v, w, n", [
@@ -102,7 +100,7 @@ def test_integer_expansion_matches_fraction_reference(p, q, v, w, n):
     (Fraction(-3, 2), Fraction(-7, 5), -4, -4, 10),  # exponents down to -24
 ])
 def test_integer_expansion_fixed_cases(p, q, v, w, n):
-    total = general_expansion(ExpansionInstance(p, q, v, w, n))
+    total = general_expansion(ExpansionInstance(p, q, v, w), n)
     assert total == fraction_expansion(p, q, v, w, n) == p ** v - q ** w
 
 
@@ -143,8 +141,8 @@ def test_expansion_table_validation():
 
 def test_random_suite_is_deterministic_and_clean():
     assert run_random_suite(200, seed=7) == []
-    first = [(i.p, i.q, i.v, i.w, i.n) for i in random_instances(50, seed=3)]
-    second = [(i.p, i.q, i.v, i.w, i.n) for i in random_instances(50, seed=3)]
+    first = [(i.p, i.q, i.v, i.w) for i in random_instances(50, seed=3)]
+    second = [(i.p, i.q, i.v, i.w) for i in random_instances(50, seed=3)]
     assert first == second
 
 
@@ -154,6 +152,5 @@ def test_random_instances_cover_the_contract_domain():
         assert inst.p != 0 and inst.q != 0
         assert abs(inst.p.numerator) <= 10 and inst.p.denominator <= 10
         assert -4 <= inst.v <= 12 and -4 <= inst.w <= 12
-        assert 0 <= inst.n <= 10
         seen_midpoint = seen_midpoint or inst.p.denominator > 1 or inst.q.denominator > 1
     assert seen_midpoint

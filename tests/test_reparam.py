@@ -127,6 +127,51 @@ def test_scalar_m_encloses_in_one_round(monkeypatch):
     assert calls == [256 + 5] * 3
 
 
+def test_scalar_m_doubles_bits_when_the_relative_bound_fails(monkeypatch):
+    import bealsearch.reparam as reparam_mod
+
+    calls = []
+    real = reparam_mod.enclose
+    pair = canonical_alpha_beta(HIT_3365, Plane.CB)
+    reference = scalar_m(HIT_3365, pair, 512)
+
+    def widened_once(value, bits):
+        calls.append(bits)
+        interval = real(value, bits)
+        if value is pair.beta and bits == 256 + 5:
+            # still a true enclosure, but far too wide for 2**-255 relative error
+            return IntervalValue(interval.lo - Fraction(1, 2 ** 100),
+                                 interval.hi + Fraction(1, 2 ** 100))
+        return interval
+
+    monkeypatch.setattr(reparam_mod, "enclose", widened_once)
+    m = scalar_m(HIT_3365, pair)
+    assert calls == [261] * 3 + [522] * 3
+    assert isinstance(m, IntervalValue)
+    assert m.width * 2 ** 255 <= abs(m.mid)
+    assert m.lo <= reference.hi and reference.lo <= m.hi
+
+
+def test_scalar_m_gives_up_after_five_rounds_of_a_zero_denominator(monkeypatch):
+    import bealsearch.reparam as reparam_mod
+
+    calls = []
+    real = reparam_mod.enclose
+    pair = canonical_alpha_beta(HIT_3365, Plane.CB)
+
+    def wide_beta(value, bits):
+        calls.append(bits)
+        if value is pair.beta:
+            # (C+B)*alpha - C*B*beta = 18 - 18*[0, 2] = [-18, 18] encloses 0
+            return IntervalValue(Fraction(0), Fraction(2))
+        return real(value, bits)
+
+    monkeypatch.setattr(reparam_mod, "enclose", wide_beta)
+    with pytest.raises(ZeroDenominator, match=f"at {32 * 261} bits"):
+        scalar_m(HIT_3365, pair)
+    assert calls == [bits for bits in (261, 522, 1044, 2088, 4176) for _ in range(3)]
+
+
 def test_scalar_m_zero_denominator():
     pair = ReparamPair(
         alpha=Radical.of(Fraction(2), 1),
