@@ -1,10 +1,15 @@
-"""Time bealsearch's search and exact kernels in-process and record the numbers.
+"""Time bealsearch's search and exact kernels and record the numbers.
 
-    python bench/run.py --label change --out BENCH_15.json
-    python bench/run.py --label parent --src ../parent/src --out BENCH_15.json
+    python bench/run.py --label change --out BENCH_16.json
+    python bench/run.py --label parent --src ../parent/src --out BENCH_16.json
+    python bench/run.py --label change --out BENCH_16.json --repeats-1e18 1
 
 Each search case is one search (bound, minimums 3,3,3, workers), run
---repeats times in this process after one untimed warm-up search at 10^12.
+--repeats times in a fresh process that runs only that case, after one
+untimed warm-up search at 10^6, whose peak memory is below every case's.
+That process's peak RSS, the larger of its own and its pool workers', is
+the case's peak_rss_mb sample, so one case's peak cannot show in another's.
+The search at 10^18 (about a minute per run) is a case only with --repeats-1e18.
 Each kernel case calls one exact kernel on a fixed, seeded list of inputs,
 --repeats times; a sample is the mean time per call over at least
 KERNEL_MIN_S of calls.  One kernel case is the identity suite,
@@ -12,8 +17,8 @@ run_random_suite, on one fixed seed and case count.  Every run adds its
 samples to the case under --label in --out, so a parent tree and a changed
 tree can be timed alternately into one file; the statistics are recomputed
 over all samples of a label.  Per search case the file holds the raw
-samples, and for the whole run (wall_s) and each phase of
-SearchReport.phases the median, minimum and quartiles, in seconds, plus the
+samples, and for the whole run (wall_s), each phase of SearchReport.phases
+and peak_rss_mb the median, minimum and quartiles, in seconds or MB, plus the
 set probes of the scan per second of median scan_s when the report counts
 them (SearchReport.scan_probes).  Per kernel case it holds the raw samples
 and their median, minimum and quartiles as us_per_call.  The machine facts
@@ -24,9 +29,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import random
+import resource
 import statistics
 import sys
 import time
@@ -117,6 +124,33 @@ def time_case(search, bound: int, workers: int, repeats: int) -> tuple[list[dict
     return samples, counts
 
 
+def peak_rss_mb() -> float:
+    """This process's peak RSS, or its largest waited-for child's, in MB."""
+    return max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
+
+
+def case_in_process(bound: int, workers: int, repeats: int, conn) -> None:
+    import bealsearch.search as search  # from the --src the spawning process put on sys.path
+
+    search.search_solutions(search.SearchConfig(bound=10 ** 6))  # warm-up, untimed
+    samples, counts = time_case(search, bound, workers, repeats)
+    conn.send((samples, counts, peak_rss_mb()))
+
+
+def run_case(bound: int, workers: int, repeats: int) -> tuple[list[dict], dict, float]:
+    """time_case in a fresh process that runs only this case, and its peak RSS."""
+    context = multiprocessing.get_context("spawn")
+    receiver, sender = context.Pipe(duplex=False)
+    process = context.Process(target=case_in_process, args=(bound, workers, repeats, sender))
+    process.start()
+    sender.close()  # so recv raises EOFError, not waits, if the process dies
+    try:
+        return receiver.recv()
+    finally:
+        process.join()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of the tree timed, e.g. parent")
@@ -124,9 +158,14 @@ def main(argv=None) -> int:
                         help="directory holding the bealsearch package to time")
     parser.add_argument("--out", required=True, help="JSON file to add the samples to")
     parser.add_argument("--repeats", type=int, default=5, help="timed runs per case")
+    parser.add_argument("--repeats-1e18", type=int, default=0,
+                        help="timed runs of the search at 10^18, about a minute each "
+                             "(default 0: no such case)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    if args.repeats_1e18 < 0:
+        parser.error("--repeats-1e18 must be >= 0")
 
     sys.path.insert(0, str(Path(args.src).resolve()))
     import bealsearch.search as search
@@ -139,13 +178,15 @@ def main(argv=None) -> int:
                       "python": platform.python_version()}
     runs = doc.setdefault("runs", {}).setdefault(args.label, {})
 
-    search.search_solutions(search.SearchConfig(bound=10 ** 12))  # warm-up, untimed
-    for bound, workers in CASES:
+    cases = [(bound, workers, args.repeats) for bound, workers in CASES]
+    if args.repeats_1e18:
+        cases.append((10 ** 18, 1, args.repeats_1e18))
+    for bound, workers, repeats in cases:
         if workers > (os.cpu_count() or 1):
             print(f"skip bound 10^{len(str(bound)) - 1} workers {workers}: too few CPUs")
             continue
         name = f"search 10^{len(str(bound)) - 1} workers {workers}"
-        samples, counts = time_case(search, bound, workers, args.repeats)
+        samples, counts, rss = run_case(bound, workers, repeats)
         case = runs.setdefault(name, {"bound": str(bound), "minimums": [3, 3, 3],
                                       "workers": workers, "samples": []})
         case["samples"] += samples
@@ -155,8 +196,11 @@ def main(argv=None) -> int:
             case[key] = summary([sample[key] for sample in case["samples"]])
         probes = counts["scan_probes"]
         case["probes_per_s"] = probes / case["scan_s"]["median"] if probes else None
+        case.setdefault("peak_rss_mb_samples", []).append(rss)
+        case["peak_rss_mb"] = summary(case["peak_rss_mb_samples"])
         print(f"{args.label}: {name}: wall {case['wall_s']['median']:.3f} s, "
-              f"scan {case['scan_s']['median']:.3f} s over {case['repeats']} runs")
+              f"scan {case['scan_s']['median']:.3f} s over {case['repeats']} runs, "
+              f"peak RSS {rss:.1f} MB")
     for name, (kernel, calls) in kernel_cases().items():
         case = runs.setdefault(f"kernel {name}", {"calls": len(calls), "samples": []})
         case["samples"] += time_kernel(kernel, calls, args.repeats)

@@ -60,9 +60,9 @@ class HitRecord:
             B=str(triple.B), Y=str(triple.Y),
             C=str(triple.C), Z=str(triple.Z),
             A_pow_X=str(triple.ax), B_pow_Y=str(triple.by), C_pow_Z=str(triple.cz),
-            gcd_abc=str(hit.gcd_abc),
-            alpha_class=hit.alpha_class.kind,
-            beta_class=hit.beta_class.kind,
+            gcd_abc=str(triple.gcd_abc),
+            alpha_class=hit.pair.alpha.classification.kind,
+            beta_class=hit.pair.beta.classification.kind,
             m_cb=str(slopes.m_cb), m_ca=str(slopes.m_ca), m_ba=str(slopes.m_ba),
         )
 

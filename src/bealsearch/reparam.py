@@ -123,9 +123,9 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
         if exact_root is not None:
             return exact_root / denominator
 
-    bits = precision_bits + prod.bit_length()
+    first = precision_bits + prod.bit_length()
     zero_enclosed = False
-    for _ in range(_MAX_ESCALATIONS):
+    for bits in (first << k for k in range(_MAX_ESCALATIONS)):
         num = enclose(root, bits)
         den = s * enclose(pair.alpha, bits) - prod * enclose(pair.beta, bits)
         zero_enclosed = 0 in den
@@ -133,7 +133,6 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
             m = num / den
             if m.width * 2 ** (precision_bits - 1) <= abs(m.mid):
                 return m
-        bits *= 2
     if zero_enclosed:
         raise ZeroDenominator(
             f"denominator still encloses 0 at {bits} bits for {triple} ({pair.plane.value})")

@@ -1,9 +1,8 @@
 """Bounded exhaustive search for A**X + B**Y = C**Z.
 
-The main engine enumerates every reduced-base perfect power up to the bound
-(a sieve over the bases marks the perfect powers, with no root per base)
-and finds each qualifying pair a + b = c (a <= b, c a right-side power)
-exactly once.  Its reduced exponent puts each value in one of three classes:
+The main engine finds each qualifying pair a + b = c (a <= b, c a
+right-side power) of reduced-base perfect powers up to the bound exactly
+once.  Its reduced exponent puts each value in one of three classes:
 
   K  a cube: 3 divides the exponent;
   Q  the exponent is a power of two, so the value is a 4th power;
@@ -42,6 +41,12 @@ partners are built once per search as 63 + 80 sorted lists, keyed by the
 residue of v, so each sweep is one bisect and one C-level set intersection
 per value.
 
+Only a cube of reduced exponent 3 can have a base above bound**(1/4), and
+the scan reads cubes only as set members.  So those cubes are plain values
+n**3, and a PowerEntry table (a sieve over the bases, no root per base) holds
+the powers of exponent >= 4: at 10**18, 37,112 entries beside 999,999 cube
+values.  A hit's term that the table lacks is such a cube, of base its root.
+
 The scan is striped by index of v across workers; the annotated hits are
 sorted by SearchHit.sort_key, so reports are deterministic for any worker
 count.  A deliberately naive triple-enumeration oracle with its own power
@@ -58,6 +63,7 @@ applied once, where the triples are built.
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import time
 from array import array
@@ -71,14 +77,14 @@ from typing import NamedTuple
 
 from .coprime import Restriction, exponent_restriction
 from .errors import BoundTooLarge
-from .exact_arith import RadicalClass, iroot, is_perfect_power
+from .exact_arith import iroot, is_perfect_power
 from .reparam import Plane, ReparamPair, canonical_alpha_beta
 from .slopes import SlopeSet, slope_set
 from .triples import BealTriple
 
 ORACLE_MAX_BOUND = 10 ** 7
-# A search's power table, at about 280 bytes per power with its index (295 MB
-# for the 1,036,001 powers to 10**18): about 560 MB.  10**21 needs about 10**7.
+# About 120 bytes per power, mostly the cube values and their set (141 MB peak RSS
+# for the 1,036,001 powers to 10**18): about 260 MB.  10**21 needs about 10**7.
 MAX_POWERS = 2 * 10 ** 6
 
 
@@ -125,18 +131,6 @@ class SearchHit:
 
     def failed_checks(self) -> list[str]:
         return [name for name, ok in self.checks.items() if not ok]
-
-    @property
-    def gcd_abc(self) -> int:
-        return self.triple.gcd_abc
-
-    @property
-    def alpha_class(self) -> RadicalClass:
-        return self.pair.alpha.classification
-
-    @property
-    def beta_class(self) -> RadicalClass:
-        return self.pair.beta.classification
 
     @property
     def sort_key(self) -> tuple[int, int, int]:
@@ -227,18 +221,19 @@ def _partner_lists(values: list[int], modulus: int, residues: frozenset) -> list
 
 
 class _Lanes(NamedTuple):
-    """What the scan reads; every list is sorted by value."""
+    """What the scan reads; every list is sorted by value.  Only the
+    non-cubes are PowerEntry tuples; every cube is a plain value."""
 
     bound: int
     lo_exp: int                 # the smaller left minimum
     min_z: int
-    non_cubes: list[PowerEntry]  # entries that are not cubes
+    non_cubes: list[PowerEntry]  # the table's entries that are not cubes
     spf: array                  # smallest prime factor of each n <= the largest such base
     left_other: list[int]       # left values that are not cubes
     left_other_set: set[int]
     left_h: set[int]            # left values in class H
-    left_cubes: set[int]        # left values that are cubes
-    right_cubes: set[int]       # right values that are cubes
+    left_cubes: set[int]        # left cube values: every n**3 when lo_exp is 3
+    right_cubes: set[int]       # right cube values: every n**3 when min_z is 3
     right_quartics: set[int]    # right values in class Q
     cube_partners: list[list[int]]     # _partner_lists(left_other, 63, CUBE_RESIDUES)
     quartic_partners: list[list[int]]  # _partner_lists(left_other, 80, QUARTIC_RESIDUES)
@@ -460,20 +455,26 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         if powers > MAX_POWERS:
             raise BoundTooLarge(f"bound {config.bound} needs more than the "
                                 f"{MAX_POWERS} powers a search builds")
-    entries = enumerate_powers(config.bound, min_exp=min_exp)
+    table = enumerate_powers(config.bound, max(min_exp, 4))  # no cube of exponent 3
+    # The cube values of reduced exponent >= each minimum; for 3, every n**3.
+    cubes = {least: [entry.value for entry in table
+                     if entry.exponent % 3 == 0 and entry.exponent >= least]
+             for least in {lo_exp, config.min_z} - {3}}
+    if min_exp == 3:
+        cubes[3] = [n * n * n for n in range(2, iroot(config.bound, 3)[0] + 1)]
     enumerated = time.perf_counter()
 
-    left = [entry for entry in entries if entry.exponent >= lo_exp]
-    low = [entry.value for entry in left if entry.exponent < hi_exp]
+    index = {entry.value: entry for entry in table}
+    non_cubes = [entry for entry in table if entry.exponent % 3]
+    left_other = [entry.value for entry in non_cubes if entry.exponent >= lo_exp]
+    left = list(heapq.merge(cubes[lo_exp], left_other))
+    # A left value the table does not hold has exponent 3 < hi_exp.
+    low = ([v for v in left if v not in index or index[v].exponent < hi_exp]
+           if hi_exp > lo_exp else [])
     # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
     # meeting the minimums): all left pairs minus the pairs of two low values.
-    pairs_tested = (_pairs_within([entry.value for entry in left], config.bound)
-                    - _pairs_within(low, config.bound))
-    power_index = {entry.value: entry for entry in entries}
-    non_cubes = [entry for entry in entries if entry.exponent % 3]
-    cubes = [entry for entry in entries if entry.exponent % 3 == 0]
-    left_other = [entry.value for entry in left if entry.exponent % 3]
-    left_cubes = {entry.value for entry in cubes if entry.exponent >= lo_exp}
+    pairs_tested = _pairs_within(left, config.bound) - _pairs_within(low, config.bound)
+    left_cubes = set(cubes[lo_exp])
     lanes = _Lanes(
         bound=config.bound,
         lo_exp=lo_exp,
@@ -482,11 +483,10 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         spf=_smallest_prime_factors(max((entry.base for entry in non_cubes), default=1)),
         left_other=left_other,
         left_other_set=set(left_other),
-        left_h={entry.value for entry in left
-                if entry.exponent % 3 and not _is_quartic(entry.exponent)},
+        left_h={entry.value for entry in non_cubes
+                if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)},
         left_cubes=left_cubes,
-        right_cubes=(left_cubes if config.min_z == lo_exp else
-                     {entry.value for entry in cubes if entry.exponent >= config.min_z}),
+        right_cubes=left_cubes if config.min_z == lo_exp else set(cubes[config.min_z]),
         right_quartics={entry.value for entry in non_cubes
                         if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
         cube_partners=_partner_lists(left_other, 63, CUBE_RESIDUES),
@@ -501,16 +501,17 @@ def search_solutions(config: SearchConfig) -> SearchReport:
                                   initargs=(lanes,)) as pool:
             results = pool.map(_match_in_worker, stripes)
 
+    def base_exponent(value: int) -> tuple[int, int]:  # a value the table lacks is n**3
+        return index[value][1:] if value in index else (iroot(value, 3)[0], 3)
+
     triples = []
     for found, _ in results:
         for pair in found:
-            a, b = (power_index[value] for value in sorted(pair))
-            if max(a.exponent, b.exponent) >= hi_exp:
-                c = power_index[a.value + b.value]
-                triples.append(BealTriple(a.base, a.exponent, b.base, b.exponent,
-                                          c.base, c.exponent))
-    return _report(config, triples, len(entries), pairs_tested, started, enumerated, indexed,
-                   sum(probes for _, probes in results))
+            (a, x), (b, y) = map(base_exponent, sorted(pair))
+            if max(x, y) >= hi_exp:
+                triples.append(BealTriple(a, x, b, y, *base_exponent(sum(pair))))
+    return _report(config, triples, len(non_cubes) + len(cubes[min_exp]), pairs_tested,
+                   started, enumerated, indexed, sum(probes for _, probes in results))
 
 
 def _oracle_powers(bound: int, min_exp: int) -> list[tuple[int, int, int]]:

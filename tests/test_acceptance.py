@@ -62,8 +62,8 @@ def test_criterion_2_desk_scale_regime():
         elapsed = time.perf_counter() - started
         assert elapsed < 600.0, f"search took {elapsed:.1f}s"
         assert len(report.hits) > 0
-        assert all(hit.gcd_abc > 1 for hit in report.hits)
-        coprime_hits = [hit for hit in report.hits if hit.gcd_abc == 1]
+        assert all(hit.triple.gcd_abc > 1 for hit in report.hits)
+        coprime_hits = [hit for hit in report.hits if hit.triple.gcd_abc == 1]
         assert coprime_hits == []
         # every desk-scale hit passes the full verification bundle, which
         # includes slope rationality and the rational-parameter/common-factor

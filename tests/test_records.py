@@ -149,6 +149,14 @@ def _sha256(text: str) -> str:
     (10 ** 12, (3, 3, 3), 1,
      "54419fd03f7ffa33e9319190f05d42661f0fca654dddc0abb30fc122fa9ce3ab",
      "042693fdff07c0828bb8ff69183c24340589d843500b2d09734e3d888bb68ce3"),
+    # the right cubes differ from the left ones
+    (10 ** 10, (3, 3, 4), 1,
+     "dee3a8e5aa5e47afe9dea5c69dd284e9a080adf45a636c6e28957d695f3fe45c",
+     "24d73047d894feb4703cee4509bbd99ae132335204e7dd12f164dc85d5be1f6d"),
+    # every cube is a power of exponent 6 or more, taken from the table
+    (10 ** 10, (5, 4, 6), 1,
+     "02aeb4a1cc1a09f966c8eeb17190404ee5b4c56ff2fffc360148dc4284d16ec0",
+     "358b3ae8cde60acdd237d20f707d0bce78f349b92496738fcc179c76ead969ae"),
 ])
 def test_search_output_bytes_are_pinned(bound, minimums, workers, csv_digest, json_digest):
     report = search_solutions(SearchConfig(bound, *minimums, workers=workers))

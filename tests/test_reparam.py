@@ -167,7 +167,7 @@ def test_scalar_m_gives_up_after_five_rounds_of_a_zero_denominator(monkeypatch):
         return real(value, bits)
 
     monkeypatch.setattr(reparam_mod, "enclose", wide_beta)
-    with pytest.raises(ZeroDenominator, match=f"at {32 * 261} bits"):
+    with pytest.raises(ZeroDenominator, match=f"at {16 * 261} bits"):
         scalar_m(HIT_3365, pair)
     assert calls == [bits for bits in (261, 522, 1044, 2088, 4176) for _ in range(3)]
 

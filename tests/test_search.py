@@ -76,7 +76,7 @@ def test_search_examples():
     triples = report.triples
     assert BealTriple(3, 3, 6, 3, 3, 5) in triples
     assert BealTriple(7, 3, 7, 4, 14, 3) in triples
-    assert all(hit.gcd_abc > 1 for hit in report.hits)
+    assert all(hit.triple.gcd_abc > 1 for hit in report.hits)
 
 
 def test_search_hits_are_sorted_and_verified():
@@ -171,6 +171,23 @@ def _lookup_reference(bound: int, minimums: tuple[int, int, int]) -> list[BealTr
     return sorted(found, key=lambda t: (t.cz, t.by, t.ax))
 
 
+def _pairs_reference(bound: int, minimums: tuple[int, int, int]) -> int:
+    """pairs_tested counted from the full power table: each value a with its
+    partners b >= a, a + b <= bound, where either orientation of (a, b)
+    meets (min_x, min_y)."""
+    min_x, min_y, _ = minimums
+    entries = enumerate_powers(bound, min(minimums))
+    left = [entry for entry in entries if entry.exponent >= min(min_x, min_y)]
+    values = [entry.value for entry in left]
+    high = [entry.value for entry in left if entry.exponent >= max(min_x, min_y)]
+    count = 0
+    for a in left:
+        # a low value (exponent below both minimums' maximum) needs a high partner
+        partners = values if a.exponent >= max(min_x, min_y) else high
+        count += max(0, bisect_right(partners, bound - a.value) - bisect_left(partners, a.value))
+    return count
+
+
 @pytest.mark.parametrize("minimums", [(3, 3, 3), (3, 4, 3), (3, 5, 4), (4, 4, 3),
                                       (3, 3, 4), (3, 5, 3), (4, 3, 3), (3, 3, 6),
                                       (5, 5, 5)])
@@ -179,6 +196,9 @@ def test_search_matches_plain_lookup_past_the_oracle(minimums):
     report = search_solutions(SearchConfig(bound=10 ** 10, min_x=min_x, min_y=min_y,
                                            min_z=min_z))
     assert report.triples == _lookup_reference(10 ** 10, minimums)
+    # The search counts its powers and pairs without building the full table.
+    assert report.counts["powers_enumerated"] == len(enumerate_powers(10 ** 10, min(minimums)))
+    assert report.counts["pairs_tested"] == _pairs_reference(10 ** 10, minimums)
 
 
 def _scan_lanes(monkeypatch, config):
@@ -310,6 +330,21 @@ def test_huge_exponent_minimums_build_no_power():
     assert enumerate_powers(10 ** 12, 40) == []
 
 
+def test_search_builds_no_entry_for_a_cube_of_exponent_3(monkeypatch):
+    # The cubes n**3 of exponent 3 are plain values: the table starts at exponent 4.
+    calls = []
+    real = search_mod.enumerate_powers
+
+    def recording(bound, min_exp=3):
+        calls.append(min_exp)
+        return real(bound, min_exp)
+
+    monkeypatch.setattr(search_mod, "enumerate_powers", recording)
+    for minimums in ((3, 3, 3), (4, 3, 3), (3, 3, 4), (5, 4, 6), (5, 5, 5)):
+        assert search_solutions(SearchConfig(10 ** 8, *minimums)).hits
+    assert calls == [4, 4, 4, 4, 5]
+
+
 class _Built(Exception):
     """Raised by a stand-in enumerate_powers: the bound passed the ceiling."""
 
@@ -382,7 +417,7 @@ def test_config_validation():
 
 def test_verify_hit_examples():
     hit = verify_hit(BealTriple(3, 3, 6, 3, 3, 5))
-    assert hit.passed and hit.gcd_abc == 3
+    assert hit.passed and hit.triple.gcd_abc == 3
 
     hit = verify_hit(BealTriple(2, 3, 2, 3, 2, 5))
     assert not hit.passed
@@ -405,9 +440,9 @@ def test_verify_hit_orientation_aware_minimums():
 
 def test_annotate_hit_bundle():
     hit = annotate_hit(BealTriple(3, 3, 6, 3, 3, 5))
-    assert hit.gcd_abc == 3
-    assert hit.alpha_class.value == 2
-    assert hit.beta_class.kind == "irrational"
+    assert hit.triple.gcd_abc == 3
+    assert hit.pair.alpha.classification.value == 2
+    assert hit.pair.beta.classification.kind == "irrational"
     assert hit.slopes.m_cb == hit.triple.C / hit.triple.B == 0.5
     assert hit.passed
 
@@ -439,5 +474,6 @@ def test_annotate_hit_computes_slopes_and_pair_once(monkeypatch):
 def test_rational_parameters_imply_common_factor_over_hits():
     report = search_solutions(SearchConfig(bound=10 ** 6))
     for hit in report.hits:
-        if hit.alpha_class.is_rational or hit.beta_class.is_rational:
-            assert hit.gcd_abc > 1, hit.triple
+        if (hit.pair.alpha.classification.is_rational
+                or hit.pair.beta.classification.is_rational):
+            assert hit.triple.gcd_abc > 1, hit.triple
