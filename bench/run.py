@@ -1,8 +1,8 @@
 """Time bealsearch's search and exact kernels and record the numbers.
 
-    python bench/run.py --label change --out BENCH_16.json
-    python bench/run.py --label parent --src ../parent/src --out BENCH_16.json
-    python bench/run.py --label change --out BENCH_16.json --repeats-1e18 1
+    python bench/run.py --label change --out BENCH_17.json
+    python bench/run.py --label parent --src ../parent/src --out BENCH_17.json
+    python bench/run.py --label change --out BENCH_17.json --repeats-1e18 1
 
 Each search case is one search (bound, minimums 3,3,3, workers), run
 --repeats times in a fresh process that runs only that case, after one
@@ -10,6 +10,11 @@ untimed warm-up search at 10^6, whose peak memory is below every case's.
 That process's peak RSS, the larger of its own and its pool workers', is
 the case's peak_rss_mb sample, so one case's peak cannot show in another's.
 The search at 10^18 (about a minute per run) is a case only with --repeats-1e18.
+The classify case runs `bealsearch classify` on perfbench's first
+classify_batch (100 family solutions, then 100 random non-solutions), once
+in each of --repeats fresh processes that have imported only bealsearch.cli,
+so the tables the first call builds are timed with it.  It records that
+time, the process's peak RSS and the sha256 of every exit code and stdout.
 Each kernel case calls one exact kernel on a fixed, seeded list of inputs,
 --repeats times; a sample is the mean time per call over at least
 KERNEL_MIN_S of calls.  One kernel case is the identity suite,
@@ -28,6 +33,9 @@ are nproc, the CPU model and the Python version.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -39,7 +47,10 @@ import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 CASES = [(10 ** 12, 1), (10 ** 14, 1), (10 ** 16, 1), (10 ** 14, 2)]
+# perfbench's first classify_batch child: seed 1, iteration 0
+CLASSIFY_SEED = 1_000_003
 PHASES = ("enumerate_s", "index_s", "scan_s", "annotate_s")
 KERNEL_MIN_S = 0.05
 
@@ -138,11 +149,28 @@ def case_in_process(bound: int, workers: int, repeats: int, conn) -> None:
     conn.send((samples, counts, peak_rss_mb()))
 
 
-def run_case(bound: int, workers: int, repeats: int) -> tuple[list[dict], dict, float]:
-    """time_case in a fresh process that runs only this case, and its peak RSS."""
+def classify_in_process(conn) -> None:
+    import bealsearch.cli as cli  # from the --src the spawning process put on sys.path
+    from workloads import classify_inputs  # perfbench's, on sys.path too
+
+    outputs = []
+    triples = classify_inputs(CLASSIFY_SEED, smoke=False)
+    started = time.perf_counter()
+    for triple in triples:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = cli.main(["classify", "--triple", ",".join(map(str, triple))])
+        outputs.append(f"{code}\n{buffer.getvalue()}")
+    seconds = time.perf_counter() - started
+    digest = hashlib.sha256("".join(outputs).encode("utf-8")).hexdigest()
+    conn.send((seconds, len(triples), digest, peak_rss_mb()))
+
+
+def in_fresh_process(target, *args):
+    """What target(*args, conn) sends, run in a fresh process that runs only it."""
     context = multiprocessing.get_context("spawn")
     receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(target=case_in_process, args=(bound, workers, repeats, sender))
+    process = context.Process(target=target, args=(*args, sender))
     process.start()
     sender.close()  # so recv raises EOFError, not waits, if the process dies
     try:
@@ -154,7 +182,7 @@ def run_case(bound: int, workers: int, repeats: int) -> tuple[list[dict], dict, 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of the tree timed, e.g. parent")
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+    parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the bealsearch package to time")
     parser.add_argument("--out", required=True, help="JSON file to add the samples to")
     parser.add_argument("--repeats", type=int, default=5, help="timed runs per case")
@@ -167,6 +195,7 @@ def main(argv=None) -> int:
     if args.repeats_1e18 < 0:
         parser.error("--repeats-1e18 must be >= 0")
 
+    sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(Path(args.src).resolve()))
     import bealsearch.search as search
     if not Path(search.__file__).resolve().is_relative_to(Path(args.src).resolve()):
@@ -186,7 +215,7 @@ def main(argv=None) -> int:
             print(f"skip bound 10^{len(str(bound)) - 1} workers {workers}: too few CPUs")
             continue
         name = f"search 10^{len(str(bound)) - 1} workers {workers}"
-        samples, counts, rss = run_case(bound, workers, repeats)
+        samples, counts, rss = in_fresh_process(case_in_process, bound, workers, repeats)
         case = runs.setdefault(name, {"bound": str(bound), "minimums": [3, 3, 3],
                                       "workers": workers, "samples": []})
         case["samples"] += samples
@@ -201,6 +230,19 @@ def main(argv=None) -> int:
         print(f"{args.label}: {name}: wall {case['wall_s']['median']:.3f} s, "
               f"scan {case['scan_s']['median']:.3f} s over {case['repeats']} runs, "
               f"peak RSS {rss:.1f} MB")
+    case = runs.setdefault("classify batch cold", {"seed": CLASSIFY_SEED, "samples": []})
+    for _ in range(args.repeats):
+        seconds, triples, digest, rss = in_fresh_process(classify_in_process)
+        case["samples"].append({"wall_s": seconds, "peak_rss_mb": rss})
+        case["triples"] = triples
+        case.setdefault("output_sha256", digest)
+        if digest != case["output_sha256"]:
+            raise SystemExit(f"classify output sha256 {digest} != {case['output_sha256']}")
+    case["repeats"] = len(case["samples"])
+    for key in ("wall_s", "peak_rss_mb"):
+        case[key] = summary([sample[key] for sample in case["samples"]])
+    print(f"{args.label}: classify batch cold: wall {case['wall_s']['median']:.3f} s "
+          f"over {case['repeats']} runs, peak RSS {case['peak_rss_mb']['median']:.1f} MB")
     for name, (kernel, calls) in kernel_cases().items():
         case = runs.setdefault(f"kernel {name}", {"calls": len(calls), "samples": []})
         case["samples"] += time_kernel(kernel, calls, args.repeats)

@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import identity, records, svgplot
+from . import identity, records
 from .coprime import check_coprimality_propagation, exponent_orientation, exponent_restriction
 from .errors import BealsearchError, NoRealRoot, ZeroDenominator
 from .exact_arith import RATIONAL, Radical
@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("emit-plot", help="2-D SVG scatter from a hits CSV")
     p_plot.add_argument("--in", dest="infile", required=True)
     p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--axes", choices=sorted(svgplot.AXIS_CHOICES), default="axbycz")
+    # svgplot.AXIS_CHOICES, spelled out so that only emit-plot imports svgplot
+    p_plot.add_argument("--axes", choices=["abc", "axbycz"], default="axbycz")
     p_plot.add_argument("--log", action="store_true", help="log10 scale")
     p_plot.set_defaults(func=cmd_emit_plot)
 
@@ -176,7 +177,7 @@ def _slope_obj(value) -> dict:
 def _coprimality_obj(triple: BealTriple) -> dict | None:
     if not triple.equation_holds:
         return None
-    report = check_coprimality_propagation(triple.ax, triple.by, triple.cz)
+    report = check_coprimality_propagation(triple)
     shared = {
         pair: None if factors is None else [[str(p), m] for p, m in factors]
         for pair, factors in report.shared_primes.items()
@@ -246,6 +247,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_emit_plot(args) -> int:
+    from . import svgplot
+
     hit_records = records.read_csv(args.infile)
     svgplot.write_scatter(hit_records, args.out, axes=args.axes, log_scale=args.log,
                           title=f"{len(hit_records)} hits")

@@ -3,6 +3,9 @@
 For a + b = c, any factor shared by two of the terms divides the third, so
 3-way coprimality and pairwise coprimality coincide.  The report computes
 both sides of that equivalence so tests can assert it rather than assume it.
+On A^X + B^Y = C^Z a prime shared by two terms divides all three bases, so
+the shared primes are those of gcd(A, B, C).  That is the number factored,
+not the term gcd, which is a multiple of gcd(A, B, C)^min(X, Y).
 
 The exponent predicate encodes the restriction that X and Y cannot both be
 integer multiples of Z (that configuration collapses to three like powers,
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotAdditiveTriple
 from .exact_arith import DEFAULT_FACTOR_BUDGET, FactorList, factorize
+from .triples import BealTriple
 
 
 @dataclass(frozen=True)
@@ -31,18 +35,19 @@ class CoprimalityReport:
     shared_primes: dict[str, FactorList | None]
 
 
-def check_coprimality_propagation(a: int, b: int, c: int,
+def check_coprimality_propagation(triple: BealTriple,
                                   budget: int = DEFAULT_FACTOR_BUDGET) -> CoprimalityReport:
-    """Populate all pairwise and 3-way gcds for an additive triple a + b = c.
+    """Populate all pairwise and 3-way gcds of the terms of A^X + B^Y = C^Z.
 
-    Raises NotAdditiveTriple when a + b != c; the propagation facts only
-    hold on genuine additive triples.  There gcd(a, b) = gcd(a, c) =
-    gcd(b, c), so the shared gcd is factored once for all three pairs; the
-    shared_primes entries fall back to None (gcd-only reporting) when it
-    resists factorization within the budget.
+    Raises NotAdditiveTriple when the equation does not hold; the
+    propagation facts only hold on genuine additive triples.  There
+    gcd(A^X, B^Y) = gcd(A^X, C^Z) = gcd(B^Y, C^Z), and its primes are those
+    of gcd(A, B, C): that is factored once, and each prime's multiplicity in
+    the term gcd is read by division.  The shared_primes entries fall back
+    to None (gcd-only reporting) when it resists factorization within the
+    budget.
     """
-    if a < 1 or b < 1 or c < 1:
-        raise ValueError(f"terms must be >= 1, got ({a}, {b}, {c})")
+    a, b, c = triple.ax, triple.by, triple.cz
     if a + b != c:
         raise NotAdditiveTriple(f"{a} + {b} != {c}")
     gcd_ab = math.gcd(a, b)
@@ -52,7 +57,8 @@ def check_coprimality_propagation(a: int, b: int, c: int,
     shared: FactorList | None = []
     if gcd_ab > 1:
         try:
-            shared = factorize(gcd_ab, budget=budget)
+            shared = [(p, _multiplicity(p, gcd_ab))
+                      for p, _ in factorize(triple.gcd_abc, budget=budget)]
         except BudgetExceeded:
             shared = None
     return CoprimalityReport(
@@ -63,6 +69,15 @@ def check_coprimality_propagation(a: int, b: int, c: int,
         pairwise_all_one=(gcd_ab == gcd_ac == gcd_bc == 1),
         shared_primes={"ab": shared, "ac": shared, "bc": shared},
     )
+
+
+def _multiplicity(p: int, n: int) -> int:
+    """The exponent of the prime p in n >= 1."""
+    count = 0
+    while n % p == 0:
+        n //= p
+        count += 1
+    return count
 
 
 class Restriction(enum.Enum):

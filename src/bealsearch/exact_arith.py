@@ -250,9 +250,9 @@ def _primes_below(limit: int) -> list[int]:
 
 
 @cache
-def _trial_blocks() -> list[tuple[list[int], int]]:
-    """The primes below _TRIAL_LIMIT in ascending blocks, each with its product."""
-    primes = _primes_below(_TRIAL_LIMIT)
+def _trial_blocks(limit: int) -> list[tuple[list[int], int]]:
+    """The primes below limit in ascending blocks, each with its product."""
+    primes = _primes_below(limit)
     blocks = (primes[i:i + _TRIAL_BLOCK] for i in range(0, len(primes), _TRIAL_BLOCK))
     return [(block, math.prod(block)) for block in blocks]
 
@@ -325,16 +325,20 @@ def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, 
 def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> FactorList:
     """Full prime factorization as a sorted [(prime, multiplicity), ...] list.
 
-    Trial division up to 10**6 by block gcd: one gcd of n with the product
-    of each block of primes, then division only by the block primes that
-    divide it.  Then perfect-power reduction and Brent's rho with an rng
-    seeded deterministically from n.  Raises BudgetExceeded when the rho
-    step budget runs out; callers degrade to gcd-only reporting in that case.
+    Trial division by block gcd: one gcd of n with the product of each
+    block of primes, then division only by the block primes that divide it.
+    The primes tried are those below min(10**6, 2**bits(isqrt(n))), so the
+    table built for a small n stops just past its square root.  Then
+    perfect-power reduction and Brent's rho with an rng seeded
+    deterministically from n.  Raises BudgetExceeded when the rho step
+    budget runs out; callers degrade to gcd-only reporting in that case.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
+    # a power of two above isqrt(n), so at most 20 table sizes are ever built
+    limit = min(_TRIAL_LIMIT, 1 << math.isqrt(n).bit_length())
     factors: dict[int, int] = {}
-    for block, product in _trial_blocks():
+    for block, product in _trial_blocks(limit):
         if block[0] * block[0] > n:
             break  # n has no prime factor below block[0], so it is 1 or prime
         g = math.gcd(n, product)
@@ -349,7 +353,7 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> FactorList:
                     multiplicity += 1
                 factors[p] = multiplicity
     if n > 1:
-        if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(n):
+        if n < limit * limit or is_probable_prime(n):
             # below the trial limit squared any survivor is prime
             factors[n] = factors.get(n, 0) + 1
         else:

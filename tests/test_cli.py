@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -350,6 +351,24 @@ def test_cli_import_skips_network_modules():
     assert out.strip() == "[]"
 
 
+def test_cli_import_skips_plot_modules():
+    # svgplot, and html with it, are imported by emit-plot alone
+    code = ("import sys, bealsearch.cli; "
+            "print(sorted(m for m in sys.modules if m in ('bealsearch.svgplot', 'html')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_emit_plot_refuses_an_unknown_axes_value(tmp_path, capsys):
+    code, _, err = run(capsys, "emit-plot", "--in", str(tmp_path / "h.csv"),
+                       "--out", str(tmp_path / "f.svg"), "--axes", "bogus")
+    assert code == 2
+    assert "argument --axes: invalid choice: 'bogus' (choose from 'abc', 'axbycz')" in err
+    assert sorted(svgplot.AXIS_CHOICES) == ["abc", "axbycz"]
+    assert not (tmp_path / "f.svg").exists()
+
+
 def test_cli_import_builds_no_cached_table():
     # The trial-division blocks and the exponent primes are built on first
     # use, so a command that needs neither pays nothing for them.
@@ -403,3 +422,29 @@ def test_classify_repeats_the_same_bundle(capsys, monkeypatch):
     outputs.append(run(capsys, "classify", "--triple", "3,3,6,3,3,5"))
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0] == 0
+
+
+def _classify_batch(seed):
+    """100 solutions (a·c^k)^n + (b·c^k)^n = c^(kn+1) with c = a^n + b^n, then
+    100 random triples, drawn as perfbench's classify_batch draws them."""
+    rng = random.Random(seed)
+    triples = []
+    for _ in range(100):
+        a, b = rng.randint(1, 30), rng.randint(1, 30)
+        n, k = rng.randint(3, 7), rng.randint(1, 2)
+        c = a ** n + b ** n
+        triples.append((a * c ** k, n, b * c ** k, n, c, k * n + 1))
+    for _ in range(100):
+        triples.append(tuple(rng.randint(2, 60) if i % 2 == 0 else rng.randint(3, 8)
+                             for i in range(6)))
+    return triples
+
+
+def test_classify_output_bytes_are_pinned(capsys):
+    # sha256 of every exit code and stdout, pinned so that a faster classify
+    # cannot change a byte of what it prints
+    digest = hashlib.sha256()
+    for triple in _classify_batch(1_000_003):
+        code, out, _ = run(capsys, "classify", "--triple", ",".join(map(str, triple)))
+        digest.update(f"{code}\n{out}".encode("utf-8"))
+    assert digest.hexdigest() == "7aeb8cb45211270b6c268230deab31d3a60629c1894360ce8be746875099266e"

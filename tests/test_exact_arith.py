@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -301,6 +303,50 @@ def test_factorize_trial_division_edges():
     assert factorize(2 ** 14 * 5 ** 28 * 277303573 ** 14) == [(2, 14), (5, 28),
                                                               (277303573, 14)]
     assert factorize(999979 * 999983) == [(999979, 1), (999983, 1)]
+
+
+def _naive_factorize(n):
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            multiplicity = 0
+            while n % d == 0:
+                n //= d
+                multiplicity += 1
+            factors.append((d, multiplicity))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+def _is_naive_prime(n):
+    return _naive_factorize(n) == [(n, 1)]
+
+
+# factorize tries the primes below min(10**6, 2**bits(isqrt(n))): each power
+# of two it can size the table to, and the fixed ceiling.
+@pytest.mark.parametrize("edge", [2 ** k for k in range(1, 21)] + [10 ** 6])
+def test_factorize_at_the_edges_of_the_sized_trial_table(edge):
+    below = next(p for p in range(edge, 1, -1) if _is_naive_prime(p))
+    above = next(p for p in range(edge + 1, 2 * edge + 2) if _is_naive_prime(p))
+    for n in (below, below * below, above, above * above, below * above):
+        assert factorize(n) == _naive_factorize(n), n
+
+
+def test_factorize_builds_only_the_trial_table_it_needs():
+    # In a fresh process: every n below 2**40 needs primes below 2**20 at
+    # most, and a 30-bit n those below 2**15.
+    code = ("from bealsearch import exact_arith as e\n"
+            "real, built = e._trial_blocks, []\n"
+            "e._trial_blocks = lambda limit: built.append(limit) or real(limit)\n"
+            "for n in (2, 97, 10**9 + 7, 2**30 - 35, 3**25, 2**39 + 7, 2**40 - 87):\n"
+            "    e.factorize(n)\n"
+            "print(*sorted(set(built)), real.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["2", "16", "32768", "1000000", "4"]
 
 
 def test_is_probable_prime_spot_checks():
