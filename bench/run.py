@@ -1,8 +1,8 @@
 """Time bealsearch's search and exact kernels and record the numbers.
 
-    python bench/run.py --label change --out BENCH_17.json
-    python bench/run.py --label parent --src ../parent/src --out BENCH_17.json
-    python bench/run.py --label change --out BENCH_17.json --repeats-1e18 1
+    python bench/run.py --label change --out BENCH_18.json
+    python bench/run.py --label parent --src ../parent/src --out BENCH_18.json
+    python bench/run.py --label change --out BENCH_18.json --repeats-1e18 1
 
 Each search case is one search (bound, minimums 3,3,3, workers), run
 --repeats times in a fresh process that runs only that case, after one
@@ -15,6 +15,10 @@ classify_batch (100 family solutions, then 100 random non-solutions), once
 in each of --repeats fresh processes that have imported only bealsearch.cli,
 so the tables the first call builds are timed with it.  It records that
 time, the process's peak RSS and the sha256 of every exit code and stdout.
+The factorize case factors the gcd(A, B, C) of the same batch's family
+solutions (100 gcds of up to 36 bits, what classify factors) once in each of
+--repeats fresh processes, timing the first pass over them (cold_s, trial
+tables built) and then a second pass (warm_s).
 Each kernel case calls one exact kernel on a fixed, seeded list of inputs,
 --repeats times; a sample is the mean time per call over at least
 KERNEL_MIN_S of calls.  One kernel case is the identity suite,
@@ -163,7 +167,42 @@ def classify_in_process(conn) -> None:
         outputs.append(f"{code}\n{buffer.getvalue()}")
     seconds = time.perf_counter() - started
     digest = hashlib.sha256("".join(outputs).encode("utf-8")).hexdigest()
-    conn.send((seconds, len(triples), digest, peak_rss_mb()))
+    conn.send(({"wall_s": seconds, "peak_rss_mb": peak_rss_mb()}, {"triples": len(triples)},
+               digest))
+
+
+def factorize_in_process(conn) -> None:
+    from bealsearch.exact_arith import factorize
+    from bealsearch.triples import BealTriple
+    from workloads import CLASSIFY_BATCH, classify_inputs  # perfbench's, on sys.path too
+
+    triples = classify_inputs(CLASSIFY_SEED, smoke=False)[:CLASSIFY_BATCH[0]]
+    gcds = [BealTriple(*triple).gcd_abc for triple in triples]
+    sample = {}
+    for key in ("cold_s", "warm_s"):
+        started = time.perf_counter()
+        factors = [factorize(n) for n in gcds]
+        sample[key] = time.perf_counter() - started
+    digest = hashlib.sha256(repr(factors).encode("utf-8")).hexdigest()
+    conn.send((sample, {"gcds": len(gcds)}, digest))
+
+
+def fresh_process_case(runs: dict, name: str, target, repeats: int) -> dict:
+    """Add the samples of target, run once in each of repeats fresh processes,
+    to the case name; each run sends (sample, facts, output sha256), and the
+    digest must be the same in every run of every label."""
+    case = runs.setdefault(name, {"seed": CLASSIFY_SEED, "samples": []})
+    for _ in range(repeats):
+        sample, facts, digest = in_fresh_process(target)
+        case["samples"].append(sample)
+        case.update(facts)
+        case.setdefault("output_sha256", digest)
+        if digest != case["output_sha256"]:
+            raise SystemExit(f"{name}: output sha256 {digest} != {case['output_sha256']}")
+    case["repeats"] = len(case["samples"])
+    for key in sample:
+        case[key] = summary([run[key] for run in case["samples"]])
+    return case
 
 
 def in_fresh_process(target, *args):
@@ -230,19 +269,12 @@ def main(argv=None) -> int:
         print(f"{args.label}: {name}: wall {case['wall_s']['median']:.3f} s, "
               f"scan {case['scan_s']['median']:.3f} s over {case['repeats']} runs, "
               f"peak RSS {rss:.1f} MB")
-    case = runs.setdefault("classify batch cold", {"seed": CLASSIFY_SEED, "samples": []})
-    for _ in range(args.repeats):
-        seconds, triples, digest, rss = in_fresh_process(classify_in_process)
-        case["samples"].append({"wall_s": seconds, "peak_rss_mb": rss})
-        case["triples"] = triples
-        case.setdefault("output_sha256", digest)
-        if digest != case["output_sha256"]:
-            raise SystemExit(f"classify output sha256 {digest} != {case['output_sha256']}")
-    case["repeats"] = len(case["samples"])
-    for key in ("wall_s", "peak_rss_mb"):
-        case[key] = summary([sample[key] for sample in case["samples"]])
+    case = fresh_process_case(runs, "classify batch cold", classify_in_process, args.repeats)
     print(f"{args.label}: classify batch cold: wall {case['wall_s']['median']:.3f} s "
           f"over {case['repeats']} runs, peak RSS {case['peak_rss_mb']['median']:.1f} MB")
+    case = fresh_process_case(runs, "factorize family gcds", factorize_in_process, args.repeats)
+    print(f"{args.label}: factorize family gcds: cold {1e3 * case['cold_s']['median']:.2f} ms, "
+          f"warm {1e3 * case['warm_s']['median']:.2f} ms over {case['repeats']} runs")
     for name, (kernel, calls) in kernel_cases().items():
         case = runs.setdefault(f"kernel {name}", {"calls": len(calls), "samples": []})
         case["samples"] += time_kernel(kernel, calls, args.repeats)

@@ -327,16 +327,22 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> FactorList:
 
     Trial division by block gcd: one gcd of n with the product of each
     block of primes, then division only by the block primes that divide it.
-    The primes tried are those below min(10**6, 2**bits(isqrt(n))), so the
-    table built for a small n stops just past its square root.  Then
+    The primes tried are those below L = min(10**6, 2**bits(iroot(n, 3))),
+    so the table built for a small n stops just past its cube root.  A
+    survivor below L**2, or a probable prime, is kept as a prime.  Otherwise
     perfect-power reduction and Brent's rho with an rng seeded
-    deterministically from n.  Raises BudgetExceeded when the rho step
-    budget runs out; callers degrade to gcd-only reporting in that case.
+    deterministically from n split it.  Below n = 2**57, where L is not
+    capped, n < L**3, so that survivor is the product of two primes of at
+    least L; rho finds the smaller, p <= n**(1/2), in about p**(1/2) <=
+    n**(1/4) steps (Brent, "An improved Monte Carlo factorization
+    algorithm", BIT 20, 1980), far below the default budget.  Raises
+    BudgetExceeded when the rho step budget runs out; callers degrade to
+    gcd-only reporting in that case.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
-    # a power of two above isqrt(n), so at most 20 table sizes are ever built
-    limit = min(_TRIAL_LIMIT, 1 << math.isqrt(n).bit_length())
+    # a power of two above iroot(n, 3), so at most 20 table sizes are ever built
+    limit = min(_TRIAL_LIMIT, 1 << iroot(n, 3)[0].bit_length())
     factors: dict[int, int] = {}
     for block, product in _trial_blocks(limit):
         if block[0] * block[0] > n:

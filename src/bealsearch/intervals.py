@@ -87,22 +87,38 @@ def _interval(x) -> IntervalValue:
 def enclose(value, bits: int) -> IntervalValue:
     """Enclose an exact, radical or interval quantity.
 
-    An irrational Radical becomes [r, r+1] / 2**bits with r the floor of its
-    absolute value times 2**bits, so its width is 2**-bits; every other
-    value is enclosed exactly.  Raises NoRealRoot for an even root of a
-    negative quantity.
+    An irrational Radical becomes the enclosure of width 2**-bits that
+    enclose_ints gives; every other value is enclosed exactly.  Raises
+    NoRealRoot for an even root of a negative quantity.
     """
     if not isinstance(value, Radical):
         return _interval(value)
     exact = value.exact_value
     if exact is not None:
         return _interval(exact)
-    if value.classification.kind == NO_REAL_ROOT:
-        raise NoRealRoot(f"{value} has no real value")
-    q = value.radicand
-    r, _ = iroot((q.numerator << (bits * value.degree)) // q.denominator, value.degree)
-    lo, hi = Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
-    return IntervalValue(lo, hi) if value.sign == 1 else IntervalValue(-hi, -lo)
+    lo, hi, den = enclose_ints(value, bits)
+    return IntervalValue(Fraction(lo, den), Fraction(hi, den))
+
+
+def enclose_ints(value, bits: int) -> tuple[int, int, int]:
+    """Enclose an exact or radical quantity as integers (lo, hi, den).
+
+    The value lies in [lo/den, hi/den] with den > 0.  An irrational Radical
+    gives [r, r+1] over den = 2**bits, r the floor of its absolute value
+    times 2**bits (negated for sign -1); an exact value p/q gives (p, p, q).
+    Raises NoRealRoot for an even root of a negative quantity.
+    """
+    if isinstance(value, Radical):
+        exact = value.exact_value
+        if exact is None:
+            if value.classification.kind == NO_REAL_ROOT:
+                raise NoRealRoot(f"{value} has no real value")
+            q = value.radicand
+            r, _ = iroot((q.numerator << (bits * value.degree)) // q.denominator, value.degree)
+            return (r, r + 1, 1 << bits) if value.sign == 1 else (-r - 1, -r, 1 << bits)
+        value = exact
+    value = Fraction(value)
+    return value.numerator, value.numerator, value.denominator
 
 
 _LOG2_10 = math.log(10, 2)

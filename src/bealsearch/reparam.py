@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DegenerateBeta, ZeroDenominator
 from .exact_arith import Radical
-from .intervals import DEFAULT_PRECISION_BITS, IntervalValue, enclose
+from .intervals import DEFAULT_PRECISION_BITS, IntervalValue, enclose, enclose_ints
 from .triples import BealTriple
 
 
@@ -58,10 +58,16 @@ def canonical_alpha_beta(triple: BealTriple, plane: Plane = Plane.CB) -> Reparam
     """
     base, c, degree, co = _plane_params(triple, plane)
     z = triple.Z
-    cf, bf = Fraction(c), Fraction(base)
-    alpha = Radical.of(cf ** (z - degree) - bf ** (co - degree), degree)
-    beta = Radical.of(cf ** (z - 2 * degree) - bf ** (co - 2 * degree), degree)
+    alpha = Radical.of(_power_difference(c, z - degree, base, co - degree), degree)
+    beta = Radical.of(_power_difference(c, z - 2 * degree, base, co - 2 * degree), degree)
     return ReparamPair(alpha=alpha, beta=beta, plane=plane)
+
+
+def _power_difference(c: int, e1: int, b: int, e2: int) -> Fraction:
+    """c**e1 - b**e2 for exponents of either sign, built from integer powers."""
+    n1, d1 = (c ** e1, 1) if e1 >= 0 else (1, c ** -e1)
+    n2, d2 = (b ** e2, 1) if e2 >= 0 else (1, b ** -e2)
+    return Fraction(n1 * d2 - n2 * d1, d1 * d2)
 
 
 def solve_beta_given_alpha(B: int, C: int, rootA: Fraction, alpha: Fraction) -> Fraction:
@@ -102,15 +108,18 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
     plane CB on a solution triple, B for plane CA).  Returns an exact
     Fraction when the pair and the root are all rational; otherwise an
     interval whose width is at most 2**(1 - precision_bits) times its
-    midpoint.  The radicals are first enclosed to width 2**-bits, with bits
-    = precision_bits + the bit length of C*B (the plane's two bases), since
-    the denominator multiplies their widths by C+B and C*B; the width is
-    squared up to four times until the bound holds.  Raises ZeroDenominator
-    when the denominator still encloses 0 at the narrowest of those widths.
+    midpoint.  Each round encloses root, alpha and beta as integers over a
+    denominator (enclose_ints), the radicals to width 2**-bits with bits =
+    precision_bits + the bit length of C*B (the plane's two bases), since
+    the denominator multiplies their widths by C+B and C*B.  The
+    denominator, the quotient's endpoints and the relative bound are all
+    computed on integers; only the returned endpoints are Fractions.  The
+    width is squared up to four times until the bound holds.  Raises
+    ZeroDenominator when the denominator still encloses 0 at the narrowest
+    of those widths.
     """
     base, c, degree, co = _plane_params(triple, pair.plane)
-    diff = Fraction(c) ** triple.Z - Fraction(base) ** co
-    root = Radical.of(diff, degree)
+    root = Radical.of(c ** triple.Z - base ** co, degree)
     s, prod = c + base, c * base
 
     exact_root = root.exact_value
@@ -126,13 +135,24 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
     first = precision_bits + prod.bit_length()
     zero_enclosed = False
     for bits in (first << k for k in range(_MAX_ESCALATIONS)):
-        num = enclose(root, bits)
-        den = s * enclose(pair.alpha, bits) - prod * enclose(pair.beta, bits)
-        zero_enclosed = 0 in den
+        num_lo, num_hi, num_den = enclose_ints(root, bits)
+        a_lo, a_hi, a_den = enclose_ints(pair.alpha, bits)
+        b_lo, b_hi, b_den = enclose_ints(pair.beta, bits)
+        # (C+B)*alpha - C*B*beta lies in [den_lo, den_hi] / (a_den * b_den)
+        den_lo = s * a_lo * b_den - prod * b_hi * a_den
+        den_hi = s * a_hi * b_den - prod * b_lo * a_den
+        zero_enclosed = den_lo <= 0 <= den_hi
         if not zero_enclosed:
-            m = num / den
-            if m.width * 2 ** (precision_bits - 1) <= abs(m.mid):
-                return m
+            if den_hi < 0:  # M = -root / -denominator, over a positive divisor
+                num_lo, num_hi, den_lo, den_hi = -num_hi, -num_lo, -den_hi, -den_lo
+            # each end of M is an end of root over the divisor end that extremizes it
+            scale = a_den * b_den
+            lo_num, lo_den = num_lo * scale, num_den * (den_hi if num_lo >= 0 else den_lo)
+            hi_num, hi_den = num_hi * scale, num_den * (den_lo if num_hi >= 0 else den_hi)
+            # width * 2**(precision_bits - 1) <= |midpoint|, over lo_den * hi_den
+            lo_cross, hi_cross = lo_num * hi_den, hi_num * lo_den
+            if (hi_cross - lo_cross) << precision_bits <= abs(hi_cross + lo_cross):
+                return IntervalValue(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
     if zero_enclosed:
         raise ZeroDenominator(
             f"denominator still encloses 0 at {bits} bits for {triple} ({pair.plane.value})")

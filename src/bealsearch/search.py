@@ -63,7 +63,6 @@ applied once, where the triples are built.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import time
 from array import array
@@ -467,7 +466,7 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     index = {entry.value: entry for entry in table}
     non_cubes = [entry for entry in table if entry.exponent % 3]
     left_other = [entry.value for entry in non_cubes if entry.exponent >= lo_exp]
-    left = list(heapq.merge(cubes[lo_exp], left_other))
+    left = sorted(cubes[lo_exp] + left_other)  # two disjoint sorted runs: timsort merges them
     # A left value the table does not hold has exponent 3 < hi_exp.
     low = ([v for v in left if v not in index or index[v].exponent < hi_exp]
            if hi_exp > lo_exp else [])

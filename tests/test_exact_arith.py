@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -325,8 +326,8 @@ def _is_naive_prime(n):
     return _naive_factorize(n) == [(n, 1)]
 
 
-# factorize tries the primes below min(10**6, 2**bits(isqrt(n))): each power
-# of two it can size the table to, and the fixed ceiling.
+# factorize tries the primes below min(10**6, 2**bits(iroot(n, 3))): each
+# power of two it can size the table to, and the fixed ceiling.
 @pytest.mark.parametrize("edge", [2 ** k for k in range(1, 21)] + [10 ** 6])
 def test_factorize_at_the_edges_of_the_sized_trial_table(edge):
     below = next(p for p in range(edge, 1, -1) if _is_naive_prime(p))
@@ -335,9 +336,34 @@ def test_factorize_at_the_edges_of_the_sized_trial_table(edge):
         assert factorize(n) == _naive_factorize(n), n
 
 
+# Products of three primes around an edge: their cube roots sit at the edge,
+# so the table stops just below or just above the primes themselves.
+@pytest.mark.parametrize("edge", [2 ** k for k in range(1, 21)] + [10 ** 6])
+def test_factorize_at_the_edges_of_the_cube_root_trial_table(edge):
+    below = next(p for p in range(edge, 1, -1) if _is_naive_prime(p))
+    above = next(p for p in range(edge + 1, 2 * edge + 2) if _is_naive_prime(p))
+    for primes in ((below,) * 3, (below, below, above), (below, above, above), (above,) * 3):
+        assert factorize(math.prod(primes)) == sorted(Counter(primes).items()), primes
+
+
+# In each product the last two primes lie at or above the trial table's limit
+# min(10**6, 2**bits(iroot(n, 3))), so trial division cannot find them and
+# Brent's rho splits what is left; the last product has three such primes,
+# above the 10**6 ceiling.
+@pytest.mark.parametrize("primes", [(999983, 1000003), (3, 999983, 1000003),
+                                    (65537, 2147483647), (2, 2, 1048573, 1048583),
+                                    (1000003, 1000033, 1000037)])
+def test_factorize_splits_primes_above_the_trial_limit(primes):
+    n = math.prod(primes)
+    assert min(primes[-2:]) >= min(10 ** 6, 1 << iroot(n, 3)[0].bit_length())
+    expected = sorted(Counter(primes).items())
+    assert factorize(n) == expected  # the default budget, 2**22 rho steps
+    assert factorize(n, budget=2 ** 16) == expected  # far fewer steps suffice
+
+
 def test_factorize_builds_only_the_trial_table_it_needs():
-    # In a fresh process: every n below 2**40 needs primes below 2**20 at
-    # most, and a 30-bit n those below 2**15.
+    # In a fresh process: every n below 2**42 needs primes below 2**14 at
+    # most, and a 30-bit n those below 2**10.
     code = ("from bealsearch import exact_arith as e\n"
             "real, built = e._trial_blocks, []\n"
             "e._trial_blocks = lambda limit: built.append(limit) or real(limit)\n"
@@ -346,7 +372,7 @@ def test_factorize_builds_only_the_trial_table_it_needs():
             "print(*sorted(set(built)), real.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out.split() == ["2", "16", "32768", "1000000", "4"]
+    assert out.split() == ["2", "8", "1024", "16384", "4"]
 
 
 def test_is_probable_prime_spot_checks():

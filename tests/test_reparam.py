@@ -1,14 +1,15 @@
 """Reparameterization: canonical radicals, derived parameters, scaling factor."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from bealsearch.errors import DegenerateBeta, ZeroDenominator
+from bealsearch.errors import DegenerateBeta, NoRealRoot, ZeroDenominator
 from bealsearch.exact_arith import Radical
-from bealsearch.intervals import IntervalValue
+from bealsearch.intervals import IntervalValue, enclose
 from bealsearch.reparam import (Plane, ReparamPair, canonical_alpha_beta,
                                 reconstruct, scalar_m, solve_alpha_given_beta,
                                 solve_beta_given_alpha)
@@ -117,8 +118,8 @@ def test_scalar_m_encloses_in_one_round(monkeypatch):
     import bealsearch.reparam as reparam_mod
 
     calls = []
-    real = reparam_mod.enclose
-    monkeypatch.setattr(reparam_mod, "enclose",
+    real = reparam_mod.enclose_ints
+    monkeypatch.setattr(reparam_mod, "enclose_ints",
                         lambda value, bits: calls.append(bits) or real(value, bits))
     pair = canonical_alpha_beta(HIT_3365, Plane.CB)
     m = scalar_m(HIT_3365, pair)
@@ -131,20 +132,20 @@ def test_scalar_m_doubles_bits_when_the_relative_bound_fails(monkeypatch):
     import bealsearch.reparam as reparam_mod
 
     calls = []
-    real = reparam_mod.enclose
+    real = reparam_mod.enclose_ints
     pair = canonical_alpha_beta(HIT_3365, Plane.CB)
     reference = scalar_m(HIT_3365, pair, 512)
 
     def widened_once(value, bits):
         calls.append(bits)
-        interval = real(value, bits)
+        lo, hi, den = real(value, bits)
         if value is pair.beta and bits == 256 + 5:
-            # still a true enclosure, but far too wide for 2**-255 relative error
-            return IntervalValue(interval.lo - Fraction(1, 2 ** 100),
-                                 interval.hi + Fraction(1, 2 ** 100))
-        return interval
+            # still a true enclosure, but far too wide for 2**-255 relative error:
+            # den = 2**261, so den >> 100 stands for 2**-100
+            return lo - (den >> 100), hi + (den >> 100), den
+        return lo, hi, den
 
-    monkeypatch.setattr(reparam_mod, "enclose", widened_once)
+    monkeypatch.setattr(reparam_mod, "enclose_ints", widened_once)
     m = scalar_m(HIT_3365, pair)
     assert calls == [261] * 3 + [522] * 3
     assert isinstance(m, IntervalValue)
@@ -156,20 +157,77 @@ def test_scalar_m_gives_up_after_five_rounds_of_a_zero_denominator(monkeypatch):
     import bealsearch.reparam as reparam_mod
 
     calls = []
-    real = reparam_mod.enclose
+    real = reparam_mod.enclose_ints
     pair = canonical_alpha_beta(HIT_3365, Plane.CB)
 
     def wide_beta(value, bits):
         calls.append(bits)
         if value is pair.beta:
             # (C+B)*alpha - C*B*beta = 18 - 18*[0, 2] = [-18, 18] encloses 0
-            return IntervalValue(Fraction(0), Fraction(2))
+            return 0, 2, 1
         return real(value, bits)
 
-    monkeypatch.setattr(reparam_mod, "enclose", wide_beta)
+    monkeypatch.setattr(reparam_mod, "enclose_ints", wide_beta)
     with pytest.raises(ZeroDenominator, match=f"at {16 * 261} bits"):
         scalar_m(HIT_3365, pair)
     assert calls == [bits for bits in (261, 522, 1044, 2088, 4176) for _ in range(3)]
+
+
+def _reference_scalar_m(triple, pair, precision_bits):
+    """scalar_m computed on IntervalValue arithmetic over enclose, the test's
+    reference for the integer enclosures scalar_m runs on."""
+    if pair.plane is Plane.CB:
+        base, c, degree, co = triple.B, triple.C, triple.X, triple.Y
+    else:
+        base, c, degree, co = triple.A, triple.C, triple.Y, triple.X
+    root = Radical.of(Fraction(c) ** triple.Z - Fraction(base) ** co, degree)
+    s, prod = c + base, c * base
+    alpha, beta = pair.alpha.exact_value, pair.beta.exact_value
+    if alpha is not None and beta is not None:
+        if s * alpha - prod * beta == 0:
+            raise ZeroDenominator("exact denominator (C+B)*alpha - C*B*beta is 0")
+        if root.exact_value is not None:
+            return root.exact_value / (s * alpha - prod * beta)
+    for k in range(5):
+        bits = (precision_bits + prod.bit_length()) << k
+        num = enclose(root, bits)
+        den = s * enclose(pair.alpha, bits) - prod * enclose(pair.beta, bits)
+        if 0 not in den:
+            m = num / den
+            if m.width * 2 ** (precision_bits - 1) <= abs(m.mid):
+                return m
+    raise ZeroDenominator(f"denominator still encloses 0 at {bits} bits")
+
+
+def _outcome(compute):
+    try:
+        value = compute()
+    except (NoRealRoot, ZeroDenominator) as exc:
+        return (type(exc).__name__,)
+    if isinstance(value, IntervalValue):
+        return "interval", value.lo, value.hi  # Fractions: equal means the same bytes
+    return "exact", value
+
+
+def test_scalar_m_matches_interval_reference_endpoint_for_endpoint():
+    rng = random.Random(18)
+    triples = [HIT_3365, HIT_2K, HIT_714] + [
+        BealTriple(*(rng.randint(1, 40) if i % 2 == 0 else rng.randint(1, 9) for i in range(6)))
+        for _ in range(300)]
+    seen = Counter()
+    for triple in triples:
+        for plane in Plane:
+            pair = canonical_alpha_beta(triple, plane)
+            for bits in (64, 256):
+                got = _outcome(lambda: scalar_m(triple, pair, bits))
+                assert got == _outcome(lambda: _reference_scalar_m(triple, pair, bits)), \
+                    (triple, plane, bits)
+                seen[got[0]] += 1
+                if got[0] == "interval" and pair.alpha.sign == -1 and pair.alpha.degree % 2:
+                    seen["negative radicand, odd degree"] += 1
+    # every branch is covered: both kinds of result, both refusals, negative radicands
+    assert min(seen[key] for key in ("interval", "exact", "NoRealRoot", "ZeroDenominator",
+                                     "negative radicand, odd degree")) > 0, seen
 
 
 def test_scalar_m_zero_denominator():
