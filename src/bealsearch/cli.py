@@ -107,10 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _finish(report, args, summary: str) -> int:
     """Write the CSV and JSON outputs, print the summary, and name failed checks."""
-    records.write_csv(records.records_from_report(report), args.out)
+    hit_records = records.records_from_report(report)
+    records.write_csv(hit_records, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(records.emit_json(report))
+            handle.write(records.emit_json(report, hit_records=hit_records))
     print(summary)
     failures = [hit for hit in report.hits if not hit.passed]
     for hit in failures:

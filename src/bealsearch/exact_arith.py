@@ -227,11 +227,18 @@ _TRIAL_LIMIT = 10 ** 6
 # product (Bernstein, "How to find smooth parts of integers", 2004).
 _TRIAL_BLOCK = 256
 
-# Miller-Rabin witnesses: the first 13 primes are exact for every
-# n < 3317044064679887385961981 (about 3.3 * 10**24; Sorenson and Webster,
-# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).  The first
-# 12 alone fail at 318665857834031151167461 = 399165290221 * 798330580441.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin witnesses: the first k primes are exact for every n below
+# psi_k, the smallest strong pseudoprime to all of them (OEIS A014233; psi_7 =
+# psi_8 and psi_9 = psi_10 = psi_11).  Each (psi_k, bases) pair gives the
+# bases for the n below it.  From psi_13 = 3317044064679887385961981 (about
+# 3.3 * 10**24; Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 2017) on, all 14 bases give a probable prime; the 14th,
+# 43, rejects psi_13 itself.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_MR_TIERS = tuple((psi, _MR_BASES[:k]) for psi, k in (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+    (318665857834031151167461, 12), (3317044064679887385961981, 13)))
 
 DEFAULT_FACTOR_BUDGET = 2 ** 22
 
@@ -258,22 +265,23 @@ def _trial_blocks(limit: int) -> list[tuple[list[int], int]]:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the first 13 prime bases.
+    """Miller-Rabin with as many prime bases as n needs.
 
-    Exact for n < 3317044064679887385961981 (about 3.3e24); above that a
-    True result means a strong probable prime to those bases.
+    Exact for n < 3317044064679887385961981 (about 3.3e24); from there on a
+    True result means a strong probable prime to the first 14 prime bases.
     """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    bases = next((bases for psi, bases in _MR_TIERS if n < psi), _MR_BASES)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

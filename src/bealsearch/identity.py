@@ -8,6 +8,12 @@ its caller's argument.  Negative intermediate exponents are evaluated over
 exact rationals rather than restricted, which is what makes the free upper
 limit checkable verbatim.
 
+Both expansions run on plain integers.  Each ExpansionInstance builds the
+power tables of its numerators and denominators once, growing them as
+calls need, and every call on it (at any n) reads them.  A call returns its sum as an
+unreduced pair (numerator, denominator); the suite compares that pair with
+p**v - q**w, computed independently in Fraction, by cross-multiplication.
+
 A related table decomposes C**Z - B**Y into rows indexed by i, pairing the
 shared coefficient binom(X,i)(C+B)**(X-i)(-CB)**i with the difference term
 C**(Z-X-i) - B**(Y-X-i); the row products telescope back to C**Z - B**Y.
@@ -15,34 +21,53 @@ C**(Z-X-i) - B**(Y-X-i); the row products telescope back to C**Z - B**Y.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import comb
+from operator import mul
+from typing import NamedTuple
 
 FREE_LIMIT_RANGE = range(0, 11)
 EXPONENT_RANGE = (-4, 12)
 COEFFICIENT_LIMIT = 10
 
 
-@dataclass(frozen=True)
 class ExpansionInstance:
-    """One (p, q, v, w) input; the free limit n is general_expansion's argument."""
+    """One (p, q, v, w) input; the free limit n is general_expansion's argument.
 
-    p: Fraction
-    q: Fraction
-    v: int
-    w: int
+    With p = a/b and q = c/d in lowest terms (b, d > 0), the instance keeps
+    the power tables of a, b, c, d, a*d + b*c and -a*c (the numerators of p+q
+    and -pq over b*d).  They start at the 0th power and grow to whatever
+    exponent a call needs, so any n and any v, w stay exact.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
+    __slots__ = ("p", "q", "v", "w", "_bases", "_tables")
+
+    def __init__(self, p, q, v: int, w: int):
+        self.p, self.q, self.v, self.w = Fraction(p), Fraction(q), v, w
         if self.p == 0 or self.q == 0:
             raise ValueError("p and q must be non-zero")
+        a, b = self.p.numerator, self.p.denominator
+        c, d = self.q.numerator, self.q.denominator
+        self._bases = (a, b, c, d, a * d + b * c, -a * c)
+        self._tables = [[1] for _ in self._bases]
+
+    def __repr__(self) -> str:
+        return f"ExpansionInstance(p={self.p!r}, q={self.q!r}, v={self.v!r}, w={self.w!r})"
+
+    def _powers(self, top: int) -> list[list[int]]:
+        """The six tables, each holding at least the powers 0..top of its base."""
+        tables = self._tables
+        if len(tables[0]) <= top:
+            # Grow to twice what is asked, so a run of rising n grows a few times.
+            for table, base in zip(tables, self._bases):
+                table += accumulate(repeat(base, 2 * top - len(table)), mul,
+                                    initial=table[-1] * base)
+        return tables
 
 
-@dataclass(frozen=True)
-class ExpansionRow:
+class ExpansionRow(NamedTuple):
     """Row i of the telescoping table for C**Z - B**Y."""
 
     index: int
@@ -55,46 +80,65 @@ class ExpansionRow:
         return self.common_factor * self.difference_term
 
 
-def expand_difference(inst: ExpansionInstance) -> tuple[Fraction, Fraction]:
+def _power(numerators: list[int], denominators: list[int], e: int) -> tuple[int, int]:
+    """(x/y)**e as an unreduced pair, read from the power tables of x and y."""
+    return (numerators[e], denominators[e]) if e >= 0 else (denominators[-e], numerators[-e])
+
+
+def expand_difference(inst: ExpansionInstance) -> tuple[Fraction, tuple[int, int]]:
     """Evaluate both sides of the two-term factoring; they must be equal.
 
-    Returns (lhs, rhs) with lhs = p**v - q**w and rhs the factored form.
+    Returns (lhs, rhs): lhs = p**v - q**w in Fraction, the reference, and rhs
+    the factored form (p+q)(p**(v-1) - q**(w-1)) - pq(p**(v-2) - q**(w-2)) as
+    an unreduced pair (numerator, denominator) from the instance's tables.
     """
-    p, q, v, w = inst.p, inst.q, inst.v, inst.w
-    lhs = p ** v - q ** w
-    rhs = (p + q) * (p ** (v - 1) - q ** (w - 1)) - p * q * (p ** (v - 2) - q ** (w - 2))
-    return lhs, rhs
+    v, w = inst.v, inst.w
+    lhs = inst.p ** v - inst.q ** w
+    a, b, c, d, plus, minus = inst._powers(max(abs(v), abs(w)) + 2)
+    (x1, y1), (z1, t1) = _power(a, b, v - 1), _power(c, d, w - 1)
+    (x2, y2), (z2, t2) = _power(a, b, v - 2), _power(c, d, w - 2)
+    high, high_den = x1 * t1 - z1 * y1, y1 * t1  # p**(v-1) - q**(w-1)
+    low, low_den = x2 * t2 - z2 * y2, y2 * t2  # p**(v-2) - q**(w-2)
+    # p+q and -pq are plus[1] and minus[1] over b*d
+    return lhs, (plus[1] * high * low_den + minus[1] * low * high_den,
+                 b[1] * d[1] * high_den * low_den)
 
 
-def general_expansion(inst: ExpansionInstance, n: int) -> Fraction:
+def general_expansion(inst: ExpansionInstance, n: int) -> tuple[int, int]:
     """Binomial-weighted expansion of p**v - q**w with free upper limit n.
 
     Returns sum_{i=0}^{n} binom(n,i) (p+q)**(n-i) (-pq)**i (p**(v-n-i) - q**(w-n-i)),
-    which equals p**v - q**w for every n >= 0.
+    which equals p**v - q**w for every n >= 0, as an unreduced pair
+    (numerator, denominator) with a non-zero denominator.
 
-    The sum is evaluated over plain integers on one common denominator and
-    reduced once, into the returned Fraction, at the end.  It shares no
-    arithmetic with p**v - q**w computed in Fraction, so the suite compares
-    two independent paths.
+    Every term is evaluated over plain integers on one common denominator,
+    read from the power tables that the instance builds once and every n
+    shares, and the terms are summed one by one.  Nothing is reduced: the
+    caller compares the pair with p**v - q**w by cross-multiplication.  The
+    sum shares no arithmetic with p**v - q**w computed in Fraction, so the
+    suite compares two independent paths.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     v, w = inst.v, inst.w
-    a, b = inst.p.numerator, inst.p.denominator
-    c, d = inst.q.numerator, inst.q.denominator
     # Exponents run from v-n down to v-2n.  Over the denominator a**ka * b**kb,
-    # p**e is a**(e+ka) * b**(kb-e) with both powers >= 0 for every e reached;
-    # a**ka keeps a's sign, which a negative base needs under an odd negative e.
-    ka, kb = max(0, 2 * n - v), max(0, v - n)
-    kc, kd = max(0, 2 * n - w), max(0, w - n)
-    den_p, den_q = a ** ka * b ** kb, c ** kc * d ** kd
-    plus, minus = a * d + b * c, -a * c  # (p+q) and -pq over b*d
+    # p**e is a**(e+ka) * b**(kb-e) with both powers in 0..ka+kb for every e
+    # reached; a**ka keeps a's sign, which a negative base needs under an odd
+    # negative e.  (Conditional expressions: max() costs a call per use here.)
+    ka = 2 * n - v if 2 * n > v else 0
+    kb = v - n if v > n else 0
+    kc = 2 * n - w if 2 * n > w else 0
+    kd = w - n if w > n else 0
+    a, b, c, d, plus, minus = inst._powers(ka + kb if ka + kb > kc + kd else kc + kd)
+    den_p, den_q = a[ka] * b[kb], c[kc] * d[kd]
+    # term i reads p**(v-n-i) as a[ta - i] * b[tb + i], and q likewise
+    ta, tb, tc, td = v - n + ka, kb - v + n, w - n + kc, kd - w + n
     s = 0
     for i in range(n + 1):
-        e, f = v - n - i, w - n - i
-        difference = a ** (e + ka) * b ** (kb - e) * den_q - c ** (f + kc) * d ** (kd - f) * den_p
-        s += math.comb(n, i) * plus ** (n - i) * minus ** i * difference
-    return Fraction(s, (b * d) ** n * den_p * den_q)
+        s += comb(n, i) * plus[n - i] * minus[i] * (
+            a[ta - i] * b[tb + i] * den_q - c[tc - i] * d[td + i] * den_p)
+    # ka + kb >= n, so the tables reach b**n and d**n
+    return s, b[n] * d[n] * den_p * den_q
 
 
 def expansion_table(B: int, C: int, X: int, Y: int, Z: int) -> tuple[list[ExpansionRow], Fraction]:
@@ -113,7 +157,7 @@ def expansion_table(B: int, C: int, X: int, Y: int, Z: int) -> tuple[list[Expans
     rows = []
     total = Fraction(0)
     for i in range(X + 1):
-        common = math.comb(X, i) * (c + b) ** (X - i) * (-c * b) ** i
+        common = comb(X, i) * (c + b) ** (X - i) * (-c * b) ** i
         difference = c ** (Z - X - i) - b ** (Y - X - i)
         rows.append(ExpansionRow(i, common, difference, (X - i, i)))
         total += common * difference
@@ -151,12 +195,13 @@ def run_random_suite(cases: int, seed: int = 0) -> list[str]:
     """
     failures = []
     for inst in random_instances(cases, seed):
-        lhs, rhs = expand_difference(inst)
-        if lhs != rhs:
-            failures.append(f"two-term factoring broke on {inst}: {lhs} != {rhs}")
+        lhs, (num, den) = expand_difference(inst)
+        if num * lhs.denominator != lhs.numerator * den:
+            failures.append(f"two-term factoring broke on {inst}: {lhs} != {Fraction(num, den)}")
             continue
         for n in FREE_LIMIT_RANGE:
-            if general_expansion(inst, n) != lhs:
+            num, den = general_expansion(inst, n)
+            if num * lhs.denominator != lhs.numerator * den:
                 failures.append(f"free-limit expansion broke on {inst} at n={n}")
                 break
     return failures

@@ -147,11 +147,16 @@ def read_csv(path: str) -> list[HitRecord]:
 
 # --- JSON ---------------------------------------------------------------------
 
-def report_to_obj(report: SearchReport, include_timing: bool = True) -> dict:
+def report_to_obj(report: SearchReport, include_timing: bool = True,
+                  hit_records: list[HitRecord] | None = None) -> dict:
+    """The report as a JSON-ready dict; hit_records, when given, are its hits'
+    records_from_report, so a caller that already built them builds them once."""
+    if hit_records is None:
+        hit_records = records_from_report(report)
     obj = {
         "config": {**asdict(report.config), "bound": str(report.config.bound)},
         "counts": dict(report.counts),
-        "hits": [record.to_obj() for record in records_from_report(report)],
+        "hits": [record.to_obj() for record in hit_records],
     }
     if include_timing:
         obj["wall_time_s"] = report.wall_time_s
@@ -160,8 +165,9 @@ def report_to_obj(report: SearchReport, include_timing: bool = True) -> dict:
     return obj
 
 
-def emit_json(report: SearchReport, include_timing: bool = True) -> str:
-    return json.dumps(report_to_obj(report, include_timing), indent=2) + "\n"
+def emit_json(report: SearchReport, include_timing: bool = True,
+              hit_records: list[HitRecord] | None = None) -> str:
+    return json.dumps(report_to_obj(report, include_timing, hit_records), indent=2) + "\n"
 
 
 def canonical_json(report: SearchReport) -> str:

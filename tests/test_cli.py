@@ -92,6 +92,19 @@ def test_search_json_report(tmp_path, capsys):
     assert obj["counts"]["hits"] == len(obj["hits"]) == 10
 
 
+def test_search_builds_the_hit_records_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli_mod.records.records_from_report
+    monkeypatch.setattr(cli_mod.records, "records_from_report",
+                        lambda report: calls.append(report) or real(report))
+    out, report = tmp_path / "h.csv", tmp_path / "r.json"
+    code, _, _ = run(capsys, "search", "--bound", "3000", "--out", str(out),
+                     "--report", str(report))
+    assert code == 0 and len(calls) == 1
+    hits = json.loads(report.read_text())["hits"]
+    assert len(hits) == 10 and hits == [record.to_obj() for record in read_csv(str(out))]
+
+
 def test_oracle_rejects_huge_bound(tmp_path, capsys):
     code, _, err = run(capsys, "oracle", "--bound", "10^8", "--out", str(tmp_path / "x.csv"))
     assert code == 2

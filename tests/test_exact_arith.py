@@ -383,6 +383,59 @@ def test_is_probable_prime_spot_checks():
     assert is_probable_prime(41)
 
 
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# (psi, k, the largest prime below psi): psi is the smallest strong
+# pseudoprime to the first k prime bases (OEIS A014233); base k + 1, when
+# there is one, finds it composite.  The primes below each psi were found
+# and checked with sympy.
+_PSI = [
+    (2047, 1, 2039),
+    (1373653, 2, 1373639),
+    (25326001, 3, 25325981),
+    (3215031751, 4, 3215031749),
+    (2152302898747, 5, 2152302898729),
+    (3474749660383, 6, 3474749660329),
+    (341550071728321, 8, 341550071728289),
+    (3825123056546413051, 11, 3825123056546412979),
+    (318665857834031151167461, 12, 318665857834031151167441),
+    (3317044064679887385961981, 13, 3317044064679887385961813),
+]
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("psi, k, prime_below", _PSI, ids=[str(k) for _, k, _ in _PSI])
+def test_is_probable_prime_at_each_witness_threshold(psi, k, prime_below):
+    passed = [_strong_probable_prime(psi, a) for a in _FIRST_PRIMES[:k + 1]]
+    assert passed == [True] * k + [False]
+    assert not is_probable_prime(psi)
+    assert is_probable_prime(prime_below)
+    assert all(_strong_probable_prime(prime_below, a) for a in _FIRST_PRIMES)
+
+
+def test_is_probable_prime_agrees_with_a_sieve_below_a_million():
+    limit = 10 ** 6
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_probable_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
+
+
 def test_strong_pseudoprime_to_first_twelve_prime_bases():
     # The smallest composite passing Miller-Rabin for every prime base <= 37.
     n = 318665857834031151167461

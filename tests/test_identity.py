@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bealsearch import cli
+from bealsearch import identity as identity_mod
 from bealsearch.identity import (EXPONENT_RANGE, FREE_LIMIT_RANGE, ExpansionInstance,
                                  expand_difference, expansion_table, general_expansion,
                                  random_instances, run_random_suite)
@@ -28,20 +30,20 @@ def fraction_expansion(p, q, v, w, n):
 
 def test_expand_difference_examples():
     lhs, rhs = expand_difference(ExpansionInstance(Fraction(2), Fraction(3), 3, 2))
-    assert lhs == rhs == -1
+    assert lhs == Fraction(*rhs) == -1
     lhs, rhs = expand_difference(ExpansionInstance(Fraction(1), Fraction(1), 7, 4))
-    assert lhs == rhs == 0
+    assert lhs == Fraction(*rhs) == 0
     lhs, rhs = expand_difference(ExpansionInstance(Fraction(2), Fraction(3), 1, 1))
-    assert lhs == rhs == -1
+    assert lhs == Fraction(*rhs) == -1
     # the rhs really does route through negative exponents: 5*0 - 6*(1/2 - 1/3)
     assert Fraction(5) * 0 - 6 * (Fraction(1, 2) - Fraction(1, 3)) == -1
 
 
 def test_general_expansion_examples():
     base = ExpansionInstance(Fraction(2), Fraction(3), 3, 2)
-    assert general_expansion(base, 2) == -1
-    assert general_expansion(base, 0) == -1
-    assert general_expansion(base, 5) == -1
+    assert Fraction(*general_expansion(base, 2)) == -1
+    assert Fraction(*general_expansion(base, 0)) == -1
+    assert Fraction(*general_expansion(base, 5)) == -1
 
 
 def test_general_expansion_n2_terms():
@@ -75,7 +77,7 @@ def test_instance_validation():
        st.integers(min_value=-4, max_value=12), st.integers(min_value=-4, max_value=12))
 def test_two_term_identity_property(p, q, v, w):
     lhs, rhs = expand_difference(ExpansionInstance(p, q, v, w))
-    assert lhs == rhs == p ** v - q ** w
+    assert lhs == Fraction(*rhs) == p ** v - q ** w
 
 
 @settings(deadline=None, max_examples=60)
@@ -84,14 +86,15 @@ def test_two_term_identity_property(p, q, v, w):
 def test_free_upper_limit_property(p, q, v, w):
     expected = p ** v - q ** w
     for n in range(0, 11):
-        assert general_expansion(ExpansionInstance(p, q, v, w), n) == expected
+        assert Fraction(*general_expansion(ExpansionInstance(p, q, v, w), n)) == expected
 
 
 @settings(deadline=None, max_examples=300)
 @given(nonzero_fractions, nonzero_fractions, exponents, exponents,
        st.sampled_from(FREE_LIMIT_RANGE))
 def test_integer_expansion_matches_fraction_reference(p, q, v, w, n):
-    assert general_expansion(ExpansionInstance(p, q, v, w), n) == fraction_expansion(p, q, v, w, n)
+    assert Fraction(*general_expansion(ExpansionInstance(p, q, v, w), n)) == \
+        fraction_expansion(p, q, v, w, n)
 
 
 @pytest.mark.parametrize("p, q, v, w, n", [
@@ -100,8 +103,57 @@ def test_integer_expansion_matches_fraction_reference(p, q, v, w, n):
     (Fraction(-3, 2), Fraction(-7, 5), -4, -4, 10),  # exponents down to -24
 ])
 def test_integer_expansion_fixed_cases(p, q, v, w, n):
-    total = general_expansion(ExpansionInstance(p, q, v, w), n)
+    total = Fraction(*general_expansion(ExpansionInstance(p, q, v, w), n))
     assert total == fraction_expansion(p, q, v, w, n) == p ** v - q ** w
+
+
+@pytest.mark.parametrize("p, q, v, w", [
+    (Fraction(2, 3), Fraction(2, 3), 5, 5),
+    (Fraction(-3), Fraction(-3), -3, -3),
+    (Fraction(-7, 4), Fraction(-7, 4), 12, 12),
+    (Fraction(1), Fraction(1), 7, -4),
+])
+def test_zero_difference_at_every_n(p, q, v, w):
+    inst = ExpansionInstance(p, q, v, w)
+    lhs, rhs = expand_difference(inst)
+    assert lhs == Fraction(*rhs) == 0
+    for n in FREE_LIMIT_RANGE:
+        assert Fraction(*general_expansion(inst, n)) == 0
+
+
+def test_negative_base_under_odd_negative_exponent_at_every_n():
+    p, q, v, w = Fraction(-3, 2), Fraction(5, 7), -3, -1
+    inst = ExpansionInstance(p, q, v, w)
+    expected = p ** v - q ** w
+    assert expected == Fraction(-8, 27) - Fraction(7, 5)
+    assert Fraction(*expand_difference(inst)[1]) == expected
+    for n in FREE_LIMIT_RANGE:
+        num, den = general_expansion(inst, n)
+        assert den != 0
+        assert Fraction(num, den) == fraction_expansion(p, q, v, w, n) == expected
+
+
+def test_tables_grow_past_the_suite_ranges():
+    # n = 25 reaches exponents down to v - 50 = -70; then smaller n reuse the tables
+    p, q, v, w = Fraction(-7, 3), Fraction(5, 9), -20, 3
+    inst = ExpansionInstance(p, q, v, w)
+    for n in (25, 0, 1, 10, 25, 26):
+        assert Fraction(*general_expansion(inst, n)) == fraction_expansion(p, q, v, w, n)
+    assert Fraction(*general_expansion(inst, 25)) == p ** v - q ** w
+    wide = ExpansionInstance(Fraction(9, 8), Fraction(-2, 5), 40, -30)
+    assert Fraction(*general_expansion(wide, 3)) == Fraction(9, 8) ** 40 - Fraction(-2, 5) ** -30
+
+
+@pytest.mark.parametrize("change", [lambda k: k + 1, lambda k: -k],
+                         ids=["binomial plus one", "term sign flipped"])
+def test_suite_catches_one_wrong_term_at_one_n(monkeypatch, capsys, change):
+    real = identity_mod.comb
+    monkeypatch.setattr(identity_mod, "comb",
+                        lambda n, i: change(real(n, i)) if (n, i) == (5, 2) else real(n, i))
+    failures = run_random_suite(50, seed=7)
+    assert failures and all(f.endswith("at n=5") for f in failures)
+    assert cli.main(["verify-identities", "--cases", "50", "--seed", "7"]) == 4
+    assert "instances FAILED" in capsys.readouterr().out
 
 
 def test_expansion_table_example():
