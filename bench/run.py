@@ -1,37 +1,45 @@
-"""Time bealsearch's search and exact kernels and record the numbers.
+"""Time bealsearch's start-up, search and exact kernels and record the numbers.
 
-    python bench/run.py --label change --out BENCH_18.json
-    python bench/run.py --label parent --src ../parent/src --out BENCH_18.json
-    python bench/run.py --label change --out BENCH_18.json --repeats-1e18 1
+    python bench/run.py --tree parent=../parent/src --tree change=src --out BENCH_20.json
+    python bench/run.py --out BENCH_20.json --repeats-1e18 1
 
-Each search case is one search (bound, minimums 3,3,3, workers), run
---repeats times in a fresh process that runs only that case, after one
-untimed warm-up search at 10^6, whose peak memory is below every case's.
-That process's peak RSS, the larger of its own and its pool workers', is
-the case's peak_rss_mb sample, so one case's peak cannot show in another's.
-The search at 10^18 (about a minute per run) is a case only with --repeats-1e18.
-The classify case runs `bealsearch classify` on perfbench's first
-classify_batch (100 family solutions, then 100 random non-solutions), once
-in each of --repeats fresh processes that have imported only bealsearch.cli,
-so the tables the first call builds are timed with it.  It records that
-time, the process's peak RSS and the sha256 of every exit code and stdout.
-The factorize case factors the gcd(A, B, C) of the same batch's family
-solutions (100 gcds of up to 36 bits, what classify factors) once in each of
---repeats fresh processes, timing the first pass over them (cold_s, trial
-tables built) and then a second pass (warm_s).
-Each kernel case calls one exact kernel on a fixed, seeded list of inputs,
---repeats times; a sample is the mean time per call over at least
-KERNEL_MIN_S of calls.  One kernel case is the identity suite,
-run_random_suite, on one fixed seed and case count.  Every run adds its
-samples to the case under --label in --out, so a parent tree and a changed
-tree can be timed alternately into one file; the statistics are recomputed
-over all samples of a label.  Per search case the file holds the raw
-samples, and for the whole run (wall_s), each phase of SearchReport.phases
-and peak_rss_mb the median, minimum and quartiles, in seconds or MB, plus the
+Each --tree LABEL=SRC names a bealsearch package directory to time (default:
+change=src of this checkout).  Every sample is taken in a fresh process that
+imports bealsearch from one tree's SRC and takes only that sample.  Per
+case, the trees take turns sample by sample, in alternating order (parent,
+change, change, parent, ...), so a drift of the machine's speed falls on
+every tree alike rather than reading as a code change.
+
+The cases, --repeats samples per tree each:
+  startup: a fresh `python -c "import bealsearch.cli"` (import_s, timed
+    inside it, and import_process_s, the whole process) and a fresh
+    `bealsearch verify-identities --cases 1` (verify_identities_process_s);
+  search: one search (bound, minimums 3,3,3, workers) after one untimed
+    warm-up search at 10^6, whose peak memory is below every case's; the
+    sample holds wall_s, each phase of SearchReport.phases and the process's
+    peak RSS, the larger of its own and its forked workers'.  The search at
+    10^18 (about a minute per run) is a case only with --repeats-1e18;
+  classify: `bealsearch classify` on perfbench's first classify_batch (100
+    family solutions, then 100 random non-solutions), so the tables the
+    first call builds are timed with it, and the process's peak RSS;
+  factorize: the gcd(A, B, C) of the same batch's family solutions (100
+    gcds of up to 36 bits, what classify factors), a first pass over them
+    (cold_s, trial tables built) and then a second (warm_s);
+  kernel: one exact kernel on a fixed, seeded list of inputs; the sample is
+    the mean time per call over at least KERNEL_MIN_S of calls.  One kernel
+    case is the identity suite, run_random_suite, on one fixed seed and case
+    count.
+The startup, classify and factorize cases also record the sha256 of what
+they print or return, which must be the same in every sample of every tree.
+
+Every run adds its samples to each case under its tree's label in --out, so
+runs can be added to one file; the statistics are recomputed over all samples
+of a label: per case the raw samples and, per timed quantity, the median,
+minimum and quartiles.  A search case also holds the report's counts and the
 set probes of the scan per second of median scan_s when the report counts
-them (SearchReport.scan_probes).  Per kernel case it holds the raw samples
-and their median, minimum and quartiles as us_per_call.  The machine facts
-are nproc, the CPU model and the Python version.
+them (SearchReport.scan_probes).  The machine facts are nproc, the CPU model,
+the Python version and whether Python writes bytecode caches (without them
+every start-up compiles the package from source).
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ import platform
 import random
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -57,6 +66,20 @@ CASES = [(10 ** 12, 1), (10 ** 14, 1), (10 ** 16, 1), (10 ** 14, 2)]
 CLASSIFY_SEED = 1_000_003
 PHASES = ("enumerate_s", "index_s", "scan_s", "annotate_s")
 KERNEL_MIN_S = 0.05
+# Run with the tree's SRC as argv[1], each in a fresh interpreter.
+IMPORT_SCRIPT = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+                 "started = time.perf_counter(); import bealsearch.cli; "
+                 "print(time.perf_counter() - started)")
+MAIN_SCRIPT = ("import sys; sys.path.insert(0, sys.argv[1]); "
+               "from bealsearch.cli import main; sys.exit(main(sys.argv[2:]))")
+
+
+def use_tree(src: str) -> None:
+    """Import bealsearch from src in this fresh process, and only from there."""
+    sys.path.insert(0, src)
+    import bealsearch
+    if not Path(bealsearch.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"bealsearch was imported from {bealsearch.__file__}, not {src}")
 
 
 def kernel_cases() -> dict[str, tuple]:
@@ -92,21 +115,10 @@ def kernel_cases() -> dict[str, tuple]:
     }
 
 
-def time_kernel(kernel, calls: list[tuple], repeats: int) -> list[float]:
-    """Per repeat, the mean microseconds per call over at least KERNEL_MIN_S."""
-    samples = []
-    for _ in range(repeats):
-        rounds = 0
-        started = time.perf_counter()
-        while True:
-            for args in calls:
-                kernel(*args)
-            rounds += 1
-            elapsed = time.perf_counter() - started
-            if elapsed >= KERNEL_MIN_S:
-                break
-        samples.append(1e6 * elapsed / (rounds * len(calls)))
-    return samples
+# The kernel case names, without importing bealsearch; kernel_cases builds the same.
+KERNELS = ("iroot 500 bits k 3,5,7", "is_perfect_power 64 bits", "is_perfect_power 500 bits",
+           "is_perfect_power 2000 bits", "classify_radical", "scalar_m 3,3,6,3,3,5",
+           "run_random_suite 200 cases seed 15")
 
 
 def cpu_model() -> str:
@@ -126,35 +138,49 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": median, "min": min(values), "q1": q1, "q3": q3}
 
 
-def time_case(search, bound: int, workers: int, repeats: int) -> tuple[list[dict], dict]:
-    samples = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        report = search.search_solutions(search.SearchConfig(bound=bound, workers=workers))
-        sample = {"wall_s": time.perf_counter() - started}
-        sample.update((name, report.phases[name]) for name in PHASES)
-        samples.append(sample)
-    counts = dict(report.counts)
-    counts["scan_probes"] = getattr(report, "scan_probes", None)
-    return samples, counts
-
-
 def peak_rss_mb() -> float:
     """This process's peak RSS, or its largest waited-for child's, in MB."""
     return max(resource.getrusage(who).ru_maxrss
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
 
 
-def case_in_process(bound: int, workers: int, repeats: int, conn) -> None:
-    import bealsearch.search as search  # from the --src the spawning process put on sys.path
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# --- the cases: each sends one (sample, facts, output digest or None) through conn
+
+def startup_sample(src: str, conn) -> None:
+    started = time.perf_counter()
+    imported = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT, src],
+                              capture_output=True, text=True, check=True)
+    middle = time.perf_counter()
+    verified = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, src,
+                               "verify-identities", "--cases", "1"],
+                              capture_output=True, text=True)
+    done = time.perf_counter()
+    sample = {"import_s": float(imported.stdout), "import_process_s": middle - started,
+              "verify_identities_process_s": done - middle}
+    conn.send((sample, {}, digest(f"{verified.returncode}\n{verified.stdout}")))
+
+
+def search_sample(src: str, bound: int, workers: int, conn) -> None:
+    use_tree(src)
+    import bealsearch.search as search
 
     search.search_solutions(search.SearchConfig(bound=10 ** 6))  # warm-up, untimed
-    samples, counts = time_case(search, bound, workers, repeats)
-    conn.send((samples, counts, peak_rss_mb()))
+    started = time.perf_counter()
+    report = search.search_solutions(search.SearchConfig(bound=bound, workers=workers))
+    sample = {"wall_s": time.perf_counter() - started}
+    sample.update((name, report.phases[name]) for name in PHASES)
+    sample["peak_rss_mb"] = peak_rss_mb()
+    counts = dict(report.counts, scan_probes=report.scan_probes)
+    conn.send((sample, {"counts": counts}, None))
 
 
-def classify_in_process(conn) -> None:
-    import bealsearch.cli as cli  # from the --src the spawning process put on sys.path
+def classify_sample(src: str, conn) -> None:
+    use_tree(src)
+    import bealsearch.cli as cli
     from workloads import classify_inputs  # perfbench's, on sys.path too
 
     outputs = []
@@ -166,12 +192,12 @@ def classify_in_process(conn) -> None:
             code = cli.main(["classify", "--triple", ",".join(map(str, triple))])
         outputs.append(f"{code}\n{buffer.getvalue()}")
     seconds = time.perf_counter() - started
-    digest = hashlib.sha256("".join(outputs).encode("utf-8")).hexdigest()
-    conn.send(({"wall_s": seconds, "peak_rss_mb": peak_rss_mb()}, {"triples": len(triples)},
-               digest))
+    conn.send(({"wall_s": seconds, "peak_rss_mb": peak_rss_mb()},
+               {"seed": CLASSIFY_SEED, "triples": len(triples)}, digest("".join(outputs))))
 
 
-def factorize_in_process(conn) -> None:
+def factorize_sample(src: str, conn) -> None:
+    use_tree(src)
     from bealsearch.exact_arith import factorize
     from bealsearch.triples import BealTriple
     from workloads import CLASSIFY_BATCH, classify_inputs  # perfbench's, on sys.path too
@@ -183,26 +209,26 @@ def factorize_in_process(conn) -> None:
         started = time.perf_counter()
         factors = [factorize(n) for n in gcds]
         sample[key] = time.perf_counter() - started
-    digest = hashlib.sha256(repr(factors).encode("utf-8")).hexdigest()
-    conn.send((sample, {"gcds": len(gcds)}, digest))
+    conn.send((sample, {"seed": CLASSIFY_SEED, "gcds": len(gcds)}, digest(repr(factors))))
 
 
-def fresh_process_case(runs: dict, name: str, target, repeats: int) -> dict:
-    """Add the samples of target, run once in each of repeats fresh processes,
-    to the case name; each run sends (sample, facts, output sha256), and the
-    digest must be the same in every run of every label."""
-    case = runs.setdefault(name, {"seed": CLASSIFY_SEED, "samples": []})
-    for _ in range(repeats):
-        sample, facts, digest = in_fresh_process(target)
-        case["samples"].append(sample)
-        case.update(facts)
-        case.setdefault("output_sha256", digest)
-        if digest != case["output_sha256"]:
-            raise SystemExit(f"{name}: output sha256 {digest} != {case['output_sha256']}")
-    case["repeats"] = len(case["samples"])
-    for key in sample:
-        case[key] = summary([run[key] for run in case["samples"]])
-    return case
+def kernel_sample(src: str, name: str, conn) -> None:
+    """The mean microseconds per call of one kernel case over at least KERNEL_MIN_S."""
+    use_tree(src)
+    cases = kernel_cases()
+    assert tuple(cases) == KERNELS, "KERNELS names the cases of kernel_cases"
+    kernel, calls = cases[name]
+    rounds = 0
+    started = time.perf_counter()
+    while True:
+        for args in calls:
+            kernel(*args)
+        rounds += 1
+        elapsed = time.perf_counter() - started
+        if elapsed >= KERNEL_MIN_S:
+            break
+    conn.send(({"us_per_call": 1e6 * elapsed / (rounds * len(calls))},
+               {"calls": len(calls)}, None))
 
 
 def in_fresh_process(target, *args):
@@ -218,70 +244,87 @@ def in_fresh_process(target, *args):
         process.join()
 
 
+def run_case(runs: dict, trees: list[tuple[str, str]], name: str, repeats: int,
+             target, *args) -> None:
+    """Add repeats samples per tree to the case name, the trees taking turns,
+    each sample what target(src, *args, conn) sends from a fresh process."""
+    for repeat in range(repeats):
+        for label, src in trees if repeat % 2 == 0 else trees[::-1]:
+            sample, facts, output = in_fresh_process(target, src, *args)
+            case = runs[label].setdefault(name, {"samples": []})
+            case["samples"].append(sample)
+            case.update(facts)
+            case["repeats"] = len(case["samples"])
+            for key in sample:
+                case[key] = summary([run[key] for run in case["samples"]])
+            if output is not None:
+                known = {runs[other][name].get("output_sha256") for other in runs
+                         if name in runs[other]} - {None}
+                if known - {output}:
+                    raise SystemExit(f"{name} ({label}): output sha256 {output} != {known}")
+                case["output_sha256"] = output
+    for label, _ in trees:
+        case = runs[label][name]
+        medians = ", ".join(f"{key} {value['median']:.6g}" for key, value in case.items()
+                            if isinstance(value, dict) and "median" in value)
+        print(f"{label}: {name}: {medians} over {case['repeats']} runs")
+
+
+def tree(text: str) -> tuple[str, str]:
+    label, sep, src = text.partition("=")
+    if not sep or not label or not (Path(src) / "bealsearch" / "cli.py").is_file():
+        raise argparse.ArgumentTypeError(f"{text}: need LABEL=SRC, SRC holding bealsearch")
+    return label, str(Path(src).resolve())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="name of the tree timed, e.g. parent")
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="directory holding the bealsearch package to time")
+    parser.add_argument("--tree", type=tree, action="append",
+                        help="LABEL=SRC: a bealsearch package directory to time under "
+                             "LABEL; repeat to interleave trees (default: change=src)")
     parser.add_argument("--out", required=True, help="JSON file to add the samples to")
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per case")
+    parser.add_argument("--repeats", type=int, default=5, help="samples per case and tree")
     parser.add_argument("--repeats-1e18", type=int, default=0,
-                        help="timed runs of the search at 10^18, about a minute each "
+                        help="samples of the search at 10^18, about a minute each "
                              "(default 0: no such case)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     if args.repeats_1e18 < 0:
         parser.error("--repeats-1e18 must be >= 0")
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    import bealsearch.search as search
-    if not Path(search.__file__).resolve().is_relative_to(Path(args.src).resolve()):
-        parser.error(f"bealsearch was imported from {search.__file__}, not {args.src}")
+    trees = args.tree or [tree(f"change={ROOT / 'src'}")]
+    if len({label for label, _ in trees}) < len(trees):
+        parser.error("each --tree needs its own label")
+    sys.path.insert(0, str(ROOT / "perfbench"))  # for perfbench's workloads, in every process
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["machine"] = {"nproc": os.cpu_count(), "cpu_model": cpu_model(),
-                      "python": platform.python_version()}
-    runs = doc.setdefault("runs", {}).setdefault(args.label, {})
+                      "python": platform.python_version(),
+                      "dont_write_bytecode": sys.dont_write_bytecode}
+    runs = doc.setdefault("runs", {})
+    for label, _ in trees:
+        runs.setdefault(label, {})
 
+    run_case(runs, trees, "startup", args.repeats, startup_sample)
     cases = [(bound, workers, args.repeats) for bound, workers in CASES]
     if args.repeats_1e18:
         cases.append((10 ** 18, 1, args.repeats_1e18))
     for bound, workers, repeats in cases:
-        if workers > (os.cpu_count() or 1):
-            print(f"skip bound 10^{len(str(bound)) - 1} workers {workers}: too few CPUs")
-            continue
         name = f"search 10^{len(str(bound)) - 1} workers {workers}"
-        samples, counts, rss = in_fresh_process(case_in_process, bound, workers, repeats)
-        case = runs.setdefault(name, {"bound": str(bound), "minimums": [3, 3, 3],
-                                      "workers": workers, "samples": []})
-        case["samples"] += samples
-        case["repeats"] = len(case["samples"])
-        case["counts"] = counts
-        for key in ("wall_s",) + PHASES:
-            case[key] = summary([sample[key] for sample in case["samples"]])
-        probes = counts["scan_probes"]
-        case["probes_per_s"] = probes / case["scan_s"]["median"] if probes else None
-        case.setdefault("peak_rss_mb_samples", []).append(rss)
-        case["peak_rss_mb"] = summary(case["peak_rss_mb_samples"])
-        print(f"{args.label}: {name}: wall {case['wall_s']['median']:.3f} s, "
-              f"scan {case['scan_s']['median']:.3f} s over {case['repeats']} runs, "
-              f"peak RSS {rss:.1f} MB")
-    case = fresh_process_case(runs, "classify batch cold", classify_in_process, args.repeats)
-    print(f"{args.label}: classify batch cold: wall {case['wall_s']['median']:.3f} s "
-          f"over {case['repeats']} runs, peak RSS {case['peak_rss_mb']['median']:.1f} MB")
-    case = fresh_process_case(runs, "factorize family gcds", factorize_in_process, args.repeats)
-    print(f"{args.label}: factorize family gcds: cold {1e3 * case['cold_s']['median']:.2f} ms, "
-          f"warm {1e3 * case['warm_s']['median']:.2f} ms over {case['repeats']} runs")
-    for name, (kernel, calls) in kernel_cases().items():
-        case = runs.setdefault(f"kernel {name}", {"calls": len(calls), "samples": []})
-        case["samples"] += time_kernel(kernel, calls, args.repeats)
-        case["repeats"] = len(case["samples"])
-        case["us_per_call"] = summary(case["samples"])
-        print(f"{args.label}: kernel {name}: {case['us_per_call']['median']:.1f} us per call "
-              f"over {case['repeats']} runs")
+        if workers > (os.cpu_count() or 1):
+            print(f"skip {name}: too few CPUs")
+            continue
+        run_case(runs, trees, name, repeats, search_sample, bound, workers)
+        for label, _ in trees:
+            case = runs[label][name]
+            case.update(bound=str(bound), minimums=[3, 3, 3], workers=workers)
+            probes = case["counts"]["scan_probes"]
+            case["probes_per_s"] = probes / case["scan_s"]["median"] if probes else None
+    run_case(runs, trees, "classify batch cold", args.repeats, classify_sample)
+    run_case(runs, trees, "factorize family gcds", args.repeats, factorize_sample)
+    for name in KERNELS:
+        run_case(runs, trees, f"kernel {name}", args.repeats, kernel_sample, name)
     out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

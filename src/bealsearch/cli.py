@@ -6,6 +6,8 @@ Exit codes are the only success/failure channel:
     2  invalid flags, IO failure, or schema mismatch
     3  a search hit failed verification (anomaly signal)
     4  an exact identity failed (arithmetic bug signal)
+    5  a forked scan worker of search --workers > 1 failed (raised, exited
+       non-zero or died), so the search has no result
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from . import identity, records
 from .coprime import check_coprimality_propagation, exponent_orientation, exponent_restriction
-from .errors import BealsearchError, NoRealRoot, ZeroDenominator
+from .errors import BealsearchError, NoRealRoot, ScanWorkerFailed, ZeroDenominator
 from .exact_arith import RATIONAL, Radical
 from .intervals import IntervalValue
 from .reparam import Plane, canonical_alpha_beta, scalar_m
@@ -271,6 +273,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except ScanWorkerFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except (BealsearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

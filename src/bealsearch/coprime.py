@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, NotAdditiveTriple
 from .exact_arith import DEFAULT_FACTOR_BUDGET, FactorList, factorize
 from .triples import BealTriple
 
 
-@dataclass(frozen=True)
-class CoprimalityReport:
+class CoprimalityReport(NamedTuple):
     gcd_ab: int
     gcd_ac: int
     gcd_bc: int

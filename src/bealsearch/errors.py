@@ -47,3 +47,7 @@ class Divergent(BealsearchError):
 
 class BoundTooLarge(BealsearchError):
     """The oracle's naive budget or a search's power table refuses the bound."""
+
+
+class ScanWorkerFailed(BealsearchError):
+    """A forked scan worker raised, exited non-zero or died; its stripe is lost."""

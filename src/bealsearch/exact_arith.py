@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import BudgetExceeded
 
@@ -111,8 +111,7 @@ def reduce_base(base: int, exp: int) -> tuple[int, int]:
     return root, e * exp
 
 
-@dataclass(frozen=True)
-class RadicalClass:
+class RadicalClass(NamedTuple):
     """Outcome of classifying sign * radicand**(1/degree).
 
     kind is one of "rational", "irrational", "no_real_root"; value is the
@@ -176,27 +175,32 @@ def classify_radical(sign: int, radicand: Fraction | int, degree: int) -> Radica
     return RadicalClass.rational(value)
 
 
-@dataclass(frozen=True)
-class Radical:
-    """A real radical sign * radicand**(1/degree) kept in exact form.
-
-    radicand is a non-negative rational; classification is computed lazily
-    and cached.  Numeric evaluation lives in the intervals module.
-    """
-
+class _Radical(NamedTuple):
     sign: int
     radicand: Fraction
     degree: int
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if not isinstance(self.radicand, Fraction):
-            object.__setattr__(self, "radicand", Fraction(self.radicand))
-        if self.radicand < 0:
-            raise ValueError(f"radicand must be >= 0, got {self.radicand}")
+
+class Radical(_Radical):
+    """A real radical sign * radicand**(1/degree) kept in exact form.
+
+    radicand is a non-negative rational; classification is computed lazily
+    and cached (the class has no __slots__, so cached_property has a
+    __dict__ to store it in).  Numeric evaluation lives in the intervals module.
+    """
+
+    def __new__(cls, sign: int, radicand: Fraction | int, degree: int):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {degree}")
+        if not isinstance(radicand, Fraction):
+            radicand = Fraction(radicand)
+        if radicand < 0:
+            raise ValueError(f"radicand must be >= 0, got {radicand}")
+        return super().__new__(cls, sign, radicand, degree)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     @classmethod
     def of(cls, signed_radicand: Fraction | int, degree: int) -> "Radical":

@@ -10,8 +10,8 @@ act on the endpoints exactly, so every interval is a true enclosure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NoRealRoot
 from .exact_arith import NO_REAL_ROOT, Radical, iroot
@@ -19,8 +19,7 @@ from .exact_arith import NO_REAL_ROOT, Radical, iroot
 DEFAULT_PRECISION_BITS = 256
 
 
-@dataclass(frozen=True)
-class IntervalValue:
+class IntervalValue(NamedTuple):
     """A certified real enclosure [lo, hi] with Fraction endpoints."""
 
     lo: Fraction

@@ -13,8 +13,8 @@ import csv
 import io
 import json
 import re
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BealsearchError
 from .exact_arith import IRRATIONAL, NO_REAL_ROOT, RATIONAL
@@ -29,8 +29,7 @@ class SchemaError(BealsearchError):
     """A persisted file does not conform to the hit-record schema."""
 
 
-@dataclass(frozen=True)
-class HitRecord:
+class HitRecord(NamedTuple):
     """One hit in serialized form (all fields are strings, in CSV column order)."""
 
     A: str
@@ -85,10 +84,10 @@ class HitRecord:
         return self
 
     def to_row(self) -> list[str]:
-        return [getattr(self, name) for name in CSV_COLUMNS]
+        return list(self)
 
     def to_obj(self) -> dict[str, str]:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
+        return self._asdict()
 
     @classmethod
     def from_obj(cls, obj: dict) -> "HitRecord":
@@ -99,7 +98,7 @@ class HitRecord:
         return record.validate()
 
 
-CSV_COLUMNS = [f.name for f in fields(HitRecord)]
+CSV_COLUMNS = list(HitRecord._fields)
 
 
 def records_from_report(report: SearchReport) -> list[HitRecord]:
@@ -154,7 +153,7 @@ def report_to_obj(report: SearchReport, include_timing: bool = True,
     if hit_records is None:
         hit_records = records_from_report(report)
     obj = {
-        "config": {**asdict(report.config), "bound": str(report.config.bound)},
+        "config": {**report.config._asdict(), "bound": str(report.config.bound)},
         "counts": dict(report.counts),
         "hits": [record.to_obj() for record in hit_records],
     }

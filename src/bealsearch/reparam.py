@@ -19,8 +19,8 @@ search hit rather than assumed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateBeta, ZeroDenominator
 from .exact_arith import Radical
@@ -33,8 +33,7 @@ class Plane(enum.Enum):
     CA = "ca"
 
 
-@dataclass(frozen=True)
-class ReparamPair:
+class ReparamPair(NamedTuple):
     """Canonical (alpha, beta) radicals for one plane."""
 
     alpha: Radical

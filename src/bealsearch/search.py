@@ -47,11 +47,14 @@ n**3, and a PowerEntry table (a sieve over the bases, no root per base) holds
 the powers of exponent >= 4: at 10**18, 37,112 entries beside 999,999 cube
 values.  A hit's term that the table lacks is such a cube, of base its root.
 
-The scan is striped by index of v across workers; the annotated hits are
-sorted by SearchHit.sort_key, so reports are deterministic for any worker
-count.  A deliberately naive triple-enumeration oracle with its own power
-enumeration (repeated multiplication, no root extraction, no sum index)
-provides the independent cross-check used by the acceptance suite.
+The scan is striped by index of v across workers: the search scans stripe
+0 itself and forks one child per other stripe, which reads the lanes from
+the fork's copy of memory and sends back its pairs and probe count (marshal,
+through a pipe).  The annotated hits are sorted by SearchHit.sort_key, so
+reports are deterministic for any worker count.  A deliberately naive
+triple-enumeration oracle with its own power enumeration (repeated
+multiplication, no root extraction, no sum index) provides the independent
+cross-check used by the acceptance suite.
 
 Exponent minimums apply to the unordered pair: a canonical hit (A**X <=
 B**Y) qualifies when either orientation of its left side meets (min_x,
@@ -63,11 +66,11 @@ applied once, where the triples are built.
 
 from __future__ import annotations
 
-import multiprocessing
+import marshal
+import os
 import time
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
@@ -75,7 +78,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .coprime import Restriction, exponent_restriction
-from .errors import BoundTooLarge
+from .errors import BoundTooLarge, ScanWorkerFailed
 from .exact_arith import iroot, is_perfect_power
 from .reparam import Plane, ReparamPair, canonical_alpha_beta
 from .slopes import SlopeSet, slope_set
@@ -93,8 +96,7 @@ class PowerEntry(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchConfig(NamedTuple):
     bound: int
     min_x: int = 3
     min_y: int = 3
@@ -102,21 +104,28 @@ class SearchConfig:
     workers: int = 1
     seed: int = 0  # echoed in the JSON report only; the search is deterministic
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.bound < 1:
             raise ValueError(f"bound must be >= 1, got {self.bound}")
         if min(self.min_x, self.min_y, self.min_z) < 3:
             raise ValueError("exponent minimums must be >= 3")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     @property
     def minimums(self) -> tuple[int, int, int]:
         return self.min_x, self.min_y, self.min_z
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     """One verified candidate: per-check outcomes, with the slopes and CB pair they read."""
 
     triple: BealTriple
@@ -136,14 +145,17 @@ class SearchHit:
         return self.triple.cz, self.triple.by, self.triple.ax
 
 
-@dataclass
 class SearchReport:
-    config: SearchConfig
-    hits: list[SearchHit]
-    counts: dict[str, int] = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    phases: dict[str, float] = field(default_factory=dict)  # seconds, see _report
-    scan_probes: int | None = None  # set probes of the pair scan; None for the oracle
+    """What a search or the oracle found: the ordered hits, counts and timings."""
+
+    def __init__(self, config: SearchConfig, hits: list[SearchHit], counts: dict[str, int],
+                 wall_time_s: float, phases: dict[str, float], scan_probes: int | None):
+        self.config = config
+        self.hits = hits
+        self.counts = counts
+        self.wall_time_s = wall_time_s
+        self.phases = phases  # seconds, see _report
+        self.scan_probes = scan_probes  # set probes of the pair scan; None for the oracle
 
     @property
     def triples(self) -> list[BealTriple]:
@@ -194,10 +206,6 @@ def _pairs_within(values: list[int], bound: int) -> int:
             - half * (half - 1) // 2)
 
 
-# Pool workers' lanes, set once per worker process by the pool initializer.
-_LANES: tuple = ()
-
-
 # The residues of the cubes mod 63 and of the 4th powers mod 80.
 CUBE_RESIDUES = frozenset(pow(n, 3, 63) for n in range(63))      # 9 of 63
 QUARTIC_RESIDUES = frozenset(pow(n, 4, 80) for n in range(80))   # {0, 1, 16, 65}
@@ -236,15 +244,6 @@ class _Lanes(NamedTuple):
     right_quartics: set[int]    # right values in class Q
     cube_partners: list[list[int]]     # _partner_lists(left_other, 63, CUBE_RESIDUES)
     quartic_partners: list[list[int]]  # _partner_lists(left_other, 80, QUARTIC_RESIDUES)
-
-
-def _init_lanes(lanes: _Lanes) -> None:
-    global _LANES
-    _LANES = lanes
-
-
-def _match_in_worker(stripe: tuple[int, int]) -> tuple[list[tuple[int, int]], int]:
-    return _match_stripe(_LANES, *stripe)
 
 
 def _smallest_prime_factors(limit: int) -> array:
@@ -309,6 +308,55 @@ def _match_stripe(lanes: _Lanes, start: int, step: int) -> tuple[list[tuple[int,
         found += pairs
         probes += tried
     return found, probes
+
+
+def _match_forked(lanes: _Lanes, workers: int) -> list[tuple[list[tuple[int, int]], int]]:
+    """_match_stripe over every stripe of workers, in stripe order: stripe 0
+    here, each other stripe in a forked child that sees the lanes through
+    the fork's copy of memory and sends its result back through a pipe.
+
+    Raises ScanWorkerFailed when a child raises, exits non-zero or dies.
+    Every child's pipe is read to its end and every child is reaped before
+    this returns or raises.  A fork copies only the calling thread, so a
+    caller that runs threads of its own should search with one worker.
+    """
+    children = []  # (stripe, pid, read end of its pipe)
+    try:
+        for stripe in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no child to hand the pipe to
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child: it never returns, nor runs the parent's exit code
+                code = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(marshal.dumps(_match_stripe(lanes, stripe, workers)))
+                    code = 0
+                except BaseException:  # not re-raised: that would run the parent's code here
+                    import traceback  # only a failing child pays for this import
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((stripe, pid, open(read_fd, "rb")))
+        results = [_match_stripe(lanes, 0, workers)]
+    finally:
+        outputs, failed = [], []
+        for stripe, pid, pipe in children:
+            with pipe:
+                outputs.append(pipe.read())
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                how = f"exited with code {code}" if code > 0 else f"died of signal {-code}"
+                failed.append(f"stripe {stripe} of {workers} {how}")
+    if failed:
+        raise ScanWorkerFailed(f"scan worker failed: {'; '.join(failed)}")
+    return results + [marshal.loads(data) for data in outputs]
 
 
 def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
@@ -495,10 +543,7 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     if config.workers == 1 or config.min_z >= config.bound.bit_length():  # no right value
         results = [_match_stripe(lanes, 0, 1)]
     else:
-        stripes = [(w, config.workers) for w in range(config.workers)]
-        with multiprocessing.Pool(processes=config.workers, initializer=_init_lanes,
-                                  initargs=(lanes,)) as pool:
-            results = pool.map(_match_in_worker, stripes)
+        results = _match_forked(lanes, config.workers)
 
     def base_exponent(value: int) -> tuple[int, int]:  # a value the table lacks is n**3
         return index[value][1:] if value in index else (iroot(value, 3)[0], 3)

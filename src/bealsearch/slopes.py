@@ -16,8 +16,8 @@ re-derives the slopes from (a, b, k) when the term ratio is below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import Divergent
 from .exact_arith import Radical, RadicalClass
@@ -25,8 +25,7 @@ from .intervals import DEFAULT_PRECISION_BITS, IntervalValue, enclose
 from .triples import BealTriple
 
 
-@dataclass(frozen=True)
-class SlopeSet:
+class SlopeSet(NamedTuple):
     """Slopes in the three planes; exact Fractions whenever rational."""
 
     m_cb: Fraction | Radical
@@ -34,8 +33,7 @@ class SlopeSet:
     m_ba: Fraction
 
 
-@dataclass(frozen=True)
-class CommonFactorDecomposition:
+class CommonFactorDecomposition(NamedTuple):
     k: int
     a: int
     b: int

@@ -9,13 +9,12 @@ A**X <= B**Y) is produced explicitly via canonical().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_arith import reduce_base
 
 
-@dataclass(frozen=True)
-class BealTriple:
+class _BealTriple(NamedTuple):
     A: int
     X: int
     B: int
@@ -23,11 +22,18 @@ class BealTriple:
     C: int
     Z: int
 
-    def __post_init__(self):
-        for name in ("A", "X", "B", "Y", "C", "Z"):
-            value = getattr(self, name)
+
+class BealTriple(_BealTriple):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     @classmethod
     def parse(cls, text: str) -> "BealTriple":

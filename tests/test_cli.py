@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, file outputs, JSON contract."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -281,7 +280,7 @@ def test_search_anomaly_exit_three(command, tmp_path, capsys, monkeypatch):
         hit = real(triple, minimums)
         checks = dict(hit.checks)
         checks["equation_exact"] = False
-        return dataclasses.replace(hit, checks=checks)
+        return hit._replace(checks=checks)
 
     monkeypatch.setattr(search_mod, "verify_hit", broken)
     code, _, err = run(capsys, command, "--bound", "20", "--out", str(tmp_path / "h.csv"))
@@ -371,6 +370,41 @@ def test_cli_import_skips_plot_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_skips_dataclasses_and_multiprocessing():
+    # the record classes are NamedTuples and the scan forks its own workers
+    code = ("import sys, bealsearch.cli; "
+            "print(sorted(m for m in sys.modules if m in ('dataclasses', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("fail, message", [
+    (lambda: 1 // 0, "stripe 1 of 2 exited with code 1"),
+    (lambda: os._exit(7), "stripe 1 of 2 exited with code 7"),
+], ids=["raises", "exits"])
+def test_failed_scan_worker_exits_five(fail, message, tmp_path, capsys, monkeypatch):
+    import bealsearch.search as search_mod
+
+    real = search_mod._match_stripe
+
+    def failing(lanes, start, step):
+        if start == 1:
+            fail()
+        return real(lanes, start, step)
+
+    monkeypatch.setattr(search_mod, "_match_stripe", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "h.csv"
+    code, stdout, err = run(capsys, "search", "--bound", "10^8", "--workers", "2",
+                            "--out", str(out))
+    assert code == 5
+    assert f"error: scan worker failed: {message}" in err
+    assert stdout == "" and not out.exists()
+    with pytest.raises(ChildProcessError):  # every forked child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_emit_plot_refuses_an_unknown_axes_value(tmp_path, capsys):

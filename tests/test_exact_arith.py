@@ -214,6 +214,13 @@ def test_radical_type():
     assert str(radical) == "-(55/2744)^(1/3)"
     exact = Radical.of(Fraction(8), 3)
     assert exact.exact_value == 2
+    assert repr(exact) == "Radical(sign=1, radicand=Fraction(8, 1), degree=3)"
+    assert type(Radical(1, 8, 3).radicand) is Fraction
+    for sign, radicand, degree in ((0, 8, 3), (1, 8, 0), (1, -8, 3)):
+        with pytest.raises(ValueError):
+            Radical(sign, radicand, degree)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        exact._replace(degree=0)
 
 
 # --- factorize -------------------------------------------------------------------

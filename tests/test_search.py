@@ -1,5 +1,6 @@
 """Search engine: enumeration, oracle equivalence, determinism, verification."""
 
+import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
@@ -49,10 +50,16 @@ def _reference_powers(bound: int, min_exp: int) -> list[PowerEntry]:
 
 
 def test_enumerate_powers_matches_perfect_power_reference():
+    # Every threshold of enumerate_powers (2**min_exp, each n**min_exp that
+    # moves its base limit, each value it appends) is a reference value, so
+    # its table changes only at a reference value v: the bounds v - 1, v and
+    # v + 1, and 1 and 3,000, meet every distinct table and both sides of
+    # each cut-off.  For min_exp 1 that is still every bound.
     for min_exp in range(1, 5):
         reference = _reference_powers(3000, min_exp)
         values = [entry.value for entry in reference]
-        for bound in range(1, 3001):
+        bounds = {1, 3000} | {b for v in values for b in (v - 1, v, v + 1) if 1 <= b <= 3000}
+        for bound in sorted(bounds):
             expected = reference[:bisect_right(values, bound)]
             assert enumerate_powers(bound, min_exp) == expected, (bound, min_exp)
     for bound in (10 ** 12, 10 ** 13):
@@ -382,10 +389,27 @@ def test_worker_determinism():
             == reports[2].counts["pairs_tested"])
 
 
-def test_serial_search_leaves_no_module_state():
-    assert search_mod._LANES == ()
-    assert search_solutions(SearchConfig(bound=10 ** 8)).counts["hits"] > 0
-    assert search_mod._LANES == ()
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_leaves_no_module_state_and_no_child(workers):
+    before = dict(vars(search_mod))
+    report = search_solutions(SearchConfig(bound=10 ** 8, workers=workers))
+    assert report.counts["hits"] > 0
+    assert vars(search_mod).keys() == before.keys()
+    assert all(vars(search_mod)[name] is value for name, value in before.items())
+    with pytest.raises(ChildProcessError):  # every forked child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_failed_fork_leaves_no_open_pipe(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    open_fds = os.listdir("/proc/self/fd")
+    with pytest.raises(BlockingIOError):
+        search_solutions(SearchConfig(bound=10 ** 8, workers=2))
+    assert os.listdir("/proc/self/fd") == open_fds
 
 
 def test_asymmetric_minimums_accept_either_orientation():
@@ -413,6 +437,19 @@ def test_config_validation():
         SearchConfig(bound=100, min_x=2)
     with pytest.raises(ValueError):
         SearchConfig(bound=100, workers=0)
+    with pytest.raises(ValueError):
+        SearchConfig(bound=100)._replace(workers=0)
+    assert repr(SearchConfig(100)) == ("SearchConfig(bound=100, min_x=3, min_y=3, min_z=3, "
+                                       "workers=1, seed=0)")
+
+
+def test_beal_triple_checks_its_fields():
+    triple = BealTriple(3, 3, 6, 3, 3, 5)
+    assert repr(triple) == "BealTriple(A=3, X=3, B=6, Y=3, C=3, Z=5)"
+    with pytest.raises(ValueError, match="B must be a positive integer, got 0"):
+        BealTriple(3, 3, 0, 3, 3, 5)
+    with pytest.raises(ValueError, match="Z must be a positive integer, got -1"):
+        triple._replace(Z=-1)
 
 
 def test_verify_hit_examples():
