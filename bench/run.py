@@ -2,6 +2,7 @@
 
     python bench/run.py --tree parent=../parent/src --tree change=src --out BENCH_20.json
     python bench/run.py --out BENCH_20.json --repeats-1e18 1
+    python bench/run.py --out BENCH_20.json --repeats 1 --completeness
 
 Each --tree LABEL=SRC names a bealsearch package directory to time (default:
 change=src of this checkout).  Every sample is taken in a fresh process that
@@ -14,11 +15,19 @@ The cases, --repeats samples per tree each:
   startup: a fresh `python -c "import bealsearch.cli"` (import_s, timed
     inside it, and import_process_s, the whole process) and a fresh
     `bealsearch verify-identities --cases 1` (verify_identities_process_s);
-  search: one search (bound, minimums 3,3,3, workers) after one untimed
-    warm-up search at 10^6, whose peak memory is below every case's; the
-    sample holds wall_s, each phase of SearchReport.phases and the process's
-    peak RSS, the larger of its own and its forked workers'.  The search at
-    10^18 (about a minute per run) is a case only with --repeats-1e18;
+  search: one search (bound, minimums, workers) after one untimed warm-up
+    search at 10^6, whose peak memory is below every case's; the sample
+    holds wall_s, each phase of SearchReport.phases and the process's peak
+    RSS, the larger of its own and its forked workers'.  The cases are
+    10^12, 10^14 and 10^16 with minimums 3,3,3 and 1 worker, 10^14 with 2,
+    and perfbench's search_split, 10^13 with minimums 4,3,3 and 2 workers.
+    The search at 10^18 (about a minute per run) is a case only with
+    --repeats-1e18;
+  completeness (only with --completeness, about three minutes per tree):
+    search_solutions against the plain right-anchored lookup of
+    tests/test_search.py (_lookup_reference, one set lookup per pair) at
+    10^13 with minimums 3,3,3 and 4,3,3 and at 10^14 with 3,3,3; the sample
+    holds both times, the hit count and the triples each side lacks;
   classify: `bealsearch classify` on perfbench's first classify_batch (100
     family solutions, then 100 random non-solutions), so the tables the
     first call builds are timed with it, and the process's peak RSS;
@@ -29,17 +38,19 @@ The cases, --repeats samples per tree each:
     the mean time per call over at least KERNEL_MIN_S of calls.  One kernel
     case is the identity suite, run_random_suite, on one fixed seed and case
     count.
-The startup, classify and factorize cases also record the sha256 of what
-they print or return, which must be the same in every sample of every tree.
+The startup, classify, factorize and completeness cases also record the
+sha256 of what they print or return, which must be the same in every sample
+of every tree.
 
 Every run adds its samples to each case under its tree's label in --out, so
 runs can be added to one file; the statistics are recomputed over all samples
 of a label: per case the raw samples and, per timed quantity, the median,
 minimum and quartiles.  A search case also holds the report's counts and the
 set probes of the scan per second of median scan_s when the report counts
-them (SearchReport.scan_probes).  The machine facts are nproc, the CPU model,
-the Python version and whether Python writes bytecode caches (without them
-every start-up compiles the package from source).
+them (SearchReport.scan_probes), and the probes and found pairs of each
+sweep of the scan (SearchReport.sweeps).  The machine facts are nproc, the
+CPU model, the Python version and whether Python writes bytecode caches
+(without them every start-up compiles the package from source).
 """
 
 from __future__ import annotations
@@ -61,7 +72,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = [(10 ** 12, 1), (10 ** 14, 1), (10 ** 16, 1), (10 ** 14, 2)]
+# (bound, minimums, workers); the last is perfbench's search_split
+CASES = [(10 ** 12, (3, 3, 3), 1), (10 ** 14, (3, 3, 3), 1), (10 ** 16, (3, 3, 3), 1),
+         (10 ** 14, (3, 3, 3), 2), (10 ** 13, (4, 3, 3), 2)]
+COMPLETENESS = [(10 ** 13, (3, 3, 3)), (10 ** 13, (4, 3, 3)), (10 ** 14, (3, 3, 3))]
 # perfbench's first classify_batch child: seed 1, iteration 0
 CLASSIFY_SEED = 1_000_003
 PHASES = ("enumerate_s", "index_s", "scan_s", "annotate_s")
@@ -164,18 +178,40 @@ def startup_sample(src: str, conn) -> None:
     conn.send((sample, {}, digest(f"{verified.returncode}\n{verified.stdout}")))
 
 
-def search_sample(src: str, bound: int, workers: int, conn) -> None:
+def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers: int,
+                  conn) -> None:
     use_tree(src)
     import bealsearch.search as search
 
     search.search_solutions(search.SearchConfig(bound=10 ** 6))  # warm-up, untimed
     started = time.perf_counter()
-    report = search.search_solutions(search.SearchConfig(bound=bound, workers=workers))
+    report = search.search_solutions(search.SearchConfig(bound, *minimums, workers=workers))
     sample = {"wall_s": time.perf_counter() - started}
     sample.update((name, report.phases[name]) for name in PHASES)
     sample["peak_rss_mb"] = peak_rss_mb()
     counts = dict(report.counts, scan_probes=report.scan_probes)
-    conn.send((sample, {"counts": counts}, None))
+    conn.send((sample, {"counts": counts, "sweeps": getattr(report, "sweeps", None)}, None))
+
+
+def completeness_sample(src: str, bound: int, minimums: tuple[int, int, int], conn) -> None:
+    use_tree(src)
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_search import _lookup_reference
+
+    from bealsearch.search import SearchConfig, search_solutions
+
+    started = time.perf_counter()
+    found = search_solutions(SearchConfig(bound, *minimums)).triples
+    middle = time.perf_counter()
+    reference = _lookup_reference(bound, minimums)
+    done = time.perf_counter()
+    sample = {"search_s": middle - started, "reference_s": done - middle}
+    found_set, reference_set = set(found), set(reference)
+    facts = {"hits": len(found), "reference_hits": len(reference),
+             "equal": found == reference,
+             "search_lacks": [str(t) for t in reference if t not in found_set],
+             "reference_lacks": [str(t) for t in found if t not in reference_set]}
+    conn.send((sample, facts, digest(repr(found))))
 
 
 def classify_sample(src: str, conn) -> None:
@@ -270,6 +306,11 @@ def run_case(runs: dict, trees: list[tuple[str, str]], name: str, repeats: int,
         print(f"{label}: {name}: {medians} over {case['repeats']} runs")
 
 
+def minimums_label(minimums: tuple[int, int, int]) -> str:
+    """The case-name part for minimums, empty for 3,3,3 (the names of earlier files)."""
+    return "" if minimums == (3, 3, 3) else f" minimums {','.join(map(str, minimums))}"
+
+
 def tree(text: str) -> tuple[str, str]:
     label, sep, src = text.partition("=")
     if not sep or not label or not (Path(src) / "bealsearch" / "cli.py").is_file():
@@ -287,6 +328,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats-1e18", type=int, default=0,
                         help="samples of the search at 10^18, about a minute each "
                              "(default 0: no such case)")
+    parser.add_argument("--completeness", action="store_true",
+                        help="also compare the search with the plain per-pair lookup "
+                             "of the tests at 10^13 and 10^14, one sample per tree")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -307,25 +351,33 @@ def main(argv=None) -> int:
         runs.setdefault(label, {})
 
     run_case(runs, trees, "startup", args.repeats, startup_sample)
-    cases = [(bound, workers, args.repeats) for bound, workers in CASES]
+    cases = [(bound, minimums, workers, args.repeats) for bound, minimums, workers in CASES]
     if args.repeats_1e18:
-        cases.append((10 ** 18, 1, args.repeats_1e18))
-    for bound, workers, repeats in cases:
-        name = f"search 10^{len(str(bound)) - 1} workers {workers}"
+        cases.append((10 ** 18, (3, 3, 3), 1, args.repeats_1e18))
+    for bound, minimums, workers, repeats in cases:
+        name = f"search 10^{len(str(bound)) - 1}{minimums_label(minimums)} workers {workers}"
         if workers > (os.cpu_count() or 1):
             print(f"skip {name}: too few CPUs")
             continue
-        run_case(runs, trees, name, repeats, search_sample, bound, workers)
+        run_case(runs, trees, name, repeats, search_sample, bound, minimums, workers)
         for label, _ in trees:
             case = runs[label][name]
-            case.update(bound=str(bound), minimums=[3, 3, 3], workers=workers)
+            case.update(bound=str(bound), minimums=list(minimums), workers=workers)
             probes = case["counts"]["scan_probes"]
             case["probes_per_s"] = probes / case["scan_s"]["median"] if probes else None
+    differ = []
+    for bound, minimums in COMPLETENESS if args.completeness else []:
+        name = f"completeness 10^{len(str(bound)) - 1} minimums {','.join(map(str, minimums))}"
+        run_case(runs, trees, name, 1, completeness_sample, bound, minimums)
+        differ += [f"{name} ({label})" for label, _ in trees if not runs[label][name]["equal"]]
     run_case(runs, trees, "classify batch cold", args.repeats, classify_sample)
     run_case(runs, trees, "factorize family gcds", args.repeats, factorize_sample)
     for name in KERNELS:
         run_case(runs, trees, f"kernel {name}", args.repeats, kernel_sample, name)
     out.write_text(json.dumps(doc, indent=2) + "\n")
+    if differ:
+        print(f"the search and the lookup differ: {'; '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

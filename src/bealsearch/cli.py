@@ -112,8 +112,7 @@ def _finish(report, args, summary: str) -> int:
     hit_records = records.records_from_report(report)
     records.write_csv(hit_records, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(records.emit_json(report, hit_records=hit_records))
+        records.write_text(args.report, records.emit_json(report, hit_records=hit_records))
     print(summary)
     failures = [hit for hit in report.hits if not hit.passed]
     for hit in failures:

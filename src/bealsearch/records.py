@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -134,9 +135,35 @@ def parse_csv(text: str) -> list[HitRecord]:
     return records
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text to path whole or not at all: through a temporary file beside
+    it, which os.replace moves into place.  A write that raises leaves what
+    was at path as it was, and removes the temporary file.
+
+    A symlink is followed, so the file it names is replaced, not the link.
+    A path that names no regular file, such as /dev/stdout, is written
+    directly: it cannot be replaced.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    path = os.path.realpath(path)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.remove(temporary)
+        except OSError:  # never created
+            pass
+        raise
+
+
 def write_csv(records: list[HitRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(emit_csv(records))
+    write_text(path, emit_csv(records))
 
 
 def read_csv(path: str) -> list[HitRecord]:
@@ -161,6 +188,7 @@ def report_to_obj(report: SearchReport, include_timing: bool = True,
         obj["wall_time_s"] = report.wall_time_s
         obj["phases"] = dict(report.phases)
         obj["scan_probes"] = report.scan_probes
+        obj["sweeps"] = report.sweeps
     return obj
 
 

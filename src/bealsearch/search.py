@@ -11,11 +11,13 @@ once.  Its reduced exponent puts each value in one of three classes:
 No pair is K + K = K (a sum of two cubes is never a cube: Fermat's Last
 Theorem for n = 3, proved by Euler) and none is Q + Q = Q (Fermat's own
 n = 4).  So the scan runs over the non-cube values v only, about
-bound**(1/4) of them, and finds each pair from one v, its owner:
+bound**(1/4) of them, and finds each pair from one v, its owner, in one of
+five sweeps (named as in SWEEPS):
 
-1. Two cubes: v, the third term, is one identity v = x**3 + y**3, solved
-   from each divisor s = x + y of v = A**X with s**3 <= 4v (the divisors
-   come from the prime factors of A in a smallest-prime-factor table):
+1. Two cubes (two_cubes): v, the third term, is one identity
+   v = x**3 + y**3, solved from each divisor s = x + y of v = A**X with
+   s**3 <= 4v (the divisors come from the prime factors of A in a
+   smallest-prime-factor table):
    xy = (s**2 - v/s)/3 and (x - y)**2 = s**2 - 4xy, and one integer square
    root fixes x and y.  The sign of y picks the case.  y < 0 (s**3 < v) is
    a difference, v + |y|**3 = x**3, with v a left value; v <= 3s x**2 <=
@@ -27,19 +29,25 @@ bound**(1/4) of them, and finds each pair from one v, its owner:
    difference of cubes has the same residues) is skipped before any
    divisor: that is about 45% of the non-cube values, and a skipped v adds
    nothing to the scan's probe count (at 10**12 the skip lowers it from
-   411,448 to 404,352).
-2. c is the one cube: v = a, over the non-cube b >= a.
-3. a or b is the one cube: v = c, over the non-cube x < c (the other term).
-4. No cube, c in H: v = c, over the non-cube x in [c/2, c).
-5. No cube, c in Q: then a or b is in H, and v = h is that term, over the
-   non-cube y; a y in H with y < h is skipped, as that pair is found from y.
+   411,448 to 404,352).  The skip stays mod 63: mod 13 every residue is a
+   sum of two cubes, so mod 819 it would pass the same share of values.
+2. c is the one cube (cube_c): v = a, over the non-cube b >= a.
+3. a or b is the one cube (cube_a_or_b): v = c, over the non-cube x < c
+   (the other term).
+4. No cube, c in H (no_cube_c_in_h): v = c, over the non-cube x in [c/2, c).
+5. No cube, c in Q (no_cube_c_in_q): then a or b is in H, and v = h is that
+   term, over the non-cube y; a y in H with y < h is skipped, as that pair
+   is found from y.
 
-Sweeps 2, 3 and 5 keep only the partners whose sum or difference can be a
-cube or a 4th power: cubes fall in the 9 residues {0, 1, 8, 27, 28, 35, 36,
-55, 62} mod 63 and 4th powers in the 4 residues {0, 1, 16, 65} mod 80.  The
-partners are built once per search as 63 + 80 sorted lists, keyed by the
-residue of v, so each sweep is one bisect and one C-level set intersection
-per value.
+Sweeps 2 and 3 keep only the partners whose sum or difference with v can be
+a cube, and sweep 5 those whose sum can be a 4th power: cubes fall in 45 of
+the 819 residues mod 819 = 63 * 13 (CUBE_RESIDUES) and 4th powers in the 4
+residues {0, 1, 16, 65} mod 80.  A cube is a cube residue for every
+modulus, so the filter drops no pair; at 10**16, mod 819 leaves sweeps 2
+and 3 43% of the probes that mod 63 (9 residues) left them.  The partners
+are built once per search as 819 + 80 sorted lists, keyed by the residue of
+v, so each sweep is one bisect and one C-level set intersection per value.
+The scan counts, per sweep, the set probes it made and the pairs it found.
 
 Only a cube of reduced exponent 3 can have a base above bound**(1/4), and
 the scan reads cubes only as set members.  So those cubes are plain values
@@ -49,8 +57,8 @@ values.  A hit's term that the table lacks is such a cube, of base its root.
 
 The scan is striped by index of v across workers: the search scans stripe
 0 itself and forks one child per other stripe, which reads the lanes from
-the fork's copy of memory and sends back its pairs and probe count (marshal,
-through a pipe).  The annotated hits are sorted by SearchHit.sort_key, so
+the fork's copy of memory and sends back its pairs and per-sweep counts
+(marshal, through a pipe).  The annotated hits are sorted by SearchHit.sort_key, so
 reports are deterministic for any worker count.  A deliberately naive
 triple-enumeration oracle with its own power enumeration (repeated
 multiplication, no root extraction, no sum index) provides the independent
@@ -145,17 +153,25 @@ class SearchHit(NamedTuple):
         return self.triple.cz, self.triple.by, self.triple.ax
 
 
+# The five sweeps of the scan (module docstring), in order.
+SWEEPS = ("two_cubes", "cube_c", "cube_a_or_b", "no_cube_c_in_h", "no_cube_c_in_q")
+
+
 class SearchReport:
     """What a search or the oracle found: the ordered hits, counts and timings."""
 
     def __init__(self, config: SearchConfig, hits: list[SearchHit], counts: dict[str, int],
-                 wall_time_s: float, phases: dict[str, float], scan_probes: int | None):
+                 wall_time_s: float, phases: dict[str, float],
+                 sweeps: dict[str, dict[str, int]] | None):
         self.config = config
         self.hits = hits
         self.counts = counts
         self.wall_time_s = wall_time_s
         self.phases = phases  # seconds, see _report
-        self.scan_probes = scan_probes  # set probes of the pair scan; None for the oracle
+        # per sweep name, its set probes and the pairs it found; None for the oracle
+        self.sweeps = sweeps
+        self.scan_probes = (None if sweeps is None  # set probes of the whole pair scan
+                            else sum(sweep["probes"] for sweep in sweeps.values()))
 
     @property
     def triples(self) -> list[BealTriple]:
@@ -200,16 +216,20 @@ def enumerate_powers(bound: int, min_exp: int = 3) -> list[PowerEntry]:
 
 def _pairs_within(values: list[int], bound: int) -> int:
     """Count pairs i <= j of the sorted values with values[i] + values[j] <= bound."""
-    half = bisect_right(values, bound // 2)  # the values i can take: 2 * values[i] <= bound
-    # pair i has bisect_right(values, bound - values[i]) - i partners j >= i
-    return (sum(map(bisect_right, repeat(values), map(sub, repeat(bound), values[:half])))
-            - half * (half - 1) // 2)
+    half = bisect_right(values, bound // 2)  # the j < half have 2 * values[j] <= bound
+    # A j < half pairs with every i <= j.  A j >= half has bound - values[j] <
+    # values[half], so its partners i all lie below half.
+    return half * (half + 1) // 2 + sum(map(
+        bisect_right, repeat(values), map(sub, repeat(bound), values[half:]),
+        repeat(0), repeat(half)))
 
 
-# The residues of the cubes mod 63 and of the 4th powers mod 80.
-CUBE_RESIDUES = frozenset(pow(n, 3, 63) for n in range(63))      # 9 of 63
+# The residues of the cubes mod 819 = 63 * 13 and of the 4th powers mod 80.
+CUBE_MODULUS = 819
+CUBE_RESIDUES = frozenset(pow(n, 3, CUBE_MODULUS) for n in range(CUBE_MODULUS))  # 45
 QUARTIC_RESIDUES = frozenset(pow(n, 4, 80) for n in range(80))   # {0, 1, 16, 65}
 # The residues mod 63 of x**3 + y**3, 25 of 63; as -1 is a cube, of x**3 - y**3 too.
+# 63 divides 819, so the cube residues mod 63 are those of CUBE_RESIDUES.
 CUBE_SUM_RESIDUES = frozenset((x + y) % 63 for x in CUBE_RESIDUES for y in CUBE_RESIDUES)
 
 
@@ -221,9 +241,18 @@ def _is_quartic(exponent: int) -> bool:
 def _partner_lists(values: list[int], modulus: int, residues: frozenset) -> list[list[int]]:
     """lists[r] holds, in order, the values y with (r + y) % modulus in residues."""
     lists: list[list[int]] = [[] for _ in range(modulus)]
+    # The lists a y goes into depend only on y % modulus, so they are found once
+    # per residue.  Lists, not their bound append methods: a method call on each
+    # list makes no method object, and a cache of methods for 819 residues
+    # would hold 36,855 of them.
+    targets_of: dict[int, list[list[int]]] = {}
     for y in values:
-        for t in residues:
-            lists[(t - y) % modulus].append(y)
+        r = y % modulus
+        targets = targets_of.get(r)
+        if targets is None:
+            targets = targets_of[r] = [lists[(t - r) % modulus] for t in residues]
+        for target in targets:
+            target.append(y)
     return lists
 
 
@@ -242,8 +271,20 @@ class _Lanes(NamedTuple):
     left_cubes: set[int]        # left cube values: every n**3 when lo_exp is 3
     right_cubes: set[int]       # right cube values: every n**3 when min_z is 3
     right_quartics: set[int]    # right values in class Q
-    cube_partners: list[list[int]]     # _partner_lists(left_other, 63, CUBE_RESIDUES)
+    cube_partners: list[list[int]]     # _partner_lists(left_other, CUBE_MODULUS, ...)
     quartic_partners: list[list[int]]  # _partner_lists(left_other, 80, QUARTIC_RESIDUES)
+
+
+def _value_set(values: list[int]) -> set[int]:
+    """set(values), its table sized as sets of up to 2**14 values are merged
+    into it.  A set that grows one value at a time quadruples its table while
+    it holds under 50,000 values: 21,543 cubes (10**13) would take 2 MB, not 1.
+    """
+    chunk = 1 << 14
+    merged = set(values[:chunk])
+    for start in range(chunk, len(values), chunk):
+        merged |= set(values[start:start + chunk])
+    return merged
 
 
 def _smallest_prime_factors(limit: int) -> array:
@@ -257,11 +298,13 @@ def _smallest_prime_factors(limit: int) -> array:
     return spf
 
 
-def _match_stripe(lanes: _Lanes, start: int, step: int) -> tuple[list[tuple[int, int]], int]:
+def _match_stripe(lanes: _Lanes, start: int,
+                  step: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """The unordered pairs (a, b) of left values with a + b a right value
     whose owner (see the module docstring) is one of the non-cube values
-    non_cubes[start::step], and the number of set probes made: the
-    partners tried in set intersections plus the divisors _cube_pairs tried.
+    non_cubes[start::step]; then, per sweep in SWEEPS order, the number of
+    set probes made (the partners tried in set intersections, or the
+    divisors _cube_pairs tried) and the number of those pairs it found.
     """
     bound, lo_exp, min_z = lanes.bound, lanes.lo_exp, lanes.min_z
     left_other, left_other_set, left_h = lanes.left_other, lanes.left_other_set, lanes.left_h
@@ -269,48 +312,56 @@ def _match_stripe(lanes: _Lanes, start: int, step: int) -> tuple[list[tuple[int,
                                                lanes.right_quartics)
     cube_partners, quartic_partners = lanes.cube_partners, lanes.quartic_partners
     found: list[tuple[int, int]] = []
-    probes = 0
+    probes1 = probes2 = probes3 = probes4 = probes5 = 0
+    pairs1 = pairs2 = pairs3 = pairs4 = pairs5 = 0
     # Almost every intersection is empty, so the pairs are built only for the rest.
     for entry in lanes.non_cubes[start::step]:
         v = entry.value
         left, right = entry.exponent >= lo_exp, entry.exponent >= min_z
         in_h = not _is_quartic(entry.exponent)
         if left and 2 * v <= bound:  # v = a, c a cube
-            partners = cube_partners[v % 63]
+            partners = cube_partners[v % CUBE_MODULUS]
             first = bisect_left(partners, v)
             last = bisect_right(partners, bound - v, first)
-            probes += last - first
+            probes2 += last - first
             sums = right_cubes.intersection(map(add, repeat(v), partners[first:last]))
             if sums:
                 found.extend((v, c - v) for c in sums)
+                pairs2 += len(sums)
         if right:  # v = c, one of a, b a cube
-            partners = cube_partners[-v % 63]
+            partners = cube_partners[-v % CUBE_MODULUS]
             last = bisect_left(partners, v)
-            probes += last
+            probes3 += last
             terms = left_cubes.intersection(map(sub, repeat(v), partners[:last]))
             if terms:
                 found.extend((v - x, x) for x in terms)
+                pairs3 += len(terms)
         if right and in_h:  # v = c in H, no cube
             first = bisect_left(left_other, v - v // 2)
             last = bisect_left(left_other, v, first)
-            probes += last - first
+            probes4 += last - first
             terms = left_other_set.intersection(map(sub, repeat(v), left_other[first:last]))
             if terms:
                 found.extend((v - x, x) for x in terms)
+                pairs4 += len(terms)
         if left and in_h:  # v in H, no cube, c in Q
             partners = quartic_partners[v % 80]
             last = bisect_right(partners, bound - v)
-            probes += last
+            probes5 += last
             sums = right_quartics.intersection(map(add, repeat(v), partners[:last]))
             if sums:
-                found.extend((v, c - v) for c in sums if c - v >= v or c - v not in left_h)
+                owned = [(v, c - v) for c in sums if c - v >= v or c - v not in left_h]
+                found += owned
+                pairs5 += len(owned)
         pairs, tried = _cube_pairs(lanes, entry, left, right)
         found += pairs
-        probes += tried
-    return found, probes
+        probes1 += tried
+        pairs1 += len(pairs)
+    return (found, [probes1, probes2, probes3, probes4, probes5],
+            [pairs1, pairs2, pairs3, pairs4, pairs5])
 
 
-def _match_forked(lanes: _Lanes, workers: int) -> list[tuple[list[tuple[int, int]], int]]:
+def _match_forked(lanes: _Lanes, workers: int) -> list[tuple]:
     """_match_stripe over every stripe of workers, in stripe order: stripe 0
     here, each other stripe in a forked child that sees the lanes through
     the fork's copy of memory and sends its result back through a pipe.
@@ -467,8 +518,8 @@ def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3))
 
 
 def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: int,
-            pairs_tested: int, started: float, enumerated: float,
-            indexed: float, scan_probes: int | None = None) -> SearchReport:
+            pairs_tested: int, started: float, enumerated: float, indexed: float,
+            sweeps: dict[str, dict[str, int]] | None = None) -> SearchReport:
     """Annotate and order the found triples; the one report path of both engines.
 
     started, enumerated and indexed are the perf_counter readings at the
@@ -483,7 +534,7 @@ def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: 
     done = time.perf_counter()
     phases = {"enumerate_s": enumerated - started, "index_s": indexed - enumerated,
               "scan_s": scanned - indexed, "annotate_s": done - scanned}
-    return SearchReport(config, hits, counts, done - started, phases, scan_probes)
+    return SearchReport(config, hits, counts, done - started, phases, sweeps)
 
 
 def search_solutions(config: SearchConfig) -> SearchReport:
@@ -511,8 +562,13 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         cubes[3] = [n * n * n for n in range(2, iroot(config.bound, 3)[0] + 1)]
     enumerated = time.perf_counter()
 
+    # The cube sets first, while the least else is held: the last growth of
+    # the 999,999 cubes to 10**18 holds a 16 MB and a 32 MB table at once.
+    left_cubes = _value_set(cubes[lo_exp])
+    right_cubes = left_cubes if config.min_z == lo_exp else _value_set(cubes[config.min_z])
     index = {entry.value: entry for entry in table}
     non_cubes = [entry for entry in table if entry.exponent % 3]
+    powers_enumerated = len(non_cubes) + len(cubes[min_exp])
     left_other = [entry.value for entry in non_cubes if entry.exponent >= lo_exp]
     left = sorted(cubes[lo_exp] + left_other)  # two disjoint sorted runs: timsort merges them
     # A left value the table does not hold has exponent 3 < hi_exp.
@@ -521,7 +577,7 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
     # meeting the minimums): all left pairs minus the pairs of two low values.
     pairs_tested = _pairs_within(left, config.bound) - _pairs_within(low, config.bound)
-    left_cubes = set(cubes[lo_exp])
+    del table, left, low, cubes  # the scan reads none of these lists
     lanes = _Lanes(
         bound=config.bound,
         lo_exp=lo_exp,
@@ -533,10 +589,10 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         left_h={entry.value for entry in non_cubes
                 if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)},
         left_cubes=left_cubes,
-        right_cubes=left_cubes if config.min_z == lo_exp else set(cubes[config.min_z]),
+        right_cubes=right_cubes,
         right_quartics={entry.value for entry in non_cubes
                         if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
-        cube_partners=_partner_lists(left_other, 63, CUBE_RESIDUES),
+        cube_partners=_partner_lists(left_other, CUBE_MODULUS, CUBE_RESIDUES),
         quartic_partners=_partner_lists(left_other, 80, QUARTIC_RESIDUES))
     indexed = time.perf_counter()
 
@@ -549,13 +605,17 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         return index[value][1:] if value in index else (iroot(value, 3)[0], 3)
 
     triples = []
-    for found, _ in results:
+    for found, _, _ in results:
         for pair in found:
             (a, x), (b, y) = map(base_exponent, sorted(pair))
             if max(x, y) >= hi_exp:
                 triples.append(BealTriple(a, x, b, y, *base_exponent(sum(pair))))
-    return _report(config, triples, len(non_cubes) + len(cubes[min_exp]), pairs_tested,
-                   started, enumerated, indexed, sum(probes for _, probes in results))
+    # each sweep's probes and found pairs, summed over the stripes
+    sweeps = {name: {"probes": sum(probes[k] for _, probes, _ in results),
+                     "pairs": sum(pairs[k] for _, _, pairs in results)}
+              for k, name in enumerate(SWEEPS)}
+    return _report(config, triples, powers_enumerated, pairs_tested,
+                   started, enumerated, indexed, sweeps)
 
 
 def _oracle_powers(bound: int, min_exp: int) -> list[tuple[int, int, int]]:

@@ -91,6 +91,19 @@ def test_search_json_report(tmp_path, capsys):
     assert obj["counts"]["hits"] == len(obj["hits"]) == 10
 
 
+def test_failed_report_write_keeps_the_earlier_report(tmp_path, capsys, monkeypatch):
+    out, report = tmp_path / "h.csv", tmp_path / "r.json"
+    argv = ("search", "--bound", "3000", "--out", str(out), "--report", str(report))
+    assert run(capsys, *argv)[0] == 0
+    written = report.read_bytes()
+    # the report text cannot be encoded, so its write raises partway through
+    monkeypatch.setattr(cli_mod.records, "emit_json", lambda *args, **kwargs: "{\ud800")
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err
+    assert report.read_bytes() == written
+    assert sorted(os.listdir(tmp_path)) == ["h.csv", "r.json"]
+
+
 def test_search_builds_the_hit_records_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = cli_mod.records.records_from_report

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import os
+import stat
+import threading
 
 import pytest
 
 from bealsearch.records import (CSV_COLUMNS, SchemaError,
                                 canonical_json, emit_csv, emit_json,
-                                parse_csv, parse_json, records_from_report,
-                                report_to_obj)
+                                parse_csv, parse_json, read_csv, records_from_report,
+                                report_to_obj, write_csv, write_text)
 from bealsearch.search import SearchConfig, brute_force_oracle, search_solutions
 from bealsearch.svgplot import emit_scatter
 
@@ -128,6 +131,57 @@ def test_svg_log_and_abc_axes(records):
 def test_scan_probes_are_reported_but_not_canonical(report):
     assert json.loads(emit_json(report))["scan_probes"] == report.scan_probes > 0
     assert "scan_probes" not in json.loads(canonical_json(report))
+
+
+def test_sweeps_are_reported_but_not_canonical(report):
+    sweeps = json.loads(emit_json(report))["sweeps"]
+    assert sweeps == report.sweeps
+    assert sum(sweep["probes"] for sweep in sweeps.values()) == report.scan_probes
+    assert "sweeps" not in json.loads(canonical_json(report))
+    assert json.loads(emit_json(brute_force_oracle(10 ** 4)))["sweeps"] is None
+
+
+def test_write_text_replaces_the_file_whole(tmp_path, records, monkeypatch):
+    path = tmp_path / "hits.csv"
+    write_csv(records, str(path))
+    assert read_csv(str(path)) == records
+    before = path.read_bytes()
+    # a write that raises partway (a lone surrogate has no UTF-8 form), and
+    # a rename that fails after the whole text was written
+    with pytest.raises(UnicodeEncodeError):
+        write_text(str(path), "A" * 100_000 + "\ud800")
+    assert path.read_bytes() == before and os.listdir(tmp_path) == ["hits.csv"]
+
+    def failing_replace(source, target):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        write_csv(records[:1], str(path))
+    assert path.read_bytes() == before and os.listdir(tmp_path) == ["hits.csv"]
+
+
+def test_write_text_follows_a_symlink(tmp_path):
+    target, link = tmp_path / "hits.csv", tmp_path / "link.csv"
+    target.write_text("old")
+    link.symlink_to(target)
+    write_text(str(link), "new")
+    assert link.is_symlink() and target.read_text() == "new"
+    assert sorted(os.listdir(tmp_path)) == ["hits.csv", "link.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_write_text_writes_a_pipe_directly(tmp_path):
+    # as for --out /dev/stdout: no temporary file, and the pipe stays a pipe
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    write_text(str(fifo), "through the pipe")
+    reader.join(timeout=10)
+    assert received == ["through the pipe"]
+    assert os.listdir(tmp_path) == ["fifo"] and stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def _sha256(text: str) -> str:

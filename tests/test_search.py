@@ -1,6 +1,8 @@
 """Search engine: enumeration, oracle equivalence, determinism, verification."""
 
 import os
+import random
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
@@ -243,8 +245,10 @@ def test_scan_finds_each_pair_once(monkeypatch, bound, minimums, named):
 
 def test_partner_lists_hold_the_admissible_residues(monkeypatch):
     lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 12))
+    cube_residues = {n ** 3 % 819 for n in range(819)}
+    assert len(cube_residues) == 45
     for partners, modulus, residues, lists_per_value in (
-            (lanes.cube_partners, 63, {0, 1, 8, 27, 28, 35, 36, 55, 62}, 9),
+            (lanes.cube_partners, 819, cube_residues, 45),
             (lanes.quartic_partners, 80, {0, 1, 16, 65}, 4)):
         assert len(partners) == modulus
         assert Counter(y for values in partners for y in values) == dict.fromkeys(
@@ -252,6 +256,47 @@ def test_partner_lists_hold_the_admissible_residues(monkeypatch):
         for r, values in enumerate(partners):
             assert values == sorted(values)
             assert values == [y for y in lanes.left_other if (r + y) % modulus in residues]
+
+
+@pytest.mark.parametrize("modulus, power", [(63, 3), (80, 4), (819, 3)])
+def test_partner_lists_match_their_definition(modulus, power):
+    residues = frozenset(n ** power % modulus for n in range(modulus))
+    rng = random.Random(modulus)
+    for size, bits in ((0, 8), (1, 8), (50, 12), (400, 40), (300, 90)):
+        # distinct values, past 2^64 at 90 bits
+        values = sorted({rng.getrandbits(bits) + 1 for _ in range(size)})
+        naive = [[y for y in values if (r + y) % modulus in residues] for r in range(modulus)]
+        assert search_mod._partner_lists(values, modulus, residues) == naive, (size, bits)
+
+
+def test_value_set_holds_the_values_in_no_larger_a_table():
+    for size in (0, 1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 21_543, 50_001):
+        values = [n ** 3 for n in range(2, size + 2)]
+        built = search_mod._value_set(values)
+        assert built == set(values)
+        assert sys.getsizeof(built) <= sys.getsizeof(set(values)), size
+    # the 21,543 cubes to 10^13: half the table that one add at a time grows
+    cubes = [n ** 3 for n in range(2, 21_545)]
+    assert sys.getsizeof(set(cubes)) > 1.9 * sys.getsizeof(search_mod._value_set(cubes))
+
+
+def _pairs_within_reference(values, bound):
+    return sum(1 for j, b in enumerate(values) for a in values[:j + 1] if a + b <= bound)
+
+
+def test_pairs_within_counts_every_pair_once():
+    pairs_within = search_mod._pairs_within
+    assert pairs_within([], 10) == 0
+    assert pairs_within([5, 8, 13], 9) == 0      # below every sum
+    assert pairs_within([5, 8, 13], 13) == 2     # equal to the sum 5 + 8, not to 5 + 13
+    assert pairs_within([7], 13) == 0 and pairs_within([7], 14) == 1  # 2v for one value
+    assert pairs_within([7, 20], 14) == 1
+    rng = random.Random(5)
+    for size in (2, 3, 10, 60):
+        values = sorted(rng.sample(range(1, 200), size))
+        for bound in {0, 1, 2 * values[0], values[0] + values[-1], 2 * values[-1],
+                      *rng.sample(range(400), 20)}:
+            assert pairs_within(values, bound) == _pairs_within_reference(values, bound)
 
 
 def test_cube_sum_residues_are_those_of_sums_and_differences_of_cubes():
@@ -301,6 +346,19 @@ def test_scan_probes_are_counted_and_few():
     assert reports[0].scan_probes == reports[1].scan_probes
     assert 0 < reports[0].scan_probes < reports[0].counts["pairs_tested"] // 20
     assert brute_force_oracle(10 ** 4).scan_probes is None
+
+
+@pytest.mark.parametrize("bound, minimums", [(10 ** 12, (3, 3, 3)), (10 ** 13, (4, 3, 3))])
+def test_sweep_counts_add_up_and_do_not_depend_on_workers(bound, minimums):
+    reports = [search_solutions(SearchConfig(bound, *minimums, workers=w)) for w in (1, 2, 3)]
+    sweeps = reports[0].sweeps
+    assert list(sweeps) == list(search_mod.SWEEPS)
+    assert all(report.sweeps == sweeps for report in reports)
+    assert sum(sweep["probes"] for sweep in sweeps.values()) == reports[0].scan_probes
+    # every sweep finds pairs; the larger minimum then drops some, never adds one
+    assert all(sweep["pairs"] > 0 for sweep in sweeps.values())
+    assert sum(sweep["pairs"] for sweep in sweeps.values()) >= reports[0].counts["hits"]
+    assert brute_force_oracle(10 ** 4).sweeps is None
 
 
 @settings(max_examples=20, deadline=None)
