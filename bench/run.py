@@ -35,9 +35,13 @@ The cases, --repeats samples per tree each:
     gcds of up to 36 bits, what classify factors), a first pass over them
     (cold_s, trial tables built) and then a second (warm_s);
   kernel: one exact kernel on a fixed, seeded list of inputs; the sample is
-    the mean time per call over at least KERNEL_MIN_S of calls.  One kernel
+    the mean time per call over at least KERNEL_MIN_S of calls, after one
+    untimed pass over them.  One kernel
     case is the identity suite, run_random_suite, on one fixed seed and case
-    count.
+    count; one is the tree's JSON writer (records.json_text, or
+    json.dumps(obj, indent=2) on a tree without it) on the report object of
+    a search at 10^12; one is cli.classify_obj over each triple of the
+    classify case's batch.
 The startup, classify, factorize and completeness cases also record the
 sha256 of what they print or return, which must be the same in every sample
 of every tree.
@@ -97,13 +101,18 @@ def use_tree(src: str) -> None:
 
 
 def kernel_cases() -> dict[str, tuple]:
-    """Each kernel case: the kernel and the argument tuples of its calls."""
+    """Each kernel case: a function that returns the kernel and the argument
+    tuples of its calls, so a sample builds only the inputs of its own case."""
     from fractions import Fraction
 
+    from bealsearch import records
+    from bealsearch.cli import classify_obj
     from bealsearch.exact_arith import classify_radical, iroot, is_perfect_power
     from bealsearch.identity import run_random_suite
     from bealsearch.reparam import Plane, canonical_alpha_beta, scalar_m
+    from bealsearch.search import SearchConfig, search_solutions
     from bealsearch.triples import BealTriple
+    from workloads import classify_inputs  # perfbench's, on sys.path too
 
     rng = random.Random(14)
 
@@ -114,25 +123,36 @@ def kernel_cases() -> dict[str, tuple]:
                  for p, q, degree in zip(odd_ints(64, 16), odd_ints(64, 16),
                                          [3, 4, 5, 6, 7, 8, 9, 10] * 2)]
     triple = BealTriple(3, 3, 6, 3, 3, 5)  # alpha rational, beta irrational
+    iroot_calls = [(n, k) for n in odd_ints(500, 16) for k in (3, 5, 7)]
+    power_calls = {bits: [(n,) for n in odd_ints(bits, count)]
+                   for bits, count in ((64, 16), (500, 8), (2000, 4))}
+    # the tree's writer of the JSON report: json.dumps(obj, indent=2) on a tree
+    # that has no records.json_text
+    write_json = getattr(records, "json_text", None) or (lambda obj: json.dumps(obj, indent=2))
     return {
-        "iroot 500 bits k 3,5,7": (iroot, [(n, k) for n in odd_ints(500, 16)
-                                           for k in (3, 5, 7)]),
-        "is_perfect_power 64 bits": (is_perfect_power, [(n,) for n in odd_ints(64, 16)]),
-        "is_perfect_power 500 bits": (is_perfect_power, [(n,) for n in odd_ints(500, 8)]),
-        "is_perfect_power 2000 bits": (is_perfect_power, [(n,) for n in odd_ints(2000, 4)]),
+        "iroot 500 bits k 3,5,7": lambda: (iroot, iroot_calls),
+        "is_perfect_power 64 bits": lambda: (is_perfect_power, power_calls[64]),
+        "is_perfect_power 500 bits": lambda: (is_perfect_power, power_calls[500]),
+        "is_perfect_power 2000 bits": lambda: (is_perfect_power, power_calls[2000]),
         # half irrational, half the same radicands raised to their degree
-        "classify_radical": (classify_radical,
-                             [(1, r, d) for r, d in radicands]
-                             + [(1, r ** d, d) for r, d in radicands]),
-        "scalar_m 3,3,6,3,3,5": (scalar_m, [(triple, canonical_alpha_beta(triple, Plane.CB))]),
-        "run_random_suite 200 cases seed 15": (run_random_suite, [(200, 15)]),
+        "classify_radical": lambda: (classify_radical,
+                                     [(1, r, d) for r, d in radicands]
+                                     + [(1, r ** d, d) for r, d in radicands]),
+        "scalar_m 3,3,6,3,3,5": lambda: (scalar_m,
+                                         [(triple, canonical_alpha_beta(triple, Plane.CB))]),
+        "run_random_suite 200 cases seed 15": lambda: (run_random_suite, [(200, 15)]),
+        "json writer 10^12 report": lambda: (write_json, [(records.report_to_obj(
+            search_solutions(SearchConfig(10 ** 12))),)]),
+        "classify_obj classify batch": lambda: (classify_obj, [
+            (BealTriple(*t),) for t in classify_inputs(CLASSIFY_SEED, smoke=False)]),
     }
 
 
 # The kernel case names, without importing bealsearch; kernel_cases builds the same.
 KERNELS = ("iroot 500 bits k 3,5,7", "is_perfect_power 64 bits", "is_perfect_power 500 bits",
            "is_perfect_power 2000 bits", "classify_radical", "scalar_m 3,3,6,3,3,5",
-           "run_random_suite 200 cases seed 15")
+           "run_random_suite 200 cases seed 15", "json writer 10^12 report",
+           "classify_obj classify batch")
 
 
 def cpu_model() -> str:
@@ -253,7 +273,9 @@ def kernel_sample(src: str, name: str, conn) -> None:
     use_tree(src)
     cases = kernel_cases()
     assert tuple(cases) == KERNELS, "KERNELS names the cases of kernel_cases"
-    kernel, calls = cases[name]
+    kernel, calls = cases[name]()
+    for args in calls:  # untimed, so tables a kernel builds on first use are built
+        kernel(*args)
     rounds = 0
     started = time.perf_counter()
     while True:

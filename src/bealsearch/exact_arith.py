@@ -45,24 +45,25 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     if n.bit_length() < 50:
         # float seed is within one of the true root at this size
         r = int(n ** (1.0 / k))
-    else:
-        # Integer Newton iteration from one unit above a float estimate of the
-        # root, kept to its top 52 bits.  The first step lands at or above the
-        # floor root (AM-GM), and the steps shrink quadratically from there.
-        e = math.log2(n) / k
-        shift = max(int(e) - 52, 0)
-        r = (int(2.0 ** (e - shift)) + 1) << shift
-        while True:
-            nxt = ((k - 1) * r + n // r ** (k - 1)) // k
-            moved = abs(nxt - r)
-            r = nxt
-            if moved < 2:
-                break
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r, r ** k == n
+        while r ** k > n:
+            r -= 1
+        while (r + 1) ** k <= n:
+            r += 1
+        return r, r ** k == n
+    # Integer Newton iteration from a float estimate of the root, kept to its
+    # top 52 bits.  Any first step lands at or above the floor root (AM-GM).
+    # From there a step falls strictly while r**k > n, and stops falling at
+    # the floor root, so the last value before a step that does not fall is it.
+    e = math.log2(n) / k
+    shift = max(int(e) - 52, 0)
+    r = (int(2.0 ** (e - shift)) + 1) << shift
+    r = ((k - 1) * r + n // r ** (k - 1)) // k
+    while True:
+        low = r ** (k - 1)
+        nxt = ((k - 1) * r + n // low) // k
+        if nxt >= r:
+            return r, low * r == n
+        r = nxt
 
 
 def is_perfect_power(n: int) -> tuple[int, int] | None:
@@ -149,30 +150,29 @@ def classify_radical(sign: int, radicand: Fraction | int, degree: int) -> Radica
     With radicand = p/q in lowest terms, the root is rational iff p and q are
     both perfect degree-th powers (a rational root of an integer-coefficient
     monomial is integral on each side).  A negative sign needs an odd degree
-    for a real root to exist at all, except for radicand 0.
+    for a real root to exist at all, except for radicand 0.  p and q are
+    read as ints (an int radicand n is n/1), so only the rational result is
+    a Fraction.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if not isinstance(radicand, Fraction):
-        radicand = Fraction(radicand)
-    if radicand < 0:
+    p, q = radicand.numerator, radicand.denominator  # an int n is (n, 1)
+    if p < 0:
         raise ValueError(f"radicand must be >= 0, got {radicand}")
-    if radicand == 0:
-        return RadicalClass.rational(radicand)
+    if p == 0:
+        return RadicalClass(RATIONAL, Fraction(0))
     if sign == -1 and degree % 2 == 0:
-        return RadicalClass.no_real_root()
-    p, q = radicand.numerator, radicand.denominator
+        return RadicalClass(NO_REAL_ROOT)
     root_p, exact_p = iroot(p, degree)
     if not exact_p:
-        return RadicalClass.irrational()
+        return RadicalClass(IRRATIONAL)
     root_q, exact_q = iroot(q, degree)
     if not exact_q:
-        return RadicalClass.irrational()
-    value = Fraction(sign * root_p, root_q)
-    assert value ** degree == sign * radicand
-    return RadicalClass.rational(value)
+        return RadicalClass(IRRATIONAL)
+    assert root_p ** degree == p and root_q ** degree == q
+    return RadicalClass(RATIONAL, Fraction(sign * root_p, root_q))
 
 
 class _Radical(NamedTuple):
@@ -194,10 +194,10 @@ class Radical(_Radical):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
-        if not isinstance(radicand, Fraction):
-            radicand = Fraction(radicand)
-        if radicand < 0:
+        if radicand.numerator < 0:
             raise ValueError(f"radicand must be >= 0, got {radicand}")
+        if type(radicand) is not Fraction:
+            radicand = Fraction(radicand)
         return super().__new__(cls, sign, radicand, degree)
 
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
@@ -205,10 +205,9 @@ class Radical(_Radical):
     @classmethod
     def of(cls, signed_radicand: Fraction | int, degree: int) -> "Radical":
         """Build from a signed radicand, splitting off the sign."""
-        if not isinstance(signed_radicand, Fraction):
-            signed_radicand = Fraction(signed_radicand)
-        sign = -1 if signed_radicand < 0 else 1
-        return cls(sign, abs(signed_radicand), degree)
+        if signed_radicand.numerator < 0:
+            return cls(-1, -signed_radicand, degree)
+        return cls(1, signed_radicand, degree)
 
     @cached_property
     def classification(self) -> RadicalClass:

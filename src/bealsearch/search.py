@@ -177,6 +177,15 @@ class SearchReport:
     def triples(self) -> list[BealTriple]:
         return [hit.triple for hit in self.hits]
 
+    @property
+    def verification_failures(self) -> dict[str, int]:
+        """Per check name, the hits that failed it; {} when every hit passed."""
+        tally: dict[str, int] = {}
+        for hit in self.hits:
+            for name in hit.failed_checks():
+                tally[name] = tally.get(name, 0) + 1
+        return tally
+
 
 def enumerate_powers(bound: int, min_exp: int = 3) -> list[PowerEntry]:
     """All reduced-base powers base**e <= bound with e >= min_exp, by value,

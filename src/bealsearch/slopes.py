@@ -84,7 +84,7 @@ def smallest_lattice_point(m: Fraction) -> tuple[int, int]:
     With m = p/q in lowest terms that point is (q, p).
     """
     m = Fraction(m)
-    if m <= 0:
+    if m.numerator <= 0:
         raise ValueError(f"slope must be > 0, got {m}")
     return m.denominator, m.numerator
 

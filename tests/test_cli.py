@@ -91,6 +91,37 @@ def test_search_json_report(tmp_path, capsys):
     assert obj["counts"]["hits"] == len(obj["hits"]) == 10
 
 
+@pytest.mark.parametrize("command", ["search", "oracle"])
+def test_report_times_the_csv_and_tallies_failed_checks(command, tmp_path, capsys,
+                                                         monkeypatch):
+    out, report = tmp_path / "h.csv", tmp_path / "r.json"
+    argv = (command, "--bound", "3000", "--out", str(out), "--report", str(report))
+    assert run(capsys, *argv)[0] == 0
+    obj = json.loads(report.read_text())
+    assert set(obj["phases"]) == {"enumerate_s", "index_s", "scan_s", "annotate_s", "emit_s"}
+    assert obj["phases"]["emit_s"] >= 0
+    assert obj["verification_failures"] == {}
+
+    import bealsearch.search as search_mod
+
+    real = search_mod.verify_hit
+
+    def broken(triple, minimums=(3, 3, 3)):
+        hit = real(triple, minimums)
+        failed = {"common_factor_present": False}
+        if triple.C % 2 == 0:
+            failed["canonical_order"] = False
+        return hit._replace(checks=dict(hit.checks, **failed))
+
+    monkeypatch.setattr(search_mod, "verify_hit", broken)
+    assert run(capsys, *argv)[0] == 3
+    obj = json.loads(report.read_text())
+    even = sum(int(hit["C"]) % 2 == 0 for hit in obj["hits"])
+    assert 0 < even < len(obj["hits"]) == 10
+    assert obj["verification_failures"] == {"common_factor_present": 10,
+                                            "canonical_order": even}
+
+
 def test_failed_report_write_keeps_the_earlier_report(tmp_path, capsys, monkeypatch):
     out, report = tmp_path / "h.csv", tmp_path / "r.json"
     argv = ("search", "--bound", "3000", "--out", str(out), "--report", str(report))

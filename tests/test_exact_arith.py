@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -203,6 +204,87 @@ def test_integer_radicand_dichotomy(n, degree):
     result = classify_radical(1, Fraction(n), degree)
     if result.is_rational:
         assert result.value.denominator == 1
+
+
+def _fraction_classify_radical(sign, radicand, degree):
+    """classify_radical as written on Fractions before it read numerator and
+    denominator as ints, kept here as the reference for the integer path."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    if not isinstance(radicand, Fraction):
+        radicand = Fraction(radicand)
+    if radicand < 0:
+        raise ValueError(f"radicand must be >= 0, got {radicand}")
+    if radicand == 0:
+        return RadicalClass.rational(radicand)
+    if sign == -1 and degree % 2 == 0:
+        return RadicalClass.no_real_root()
+    p, q = radicand.numerator, radicand.denominator
+    root_p, exact_p = iroot(p, degree)
+    if not exact_p:
+        return RadicalClass.irrational()
+    root_q, exact_q = iroot(q, degree)
+    if not exact_q:
+        return RadicalClass.irrational()
+    value = Fraction(sign * root_p, root_q)
+    assert value ** degree == sign * radicand
+    return RadicalClass.rational(value)
+
+
+def _radicand_sweep():
+    """Seeded (radicand, degree) pairs: int and Fraction radicands, zero, exact
+    powers, and radicands where only the numerator or only the denominator is
+    a perfect power, for degrees 1 to 12."""
+    rng = random.Random(2201)
+    for degree in range(1, 13):
+        yield 0, degree
+        yield Fraction(0), degree
+        for _ in range(40):
+            p = rng.randrange(1, 10 ** rng.randint(1, 30))
+            q = rng.randrange(1, 10 ** rng.randint(1, 30))
+            root_p, root_q = rng.randrange(1, 2 ** 40), rng.randrange(1, 2 ** 40)
+            yield p, degree
+            yield root_p ** degree, degree
+            yield Fraction(p, q), degree
+            yield Fraction(root_p ** degree, root_q ** degree), degree
+            yield Fraction(root_p ** degree, q), degree  # only p may be a power
+            yield Fraction(p, root_q ** degree), degree  # only q may be a power
+            yield Fraction(root_p ** degree * q, 1), degree
+
+
+def test_classify_radical_matches_the_fraction_implementation():
+    compared = rational = 0
+    for radicand, degree in _radicand_sweep():
+        for sign in (1, -1):
+            got = classify_radical(sign, radicand, degree)
+            expected = _fraction_classify_radical(sign, radicand, degree)
+            assert got == expected, (sign, radicand, degree)
+            assert type(got.value) is type(expected.value), (sign, radicand, degree)
+            compared += 1
+            rational += got.is_rational
+    assert compared > 6000 and 0 < rational < compared
+
+
+@pytest.mark.parametrize("sign, radicand, degree", [
+    (0, 8, 3), (2, Fraction(8), 3), (1, 8, 0), (-1, Fraction(1, 2), -2),
+    (1, -8, 3), (-1, Fraction(-7, 3), 3), (1, Fraction(-1, 10 ** 30), 1)])
+def test_classify_radical_raises_the_same_errors(sign, radicand, degree):
+    with pytest.raises(ValueError) as expected:
+        _fraction_classify_radical(sign, radicand, degree)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        classify_radical(sign, radicand, degree)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        Radical(sign, radicand, degree)
+
+
+@pytest.mark.parametrize("signed", [-8, Fraction(-55, 2744), -(10 ** 40), Fraction(-1, 3)])
+def test_radical_of_a_negative_value_splits_off_the_sign(signed):
+    radical = Radical.of(signed, 3)
+    assert radical.sign == -1
+    assert type(radical.radicand) is Fraction and radical.radicand == -signed > 0
+    assert Radical.of(-signed, 3) == (1, -signed, 3)
 
 
 def test_radical_type():

@@ -5,14 +5,17 @@ import json
 import os
 import stat
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bealsearch.records import (CSV_COLUMNS, SchemaError,
-                                canonical_json, emit_csv, emit_json,
+                                canonical_json, emit_csv, emit_json, json_text,
                                 parse_csv, parse_json, read_csv, records_from_report,
                                 report_to_obj, write_csv, write_text)
-from bealsearch.search import SearchConfig, brute_force_oracle, search_solutions
+from bealsearch.search import SearchConfig, SearchReport, brute_force_oracle, search_solutions
 from bealsearch.svgplot import emit_scatter
 
 
@@ -139,6 +142,56 @@ def test_sweeps_are_reported_but_not_canonical(report):
     assert sum(sweep["probes"] for sweep in sweeps.values()) == report.scan_probes
     assert "sweeps" not in json.loads(canonical_json(report))
     assert json.loads(emit_json(brute_force_oracle(10 ** 4)))["sweeps"] is None
+
+
+def test_verification_failures_are_reported_but_not_canonical(report):
+    assert report.verification_failures == {}
+    assert json.loads(emit_json(report))["verification_failures"] == {}
+    assert "verification_failures" not in json.loads(canonical_json(report))
+    failing = SearchReport(report.config, report.hits[:3], report.counts, 0.0, {}, None)
+    failing.hits[0] = failing.hits[0]._replace(
+        checks=dict(failing.hits[0].checks, equation_exact=False, canonical_order=False))
+    failing.hits[2] = failing.hits[2]._replace(
+        checks=dict(failing.hits[2].checks, equation_exact=False))
+    assert (json.loads(emit_json(failing))["verification_failures"]
+            == {"equation_exact": 2, "canonical_order": 1})
+
+
+# --- json_text: the bytes of json.dumps(obj, indent=2) -----------------------
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00\x01\x1f\x7f", "\n\r\t\b\f", "é€😀", "\ud800", "a/b"])
+_JSON_LEAVES = (
+    st.none() | st.booleans() | _JSON_STRINGS
+    | st.integers() | st.integers(min_value=2 ** 64 - 2, max_value=2 ** 200)
+    | st.integers(max_value=-1)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=5) | st.tuples(children, children)
+                      | st.dictionaries(_JSON_STRINGS, children, max_size=5)),
+    max_leaves=40)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON_VALUES)
+def test_json_text_matches_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_text_matches_json_dumps_on_the_documents_it_writes(report):
+    for obj in ({}, [], {"a": {}, "b": [], "c": [[], {}]}, report_to_obj(report),
+                report_to_obj(report, include_timing=False)):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [Fraction(1, 2), {1, 2}, {1: "one"}, {None: 0},
+                                 {"a": [1, Fraction(3)]}, [b"bytes"], 2 + 0j])
+def test_json_text_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        json_text(obj)
 
 
 def test_write_text_replaces_the_file_whole(tmp_path, records, monkeypatch):
