@@ -14,7 +14,7 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress
 from typing import NamedTuple
 
@@ -185,8 +185,8 @@ class Radical(_Radical):
     """A real radical sign * radicand**(1/degree) kept in exact form.
 
     radicand is a non-negative rational; classification is computed lazily
-    and cached (the class has no __slots__, so cached_property has a
-    __dict__ to store it in).  Numeric evaluation lives in the intervals module.
+    and kept in the instance __dict__ (the class has no __slots__).  Numeric
+    evaluation lives in the intervals module.
     """
 
     def __new__(cls, sign: int, radicand: Fraction | int, degree: int):
@@ -209,9 +209,15 @@ class Radical(_Radical):
             return cls(-1, -signed_radicand, degree)
         return cls(1, signed_radicand, degree)
 
-    @cached_property
+    @property
     def classification(self) -> RadicalClass:
-        return classify_radical(self.sign, self.radicand, self.degree)
+        # A plain property, not functools.cached_property, which on Python 3.11
+        # takes a lock on every first access.
+        found = self.__dict__.get("classification")
+        if found is None:
+            found = self.__dict__["classification"] = classify_radical(
+                self.sign, self.radicand, self.degree)
+        return found
 
     @property
     def exact_value(self) -> Fraction | None:

@@ -24,13 +24,16 @@ five sweeps (named as in SWEEPS):
    3s bound**(2/3) leaves only s with v**3 <= 27 s**3 bound**2.  y > 0
    (s**3 > v) is a sum of the left cubes x**3 and y**3, with v a right
    value.  The divisors are walked between the integer cube roots of the
-   two bounds on s**3, so the walk takes no cube.  A v outside the 25
-   residues of x**3 + y**3 mod 63 (CUBE_SUM_RESIDUES; -1 is a cube, so a
-   difference of cubes has the same residues) is skipped before any
-   divisor: that is about 45% of the non-cube values, and a skipped v adds
-   nothing to the scan's probe count (at 10**12 the skip lowers it from
-   411,448 to 404,352).  The skip stays mod 63: mod 13 every residue is a
-   sum of two cubes, so mod 819 it would pass the same share of values.
+   two bounds on s**3, so the walk takes no cube.  As 6 divides n**3 - n
+   for every integer n, s = x + y = x**3 + y**3 = v mod 6
+   (DIVISOR_MODULUS): the walk starts at gcd(v, 6), which divides each such
+   s, and tries only the s with s = v mod 6 (at 10**12, 7,937 divisors
+   against 13,471).  A v outside the 25 residues of x**3 + y**3 mod 63
+   (CUBE_SUM_RESIDUES; -1 is a cube, so a difference of cubes has the same
+   residues) is skipped before any divisor: that is about 45% of the
+   non-cube values, and a skipped v adds nothing to the scan's probe count.
+   The skip stays mod 63: mod 13 every residue is a sum of two cubes, so
+   mod 819 it would pass the same share of values.
 2. c is the one cube (cube_c): v = a, over the non-cube b >= a.
 3. a or b is the one cube (cube_a_or_b): v = c, over the non-cube x < c
    (the other term).
@@ -41,13 +44,17 @@ five sweeps (named as in SWEEPS):
 
 Sweeps 2 and 3 keep only the partners whose sum or difference with v can be
 a cube, and sweep 5 those whose sum can be a 4th power: cubes fall in 45 of
-the 819 residues mod 819 = 63 * 13 (CUBE_RESIDUES) and 4th powers in the 4
-residues {0, 1, 16, 65} mod 80.  A cube is a cube residue for every
-modulus, so the filter drops no pair; at 10**16, mod 819 leaves sweeps 2
-and 3 43% of the probes that mod 63 (9 residues) left them.  The partners
-are built once per search as 819 + 80 sorted lists, keyed by the residue of
-v, so each sweep is one bisect and one C-level set intersection per value.
-The scan counts, per sweep, the set probes it made and the pairs it found.
+the 819 residues mod 819 = 63 * 13 (CUBE_RESIDUES) and 4th powers in 16 of
+the 1,040 residues mod 1040 = 80 * 13 (QUARTIC_RESIDUES).  A k-th power is a
+k-th power residue for every modulus, so the filter drops no pair; at
+10**16, mod 819 leaves sweeps 2 and 3 43% of the probes that mod 63 (9
+residues) left them, and at 10**12 mod 1040 leaves sweep 5 30% of those of
+mod 80 (4 residues).  The partners are built once per search as sorted
+lists, keyed by the residue of v, and only for the keys the scan reads: v
+mod 819 for a left v with 2v <= bound, -v mod 819 for a right v and v mod
+1040 for a left v in H.  So each sweep is one bisect and one C-level set
+intersection per value.  The scan counts, per sweep, the set probes it
+made and the pairs it found.
 
 Only a cube of reduced exponent 3 can have a base above bound**(1/4), and
 the scan reads cubes only as set members.  So those cubes are plain values
@@ -81,8 +88,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import repeat
-from math import isqrt
-from operator import add, sub
+from math import gcd, isqrt
+from operator import add, mod, neg, sub
 from typing import NamedTuple
 
 from .coprime import Restriction, exponent_restriction
@@ -233,10 +240,13 @@ def _pairs_within(values: list[int], bound: int) -> int:
         repeat(0), repeat(half)))
 
 
-# The residues of the cubes mod 819 = 63 * 13 and of the 4th powers mod 80.
+# The residues of the cubes mod 819 = 63 * 13 and of the 4th powers mod 1040 = 80 * 13.
 CUBE_MODULUS = 819
 CUBE_RESIDUES = frozenset(pow(n, 3, CUBE_MODULUS) for n in range(CUBE_MODULUS))  # 45
-QUARTIC_RESIDUES = frozenset(pow(n, 4, 80) for n in range(80))   # {0, 1, 16, 65}
+QUARTIC_MODULUS = 1040
+QUARTIC_RESIDUES = frozenset(pow(n, 4, QUARTIC_MODULUS) for n in range(QUARTIC_MODULUS))  # 16
+# A divisor s = x + y that solves v = x**3 + y**3 has s = v mod 6, as 6 divides n**3 - n.
+DIVISOR_MODULUS = 6
 # The residues mod 63 of x**3 + y**3, 25 of 63; as -1 is a cube, of x**3 - y**3 too.
 # 63 divides 819, so the cube residues mod 63 are those of CUBE_RESIDUES.
 CUBE_SUM_RESIDUES = frozenset((x + y) % 63 for x in CUBE_RESIDUES for y in CUBE_RESIDUES)
@@ -247,9 +257,12 @@ def _is_quartic(exponent: int) -> bool:
     return exponent & (exponent - 1) == 0
 
 
-def _partner_lists(values: list[int], modulus: int, residues: frozenset) -> list[list[int]]:
-    """lists[r] holds, in order, the values y with (r + y) % modulus in residues."""
-    lists: list[list[int]] = [[] for _ in range(modulus)]
+def _partner_lists(values: list[int], modulus: int, residues: frozenset,
+                   keys: set[int]) -> dict[int, list[int]]:
+    """lists[r], for each residue r in keys, holds in order the values y with
+    (r + y) % modulus in residues.  No other key is built, so reading one raises
+    KeyError."""
+    lists: dict[int, list[int]] = {r: [] for r in keys}
     # The lists a y goes into depend only on y % modulus, so they are found once
     # per residue.  Lists, not their bound append methods: a method call on each
     # list makes no method object, and a cache of methods for 819 residues
@@ -259,7 +272,8 @@ def _partner_lists(values: list[int], modulus: int, residues: frozenset) -> list
         r = y % modulus
         targets = targets_of.get(r)
         if targets is None:
-            targets = targets_of[r] = [lists[(t - r) % modulus] for t in residues]
+            targets = targets_of[r] = [lists[key] for t in residues
+                                       if (key := (t - r) % modulus) in lists]
         for target in targets:
             target.append(y)
     return lists
@@ -280,8 +294,8 @@ class _Lanes(NamedTuple):
     left_cubes: set[int]        # left cube values: every n**3 when lo_exp is 3
     right_cubes: set[int]       # right cube values: every n**3 when min_z is 3
     right_quartics: set[int]    # right values in class Q
-    cube_partners: list[list[int]]     # _partner_lists(left_other, CUBE_MODULUS, ...)
-    quartic_partners: list[list[int]]  # _partner_lists(left_other, 80, QUARTIC_RESIDUES)
+    cube_partners: dict[int, list[int]]     # _partner_lists(left_other, CUBE_MODULUS, ...)
+    quartic_partners: dict[int, list[int]]  # _partner_lists(left_other, QUARTIC_MODULUS, ...)
 
 
 def _value_set(values: list[int]) -> set[int]:
@@ -354,7 +368,7 @@ def _match_stripe(lanes: _Lanes, start: int,
                 found.extend((v - x, x) for x in terms)
                 pairs4 += len(terms)
         if left and in_h:  # v in H, no cube, c in Q
-            partners = quartic_partners[v % 80]
+            partners = quartic_partners[v % QUARTIC_MODULUS]
             last = bisect_right(partners, bound - v)
             probes5 += last
             sums = right_quartics.intersection(map(add, repeat(v), partners[:last]))
@@ -428,7 +442,8 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
     A v whose residue mod 63 is not in CUBE_SUM_RESIDUES is no sum or
     difference of two cubes, and tries no divisor.  The divisors are walked
     between the integer cube roots of the bounds on s**3, so the walk takes
-    no cube.
+    no cube, and only those with s = v mod DIVISOR_MODULUS are tried: the
+    walk starts at g = gcd(v, DIVISOR_MODULUS), which divides every such s.
     """
     v = entry.value
     if v % 63 not in CUBE_SUM_RESIDUES:
@@ -438,8 +453,9 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
     most = 4 * v if right else v - 1                                     # s**3 <= most
     low, exact = iroot(least, 3)
     low += not exact  # the ceiling cube root: s >= low
-    high = iroot(most, 3)[0]  # s <= high
-    divisors = [1]
+    high = iroot(most, 3)[0]  # s <= high; g <= base <= v**(1/4) <= high
+    g = gcd(v, DIVISOR_MODULUS)  # squarefree: each prime of g divides it once
+    divisors = [g]
     n = entry.base
     while n > 1:
         p = spf[n]
@@ -449,13 +465,14 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
             k += 1
         grown = []
         for s in divisors:
-            for _ in range(k * entry.exponent):
+            for _ in range(k * entry.exponent - (g % p == 0)):
                 s *= p
                 if s > high:
                     break
                 grown.append(s)
         divisors += grown
-    tried = [s for s in divisors if s >= low]
+    residue = v % DIVISOR_MODULUS
+    tried = [s for s in divisors if s >= low and s % DIVISOR_MODULUS == residue]
     found: list[tuple[int, int]] = []
     for s in tried:
         xy, r = divmod(s * s - v // s, 3)
@@ -587,6 +604,17 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     # meeting the minimums): all left pairs minus the pairs of two low values.
     pairs_tested = _pairs_within(left, config.bound) - _pairs_within(low, config.bound)
     del table, left, low, cubes  # the scan reads none of these lists
+    left_h = {entry.value for entry in non_cubes
+              if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)}
+    right_other = (left_other if config.min_z == lo_exp
+                   else [entry.value for entry in non_cubes if entry.exponent >= config.min_z])
+    # The keys of the partner lists that _match_stripe reads, and no others:
+    # v for a left v with 2v <= bound and -v for a right v (sweeps 2 and 3),
+    # v for a left v in H (sweep 5).
+    cube_keys = set(map(mod, left_other[:bisect_right(left_other, config.bound // 2)],
+                        repeat(CUBE_MODULUS)))
+    cube_keys.update(map(mod, map(neg, right_other), repeat(CUBE_MODULUS)))
+    quartic_keys = set(map(mod, left_h, repeat(QUARTIC_MODULUS)))
     lanes = _Lanes(
         bound=config.bound,
         lo_exp=lo_exp,
@@ -595,14 +623,14 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         spf=_smallest_prime_factors(max((entry.base for entry in non_cubes), default=1)),
         left_other=left_other,
         left_other_set=set(left_other),
-        left_h={entry.value for entry in non_cubes
-                if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)},
+        left_h=left_h,
         left_cubes=left_cubes,
         right_cubes=right_cubes,
         right_quartics={entry.value for entry in non_cubes
                         if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
-        cube_partners=_partner_lists(left_other, CUBE_MODULUS, CUBE_RESIDUES),
-        quartic_partners=_partner_lists(left_other, 80, QUARTIC_RESIDUES))
+        cube_partners=_partner_lists(left_other, CUBE_MODULUS, CUBE_RESIDUES, cube_keys),
+        quartic_partners=_partner_lists(left_other, QUARTIC_MODULUS, QUARTIC_RESIDUES,
+                                        quartic_keys))
     indexed = time.perf_counter()
 
     if config.workers == 1 or config.min_z >= config.bound.bit_length():  # no right value

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import Divergent
-from .exact_arith import Radical, RadicalClass
+from .exact_arith import Radical, RadicalClass, iroot
 from .intervals import DEFAULT_PRECISION_BITS, IntervalValue, enclose
 from .triples import BealTriple
 
@@ -45,23 +45,21 @@ def _slope_radical(power_sum: int, base: int, Z: int) -> Radical:
     return Radical(1, Fraction(power_sum, base ** Z), Z)
 
 
-def _slope_value(power_sum: int, base: int, Z: int) -> Fraction | Radical:
-    radical = _slope_radical(power_sum, base, Z)
-    exact = radical.exact_value
-    return exact if exact is not None else radical
-
-
 def slope_set(triple: BealTriple) -> SlopeSet:
     """Exact slopes of the origin lines through the candidate point.
 
     On an equation-satisfying triple the two root-form slopes are rational
-    and equal C/B and C/A exactly; m_ba is always the plain ratio B/A.
+    and equal C/B and C/A exactly; m_ba is always the plain ratio B/A.  One
+    integer root decides both: when A**X + B**Y = root**Z the slopes are
+    root/B and root/A, and otherwise both are irrational Radicals.
     """
     s = triple.ax + triple.by
-    m_cb = _slope_value(s, triple.B, triple.Z)
-    m_ca = _slope_value(s, triple.A, triple.Z)
+    root, exact = iroot(s, triple.Z)
     m_ba = Fraction(triple.B, triple.A)
-    return SlopeSet(m_cb=m_cb, m_ca=m_ca, m_ba=m_ba)
+    if exact:
+        return SlopeSet(Fraction(root, triple.B), Fraction(root, triple.A), m_ba)
+    return SlopeSet(_slope_radical(s, triple.B, triple.Z),
+                    _slope_radical(s, triple.A, triple.Z), m_ba)
 
 
 def slope_candidate(A: int, B: int, X: int, Y: int, Z: int) -> tuple[RadicalClass, RadicalClass]:

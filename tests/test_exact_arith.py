@@ -305,6 +305,22 @@ def test_radical_type():
         exact._replace(degree=0)
 
 
+def test_radical_classifies_once(monkeypatch):
+    import bealsearch.exact_arith as exact_arith
+    calls = []
+    real = exact_arith.classify_radical
+    monkeypatch.setattr(exact_arith, "classify_radical",
+                        lambda *args: calls.append(args) or real(*args))
+    for radical, kind in ((Radical(1, 8, 3), "rational"), (Radical(-1, 4, 2), "no_real_root"),
+                          (Radical(1, Fraction(55, 2744), 3), "irrational")):
+        first = radical.classification
+        assert first.kind == kind and radical.classification is first
+        assert radical.exact_value == first.value and vars(radical) == {"classification": first}
+        # the stored classification is no field: equality and hashing see none of it
+        assert radical == Radical(*radical) and hash(radical) == hash(tuple(radical))
+    assert len(calls) == 3
+
+
 # --- factorize -------------------------------------------------------------------
 
 def test_factorize_examples():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import bealsearch.search as search_mod
 from bealsearch.errors import BoundTooLarge
-from bealsearch.exact_arith import is_perfect_power
+from bealsearch.exact_arith import iroot, is_perfect_power
 from bealsearch.search import (ORACLE_MAX_BOUND, PowerEntry, SearchConfig, annotate_hit,
                                brute_force_oracle, enumerate_powers, search_solutions,
                                verify_hit)
@@ -246,19 +246,27 @@ def test_scan_finds_each_pair_once(monkeypatch, bound, minimums, named):
 def test_partner_lists_hold_the_admissible_residues(monkeypatch):
     lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 12))
     cube_residues = {n ** 3 % 819 for n in range(819)}
-    assert len(cube_residues) == 45
-    for partners, modulus, residues, lists_per_value in (
-            (lanes.cube_partners, 819, cube_residues, 45),
-            (lanes.quartic_partners, 80, {0, 1, 16, 65}, 4)):
-        assert len(partners) == modulus
-        assert Counter(y for values in partners for y in values) == dict.fromkeys(
-            lanes.left_other, lists_per_value)
-        for r, values in enumerate(partners):
+    quartic_residues = {n ** 4 % 1040 for n in range(1040)}
+    assert len(cube_residues) == 45 and len(quartic_residues) == 16
+    # The keys the scan reads: v % 819 for a left v with 2v <= bound (sweep 2),
+    # -v % 819 for a right v (sweep 3) and v % 1040 for a left v in H (sweep 5).
+    left = [v for v, _, exponent in lanes.non_cubes if exponent >= lanes.lo_exp]
+    right = [v for v, _, exponent in lanes.non_cubes if exponent >= lanes.min_z]
+    cube_keys = {v % 819 for v in left if 2 * v <= lanes.bound} | {-v % 819 for v in right}
+    quartic_keys = {v % 1040 for v in lanes.left_h}
+    for partners, modulus, residues, keys in (
+            (lanes.cube_partners, 819, cube_residues, cube_keys),
+            (lanes.quartic_partners, 1040, quartic_residues, quartic_keys)):
+        assert set(partners) == keys and 0 < len(keys) < modulus
+        for r in set(range(modulus)) - keys:
+            with pytest.raises(KeyError):
+                partners[r]
+        for r, values in partners.items():
             assert values == sorted(values)
             assert values == [y for y in lanes.left_other if (r + y) % modulus in residues]
 
 
-@pytest.mark.parametrize("modulus, power", [(63, 3), (80, 4), (819, 3)])
+@pytest.mark.parametrize("modulus, power", [(63, 3), (80, 4), (819, 3), (1040, 4)])
 def test_partner_lists_match_their_definition(modulus, power):
     residues = frozenset(n ** power % modulus for n in range(modulus))
     rng = random.Random(modulus)
@@ -266,7 +274,12 @@ def test_partner_lists_match_their_definition(modulus, power):
         # distinct values, past 2^64 at 90 bits
         values = sorted({rng.getrandbits(bits) + 1 for _ in range(size)})
         naive = [[y for y in values if (r + y) % modulus in residues] for r in range(modulus)]
-        assert search_mod._partner_lists(values, modulus, residues) == naive, (size, bits)
+        for keys in (set(range(modulus)), set(rng.sample(range(modulus), modulus // 3)), set()):
+            lists = search_mod._partner_lists(values, modulus, residues, keys)
+            assert lists == {r: naive[r] for r in keys}, (size, bits, len(keys))
+            for r in set(range(modulus)) - keys:
+                with pytest.raises(KeyError):
+                    lists[r]
 
 
 def test_value_set_holds_the_values_in_no_larger_a_table():
@@ -339,6 +352,51 @@ def test_cube_sum_skip_loses_no_pair(monkeypatch):
     unskipped, unskipped_tried = solve_all()
     assert skipped == unskipped and len(skipped) >= 10
     assert skipped_tried < unskipped_tried
+
+
+def test_cube_sum_is_the_sum_of_its_terms_mod_6():
+    rng = random.Random(6)
+    signed = [*range(-40, 41), *(rng.randrange(-2 ** 80, 2 ** 80) for _ in range(200))]
+    for x in signed:
+        for y in signed[::7]:
+            assert (x ** 3 + y ** 3 - x - y) % 6 == 0, (x, y)
+    assert search_mod.DIVISOR_MODULUS == 6
+
+
+def test_divisor_filter_loses_no_pair(monkeypatch):
+    # At 10^14 the two-cube solve finds the same pairs whether it walks only
+    # the divisors s = v mod 6 or every divisor, and tries fewer.
+    lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 14))
+
+    def solve_all():
+        found, tried = [], 0
+        for entry in lanes.non_cubes:
+            pairs, probes = search_mod._cube_pairs(lanes, entry, entry.exponent >= lanes.lo_exp,
+                                                    entry.exponent >= lanes.min_z)
+            for pair in pairs:  # s = x + y, from the cube roots of the two cube terms
+                cubes = [t for t in (*pair, sum(pair)) if t != entry.value]
+                x, y = (iroot(t, 3)[0] for t in cubes)
+                s = x + y if sum(pair) == entry.value else max(x, y) - min(x, y)
+                assert entry.value % s == 0 and s % 6 == entry.value % 6, (entry, pair)
+            found += pairs
+            tried += probes
+        return sorted(found), tried
+
+    filtered, filtered_tried = solve_all()
+    monkeypatch.setattr(search_mod, "DIVISOR_MODULUS", 1)
+    unfiltered, unfiltered_tried = solve_all()
+    assert filtered == unfiltered and len(filtered) >= 10
+    assert filtered_tried < 0.7 * unfiltered_tried
+
+
+def test_quartic_residues_are_the_fourth_powers_mod_1040():
+    assert search_mod.QUARTIC_MODULUS == 1040
+    fourth_powers = {n ** 4 % 1040 for n in range(1040)}
+    assert search_mod.QUARTIC_RESIDUES == fourth_powers and len(fourth_powers) == 16
+    # 1040 = 80 * 13: mod 80 they reduce to the 4th-power residues {0, 1, 16, 65}
+    assert {r % 80 for r in fourth_powers} == {0, 1, 16, 65}
+    bases = random.Random(4).sample(range(10 ** 9), 500)
+    assert all(pow(n, 4, 1040) in fourth_powers for n in bases)
 
 
 def test_scan_probes_are_counted_and_few():

@@ -1,5 +1,6 @@
 """Slopes, lattice points, common-factor decomposition, binomial series."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,43 @@ def test_slope_set_irrational_case_returns_radical():
     assert isinstance(s.m_cb, Radical)
     assert s.m_cb.classification.kind == "irrational"
     assert s.m_ba == Fraction(3, 2)
+
+
+def _radical_slope_set(triple: BealTriple) -> tuple:
+    """The slopes as two classified Radicals: rational ones as their exact values."""
+    s = triple.ax + triple.by
+
+    def value(base):
+        radical = Radical(1, Fraction(s, base ** triple.Z), triple.Z)
+        exact = radical.exact_value
+        return exact if exact is not None else radical
+
+    return value(triple.B), value(triple.A), Fraction(triple.B, triple.A)
+
+
+def test_slope_set_matches_the_radical_classification():
+    rng = random.Random(23)
+    triples = []
+    for _ in range(200):
+        a, b = rng.randrange(1, 60), rng.randrange(1, 60)
+        n = rng.randrange(1, 9)
+        c = a ** n + b ** n  # (ac)^n + (bc)^n = c^(n+1)
+        triples.append(BealTriple(a * c, n, b * c, n, c, n + 1))
+        # the same left side against a wrong C: the slopes read only A, B, X, Y, Z
+        triples.append(BealTriple(a * c, n, b * c, n, c + 1, n + 1))
+        triples.append(BealTriple(a * c, n, b * c, n, c, rng.randrange(1, 2 * n + 3)))
+        triples.append(BealTriple(*(rng.randrange(1, 10 ** rng.randrange(1, 8)) if i % 2 == 0
+                                    else rng.randrange(1, 12) for i in range(6))))
+    triples += [BealTriple(1, 1, 1, 1, 2, 1), BealTriple(3, 2, 4, 2, 5, 2),
+                BealTriple(2, 3, 2, 3, 2, 4), BealTriple(2, 5, 2, 5, 2, 6)]
+    rational = 0
+    for triple in triples:
+        slopes = slope_set(triple)
+        expected = _radical_slope_set(triple)
+        assert tuple(slopes) == expected, triple
+        assert [type(m) for m in slopes] == [type(m) for m in expected], triple
+        rational += isinstance(slopes.m_cb, Fraction)
+    assert 200 <= rational < len(triples)
 
 
 def test_slope_candidate_examples():
