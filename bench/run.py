@@ -41,7 +41,10 @@ The cases, --repeats samples per tree each:
     count; one is the tree's JSON writer (records.json_text, or
     json.dumps(obj, indent=2) on a tree without it) on the report object of
     a search at 10^12; one is cli.classify_obj over each triple of the
-    classify case's batch.
+    classify case's batch; one is the printed scalar estimate
+    (cli._scalar_obj on the plane-CB pair) over the same triples, whose
+    facts hold how many of them fall back to scalar_m at 256 bits (null on
+    a tree without reparam.scalar_estimate).
 The startup, classify, factorize and completeness cases also record the
 sha256 of what they print or return, which must be the same in every sample
 of every tree.
@@ -105,7 +108,7 @@ def kernel_cases() -> dict[str, tuple]:
     tuples of its calls, so a sample builds only the inputs of its own case."""
     from fractions import Fraction
 
-    from bealsearch import records
+    from bealsearch import cli, records, reparam
     from bealsearch.cli import classify_obj
     from bealsearch.exact_arith import classify_radical, iroot, is_perfect_power
     from bealsearch.identity import run_random_suite
@@ -129,6 +132,23 @@ def kernel_cases() -> dict[str, tuple]:
     # the tree's writer of the JSON report: json.dumps(obj, indent=2) on a tree
     # that has no records.json_text
     write_json = getattr(records, "json_text", None) or (lambda obj: json.dumps(obj, indent=2))
+
+    def scalar_estimate_case():
+        """cli._scalar_obj over the classify batch, and its fallbacks to scalar_m."""
+        batch = [BealTriple(*t) for t in classify_inputs(CLASSIFY_SEED, smoke=False)]
+        calls = [(t, canonical_alpha_beta(t, Plane.CB)) for t in batch]
+        fallbacks = None
+        if hasattr(reparam, "scalar_estimate"):
+            fallbacks, real = [], reparam.scalar_m
+            reparam.scalar_m = lambda *args: fallbacks.append(args) or real(*args)
+            try:
+                for args in calls:
+                    cli._scalar_obj(*args)
+            finally:
+                reparam.scalar_m = real
+            fallbacks = len(fallbacks)
+        return cli._scalar_obj, calls, {"fallbacks": fallbacks}
+
     return {
         "iroot 500 bits k 3,5,7": lambda: (iroot, iroot_calls),
         "is_perfect_power 64 bits": lambda: (is_perfect_power, power_calls[64]),
@@ -145,6 +165,7 @@ def kernel_cases() -> dict[str, tuple]:
             search_solutions(SearchConfig(10 ** 12))),)]),
         "classify_obj classify batch": lambda: (classify_obj, [
             (BealTriple(*t),) for t in classify_inputs(CLASSIFY_SEED, smoke=False)]),
+        "scalar estimate classify batch": scalar_estimate_case,
     }
 
 
@@ -152,7 +173,7 @@ def kernel_cases() -> dict[str, tuple]:
 KERNELS = ("iroot 500 bits k 3,5,7", "is_perfect_power 64 bits", "is_perfect_power 500 bits",
            "is_perfect_power 2000 bits", "classify_radical", "scalar_m 3,3,6,3,3,5",
            "run_random_suite 200 cases seed 15", "json writer 10^12 report",
-           "classify_obj classify batch")
+           "classify_obj classify batch", "scalar estimate classify batch")
 
 
 def cpu_model() -> str:
@@ -273,7 +294,7 @@ def kernel_sample(src: str, name: str, conn) -> None:
     use_tree(src)
     cases = kernel_cases()
     assert tuple(cases) == KERNELS, "KERNELS names the cases of kernel_cases"
-    kernel, calls = cases[name]()
+    kernel, calls, *facts = cases[name]()
     for args in calls:  # untimed, so tables a kernel builds on first use are built
         kernel(*args)
     rounds = 0
@@ -286,7 +307,7 @@ def kernel_sample(src: str, name: str, conn) -> None:
         if elapsed >= KERNEL_MIN_S:
             break
     conn.send(({"us_per_call": 1e6 * elapsed / (rounds * len(calls))},
-               {"calls": len(calls)}, None))
+               dict({"calls": len(calls)}, **(facts[0] if facts else {})), None))
 
 
 def in_fresh_process(target, *args):

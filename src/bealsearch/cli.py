@@ -22,8 +22,7 @@ from . import identity, records
 from .coprime import check_coprimality_propagation, exponent_orientation, exponent_restriction
 from .errors import BealsearchError, NoRealRoot, ScanWorkerFailed, ZeroDenominator
 from .exact_arith import RATIONAL, Radical
-from .intervals import IntervalValue
-from .reparam import Plane, canonical_alpha_beta, scalar_m
+from .reparam import Plane, canonical_alpha_beta, scalar_estimate
 from .search import SearchConfig, brute_force_oracle, search_solutions
 from .slopes import slope_set, smallest_lattice_point
 from .triples import BealTriple
@@ -202,11 +201,11 @@ def _coprimality_obj(triple: BealTriple) -> dict | None:
 
 def _scalar_obj(triple: BealTriple, pair) -> dict:
     try:
-        m = scalar_m(triple, pair)
+        m = scalar_estimate(triple, pair)
     except (NoRealRoot, ZeroDenominator) as exc:
         return {"estimate": None, "exact": None, "error": str(exc)}
-    if isinstance(m, IntervalValue):
-        return {"estimate": m.decimal(30), "exact": None, "error": None}
+    if isinstance(m, str):
+        return {"estimate": m, "exact": None, "error": None}
     return {"estimate": str(m), "exact": str(m), "error": None}
 
 

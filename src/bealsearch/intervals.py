@@ -5,6 +5,8 @@ pair and the exact root it reconstructs, the binomial-series prefactor) are
 closed intervals with Fraction endpoints.  An irrational radical is enclosed
 by one integer root; exact inputs are points.  +, -, *, / and integer powers
 act on the endpoints exactly, so every interval is a true enclosure.
+The decimal estimate is printed from an integer pair (n, d), so an endpoint
+or a midpoint computed on integers needs no reduction to a Fraction.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ class IntervalValue(NamedTuple):
         return max(abs(self.hi - x), abs(self.lo - x))
 
     def decimal(self, digits: int = 30) -> str:
-        return _decimal(self.mid, digits)
+        """The midpoint to digits significant digits, as _decimal prints it."""
+        lo, hi = self.lo, self.hi
+        return _decimal(lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+                        2 * lo.denominator * hi.denominator, digits)
 
     def __contains__(self, x) -> bool:
         return self.lo <= x <= self.hi
@@ -123,21 +128,43 @@ def enclose_ints(value, bits: int) -> tuple[int, int, int]:
 _LOG2_10 = math.log(10, 2)
 
 
-def _decimal(x: Fraction, dps: int) -> str:
-    """x to dps significant digits, formatted as mpmath's nstr(x, dps) so
-    classify output keeps its bytes: |x| is floored to a binary, then a
-    decimal, fixed point of at least dps + 3 digits; the next digit rounds
-    half up; notation is fixed for decimal exponents strictly between
-    min(-(dps // 3), -5) and dps; trailing zeros are stripped down to ".0".
-    """
-    if x == 0:
-        return "0.0"
-    sign = "-" if x < 0 else ""
-    n, d = abs(x.numerator), x.denominator
-    # e is the binary exponent with 2**(e - 1) <= |x| < 2**e
+def _binary_exponent(n: int, d: int) -> int:
+    """The e with 2**(e - 1) <= n/d < 2**e, for n, d > 0."""
     e = n.bit_length() - d.bit_length()
-    if n << max(-e, 0) >= d << max(e, 0):
-        e += 1
+    return e + 1 if n << max(-e, 0) >= d << max(e, 0) else e
+
+
+def decided_decimal(lo_num: int, lo_den: int, hi_num: int, hi_den: int, dps: int) -> str | None:
+    """The _decimal string of every point of [lo_num/lo_den, hi_num/hi_den]
+    (both dens > 0), or None when the two ends do not decide it.
+
+    They decide it when they share a non-zero sign, a binary exponent and
+    their string: within one sign and binary exponent every step of _decimal
+    floors or rounds one fixed scaling of |x|, so the value it prints is
+    monotone in x, and equal at both ends it is equal between them.
+    """
+    if (lo_num > 0) != (hi_num > 0) or lo_num == 0 or hi_num == 0:
+        return None
+    if _binary_exponent(abs(lo_num), lo_den) != _binary_exponent(abs(hi_num), hi_den):
+        return None
+    text = _decimal(lo_num, lo_den, dps)
+    return text if _decimal(hi_num, hi_den, dps) == text else None
+
+
+def _decimal(n: int, d: int, dps: int) -> str:
+    """n/d (d > 0, the pair need not be reduced) to dps significant digits,
+    formatted as mpmath's nstr(n/d, dps) so classify output keeps its bytes:
+    |n/d| is floored to a binary, then a decimal, fixed point of at least
+    dps + 3 digits; the next digit rounds half up; notation is fixed for
+    decimal exponents strictly between min(-(dps // 3), -5) and dps;
+    trailing zeros are stripped down to ".0".  Every step depends only on
+    the value n/d.
+    """
+    if n == 0:
+        return "0.0"
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    e = _binary_exponent(n, d)
     fixprec = max(int((dps + 3) * _LOG2_10) + 10 - e, 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)
     digits = str(((n << fixprec) // d) * 10 ** fixdps >> fixprec)

@@ -10,6 +10,11 @@ and needs one scaling factor M to reconcile both at once:
 The CA plane swaps the roles of the bases, parameterizing B**Y from
 (A, C) with degree Y.
 
+scalar_m encloses an irrational M to a relative width on integers, in
+rounds of growing precision.  classify prints only M's 30-digit decimal,
+which scalar_estimate takes from one cheap 112-bit round whenever the ends
+of that round decide it, and from scalar_m otherwise.
+
 Rationality of the canonical pair is the interesting output: on a genuine
 solution triple, a rational canonical alpha or beta goes hand in hand with
 gcd(A,B,C) > 1, and that linkage is asserted by the test suite over every
@@ -24,7 +29,8 @@ from typing import NamedTuple
 
 from .errors import DegenerateBeta, ZeroDenominator
 from .exact_arith import Radical
-from .intervals import DEFAULT_PRECISION_BITS, IntervalValue, enclose, enclose_ints
+from .intervals import (DEFAULT_PRECISION_BITS, IntervalValue, decided_decimal, enclose,
+                        enclose_ints)
 from .triples import BealTriple
 
 
@@ -97,6 +103,8 @@ def _exact_operand(value) -> Fraction | None:
 
 
 _MAX_ESCALATIONS = 5
+# The precision of scalar_estimate's one round: 30 digits need about 100 bits.
+_ESTIMATE_BITS = 112
 
 
 def scalar_m(triple: BealTriple, pair: ReparamPair,
@@ -107,15 +115,53 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
     plane CB on a solution triple, B for plane CA).  Returns an exact
     Fraction when the pair and the root are all rational; otherwise an
     interval whose width is at most 2**(1 - precision_bits) times its
-    midpoint.  Each round encloses root, alpha and beta as integers over a
-    denominator (enclose_ints), the radicals to width 2**-bits with bits =
+    midpoint, with the endpoints _scalar_ends computes on integers.  Raises
+    ZeroDenominator when the denominator still encloses 0 at the narrowest
+    width _scalar_ends tries.
+    """
+    m = _scalar_ends(triple, pair, precision_bits, _MAX_ESCALATIONS)
+    if isinstance(m, Fraction):
+        return m
+    lo_num, lo_den, hi_num, hi_den = m
+    return IntervalValue(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
+
+
+def scalar_estimate(triple: BealTriple, pair: ReparamPair) -> Fraction | str:
+    """M exactly, or the 30-digit decimal that scalar_m(triple, pair).decimal(30) prints.
+
+    One round at _ESTIMATE_BITS decides the string when its two ends print
+    it alike (intervals.decided_decimal).  That is enough: an enclosure at
+    more bits lies inside one at fewer, since floor roots nest and the ends
+    of M are the exact range of the formula over the enclosing box; so the
+    default-precision midpoint lies between the two ends.  When the round
+    encloses 0, misses the relative bound or leaves the string open, the
+    result is scalar_m's at DEFAULT_PRECISION_BITS.  Raises as scalar_m.
+    """
+    try:
+        m = _scalar_ends(triple, pair, _ESTIMATE_BITS, 1)
+    except (ZeroDenominator, RuntimeError):  # scalar_m decides, or raises the same
+        m = None
+    if isinstance(m, Fraction):
+        return m
+    text = None if m is None else decided_decimal(*m, 30)
+    return text if text is not None else scalar_m(triple, pair).decimal(30)
+
+
+def _scalar_ends(triple: BealTriple, pair: ReparamPair, precision_bits: int,
+                 rounds: int) -> Fraction | tuple[int, int, int, int]:
+    """M as an exact Fraction, or the integer ends (lo_num, lo_den, hi_num,
+    hi_den) of an enclosure [lo_num/lo_den, hi_num/hi_den], both dens > 0,
+    whose width is at most 2**(1 - precision_bits) times its midpoint.
+
+    Each round encloses root, alpha and beta as integers over a denominator
+    (enclose_ints), the radicals to width 2**-bits with bits =
     precision_bits + the bit length of C*B (the plane's two bases), since
     the denominator multiplies their widths by C+B and C*B.  The
-    denominator, the quotient's endpoints and the relative bound are all
-    computed on integers; only the returned endpoints are Fractions.  The
-    width is squared up to four times until the bound holds.  Raises
-    ZeroDenominator when the denominator still encloses 0 at the narrowest
-    of those widths.
+    denominator, the quotient's ends and the relative bound are all
+    computed on integers.  There are at most rounds rounds, each at twice
+    the bits of the one before, until the bound holds.  Raises
+    ZeroDenominator when the denominator still encloses 0 in the last round,
+    RuntimeError when the bound still fails there.
     """
     base, c, degree, co = _plane_params(triple, pair.plane)
     root = Radical.of(c ** triple.Z - base ** co, degree)
@@ -133,7 +179,7 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
 
     first = precision_bits + prod.bit_length()
     zero_enclosed = False
-    for bits in (first << k for k in range(_MAX_ESCALATIONS)):
+    for bits in (first << k for k in range(rounds)):
         num_lo, num_hi, num_den = enclose_ints(root, bits)
         a_lo, a_hi, a_den = enclose_ints(pair.alpha, bits)
         b_lo, b_hi, b_den = enclose_ints(pair.beta, bits)
@@ -151,7 +197,7 @@ def scalar_m(triple: BealTriple, pair: ReparamPair,
             # width * 2**(precision_bits - 1) <= |midpoint|, over lo_den * hi_den
             lo_cross, hi_cross = lo_num * hi_den, hi_num * lo_den
             if (hi_cross - lo_cross) << precision_bits <= abs(hi_cross + lo_cross):
-                return IntervalValue(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
+                return lo_num, lo_den, hi_num, hi_den
     if zero_enclosed:
         raise ZeroDenominator(
             f"denominator still encloses 0 at {bits} bits for {triple} ({pair.plane.value})")

@@ -76,7 +76,10 @@ B**Y) qualifies when either orientation of its left side meets (min_x,
 min_y), equivalently min(X, Y) >= min(min_x, min_y) and max(X, Y) >=
 max(min_x, min_y).  Left values have exponent >= the smaller minimum; the
 scan finds the pairs of left values, and the rule on the larger minimum is
-applied once, where the triples are built.
+applied once, where the triples are built.  The report's pairs_tested is
+the size of that pair space, counted by bisection: the left pairs within
+the bound when both minimums are equal; else the pairs of two high values
+(exponent >= the larger minimum) and of a high value with a low one.
 """
 
 from __future__ import annotations
@@ -596,14 +599,23 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     non_cubes = [entry for entry in table if entry.exponent % 3]
     powers_enumerated = len(non_cubes) + len(cubes[min_exp])
     left_other = [entry.value for entry in non_cubes if entry.exponent >= lo_exp]
-    left = sorted(cubes[lo_exp] + left_other)  # two disjoint sorted runs: timsort merges them
-    # A left value the table does not hold has exponent 3 < hi_exp.
-    low = ([v for v in left if v not in index or index[v].exponent < hi_exp]
-           if hi_exp > lo_exp else [])
     # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
-    # meeting the minimums): all left pairs minus the pairs of two low values.
-    pairs_tested = _pairs_within(left, config.bound) - _pairs_within(low, config.bound)
-    del table, left, low, cubes  # the scan reads none of these lists
+    # meeting the minimums): the pairs of left values, at least one of them high.
+    if hi_exp > lo_exp:
+        # hi_exp >= 4, so the table holds every high value, and each is a left
+        # cube or in left_other.  The pairs of two high values, then each high h
+        # with the low values up to bound - h: left cubes and left_other up to
+        # there, less the high values up to there.
+        high = [entry.value for entry in table if entry.exponent >= hi_exp]
+        partners = list(map(sub, repeat(config.bound), high))
+        pairs_tested = (_pairs_within(high, config.bound)
+                        + sum(map(bisect_right, repeat(cubes[lo_exp]), partners))
+                        + sum(map(bisect_right, repeat(left_other), partners))
+                        - sum(map(bisect_right, repeat(high), partners)))
+        del high, partners
+    else:  # two disjoint sorted runs: timsort merges them
+        pairs_tested = _pairs_within(sorted(cubes[lo_exp] + left_other), config.bound)
+    del table, cubes  # the scan reads neither
     left_h = {entry.value for entry in non_cubes
               if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)}
     right_other = (left_other if config.min_z == lo_exp

@@ -4,12 +4,12 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from bealsearch.exact_arith import Radical
-from bealsearch.intervals import IntervalValue, enclose
+from bealsearch.intervals import IntervalValue, _decimal, decided_decimal, enclose
 
 
 def exact(x) -> Fraction:
@@ -63,6 +63,67 @@ def test_decimal_fixed_cases(x, expected):
 def test_decimal_matches_mpmath(mantissa, exponent, negative):
     x = mantissa * Fraction(10) ** exponent * (-1 if negative else 1)
     assert point(x).decimal(30) == mp.nstr(mp_value(x), 30)
+
+
+@settings(deadline=None)
+@given(st.fractions(max_denominator=10 ** 40), st.integers(1, 10 ** 20))
+def test_decimal_of_an_unreduced_pair_is_that_of_its_value(x, k):
+    expected = _decimal(x.numerator, x.denominator, 30)
+    assert _decimal(x.numerator * k, x.denominator * k, 30) == expected
+    assert point(x).decimal(30) == expected
+
+
+# Points where the printed string can change: half a unit in the 30th digit,
+# a power of two (a new binary exponent), and anywhere.
+anchors = st.one_of(
+    st.builds(lambda m, k: Fraction(2 * m + 1, 2) * Fraction(10) ** k,
+              st.integers(10 ** 29, 10 ** 30 - 1), st.integers(-60, 30)),
+    st.builds(lambda e: Fraction(2) ** e, st.integers(-200, 200)),
+    st.fractions(min_value=Fraction(1, 10 ** 12), max_value=10 ** 12, max_denominator=10 ** 12),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(anchors, st.integers(-2 ** 20, 2 ** 20), st.integers(0, 2 ** 20), st.integers(90, 140),
+       st.booleans(), st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=8))
+def test_decimal_is_constant_where_its_ends_decide_it(anchor, offset, width, p, negative, steps):
+    lo = anchor * (1 + Fraction(offset, 2 ** p))
+    hi = lo * (1 + Fraction(width, 2 ** p))
+    if negative:
+        lo, hi = -hi, -lo
+    text = decided_decimal(lo.numerator, lo.denominator, hi.numerator, hi.denominator, 30)
+    ends = [_decimal(x.numerator, x.denominator, 30) for x in (lo, hi)]
+    event("decided" if text is not None else "open")
+    if text is None:
+        return
+    assert ends == [text, text]
+    for step in steps:
+        x = lo + (hi - lo) * Fraction(step, 2 ** 16)
+        assert _decimal(x.numerator, x.denominator, 30) == text, (lo, hi, x)
+
+
+def test_decided_decimal_needs_one_sign_one_binary_exponent_and_one_string():
+    third = Fraction(1, 3)
+    narrow = third, third + Fraction(1, 10 ** 40)
+    assert decided_decimal(*_ends(*narrow), 30) == "0.333333333333333333333333333333"
+    assert decided_decimal(*_ends(-narrow[1], -narrow[0]), 30) == "-0.333333333333333333333333333333"
+    # the 31st digit rounds down at one end and up at the other
+    half = 1 + Fraction(5, 10 ** 30)  # 1.00000000000000000000000000000|5
+    ends = _ends(half - Fraction(1, 10 ** 33), half + Fraction(1, 10 ** 33))
+    assert _decimal(*ends[:2], 30) == "1.0"
+    assert _decimal(*ends[2:], 30) == "1.00000000000000000000000000001"
+    assert decided_decimal(*ends, 30) is None
+    # both ends print 1.0, but 1 starts a binary exponent
+    below, above = 1 - Fraction(1, 10 ** 40), 1 + Fraction(1, 10 ** 40)
+    assert _decimal(*_ends(below, below)[:2], 30) == _decimal(*_ends(above, above)[:2], 30)
+    assert decided_decimal(*_ends(below, above), 30) is None
+    # an end at or across 0
+    assert decided_decimal(0, 1, 1, 10 ** 40, 30) is None
+    assert decided_decimal(-1, 10 ** 40, 1, 10 ** 40, 30) is None
+
+
+def _ends(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
 
 radicals = st.builds(

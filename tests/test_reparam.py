@@ -9,10 +9,10 @@ from mpmath import mp
 
 from bealsearch.errors import DegenerateBeta, NoRealRoot, ZeroDenominator
 from bealsearch.exact_arith import Radical
-from bealsearch.intervals import IntervalValue, enclose
-from bealsearch.reparam import (Plane, ReparamPair, canonical_alpha_beta,
-                                reconstruct, scalar_m, solve_alpha_given_beta,
-                                solve_beta_given_alpha)
+from bealsearch.intervals import IntervalValue, _decimal, enclose
+from bealsearch.reparam import (Plane, ReparamPair, _scalar_ends, canonical_alpha_beta,
+                                reconstruct, scalar_estimate, scalar_m,
+                                solve_alpha_given_beta, solve_beta_given_alpha)
 from bealsearch.triples import BealTriple
 
 HIT_3365 = BealTriple(3, 3, 6, 3, 3, 5)
@@ -228,6 +228,136 @@ def test_scalar_m_matches_interval_reference_endpoint_for_endpoint():
     # every branch is covered: both kinds of result, both refusals, negative radicands
     assert min(seen[key] for key in ("interval", "exact", "NoRealRoot", "ZeroDenominator",
                                      "negative radicand, odd degree")) > 0, seen
+
+
+def _seeded_triples(seed: int, count: int) -> list[BealTriple]:
+    """The three hits, random small triples and common-factor solutions
+    (a*c**k)**n + (b*c**k)**n = c**(k*n + 1) with c = a**n + b**n."""
+    rng = random.Random(seed)
+    triples = [HIT_3365, HIT_2K, HIT_714]
+    for _ in range(count):
+        triples.append(BealTriple(*(rng.randint(1, 60) if i % 2 == 0 else rng.randint(1, 9)
+                                    for i in range(6))))
+        a, b, n, k = rng.randint(1, 30), rng.randint(1, 30), rng.randint(3, 7), rng.randint(1, 2)
+        c = a ** n + b ** n
+        triples.append(BealTriple(a * c ** k, n, b * c ** k, n, c, k * n + 1))
+    return triples
+
+
+def _estimate_reference(triple, pair):
+    """What classify printed before scalar_estimate: scalar_m at 256 bits,
+    exact or the decimal of its Fraction midpoint, or the refusal."""
+    try:
+        m = scalar_m(triple, pair)
+    except (NoRealRoot, ZeroDenominator) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(m, IntervalValue):
+        mid = m.mid
+        return "estimate", _decimal(mid.numerator, mid.denominator, 30)
+    return "exact", m
+
+
+def _estimate(triple, pair):
+    try:
+        m = scalar_estimate(triple, pair)
+    except (NoRealRoot, ZeroDenominator) as exc:
+        return type(exc).__name__, str(exc)
+    return ("estimate", m) if isinstance(m, str) else ("exact", m)
+
+
+def test_scalar_m_at_256_bits_lies_inside_the_one_round_at_112():
+    seen = Counter()
+    for triple in _seeded_triples(24, 150):
+        for plane in Plane:
+            pair = canonical_alpha_beta(triple, plane)
+            try:
+                ends = _scalar_ends(triple, pair, 112, 1)
+                m = scalar_m(triple, pair)
+            except (NoRealRoot, ZeroDenominator, RuntimeError) as exc:
+                seen[type(exc).__name__] += 1
+                continue
+            if isinstance(ends, Fraction):
+                assert m == ends
+                seen["exact"] += 1
+                continue
+            lo_num, lo_den, hi_num, hi_den = ends
+            assert lo_den > 0 and hi_den > 0
+            assert Fraction(lo_num, lo_den) <= m.lo <= m.hi <= Fraction(hi_num, hi_den), \
+                (triple, plane)
+            seen["interval"] += 1
+    assert seen["interval"] > 100 and seen["exact"] > 0, seen
+
+
+def test_scalar_estimate_prints_what_scalar_m_at_256_bits_prints(monkeypatch):
+    import bealsearch.reparam as reparam_mod
+
+    fallbacks = []
+    real = reparam_mod.scalar_m
+    monkeypatch.setattr(reparam_mod, "scalar_m",
+                        lambda *args: fallbacks.append(args) or real(*args))
+    seen = Counter()
+    for triple in _seeded_triples(25, 150):
+        for plane in Plane:
+            pair = canonical_alpha_beta(triple, plane)
+            got = _estimate(triple, pair)
+            assert got == _estimate_reference(triple, pair), (triple, plane)
+            seen[got[0]] += 1
+    assert seen["estimate"] > 100 and seen["exact"] > 0, seen
+    # the one round decides nearly every estimate
+    assert len(fallbacks) < seen["estimate"] // 10 + seen["ZeroDenominator"], (fallbacks, seen)
+
+
+@pytest.mark.parametrize("bits", [2, 5, 12])
+def test_scalar_estimate_falls_back_to_256_bits_when_the_round_is_too_coarse(monkeypatch, bits):
+    import bealsearch.reparam as reparam_mod
+
+    monkeypatch.setattr(reparam_mod, "_ESTIMATE_BITS", bits)
+    fallbacks = []
+    real = reparam_mod.scalar_m
+    monkeypatch.setattr(reparam_mod, "scalar_m",
+                        lambda *args: fallbacks.append(args) or real(*args))
+    seen = Counter()
+    for triple in _seeded_triples(26, 80):
+        for plane in Plane:
+            pair = canonical_alpha_beta(triple, plane)
+            got = _estimate(triple, pair)
+            assert got == _estimate_reference(triple, pair), (triple, plane, bits)
+            seen[got[0]] += 1
+    assert seen["estimate"] > 50 and len(fallbacks) >= seen["estimate"], (len(fallbacks), seen)
+
+
+@pytest.mark.parametrize("triple, plane", [
+    (BealTriple(9, 7, 46, 5, 3, 1), Plane.CB), (BealTriple(5, 5, 2, 2, 21, 4), Plane.CB),
+    (BealTriple(40, 7, 23, 9, 3, 3), Plane.CA)])
+def test_scalar_estimate_falls_back_when_the_round_encloses_zero(monkeypatch, triple, plane):
+    import bealsearch.reparam as reparam_mod
+
+    monkeypatch.setattr(reparam_mod, "_ESTIMATE_BITS", 2)
+    pair = canonical_alpha_beta(triple, plane)
+    with pytest.raises(ZeroDenominator):
+        _scalar_ends(triple, pair, 2, 1)
+    got = _estimate(triple, pair)
+    assert got[0] == "estimate" and got == _estimate_reference(triple, pair)
+
+
+def test_scalar_estimate_refuses_as_scalar_m_when_every_round_encloses_zero(monkeypatch):
+    import bealsearch.reparam as reparam_mod
+
+    real = reparam_mod.enclose_ints
+    pair = canonical_alpha_beta(HIT_3365, Plane.CB)
+    # (C+B)*alpha - C*B*beta = 18 - 18*[0, 2] = [-18, 18] encloses 0 at any width
+    monkeypatch.setattr(reparam_mod, "enclose_ints", lambda value, bits: (
+        (0, 2, 1) if value is pair.beta else real(value, bits)))
+    with pytest.raises(ZeroDenominator, match=f"at {16 * 261} bits") as refusal:
+        scalar_estimate(HIT_3365, pair)
+    assert _estimate_reference(HIT_3365, pair) == ("ZeroDenominator", str(refusal.value))
+
+
+def test_scalar_estimate_zero_denominator():
+    pair = ReparamPair(alpha=Radical.of(Fraction(2), 1), beta=Radical.of(Fraction(1), 1),
+                       plane=Plane.CB)
+    with pytest.raises(ZeroDenominator, match="exact denominator"):
+        scalar_estimate(HIT_3365, pair)
 
 
 def test_scalar_m_zero_denominator():

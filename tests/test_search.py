@@ -6,6 +6,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,62 @@ def test_search_matches_plain_lookup_past_the_oracle(minimums):
     # The search counts its powers and pairs without building the full table.
     assert report.counts["powers_enumerated"] == len(enumerate_powers(10 ** 10, min(minimums)))
     assert report.counts["pairs_tested"] == _pairs_reference(10 ** 10, minimums)
+
+
+@pytest.mark.parametrize("bound, minimums, pairs", [(10 ** 12, (3, 3, 3), 56_872_575),
+                                                     (10 ** 13, (4, 3, 3), 50_162_473)])
+def test_pairs_tested_at_the_benchmark_sizes(bound, minimums, pairs):
+    # 10**13 with minimums 4,3,3 counts the pairs with a high value: of two
+    # high values, and of a high value with a low one
+    assert search_solutions(SearchConfig(bound, *minimums)).counts["pairs_tested"] == pairs
+
+
+def _reduced(base: int, exponent: int) -> tuple[int, int]:
+    """(r, exponent * k) for base = r**k with k as large as it goes."""
+    for k in range(base.bit_length(), 1, -1):
+        root, exact = iroot(base, k)
+        if exact:
+            return root, exponent * k
+    return base, exponent
+
+
+def _common_factor_family(bound: int) -> set[BealTriple]:
+    """The classical common-factor solutions up to bound, with no power table:
+    from a**x + b**y = s (a, b >= 1, x, y >= 3) and a common multiple m of x
+    and y with z | m + 1, z >= 3,
+        (a * s**(m/x))**x + (b * s**(m/y))**y = (s**((m + 1)/z))**z,
+    with reduced bases and the smaller left term first.  As m + 1 >= 4,
+    s <= bound**(1/4); a base a or b of 1 allows any exponent."""
+    found = set()
+    s_max = iroot(bound, 4)[0]
+    for x in range(3, bound.bit_length()):
+        for y in range(x, bound.bit_length()):
+            for a in range(1, iroot(s_max - 1, x)[0] + 1):
+                for b in range(1, iroot(s_max - a ** x, y)[0] + 1):
+                    s = a ** x + b ** y
+                    m = lcm(x, y)
+                    while s ** (m + 1) <= bound:
+                        for z in range(3, m + 2):
+                            if (m + 1) % z == 0:
+                                left = sorted([_reduced(a * s ** (m // x), x),
+                                               _reduced(b * s ** (m // y), y)],
+                                              key=lambda term: term[0] ** term[1])
+                                found.add(BealTriple(*left[0], *left[1],
+                                                     *_reduced(s ** ((m + 1) // z), z)))
+                        m += lcm(x, y)
+    return found
+
+
+def test_common_factor_family_is_among_the_hits():
+    small = _common_factor_family(10 ** 6)
+    assert small <= set(brute_force_oracle(10 ** 6).triples)
+    # 8 + 8 = 2**4 (a = b = 1, s = 2) and 9**3 + 18**3 = 9**4 (1 + 8 = 9), reduced
+    assert {BealTriple(2, 3, 2, 3, 2, 4), BealTriple(3, 6, 18, 3, 3, 8)} <= small
+    family = _common_factor_family(10 ** 14)
+    hits = search_solutions(SearchConfig(10 ** 14)).triples
+    assert family <= set(hits)
+    # the family is 150 of the 416 hits (36%); the rest need no such construction
+    assert (len(family), len(hits)) == (150, 416)
 
 
 def _scan_lanes(monkeypatch, config):

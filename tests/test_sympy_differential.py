@@ -1,17 +1,20 @@
-"""Differential tests of the root kernels against sympy, an independent implementation.
+"""Differential tests of the root kernels and factorize against sympy, an
+independent implementation.
 
 sympy is imported once for the module (it takes up to about 3 s).  Inputs are
 seeded: random ones up to 4,000 bits with root degrees 2 to 40, and adversarial
 ones: exact powers r**k and their neighbours r**k +- 1, values on either side
 of 2**50 (where iroot switches from its float seed to Newton's method), and
-degrees at or past the bit length of n.
+degrees at or past the bit length of n.  factorize is compared with
+sympy.factorint on seeded inputs up to 64 bits, prime powers, products of two
+primes near 2**32 and survivors of trial division above 2**57.
 """
 
 import random
 
 import pytest
 
-from bealsearch.exact_arith import iroot, is_perfect_power
+from bealsearch.exact_arith import factorize, iroot, is_perfect_power
 
 sympy = pytest.importorskip("sympy")
 
@@ -99,3 +102,34 @@ def test_is_perfect_power_matches_sympy_perfect_power():
         assert ours == (None if theirs is False else tuple(theirs)), n
         powers += ours is not None
     assert powers > 300
+
+
+def _primes_near(rng: random.Random, bits: int, count: int) -> list[int]:
+    """count primes, each the next prime after a random bits-bit integer."""
+    return [sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1)) for _ in range(count)]
+
+
+def _factorize_inputs() -> list[int]:
+    rng = random.Random(2205)
+    values = [rng.getrandbits(rng.randint(2, 64)) | 2 for _ in range(400)]
+    # prime powers, small and large primes, up to about 2**100
+    for p in [2, 3, 5, 7, 997, 1009, 999983, 1000003] + _primes_near(rng, 40, 4):
+        values += [p ** e for e in range(1, 101 // p.bit_length() + 1)]
+    # two primes near 2**32, and near each side of the 10**6 trial limit
+    near = _primes_near(rng, 32, 8)
+    values += [p * q for p, q in zip(near, near[1:])]
+    values += [999983 * 1000003, 1000003 * 1000033, 999979 * 999983 * 1000003]
+    # past 2**57 the trial limit stops at 10**6, so a product of two primes
+    # above it survives trial division; a small cofactor rides along
+    for small_bits, large_bits in ((0, 29), (0, 31), (7, 26), (20, 22)):
+        p, q = _primes_near(rng, large_bits, 2)
+        values.append((rng.getrandbits(small_bits) | 1 if small_bits else 1) * p * q)
+    return [n for n in values if n >= 2]
+
+
+def test_factorize_matches_sympy_factorint():
+    values = _factorize_inputs()
+    assert len(values) > 500
+    assert sum(n > 2 ** 57 for n in values) >= 10
+    for n in values:
+        assert factorize(n) == sorted(sympy.factorint(n).items()), n
