@@ -27,7 +27,11 @@ The cases, --repeats samples per tree each:
     search_solutions against the plain right-anchored lookup of
     tests/test_search.py (_lookup_reference, one set lookup per pair) at
     10^13 with minimums 3,3,3 and 4,3,3 and at 10^14 with 3,3,3; the sample
-    holds both times, the hit count and the triples each side lacks;
+    holds both times, the hit count and the triples each side lacks.  Also
+    the common-factor family of tests/test_search.py
+    (_common_factor_family, no power table) against the search's hits at
+    10^16; the sample holds both times, the family's size, its share of the
+    hits and the family triples the search lacks;
   classify: `bealsearch classify` on perfbench's first classify_batch (100
     family solutions, then 100 random non-solutions), so the tables the
     first call builds are timed with it, and the process's peak RSS;
@@ -255,6 +259,24 @@ def completeness_sample(src: str, bound: int, minimums: tuple[int, int, int], co
     conn.send((sample, facts, digest(repr(found))))
 
 
+def family_sample(src: str, bound: int, conn) -> None:
+    use_tree(src)
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_search import _common_factor_family
+
+    from bealsearch.search import SearchConfig, search_solutions
+
+    started = time.perf_counter()
+    hits = set(search_solutions(SearchConfig(bound)).triples)
+    middle = time.perf_counter()
+    family = _common_factor_family(bound)
+    done = time.perf_counter()
+    sample = {"search_s": middle - started, "family_s": done - middle}
+    facts = {"hits": len(hits), "family": len(family), "family_share": len(family) / len(hits),
+             "search_lacks": sorted(map(str, family - hits))}
+    conn.send((sample, facts, digest(repr(sorted(family)))))
+
+
 def classify_sample(src: str, conn) -> None:
     use_tree(src)
     import bealsearch.cli as cli
@@ -373,7 +395,8 @@ def main(argv=None) -> int:
                              "(default 0: no such case)")
     parser.add_argument("--completeness", action="store_true",
                         help="also compare the search with the plain per-pair lookup "
-                             "of the tests at 10^13 and 10^14, one sample per tree")
+                             "of the tests at 10^13 and 10^14 and with their common-factor "
+                             "family at 10^16, one sample per tree")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -413,13 +436,18 @@ def main(argv=None) -> int:
         name = f"completeness 10^{len(str(bound)) - 1} minimums {','.join(map(str, minimums))}"
         run_case(runs, trees, name, 1, completeness_sample, bound, minimums)
         differ += [f"{name} ({label})" for label, _ in trees if not runs[label][name]["equal"]]
+    if args.completeness:
+        name = "completeness 10^16 common-factor family"
+        run_case(runs, trees, name, 1, family_sample, 10 ** 16)
+        differ += [f"{name} ({label})" for label, _ in trees if runs[label][name]["search_lacks"]]
     run_case(runs, trees, "classify batch cold", args.repeats, classify_sample)
     run_case(runs, trees, "factorize family gcds", args.repeats, factorize_sample)
     for name in KERNELS:
         run_case(runs, trees, f"kernel {name}", args.repeats, kernel_sample, name)
     out.write_text(json.dumps(doc, indent=2) + "\n")
     if differ:
-        print(f"the search and the lookup differ: {'; '.join(differ)}", file=sys.stderr)
+        print(f"the search lacks triples of the lookup or the family: {'; '.join(differ)}",
+              file=sys.stderr)
         return 1
     return 0
 

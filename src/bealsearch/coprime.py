@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, NotAdditiveTriple
-from .exact_arith import DEFAULT_FACTOR_BUDGET, FactorList, factorize
+from .exact_arith import FactorList, factorize
 from .triples import BealTriple
 
 
@@ -30,12 +30,11 @@ class CoprimalityReport(NamedTuple):
     gcd_bc: int
     gcd_abc: int
     pairwise_all_one: bool
-    # per-pair shared prime factorizations; None when the budget ran out
+    # per-pair shared prime factorizations; None when factorize gave up
     shared_primes: dict[str, FactorList | None]
 
 
-def check_coprimality_propagation(triple: BealTriple,
-                                  budget: int = DEFAULT_FACTOR_BUDGET) -> CoprimalityReport:
+def check_coprimality_propagation(triple: BealTriple) -> CoprimalityReport:
     """Populate all pairwise and 3-way gcds of the terms of A^X + B^Y = C^Z.
 
     Raises NotAdditiveTriple when the equation does not hold; the
@@ -43,8 +42,8 @@ def check_coprimality_propagation(triple: BealTriple,
     gcd(A^X, B^Y) = gcd(A^X, C^Z) = gcd(B^Y, C^Z), and its primes are those
     of gcd(A, B, C): that is factored once, and each prime's multiplicity in
     the term gcd is read by division.  The shared_primes entries fall back
-    to None (gcd-only reporting) when it resists factorization within the
-    budget.
+    to None (gcd-only reporting) when it resists factorization within
+    factorize's step budget.
     """
     a, b, c = triple.ax, triple.by, triple.cz
     if a + b != c:
@@ -56,8 +55,7 @@ def check_coprimality_propagation(triple: BealTriple,
     shared: FactorList | None = []
     if gcd_ab > 1:
         try:
-            shared = [(p, _multiplicity(p, gcd_ab))
-                      for p, _ in factorize(triple.gcd_abc, budget=budget)]
+            shared = [(p, _multiplicity(p, gcd_ab)) for p, _ in factorize(triple.gcd_abc)]
         except BudgetExceeded:
             shared = None
     return CoprimalityReport(

@@ -10,7 +10,7 @@ class BealsearchError(Exception):
 
 
 class BudgetExceeded(BealsearchError):
-    """Factorization gave up within the configured budget.
+    """Factorization gave up when its Brent-rho step budget ran out.
 
     Callers are expected to degrade to gcd-only reporting.
     """
@@ -18,7 +18,7 @@ class BudgetExceeded(BealsearchError):
     def __init__(self, n: int, budget: int):
         self.n = n
         self.budget = budget
-        super().__init__(f"factorization budget ({budget} rounds) exceeded for {n}")
+        super().__init__(f"factorization budget ({budget} steps) exceeded for {n}")
 
 
 class NotAdditiveTriple(BealsearchError):

@@ -249,8 +249,6 @@ _MR_TIERS = tuple((psi, _MR_BASES[:k]) for psi, k in (
     (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
     (318665857834031151167461, 12), (3317044064679887385961981, 13)))
 
-DEFAULT_FACTOR_BUDGET = 2 ** 22
-
 
 def _primes_below(limit: int) -> list[int]:
     if limit <= 2:
@@ -303,11 +301,17 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, int]:
-    """One Brent-cycle attempt at a nontrivial factor of odd composite n.
+def _rho_budget(bits: int) -> int:
+    """The Brent-rho steps factorize spends on a survivor of bits bits: 2**22
+    up to 128 bits, then a quarter as many each time bits doubles, as a step
+    costs about bits**2 there (per step on semiprimes, CPython 3.11: 1.1 us
+    at 128 bits, 2.0 at 256, 4.7 at 512, 12 at 1,024, 42-47 at 2,040)."""
+    return 2 ** 36 // max(bits, 128) ** 2
 
-    Returns (factor_or_None, steps_spent).
-    """
+
+def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, int]:
+    """One Brent-cycle attempt at a nontrivial factor of odd composite n, in
+    at most max_steps >= 1 steps.  Returns (factor_or_None, steps_spent)."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -315,6 +319,7 @@ def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, 
     steps = 0
     x = ys = y
     while g == 1 and steps < max_steps:
+        r = min(r, max_steps - steps)  # the last round stops at max_steps
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -330,16 +335,14 @@ def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, 
         r *= 2
     if g == n:
         g = 1
-        while g == 1:
+        while g == 1 and steps < max_steps:
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
             steps += 1
-            if steps >= max_steps:
-                break
-    return (g if 1 < g < n else None), max(steps, 1)
+    return (g if 1 < g < n else None), steps
 
 
-def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> FactorList:
+def factorize(n: int) -> FactorList:
     """Full prime factorization as a sorted [(prime, multiplicity), ...] list.
 
     Trial division by block gcd: one gcd of n with the product of each
@@ -352,9 +355,9 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> FactorList:
     capped, n < L**3, so that survivor is the product of two primes of at
     least L; rho finds the smaller, p <= n**(1/2), in about p**(1/2) <=
     n**(1/4) steps (Brent, "An improved Monte Carlo factorization
-    algorithm", BIT 20, 1980), far below the default budget.  Raises
-    BudgetExceeded when the rho step budget runs out; callers degrade to
-    gcd-only reporting in that case.
+    algorithm", BIT 20, 1980), far below the 2**22 steps of its budget.
+    Raises BudgetExceeded once rho has spent _rho_budget(bits of the
+    survivor) steps; callers degrade to gcd-only reporting then.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
@@ -381,7 +384,7 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> FactorList:
             factors[n] = factors.get(n, 0) + 1
         else:
             rng = random.Random(n * 0x9E3779B97F4A7C15)
-            remaining = budget
+            budget = remaining = _rho_budget(n.bit_length())
             stack = [(n, 1)]
             while stack:
                 m, mult = stack.pop()

@@ -85,9 +85,6 @@ class HitRecord(NamedTuple):
                 raise SchemaError(f"column {name}: {value!r} is not in lowest terms")
         return self
 
-    def to_row(self) -> list[str]:
-        return list(self)
-
     def to_obj(self) -> dict[str, str]:
         return self._asdict()
 
@@ -113,8 +110,7 @@ def emit_csv(records: list[HitRecord]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for record in records:
-        writer.writerow(record.to_row())
+    writer.writerows(records)
     return buffer.getvalue()
 
 

@@ -645,10 +645,8 @@ def search_solutions(config: SearchConfig) -> SearchReport:
                                         quartic_keys))
     indexed = time.perf_counter()
 
-    if config.workers == 1 or config.min_z >= config.bound.bit_length():  # no right value
-        results = [_match_stripe(lanes, 0, 1)]
-    else:
-        results = _match_forked(lanes, config.workers)
+    workers = 1 if config.min_z >= config.bound.bit_length() else config.workers  # no right value
+    results = _match_forked(lanes, workers)
 
     def base_exponent(value: int) -> tuple[int, int]:  # a value the table lacks is n**3
         return index[value][1:] if value in index else (iroot(value, 3)[0], 3)

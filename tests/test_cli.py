@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -13,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import bealsearch.cli as cli_mod
-from bealsearch import svgplot
+from bealsearch import exact_arith, svgplot
 from bealsearch.cli import main
+from bealsearch.exact_arith import is_probable_prime
 from bealsearch.records import read_csv
 
 # the hit-file header as documented in the README
@@ -215,6 +217,46 @@ def test_classify_admits_the_size_limit(capsys):
     code, out, _ = run(capsys, "classify", "--triple", "2,1023,2,1023,2,1024")
     assert code == 0
     assert json.loads(out)["equation_holds"] is True
+
+
+def _next_prime(n):
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+def test_classify_gives_up_on_a_hard_gcd_within_the_derived_budget(capsys, monkeypatch):
+    # Both cases are admitted (size at most 2048) and share a gcd(A, B, C) with
+    # two prime factors far too large for Brent's rho: a 2,040-bit semiprime H
+    # in H + H = 2H, and the 382-bit s = a**3 + b**3 = (a + b)(a*a - a*b + b*b)
+    # in (a*s)**3 + (b*s)**3 = s**4.  Steps are counted, not timed.
+    assert exact_arith._rho_budget(64) == exact_arith._rho_budget(128) == 2 ** 22
+    assert all(exact_arith._rho_budget(2 * bits) == exact_arith._rho_budget(bits) // 4
+               for bits in (128, 256, 512, 1024))
+    rng = random.Random(2040)
+    h = math.prod(_next_prime(rng.getrandbits(1020) | 1 << 1019) for _ in range(2))
+    a = 133136750128942827129631271540692306822
+    b = 156088343148944026153358174994469275207
+    s = a ** 3 + b ** 3
+    assert is_probable_prime(a + b) and is_probable_prime(a * a - a * b + b * b)
+    assert (h.bit_length(), a.bit_length(), b.bit_length(), s.bit_length()) == (2040, 127, 127, 382)
+    real = exact_arith._brent_rho
+    spent = []
+
+    def counting(n, rng, max_steps):
+        factor, steps = real(n, rng, max_steps)
+        spent.append(steps)
+        return factor, steps
+
+    monkeypatch.setattr(exact_arith, "_brent_rho", counting)
+    # gcd is gcd(A, B, C), the number factored
+    for triple, gcd in ((f"{h},1,{h},1,{2 * h},1", h), (f"{a * s},3,{b * s},3,{s},4", s)):
+        spent.clear()
+        code, out, _ = run(capsys, "classify", "--triple", triple)
+        assert code == 0
+        shared = json.loads(out)["coprimality"]["shared_primes"]
+        assert shared == {"ab": None, "ac": None, "bc": None}
+        assert sum(spent) <= exact_arith._rho_budget(gcd.bit_length())
 
 
 def test_classify_refuses_past_the_size_limit(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bealsearch import exact_arith
 from bealsearch.coprime import (Orientation, Restriction,
                                 check_coprimality_propagation,
                                 exponent_orientation, exponent_restriction)
@@ -95,9 +96,10 @@ def test_shared_primes_match_the_factored_term_gcd():
         assert report.shared_primes == {"ab": shared, "ac": shared, "bc": shared}
 
 
-def test_propagation_budget_degrades_to_gcd_only():
+def test_propagation_budget_degrades_to_gcd_only(monkeypatch):
     hard = (2 ** 127 - 1) * (2 ** 521 - 1)
-    report = check_coprimality_propagation(BealTriple(hard, 1, hard, 1, 2 * hard, 1), budget=4)
+    monkeypatch.setattr(exact_arith, "_rho_budget", lambda bits: 4)
+    report = check_coprimality_propagation(BealTriple(hard, 1, hard, 1, 2 * hard, 1))
     assert report.gcd_ab == hard
     assert report.shared_primes["ab"] is None  # factorization gave up
     assert report.gcd_abc == hard              # gcd reporting still intact

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bealsearch import exact_arith
 from bealsearch.errors import BudgetExceeded
 from bealsearch.exact_arith import (_TRIAL_BLOCK, Radical, RadicalClass, _primes_below,
                                     classify_radical, factorize, iroot, is_perfect_power,
@@ -343,10 +344,11 @@ def test_factorize_semiprimes_beyond_trial_division():
     assert factorize(p * p) == [(p, 2)]
 
 
-def test_factorize_budget_exceeded():
+def test_factorize_budget_exceeded(monkeypatch):
     n = (2 ** 127 - 1) * (2 ** 521 - 1)
-    with pytest.raises(BudgetExceeded):
-        factorize(n, budget=4)
+    monkeypatch.setattr(exact_arith, "_rho_budget", lambda bits: 4)
+    with pytest.raises(BudgetExceeded, match=r"\(4 steps\)"):
+        factorize(n)
 
 
 @settings(deadline=None, max_examples=60)
@@ -458,12 +460,13 @@ def test_factorize_at_the_edges_of_the_cube_root_trial_table(edge):
 @pytest.mark.parametrize("primes", [(999983, 1000003), (3, 999983, 1000003),
                                     (65537, 2147483647), (2, 2, 1048573, 1048583),
                                     (1000003, 1000033, 1000037)])
-def test_factorize_splits_primes_above_the_trial_limit(primes):
+def test_factorize_splits_primes_above_the_trial_limit(primes, monkeypatch):
     n = math.prod(primes)
     assert min(primes[-2:]) >= min(10 ** 6, 1 << iroot(n, 3)[0].bit_length())
     expected = sorted(Counter(primes).items())
-    assert factorize(n) == expected  # the default budget, 2**22 rho steps
-    assert factorize(n, budget=2 ** 16) == expected  # far fewer steps suffice
+    assert factorize(n) == expected  # the derived budget, 2**22 rho steps below 2**128
+    monkeypatch.setattr(exact_arith, "_rho_budget", lambda bits: 2 ** 16)
+    assert factorize(n) == expected  # far fewer steps suffice
 
 
 def test_factorize_builds_only_the_trial_table_it_needs():
