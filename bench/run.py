@@ -42,13 +42,11 @@ The cases, --repeats samples per tree each:
     the mean time per call over at least KERNEL_MIN_S of calls, after one
     untimed pass over them.  One kernel
     case is the identity suite, run_random_suite, on one fixed seed and case
-    count; one is the tree's JSON writer (records.json_text, or
-    json.dumps(obj, indent=2) on a tree without it) on the report object of
-    a search at 10^12; one is cli.classify_obj over each triple of the
+    count; one is the JSON writer, records.json_text, on the report object
+    of a search at 10^12; one is cli.classify_obj over each triple of the
     classify case's batch; one is the printed scalar estimate
     (cli._scalar_obj on the plane-CB pair) over the same triples, whose
-    facts hold how many of them fall back to scalar_m at 256 bits (null on
-    a tree without reparam.scalar_estimate).
+    facts hold how many of them fall back to scalar_m at 256 bits.
 The startup, classify, factorize and completeness cases also record the
 sha256 of what they print or return, which must be the same in every sample
 of every tree.
@@ -133,25 +131,19 @@ def kernel_cases() -> dict[str, tuple]:
     iroot_calls = [(n, k) for n in odd_ints(500, 16) for k in (3, 5, 7)]
     power_calls = {bits: [(n,) for n in odd_ints(bits, count)]
                    for bits, count in ((64, 16), (500, 8), (2000, 4))}
-    # the tree's writer of the JSON report: json.dumps(obj, indent=2) on a tree
-    # that has no records.json_text
-    write_json = getattr(records, "json_text", None) or (lambda obj: json.dumps(obj, indent=2))
 
     def scalar_estimate_case():
         """cli._scalar_obj over the classify batch, and its fallbacks to scalar_m."""
         batch = [BealTriple(*t) for t in classify_inputs(CLASSIFY_SEED, smoke=False)]
         calls = [(t, canonical_alpha_beta(t, Plane.CB)) for t in batch]
-        fallbacks = None
-        if hasattr(reparam, "scalar_estimate"):
-            fallbacks, real = [], reparam.scalar_m
-            reparam.scalar_m = lambda *args: fallbacks.append(args) or real(*args)
-            try:
-                for args in calls:
-                    cli._scalar_obj(*args)
-            finally:
-                reparam.scalar_m = real
-            fallbacks = len(fallbacks)
-        return cli._scalar_obj, calls, {"fallbacks": fallbacks}
+        fallbacks, real = [], reparam.scalar_m
+        reparam.scalar_m = lambda *args: fallbacks.append(args) or real(*args)
+        try:
+            for args in calls:
+                cli._scalar_obj(*args)
+        finally:
+            reparam.scalar_m = real
+        return cli._scalar_obj, calls, {"fallbacks": len(fallbacks)}
 
     return {
         "iroot 500 bits k 3,5,7": lambda: (iroot, iroot_calls),
@@ -165,7 +157,7 @@ def kernel_cases() -> dict[str, tuple]:
         "scalar_m 3,3,6,3,3,5": lambda: (scalar_m,
                                          [(triple, canonical_alpha_beta(triple, Plane.CB))]),
         "run_random_suite 200 cases seed 15": lambda: (run_random_suite, [(200, 15)]),
-        "json writer 10^12 report": lambda: (write_json, [(records.report_to_obj(
+        "json writer 10^12 report": lambda: (records.json_text, [(records.report_to_obj(
             search_solutions(SearchConfig(10 ** 12))),)]),
         "classify_obj classify batch": lambda: (classify_obj, [
             (BealTriple(*t),) for t in classify_inputs(CLASSIFY_SEED, smoke=False)]),
@@ -235,7 +227,7 @@ def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers:
     sample.update((name, report.phases[name]) for name in PHASES)
     sample["peak_rss_mb"] = peak_rss_mb()
     counts = dict(report.counts, scan_probes=report.scan_probes)
-    conn.send((sample, {"counts": counts, "sweeps": getattr(report, "sweeps", None)}, None))
+    conn.send((sample, {"counts": counts, "sweeps": report.sweeps}, None))
 
 
 def completeness_sample(src: str, bound: int, minimums: tuple[int, int, int], conn) -> None:

@@ -122,18 +122,6 @@ class RadicalClass(NamedTuple):
     kind: str
     value: Fraction | None = None
 
-    @classmethod
-    def rational(cls, value: Fraction) -> "RadicalClass":
-        return cls(RATIONAL, value if isinstance(value, Fraction) else Fraction(value))
-
-    @classmethod
-    def irrational(cls) -> "RadicalClass":
-        return cls(IRRATIONAL)
-
-    @classmethod
-    def no_real_root(cls) -> "RadicalClass":
-        return cls(NO_REAL_ROOT)
-
     @property
     def is_rational(self) -> bool:
         return self.kind == RATIONAL

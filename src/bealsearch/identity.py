@@ -2,13 +2,14 @@
 
 The two-term factoring
     p**v - q**w = (p+q)(p**(v-1) - q**(w-1)) - pq(p**(v-2) - q**(w-2))
-generalizes to a binomial-weighted sum whose upper limit n is a free choice:
-every non-negative n yields the same total, so general_expansion takes n as
-its caller's argument.  Negative intermediate exponents are evaluated over
-exact rationals rather than restricted, which is what makes the free upper
-limit checkable verbatim.
+is the n = 1 case of a binomial-weighted sum whose upper limit n is a free
+choice: every non-negative n yields the same total, so general_expansion
+takes n as its caller's argument, and expand_difference is general_expansion
+at n = 1.  Negative intermediate exponents are evaluated over exact
+rationals rather than restricted, which is what makes the free upper limit
+checkable verbatim.
 
-Both expansions run on plain integers.  Each ExpansionInstance builds the
+The expansion runs on plain integers.  Each ExpansionInstance builds the
 power tables of its numerators and denominators once, growing them as
 calls need, and every call on it (at any n) reads them.  A call returns its sum as an
 unreduced pair (numerator, denominator); the suite compares that pair with
@@ -80,28 +81,15 @@ class ExpansionRow(NamedTuple):
         return self.common_factor * self.difference_term
 
 
-def _power(numerators: list[int], denominators: list[int], e: int) -> tuple[int, int]:
-    """(x/y)**e as an unreduced pair, read from the power tables of x and y."""
-    return (numerators[e], denominators[e]) if e >= 0 else (denominators[-e], numerators[-e])
-
-
 def expand_difference(inst: ExpansionInstance) -> tuple[Fraction, tuple[int, int]]:
     """Evaluate both sides of the two-term factoring; they must be equal.
 
     Returns (lhs, rhs): lhs = p**v - q**w in Fraction, the reference, and rhs
-    the factored form (p+q)(p**(v-1) - q**(w-1)) - pq(p**(v-2) - q**(w-2)) as
-    an unreduced pair (numerator, denominator) from the instance's tables.
+    the factored form (p+q)(p**(v-1) - q**(w-1)) - pq(p**(v-2) - q**(w-2)),
+    which is general_expansion at n = 1, as an unreduced pair (numerator,
+    denominator).
     """
-    v, w = inst.v, inst.w
-    lhs = inst.p ** v - inst.q ** w
-    a, b, c, d, plus, minus = inst._powers(max(abs(v), abs(w)) + 2)
-    (x1, y1), (z1, t1) = _power(a, b, v - 1), _power(c, d, w - 1)
-    (x2, y2), (z2, t2) = _power(a, b, v - 2), _power(c, d, w - 2)
-    high, high_den = x1 * t1 - z1 * y1, y1 * t1  # p**(v-1) - q**(w-1)
-    low, low_den = x2 * t2 - z2 * y2, y2 * t2  # p**(v-2) - q**(w-2)
-    # p+q and -pq are plus[1] and minus[1] over b*d
-    return lhs, (plus[1] * high * low_den + minus[1] * low * high_den,
-                 b[1] * d[1] * high_den * low_den)
+    return inst.p ** inst.v - inst.q ** inst.w, general_expansion(inst, 1)
 
 
 def general_expansion(inst: ExpansionInstance, n: int) -> tuple[int, int]:

@@ -91,15 +91,13 @@ def _interval(x) -> IntervalValue:
 def enclose(value, bits: int) -> IntervalValue:
     """Enclose an exact, radical or interval quantity.
 
-    An irrational Radical becomes the enclosure of width 2**-bits that
-    enclose_ints gives; every other value is enclosed exactly.  Raises
-    NoRealRoot for an even root of a negative quantity.
+    An interval is returned as it is; every other value is enclose_ints's
+    enclosure, so an irrational Radical gets width 2**-bits and an exact
+    value is a point.  Raises NoRealRoot for an even root of a negative
+    quantity.
     """
-    if not isinstance(value, Radical):
-        return _interval(value)
-    exact = value.exact_value
-    if exact is not None:
-        return _interval(exact)
+    if isinstance(value, IntervalValue):
+        return value
     lo, hi, den = enclose_ints(value, bits)
     return IntervalValue(Fraction(lo, den), Fraction(hi, den))
 

@@ -101,7 +101,11 @@ CSV_COLUMNS = list(HitRecord._fields)
 
 
 def records_from_report(report: SearchReport) -> list[HitRecord]:
-    return [HitRecord.from_hit(hit) for hit in report.hits]
+    """The records of the report's hits, less any hit with irrational slopes:
+    HitRecord.from_hit cannot serialize one, and it failed verify_hit's
+    slopes_rational check, which the report's verification_failures names."""
+    return [HitRecord.from_hit(hit) for hit in report.hits
+            if isinstance(hit.slopes.m_cb, Fraction) and isinstance(hit.slopes.m_ca, Fraction)]
 
 
 # --- CSV ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ five sweeps (named as in SWEEPS):
    root fixes x and y.  The sign of y picks the case.  y < 0 (s**3 < v) is
    a difference, v + |y|**3 = x**3, with v a left value; v <= 3s x**2 <=
    3s bound**(2/3) leaves only s with v**3 <= 27 s**3 bound**2.  y > 0
-   (s**3 > v) is a sum of the left cubes x**3 and y**3, with v a right
+   (s**3 > v) is a sum of the cubes x**3 and y**3, with v a right
    value.  The divisors are walked between the integer cube roots of the
    two bounds on s**3, so the walk takes no cube.  As 6 divides n**3 - n
    for every integer n, s = x + y = x**3 + y**3 = v mod 6
@@ -73,13 +73,16 @@ cross-check used by the acceptance suite.
 
 Exponent minimums apply to the unordered pair: a canonical hit (A**X <=
 B**Y) qualifies when either orientation of its left side meets (min_x,
-min_y), equivalently min(X, Y) >= min(min_x, min_y) and max(X, Y) >=
-max(min_x, min_y).  Left values have exponent >= the smaller minimum; the
-scan finds the pairs of left values, and the rule on the larger minimum is
-applied once, where the triples are built.  The report's pairs_tested is
-the size of that pair space, counted by bisection: the left pairs within
-the bound when both minimums are equal; else the pairs of two high values
-(exponent >= the larger minimum) and of a high value with a low one.
+min_y), equivalently min(X, Y) >= lo and max(X, Y) >= hi, with lo and hi
+the smaller and the larger of min_x and min_y, and when Z >= min_z.  All
+three are applied once, where the triples are built.  The scan only
+prunes: a non-cube is a left value when its exponent is >= lo and a right
+value when it is >= min_z, but every cube of exponent >= min(lo, min_z)
+serves as either, so a pair found with a cube that misses its minimum is
+dropped at the build.  The report's pairs_tested is the size of the
+qualifying pair space, counted by bisection: the left pairs within the
+bound when both minimums are equal; else the pairs of two high values
+(exponent >= hi) and of a high value with a low one.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt
-from operator import add, mod, neg, sub
+from operator import add, mod, sub
 from typing import NamedTuple
 
 from .coprime import Restriction, exponent_restriction
@@ -287,15 +290,14 @@ class _Lanes(NamedTuple):
     non-cubes are PowerEntry tuples; every cube is a plain value."""
 
     bound: int
-    lo_exp: int                 # the smaller left minimum
-    min_z: int
+    lo_exp: int                 # the smaller left minimum: a non-cube of it is a left value
+    min_z: int                  # a non-cube of exponent >= min_z is a right value
     non_cubes: list[PowerEntry]  # the table's entries that are not cubes
     spf: array                  # smallest prime factor of each n <= the largest such base
     left_other: list[int]       # left values that are not cubes
     left_other_set: set[int]
     left_h: set[int]            # left values in class H
-    left_cubes: set[int]        # left cube values: every n**3 when lo_exp is 3
-    right_cubes: set[int]       # right cube values: every n**3 when min_z is 3
+    cubes: set[int]             # cube values of exponent >= min(lo_exp, min_z): left or right
     right_quartics: set[int]    # right values in class Q
     cube_partners: dict[int, list[int]]     # _partner_lists(left_other, CUBE_MODULUS, ...)
     quartic_partners: dict[int, list[int]]  # _partner_lists(left_other, QUARTIC_MODULUS, ...)
@@ -328,14 +330,14 @@ def _match_stripe(lanes: _Lanes, start: int,
                   step: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """The unordered pairs (a, b) of left values with a + b a right value
     whose owner (see the module docstring) is one of the non-cube values
-    non_cubes[start::step]; then, per sweep in SWEEPS order, the number of
-    set probes made (the partners tried in set intersections, or the
-    divisors _cube_pairs tried) and the number of those pairs it found.
+    non_cubes[start::step], where any cube of lanes.cubes counts as left and
+    as right; then, per sweep in SWEEPS order, the number of set probes made
+    (the partners tried in set intersections, or the divisors _cube_pairs
+    tried) and the number of those pairs it found.
     """
     bound, lo_exp, min_z = lanes.bound, lanes.lo_exp, lanes.min_z
     left_other, left_other_set, left_h = lanes.left_other, lanes.left_other_set, lanes.left_h
-    left_cubes, right_cubes, right_quartics = (lanes.left_cubes, lanes.right_cubes,
-                                               lanes.right_quartics)
+    cubes, right_quartics = lanes.cubes, lanes.right_quartics
     cube_partners, quartic_partners = lanes.cube_partners, lanes.quartic_partners
     found: list[tuple[int, int]] = []
     probes1 = probes2 = probes3 = probes4 = probes5 = 0
@@ -350,7 +352,7 @@ def _match_stripe(lanes: _Lanes, start: int,
             first = bisect_left(partners, v)
             last = bisect_right(partners, bound - v, first)
             probes2 += last - first
-            sums = right_cubes.intersection(map(add, repeat(v), partners[first:last]))
+            sums = cubes.intersection(map(add, repeat(v), partners[first:last]))
             if sums:
                 found.extend((v, c - v) for c in sums)
                 pairs2 += len(sums)
@@ -358,7 +360,7 @@ def _match_stripe(lanes: _Lanes, start: int,
             partners = cube_partners[-v % CUBE_MODULUS]
             last = bisect_left(partners, v)
             probes3 += last
-            terms = left_cubes.intersection(map(sub, repeat(v), partners[:last]))
+            terms = cubes.intersection(map(sub, repeat(v), partners[:last]))
             if terms:
                 found.extend((v - x, x) for x in terms)
                 pairs3 += len(terms)
@@ -451,7 +453,7 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
     v = entry.value
     if v % 63 not in CUBE_SUM_RESIDUES:
         return [], 0
-    spf, left_cubes, right_cubes = lanes.spf, lanes.left_cubes, lanes.right_cubes
+    spf, cubes = lanes.spf, lanes.cubes
     least = -(-v ** 3 // (27 * lanes.bound ** 2)) if left else v + 1  # s**3 >= least
     most = 4 * v if right else v - 1                                     # s**3 <= most
     low, exact = iroot(least, 3)
@@ -484,9 +486,9 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
             continue
         x, y = (s + root) >> 1, (s - root) >> 1  # root**2 = s**2 mod 4: same parity
         if y < 0:
-            if (-y) ** 3 in left_cubes and x ** 3 in right_cubes:
+            if (-y) ** 3 in cubes and x ** 3 in cubes:
                 found.append((v, (-y) ** 3))
-        elif y ** 3 in left_cubes and x ** 3 in left_cubes:
+        elif y ** 3 in cubes and x ** 3 in cubes:
             found.append((y ** 3, x ** 3))
     return found, len(tried)
 
@@ -583,22 +585,22 @@ def search_solutions(config: SearchConfig) -> SearchReport:
             raise BoundTooLarge(f"bound {config.bound} needs more than the "
                                 f"{MAX_POWERS} powers a search builds")
     table = enumerate_powers(config.bound, max(min_exp, 4))  # no cube of exponent 3
-    # The cube values of reduced exponent >= each minimum; for 3, every n**3.
-    cubes = {least: [entry.value for entry in table
-                     if entry.exponent % 3 == 0 and entry.exponent >= least]
-             for least in {lo_exp, config.min_z} - {3}}
-    if min_exp == 3:
-        cubes[3] = [n * n * n for n in range(2, iroot(config.bound, 3)[0] + 1)]
+    # The cube values of reduced exponent >= min_exp; for 3, every n**3.
+    cubes = ([n * n * n for n in range(2, iroot(config.bound, 3)[0] + 1)] if min_exp == 3
+             else [entry.value for entry in table if entry.exponent % 3 == 0])
     enumerated = time.perf_counter()
 
-    # The cube sets first, while the least else is held: the last growth of
+    # The cube set first, while the least else is held: the last growth of
     # the 999,999 cubes to 10**18 holds a 16 MB and a 32 MB table at once.
-    left_cubes = _value_set(cubes[lo_exp])
-    right_cubes = left_cubes if config.min_z == lo_exp else _value_set(cubes[config.min_z])
+    cube_set = _value_set(cubes)
     index = {entry.value: entry for entry in table}
     non_cubes = [entry for entry in table if entry.exponent % 3]
-    powers_enumerated = len(non_cubes) + len(cubes[min_exp])
+    powers_enumerated = len(non_cubes) + len(cubes)
     left_other = [entry.value for entry in non_cubes if entry.exponent >= lo_exp]
+    # The cubes of the pair space below; past min_exp, lo_exp >= 4 and the table holds them.
+    left_cubes = (cubes if lo_exp == min_exp
+                  else [entry.value for entry in table
+                        if entry.exponent % 3 == 0 and entry.exponent >= lo_exp])
     # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
     # meeting the minimums): the pairs of left values, at least one of them high.
     if hi_exp > lo_exp:
@@ -609,23 +611,22 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         high = [entry.value for entry in table if entry.exponent >= hi_exp]
         partners = list(map(sub, repeat(config.bound), high))
         pairs_tested = (_pairs_within(high, config.bound)
-                        + sum(map(bisect_right, repeat(cubes[lo_exp]), partners))
+                        + sum(map(bisect_right, repeat(left_cubes), partners))
                         + sum(map(bisect_right, repeat(left_other), partners))
                         - sum(map(bisect_right, repeat(high), partners)))
         del high, partners
     else:  # two disjoint sorted runs: timsort merges them
-        pairs_tested = _pairs_within(sorted(cubes[lo_exp] + left_other), config.bound)
-    del table, cubes  # the scan reads neither
+        pairs_tested = _pairs_within(sorted(left_cubes + left_other), config.bound)
+    del table, cubes, left_cubes  # the scan reads none of them
     left_h = {entry.value for entry in non_cubes
               if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)}
-    right_other = (left_other if config.min_z == lo_exp
-                   else [entry.value for entry in non_cubes if entry.exponent >= config.min_z])
     # The keys of the partner lists that _match_stripe reads, and no others:
     # v for a left v with 2v <= bound and -v for a right v (sweeps 2 and 3),
     # v for a left v in H (sweep 5).
     cube_keys = set(map(mod, left_other[:bisect_right(left_other, config.bound // 2)],
                         repeat(CUBE_MODULUS)))
-    cube_keys.update(map(mod, map(neg, right_other), repeat(CUBE_MODULUS)))
+    cube_keys.update(-entry.value % CUBE_MODULUS for entry in non_cubes
+                     if entry.exponent >= config.min_z)
     quartic_keys = set(map(mod, left_h, repeat(QUARTIC_MODULUS)))
     lanes = _Lanes(
         bound=config.bound,
@@ -636,8 +637,7 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         left_other=left_other,
         left_other_set=set(left_other),
         left_h=left_h,
-        left_cubes=left_cubes,
-        right_cubes=right_cubes,
+        cubes=cube_set,
         right_quartics={entry.value for entry in non_cubes
                         if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
         cube_partners=_partner_lists(left_other, CUBE_MODULUS, CUBE_RESIDUES, cube_keys),
@@ -655,8 +655,9 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     for found, _, _ in results:
         for pair in found:
             (a, x), (b, y) = map(base_exponent, sorted(pair))
-            if max(x, y) >= hi_exp:
-                triples.append(BealTriple(a, x, b, y, *base_exponent(sum(pair))))
+            c, z = base_exponent(sum(pair))
+            if min(x, y) >= lo_exp and max(x, y) >= hi_exp and z >= config.min_z:
+                triples.append(BealTriple(a, x, b, y, c, z))
     # each sweep's probes and found pairs, summed over the stripes
     sweeps = {name: {"probes": sum(probes[k] for _, probes, _ in results),
                      "pairs": sum(pairs[k] for _, _, pairs in results)}

@@ -374,6 +374,32 @@ def test_search_anomaly_exit_three(command, tmp_path, capsys, monkeypatch):
     assert "VERIFICATION FAILED" in err
 
 
+@pytest.mark.parametrize("command", ["search", "oracle"])
+def test_hit_that_fails_the_equation_exits_three(command, tmp_path, capsys, monkeypatch):
+    import bealsearch.search as search_mod
+    from bealsearch.triples import BealTriple
+
+    out, report = tmp_path / "h.csv", tmp_path / "r.json"
+    argv = (command, "--bound", "10^4", "--out", str(out), "--report", str(report))
+    assert run(capsys, *argv)[0] == 0
+    clean = out.read_bytes()
+    real = search_mod._report
+
+    def with_false_hit(config, triples, *args, **kwargs):
+        # 2^3 + 3^3 != 5^3: the slopes are irrational, so the hit has no record
+        return real(config, triples + [BealTriple(2, 3, 3, 3, 5, 3)], *args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "_report", with_false_hit)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "VERIFICATION FAILED for 2^3 + 3^3 = 5^3" in err and "'equation_exact'" in err
+    assert out.read_bytes() == clean
+    obj = json.loads(report.read_text())
+    assert obj["counts"]["hits"] == len(obj["hits"]) + 1
+    assert obj["hits"] == [record.to_obj() for record in read_csv(str(out))]
+    assert obj["verification_failures"]["equation_exact"] == 1
+
+
 def test_oracle_refuses_bad_minimums_before_scanning(tmp_path, capsys, monkeypatch):
     import bealsearch.search as search_mod
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from bealsearch import exact_arith
 from bealsearch.errors import BudgetExceeded
-from bealsearch.exact_arith import (_TRIAL_BLOCK, Radical, RadicalClass, _primes_below,
-                                    classify_radical, factorize, iroot, is_perfect_power,
-                                    is_probable_prime, reduce_base)
+from bealsearch.exact_arith import (_TRIAL_BLOCK, IRRATIONAL, NO_REAL_ROOT, RATIONAL, Radical,
+                                    RadicalClass, _primes_below, classify_radical, factorize,
+                                    iroot, is_perfect_power, is_probable_prime, reduce_base)
 
 
 # --- iroot ---------------------------------------------------------------------
@@ -142,19 +142,19 @@ def test_reduce_base_preserves_value_and_is_idempotent(base, exp):
 # --- classify_radical ------------------------------------------------------------
 
 def test_classify_radical_examples():
-    assert classify_radical(1, Fraction(71, 216), 3) == RadicalClass.irrational()
-    assert classify_radical(1, Fraction(8), 3) == RadicalClass.rational(Fraction(2))
-    assert classify_radical(-1, Fraction(6), 3) == RadicalClass.irrational()
-    assert classify_radical(-1, Fraction(4), 2) == RadicalClass.no_real_root()
+    assert classify_radical(1, Fraction(71, 216), 3) == RadicalClass(IRRATIONAL)
+    assert classify_radical(1, Fraction(8), 3) == RadicalClass(RATIONAL, Fraction(2))
+    assert classify_radical(-1, Fraction(6), 3) == RadicalClass(IRRATIONAL)
+    assert classify_radical(-1, Fraction(4), 2) == RadicalClass(NO_REAL_ROOT)
 
 
 def test_classify_radical_edge_cases():
     # zero radicand is rational 0 regardless of sign and degree parity
-    assert classify_radical(-1, Fraction(0), 2) == RadicalClass.rational(Fraction(0))
+    assert classify_radical(-1, Fraction(0), 2) == RadicalClass(RATIONAL, Fraction(0))
     # degree 1 is the identity root
-    assert classify_radical(-1, Fraction(7, 3), 1) == RadicalClass.rational(Fraction(-7, 3))
+    assert classify_radical(-1, Fraction(7, 3), 1) == RadicalClass(RATIONAL, Fraction(-7, 3))
     # negative sign with odd degree can still be rational
-    assert classify_radical(-1, Fraction(8, 27), 3) == RadicalClass.rational(Fraction(-2, 3))
+    assert classify_radical(-1, Fraction(8, 27), 3) == RadicalClass(RATIONAL, Fraction(-2, 3))
 
 
 def brute_force_root_tables(limit: int, degrees) -> dict[int, dict[Fraction, Fraction]]:
@@ -185,7 +185,7 @@ def test_classify_radical_matches_brute_force_small():
                 if expected is None:
                     assert not got.is_rational, (p, q, degree)
                 else:
-                    assert got == RadicalClass.rational(expected), (p, q, degree)
+                    assert got == RadicalClass(RATIONAL, expected), (p, q, degree)
 
 
 @settings(deadline=None)
@@ -219,19 +219,19 @@ def _fraction_classify_radical(sign, radicand, degree):
     if radicand < 0:
         raise ValueError(f"radicand must be >= 0, got {radicand}")
     if radicand == 0:
-        return RadicalClass.rational(radicand)
+        return RadicalClass(RATIONAL, radicand)
     if sign == -1 and degree % 2 == 0:
-        return RadicalClass.no_real_root()
+        return RadicalClass(NO_REAL_ROOT)
     p, q = radicand.numerator, radicand.denominator
     root_p, exact_p = iroot(p, degree)
     if not exact_p:
-        return RadicalClass.irrational()
+        return RadicalClass(IRRATIONAL)
     root_q, exact_q = iroot(q, degree)
     if not exact_q:
-        return RadicalClass.irrational()
+        return RadicalClass(IRRATIONAL)
     value = Fraction(sign * root_p, root_q)
     assert value ** degree == sign * radicand
-    return RadicalClass.rational(value)
+    return RadicalClass(RATIONAL, value)
 
 
 def _radicand_sweep():

@@ -256,7 +256,7 @@ def _sha256(text: str) -> str:
     (10 ** 12, (3, 3, 3), 1,
      "54419fd03f7ffa33e9319190f05d42661f0fca654dddc0abb30fc122fa9ce3ab",
      "042693fdff07c0828bb8ff69183c24340589d843500b2d09734e3d888bb68ce3"),
-    # the right cubes differ from the left ones
+    # min_z above the left minimums: the build drops the pairs that sum to n**3
     (10 ** 10, (3, 3, 4), 1,
      "dee3a8e5aa5e47afe9dea5c69dd284e9a080adf45a636c6e28957d695f3fe45c",
      "24d73047d894feb4703cee4509bbd99ae132335204e7dd12f164dc85d5be1f6d"),
@@ -264,6 +264,14 @@ def _sha256(text: str) -> str:
     (10 ** 10, (5, 4, 6), 1,
      "02aeb4a1cc1a09f966c8eeb17190404ee5b4c56ff2fffc360148dc4284d16ec0",
      "358b3ae8cde60acdd237d20f707d0bce78f349b92496738fcc179c76ead969ae"),
+    # the left minimums above min_z: the build drops the pairs with an n**3 term
+    (10 ** 12, (5, 5, 3), 1,
+     "d5e1f6b0657f792db792626dbdffd96a708d538270b30b44e52cad6a0ed9575b",
+     "c21ba355a1cf33747ad717997403f43a2cc0cea091f7e3f34ad2f3fa7754f3d5"),
+    # min_z above the left minimums, over two stripes
+    (10 ** 12, (3, 3, 5), 2,
+     "1e6304b8caa1bb7c7da79b806d3d082276d7214508116aa4bdb7275976a13887",
+     "7a91300bf70fcc9fd0251ac826f3c5168bf4ebf47b10016493236e6eeafa40bc"),
 ])
 def test_search_output_bytes_are_pinned(bound, minimums, workers, csv_digest, json_digest):
     report = search_solutions(SearchConfig(bound, *minimums, workers=workers))
