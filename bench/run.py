@@ -31,7 +31,11 @@ The cases, --repeats samples per tree each:
     the common-factor family of tests/test_search.py
     (_common_factor_family, no power table) against the search's hits at
     10^16; the sample holds both times, the family's size, its share of the
-    hits and the family triples the search lacks;
+    hits and the family triples the search lacks.  And the search at 10^16
+    against the same search with its modular filters off (the search
+    module's constants set to tests/test_search.py's _FILTER_FREE, about 12
+    s); the sample holds both times, both hit counts and both probe counts.
+    The run exits 1 when the search differs from any of these references;
   classify: `bealsearch classify` on perfbench's first classify_batch (100
     family solutions, then 100 random non-solutions), so the tables the
     first call builds are timed with it, and the process's peak RSS;
@@ -269,6 +273,27 @@ def family_sample(src: str, bound: int, conn) -> None:
     conn.send((sample, facts, digest(repr(sorted(family)))))
 
 
+def filter_free_sample(src: str, bound: int, conn) -> None:
+    use_tree(src)
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_search import _FILTER_FREE
+
+    from bealsearch import search
+
+    started = time.perf_counter()
+    filtered = search.search_solutions(search.SearchConfig(bound))
+    middle = time.perf_counter()
+    for name, value in _FILTER_FREE.items():
+        setattr(search, name, value)
+    free = search.search_solutions(search.SearchConfig(bound))
+    done = time.perf_counter()
+    sample = {"search_s": middle - started, "filter_free_s": done - middle}
+    facts = {"hits": len(filtered.triples), "filter_free_hits": len(free.triples),
+             "equal": free.triples == filtered.triples, "probes": filtered.scan_probes,
+             "filter_free_probes": free.scan_probes}
+    conn.send((sample, facts, digest(repr(filtered.triples))))
+
+
 def classify_sample(src: str, conn) -> None:
     use_tree(src)
     import bealsearch.cli as cli
@@ -432,14 +457,17 @@ def main(argv=None) -> int:
         name = "completeness 10^16 common-factor family"
         run_case(runs, trees, name, 1, family_sample, 10 ** 16)
         differ += [f"{name} ({label})" for label, _ in trees if runs[label][name]["search_lacks"]]
+        name = "completeness 10^16 filter-free scan"
+        run_case(runs, trees, name, 1, filter_free_sample, 10 ** 16)
+        differ += [f"{name} ({label})" for label, _ in trees if not runs[label][name]["equal"]]
     run_case(runs, trees, "classify batch cold", args.repeats, classify_sample)
     run_case(runs, trees, "factorize family gcds", args.repeats, factorize_sample)
     for name in KERNELS:
         run_case(runs, trees, f"kernel {name}", args.repeats, kernel_sample, name)
     out.write_text(json.dumps(doc, indent=2) + "\n")
     if differ:
-        print(f"the search lacks triples of the lookup or the family: {'; '.join(differ)}",
-              file=sys.stderr)
+        print(f"the search differs from the lookup, the family or the filter-free scan: "
+              f"{'; '.join(differ)}", file=sys.stderr)
         return 1
     return 0
 

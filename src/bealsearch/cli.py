@@ -114,7 +114,7 @@ def _finish(report, args, summary: str) -> int:
     """
     started = time.perf_counter()
     hit_records = records.records_from_report(report)
-    records.write_csv(hit_records, args.out)
+    records.write_text(args.out, records.emit_csv(hit_records))
     report.phases["emit_s"] = time.perf_counter() - started
     if args.report:
         records.write_text(args.report, records.emit_json(report, hit_records=hit_records))
@@ -257,8 +257,8 @@ def cmd_emit_plot(args) -> int:
     from . import svgplot
 
     hit_records = records.read_csv(args.infile)
-    svgplot.write_scatter(hit_records, args.out, axes=args.axes, log_scale=args.log,
-                          title=f"{len(hit_records)} hits")
+    records.write_text(args.out, svgplot.emit_scatter(
+        hit_records, axes=args.axes, log_scale=args.log, title=f"{len(hit_records)} hits"))
     print(f"emit-plot: {len(hit_records)} markers -> {args.out}")
     return 0
 

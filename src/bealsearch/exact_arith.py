@@ -172,21 +172,21 @@ class _Radical(NamedTuple):
 class Radical(_Radical):
     """A real radical sign * radicand**(1/degree) kept in exact form.
 
-    radicand is a non-negative rational; classification is computed lazily
-    and kept in the instance __dict__ (the class has no __slots__).  Numeric
-    evaluation lives in the intervals module.
+    radicand is a non-negative rational.  classify_radical checks the
+    arguments and classifies the radical once, as it is built; the result is
+    kept in the instance __dict__ (the class has no __slots__) as
+    classification.  Numeric evaluation lives in the intervals module.
     """
 
+    classification: RadicalClass
+
     def __new__(cls, sign: int, radicand: Fraction | int, degree: int):
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
-        if radicand.numerator < 0:
-            raise ValueError(f"radicand must be >= 0, got {radicand}")
+        classification = classify_radical(sign, radicand, degree)
         if type(radicand) is not Fraction:
             radicand = Fraction(radicand)
-        return super().__new__(cls, sign, radicand, degree)
+        radical = super().__new__(cls, sign, radicand, degree)
+        radical.classification = classification
+        return radical
 
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
@@ -196,16 +196,6 @@ class Radical(_Radical):
         if signed_radicand.numerator < 0:
             return cls(-1, -signed_radicand, degree)
         return cls(1, signed_radicand, degree)
-
-    @property
-    def classification(self) -> RadicalClass:
-        # A plain property, not functools.cached_property, which on Python 3.11
-        # takes a lock on every first access.
-        found = self.__dict__.get("classification")
-        if found is None:
-            found = self.__dict__["classification"] = classify_radical(
-                self.sign, self.radicand, self.degree)
-        return found
 
     @property
     def exact_value(self) -> Fraction | None:

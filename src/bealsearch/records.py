@@ -85,9 +85,6 @@ class HitRecord(NamedTuple):
                 raise SchemaError(f"column {name}: {value!r} is not in lowest terms")
         return self
 
-    def to_obj(self) -> dict[str, str]:
-        return self._asdict()
-
     @classmethod
     def from_obj(cls, obj: dict) -> "HitRecord":
         missing = [name for name in CSV_COLUMNS if name not in obj]
@@ -161,10 +158,6 @@ def write_text(path: str, text: str) -> None:
         except OSError:  # never created
             pass
         raise
-
-
-def write_csv(records: list[HitRecord], path: str) -> None:
-    write_text(path, emit_csv(records))
 
 
 def read_csv(path: str) -> list[HitRecord]:
@@ -250,7 +243,7 @@ def report_to_obj(report: SearchReport, include_timing: bool = True,
     obj = {
         "config": {**report.config._asdict(), "bound": str(report.config.bound)},
         "counts": dict(report.counts),
-        "hits": [record.to_obj() for record in hit_records],
+        "hits": [record._asdict() for record in hit_records],
     }
     if include_timing:
         obj["wall_time_s"] = report.wall_time_s

@@ -59,7 +59,7 @@ def canonical_alpha_beta(triple: BealTriple, plane: Plane = Plane.CB) -> Reparam
 
     For plane CB: alpha**X = C**(Z-X) - B**(Y-X) and
     beta**X = C**(Z-2X) - B**(Y-2X), each kept as a signed exact rational
-    radicand and classified lazily.  Plane CA swaps in (A, C, Y).
+    radicand and classified as it is built.  Plane CA swaps in (A, C, Y).
     """
     base, c, degree, co = _plane_params(triple, plane)
     z = triple.Z

@@ -22,7 +22,7 @@ AXIS_CHOICES = {
 
 
 def _positions(records: list[HitRecord], x_field: str, y_field: str,
-               log_scale: bool) -> list[tuple[float, float]]:
+               log_scale: bool) -> list[tuple[float, float]] | list[tuple[int, int]]:
     points = []
     for record in records:
         x = int(getattr(record, x_field))
@@ -30,17 +30,18 @@ def _positions(records: list[HitRecord], x_field: str, y_field: str,
         if log_scale:
             points.append((math.log10(x), math.log10(y)))
         else:
-            points.append((float(x), float(y)))
+            points.append((x, y))  # exact: a power may pass the range of a float
     return points
 
 
-def _scale(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    xs = [p[0] for p in points] or [0.0]
-    ys = [p[1] for p in points] or [0.0]
+def _scale(points: list[tuple[float, float]] | list[tuple[int, int]]) -> list[tuple[float, float]]:
+    # for int points, offset / span is one correctly rounded int division
+    xs = [p[0] for p in points] or [0]
+    ys = [p[1] for p in points] or [0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
+    x_span = (x_hi - x_lo) or 1
+    y_span = (y_hi - y_lo) or 1
     plot_w = WIDTH - 2 * MARGIN
     plot_h = HEIGHT - 2 * MARGIN
     return [
@@ -83,9 +84,3 @@ def emit_scatter(records: list[HitRecord], axes: str = "axbycz",
                      f'fill-opacity="0.7"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_scatter(records: list[HitRecord], path: str, axes: str = "axbycz",
-                  log_scale: bool = False, title: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(emit_scatter(records, axes, log_scale, title))

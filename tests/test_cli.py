@@ -147,7 +147,7 @@ def test_search_builds_the_hit_records_once(tmp_path, capsys, monkeypatch):
                      "--report", str(report))
     assert code == 0 and len(calls) == 1
     hits = json.loads(report.read_text())["hits"]
-    assert len(hits) == 10 and hits == [record.to_obj() for record in read_csv(str(out))]
+    assert len(hits) == 10 and hits == [record._asdict() for record in read_csv(str(out))]
 
 
 def test_oracle_rejects_huge_bound(tmp_path, capsys):
@@ -289,6 +289,34 @@ def test_emit_plot_empty_csv(tmp_path, capsys):
     assert fig.read_text().count("<circle") == 0
 
 
+def test_emit_plot_of_a_hit_past_float_range(tmp_path, capsys):
+    # 2^1100 + 2^1100 = 2^1101: linear axes scale the exact ints
+    hits = tmp_path / "hits.csv"
+    fig = tmp_path / "fig.svg"
+    code, _, _ = run(capsys, "search", "--bound", "2^1101", "--min-x", "1100",
+                     "--min-y", "1100", "--min-z", "1100", "--out", str(hits))
+    assert code == 0
+    code, _, _ = run(capsys, "emit-plot", "--in", str(hits), "--out", str(fig))
+    assert code == 0
+    assert fig.read_text().count("<circle") == 1
+
+
+def test_emit_plot_that_fails_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    hits = tmp_path / "hits.csv"
+    fig = tmp_path / "fig.svg"
+    run(capsys, "search", "--bound", "10000", "--out", str(hits))
+    fig.write_bytes(b"old plot")
+
+    def failing_scatter(*args, **kwargs):
+        raise ValueError("no plot")
+
+    monkeypatch.setattr(svgplot, "emit_scatter", failing_scatter)
+    code, _, err = run(capsys, "emit-plot", "--in", str(hits), "--out", str(fig))
+    assert code == 2 and "no plot" in err
+    assert fig.read_bytes() == b"old plot"
+    assert sorted(os.listdir(tmp_path)) == ["fig.svg", "hits.csv"]
+
+
 def test_emit_plot_schema_mismatch(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("A,X,B\n1,2,3\n")
@@ -396,7 +424,7 @@ def test_hit_that_fails_the_equation_exits_three(command, tmp_path, capsys, monk
     assert out.read_bytes() == clean
     obj = json.loads(report.read_text())
     assert obj["counts"]["hits"] == len(obj["hits"]) + 1
-    assert obj["hits"] == [record.to_obj() for record in read_csv(str(out))]
+    assert obj["hits"] == [record._asdict() for record in read_csv(str(out))]
     assert obj["verification_failures"]["equation_exact"] == 1
 
 
@@ -457,8 +485,8 @@ def test_emit_plot_escapes_markup_in_title(tmp_path, capsys):
     hits = tmp_path / "hits.csv"
     run(capsys, "search", "--bound", "3000", "--out", str(hits))
     fig = tmp_path / "fig.svg"
-    svgplot.write_scatter(read_csv(str(hits)), str(fig), axes="abc", log_scale=True,
-                          title="A&B <x> 'q' \"d\"")
+    fig.write_text(svgplot.emit_scatter(read_csv(str(hits)), axes="abc", log_scale=True,
+                                        title="A&B <x> 'q' \"d\""))
     svg = fig.read_bytes()
     assert b'font-size="15">A&amp;B &lt;x&gt; \'q\' "d"</text>' in svg
     # the bytes the earlier xml.sax.saxutils escaping wrote for the same plot

@@ -312,14 +312,18 @@ def test_radical_classifies_once(monkeypatch):
     real = exact_arith.classify_radical
     monkeypatch.setattr(exact_arith, "classify_radical",
                         lambda *args: calls.append(args) or real(*args))
-    for radical, kind in ((Radical(1, 8, 3), "rational"), (Radical(-1, 4, 2), "no_real_root"),
-                          (Radical(1, Fraction(55, 2744), 3), "irrational")):
+    radicals = [Radical(1, 8, 3), Radical(-1, 4, 2), Radical(1, Fraction(55, 2744), 3)]
+    # one classification per radical built, as it is built
+    assert calls == [tuple(radical) for radical in radicals]
+    for radical, kind in zip(radicals, ("rational", "no_real_root", "irrational")):
         first = radical.classification
         assert first.kind == kind and radical.classification is first
         assert radical.exact_value == first.value and vars(radical) == {"classification": first}
+    assert len(calls) == len(radicals)  # reading them classified nothing again
+    for radical in radicals:
         # the stored classification is no field: equality and hashing see none of it
         assert radical == Radical(*radical) and hash(radical) == hash(tuple(radical))
-    assert len(calls) == 3
+    assert len(calls) == 2 * len(radicals)
 
 
 # --- factorize -------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bealsearch.records import (CSV_COLUMNS, SchemaError,
                                 canonical_json, emit_csv, emit_json, json_text,
                                 parse_csv, parse_json, read_csv, records_from_report,
-                                report_to_obj, write_csv, write_text)
+                                report_to_obj, write_text)
 from bealsearch.search import SearchConfig, SearchReport, brute_force_oracle, search_solutions
 from bealsearch.svgplot import emit_scatter
 
@@ -196,7 +196,7 @@ def test_json_text_rejects_other_types(obj):
 
 def test_write_text_replaces_the_file_whole(tmp_path, records, monkeypatch):
     path = tmp_path / "hits.csv"
-    write_csv(records, str(path))
+    write_text(str(path), emit_csv(records))
     assert read_csv(str(path)) == records
     before = path.read_bytes()
     # a write that raises partway (a lone surrogate has no UTF-8 form), and
@@ -210,7 +210,7 @@ def test_write_text_replaces_the_file_whole(tmp_path, records, monkeypatch):
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError, match="replace failed"):
-        write_csv(records[:1], str(path))
+        write_text(str(path), emit_csv(records[:1]))
     assert path.read_bytes() == before and os.listdir(tmp_path) == ["hits.csv"]
 
 

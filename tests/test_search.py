@@ -181,6 +181,30 @@ def _lookup_reference(bound: int, minimums: tuple[int, int, int]) -> list[BealTr
     return sorted(found, key=lambda t: (t.cz, t.by, t.ax))
 
 
+# The search module's constants that switch its exact modular filters off:
+# every value has the one cube and 4th-power residue 0, every v may be a sum
+# of two cubes, and the two-cube walk tries every divisor.  A scan with them
+# set shares no filter with the real one, so it checks the filters past the
+# oracle's ceiling (bench/run.py --completeness sets them at 10**16).
+_FILTER_FREE = {"CUBE_MODULUS": 1, "CUBE_RESIDUES": frozenset({0}),
+                "QUARTIC_MODULUS": 1, "QUARTIC_RESIDUES": frozenset({0}),
+                "CUBE_SUM_RESIDUES": frozenset(range(63)), "DIVISOR_MODULUS": 1}
+
+
+def test_filter_free_scan_finds_the_same_hits(monkeypatch):
+    filtered = search_solutions(SearchConfig(10 ** 14))
+    for name, value in _FILTER_FREE.items():
+        monkeypatch.setattr(search_mod, name, value)
+    free = search_solutions(SearchConfig(10 ** 14))
+    assert free.triples == filtered.triples and len(free.triples) == 416
+    assert free.scan_probes > filtered.scan_probes
+    # each filtered sweep probes more without its filter; no_cube_c_in_h has none
+    for name in search_mod.SWEEPS:
+        probes, free_probes = filtered.sweeps[name]["probes"], free.sweeps[name]["probes"]
+        assert free_probes == probes if name == "no_cube_c_in_h" else free_probes > probes, name
+        assert free.sweeps[name]["pairs"] == filtered.sweeps[name]["pairs"], name
+
+
 def _pairs_reference(bound: int, minimums: tuple[int, int, int]) -> int:
     """pairs_tested counted from the full power table: each value a with its
     partners b >= a, a + b <= bound, where either orientation of (a, b)
