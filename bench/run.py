@@ -17,8 +17,9 @@ The cases, --repeats samples per tree each:
     `bealsearch verify-identities --cases 1` (verify_identities_process_s);
   search: one search (bound, minimums, workers) after one untimed warm-up
     search at 10^6, whose peak memory is below every case's; the sample
-    holds wall_s, each phase of SearchReport.phases and the process's peak
-    RSS, the larger of its own and its forked workers'.  The cases are
+    holds wall_s, each phase of SearchReport.phases, the process's peak
+    RSS, the larger of its own and its forked workers', and the set probes
+    of each sweep of the scan (SearchReport.sweeps).  The cases are
     10^12, 10^14 and 10^16 with minimums 3,3,3 and 1 worker, 10^14 with 2,
     and perfbench's search_split, 10^13 with minimums 4,3,3 and 2 workers.
     The search at 10^18 (about a minute per run) is a case only with
@@ -28,13 +29,13 @@ The cases, --repeats samples per tree each:
     tests/test_search.py (_lookup_reference, one set lookup per pair) at
     10^13 with minimums 3,3,3 and 4,3,3 and at 10^14 with 3,3,3; the sample
     holds both times, the hit count and the triples each side lacks.  Also
-    the common-factor family of tests/test_search.py
-    (_common_factor_family, no power table) against the search's hits at
-    10^16; the sample holds both times, the family's size, its share of the
-    hits and the family triples the search lacks.  And the search at 10^16
-    against the same search with its modular filters off (the search
-    module's constants set to tests/test_search.py's _FILTER_FREE, about 12
-    s); the sample holds both times, both hit counts and both probe counts.
+    the two solution families of tests/test_search.py (_common_factor_family
+    and _scaled_family, no power table) against the search's hits at 10^16;
+    the sample holds both times, each family's size, their share of the hits
+    together and the family triples the search lacks.  And the search at 10^16
+    against the same search with its exact filters off (the search
+    module's names set to tests/test_search.py's _FILTER_FREE, about 10 s);
+    the sample holds both times, both hit counts and both probe counts.
     The run exits 1 when the search differs from any of these references;
   classify: `bealsearch classify` on perfbench's first classify_batch (100
     family solutions, then 100 random non-solutions), so the tables the
@@ -50,7 +51,10 @@ The cases, --repeats samples per tree each:
     of a search at 10^12; one is cli.classify_obj over each triple of the
     classify case's batch; one is the printed scalar estimate
     (cli._scalar_obj on the plane-CB pair) over the same triples, whose
-    facts hold how many of them fall back to scalar_m at 256 bits.
+    facts hold how many of them fall back to scalar_m at 256 bits.  Two
+    are the two-cube solve, search._cube_pairs, over every non-cube of the
+    scan's lanes at 10^12 and at 10^16 (one call per non-cube), whose facts
+    hold the divisors it tries in all.
 The startup, classify, factorize and completeness cases also record the
 sha256 of what they print or return, which must be the same in every sample
 of every tree.
@@ -114,7 +118,7 @@ def kernel_cases() -> dict[str, tuple]:
     tuples of its calls, so a sample builds only the inputs of its own case."""
     from fractions import Fraction
 
-    from bealsearch import cli, records, reparam
+    from bealsearch import cli, records, reparam, search
     from bealsearch.cli import classify_obj
     from bealsearch.exact_arith import classify_radical, iroot, is_perfect_power
     from bealsearch.identity import run_random_suite
@@ -135,6 +139,21 @@ def kernel_cases() -> dict[str, tuple]:
     iroot_calls = [(n, k) for n in odd_ints(500, 16) for k in (3, 5, 7)]
     power_calls = {bits: [(n,) for n in odd_ints(bits, count)]
                    for bits, count in ((64, 16), (500, 8), (2000, 4))}
+
+    def cube_pairs_case(bound: int):
+        """search._cube_pairs over every non-cube of the scan's lanes at bound."""
+        caught, real = [], search._match_forked
+        no_scan = [([], [0] * len(search.SWEEPS), [0] * len(search.SWEEPS))]
+        search._match_forked = lambda lanes, workers: caught.append(lanes) or no_scan
+        try:
+            search_solutions(SearchConfig(bound))
+        finally:
+            search._match_forked = real
+        lanes = caught[0]
+        calls = [(lanes, entry, entry.exponent >= lanes.lo_exp, entry.exponent >= lanes.min_z)
+                 for entry in lanes.non_cubes]
+        return search._cube_pairs, calls, {"tries": sum(search._cube_pairs(*args)[1]
+                                                        for args in calls)}
 
     def scalar_estimate_case():
         """cli._scalar_obj over the classify batch, and its fallbacks to scalar_m."""
@@ -166,6 +185,8 @@ def kernel_cases() -> dict[str, tuple]:
         "classify_obj classify batch": lambda: (classify_obj, [
             (BealTriple(*t),) for t in classify_inputs(CLASSIFY_SEED, smoke=False)]),
         "scalar estimate classify batch": scalar_estimate_case,
+        "cube_pairs 10^12 lanes": lambda: cube_pairs_case(10 ** 12),
+        "cube_pairs 10^16 lanes": lambda: cube_pairs_case(10 ** 16),
     }
 
 
@@ -173,7 +194,8 @@ def kernel_cases() -> dict[str, tuple]:
 KERNELS = ("iroot 500 bits k 3,5,7", "is_perfect_power 64 bits", "is_perfect_power 500 bits",
            "is_perfect_power 2000 bits", "classify_radical", "scalar_m 3,3,6,3,3,5",
            "run_random_suite 200 cases seed 15", "json writer 10^12 report",
-           "classify_obj classify batch", "scalar estimate classify batch")
+           "classify_obj classify batch", "scalar estimate classify batch",
+           "cube_pairs 10^12 lanes", "cube_pairs 10^16 lanes")
 
 
 def cpu_model() -> str:
@@ -230,6 +252,7 @@ def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers:
     sample = {"wall_s": time.perf_counter() - started}
     sample.update((name, report.phases[name]) for name in PHASES)
     sample["peak_rss_mb"] = peak_rss_mb()
+    sample["probes"] = {name: sweep["probes"] for name, sweep in report.sweeps.items()}
     counts = dict(report.counts, scan_probes=report.scan_probes)
     conn.send((sample, {"counts": counts, "sweeps": report.sweeps}, None))
 
@@ -258,7 +281,7 @@ def completeness_sample(src: str, bound: int, minimums: tuple[int, int, int], co
 def family_sample(src: str, bound: int, conn) -> None:
     use_tree(src)
     sys.path.insert(0, str(ROOT / "tests"))
-    from test_search import _common_factor_family
+    from test_search import _common_factor_family, _scaled_family
 
     from bealsearch.search import SearchConfig, search_solutions
 
@@ -266,11 +289,14 @@ def family_sample(src: str, bound: int, conn) -> None:
     hits = set(search_solutions(SearchConfig(bound)).triples)
     middle = time.perf_counter()
     family = _common_factor_family(bound)
+    scaled = _scaled_family(bound)
     done = time.perf_counter()
+    both = family | scaled
     sample = {"search_s": middle - started, "family_s": done - middle}
-    facts = {"hits": len(hits), "family": len(family), "family_share": len(family) / len(hits),
-             "search_lacks": sorted(map(str, family - hits))}
-    conn.send((sample, facts, digest(repr(sorted(family)))))
+    facts = {"hits": len(hits), "family": len(family), "scaled_family": len(scaled),
+             "families_share": len(both) / len(hits),
+             "search_lacks": sorted(map(str, both - hits))}
+    conn.send((sample, facts, digest(repr(sorted(both)))))
 
 
 def filter_free_sample(src: str, bound: int, conn) -> None:
@@ -373,8 +399,9 @@ def run_case(runs: dict, trees: list[tuple[str, str]], name: str, repeats: int,
             case["samples"].append(sample)
             case.update(facts)
             case["repeats"] = len(case["samples"])
-            for key in sample:
-                case[key] = summary([run[key] for run in case["samples"]])
+            for key, value in sample.items():
+                if not isinstance(value, dict):  # a search's per-sweep probes are facts
+                    case[key] = summary([run[key] for run in case["samples"]])
             if output is not None:
                 known = {runs[other][name].get("output_sha256") for other in runs
                          if name in runs[other]} - {None}
@@ -412,8 +439,8 @@ def main(argv=None) -> int:
                              "(default 0: no such case)")
     parser.add_argument("--completeness", action="store_true",
                         help="also compare the search with the plain per-pair lookup "
-                             "of the tests at 10^13 and 10^14 and with their common-factor "
-                             "family at 10^16, one sample per tree")
+                             "of the tests at 10^13 and 10^14 and with their solution "
+                             "families at 10^16, one sample per tree")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -454,7 +481,7 @@ def main(argv=None) -> int:
         run_case(runs, trees, name, 1, completeness_sample, bound, minimums)
         differ += [f"{name} ({label})" for label, _ in trees if not runs[label][name]["equal"]]
     if args.completeness:
-        name = "completeness 10^16 common-factor family"
+        name = "completeness 10^16 solution families"
         run_case(runs, trees, name, 1, family_sample, 10 ** 16)
         differ += [f"{name} ({label})" for label, _ in trees if runs[label][name]["search_lacks"]]
         name = "completeness 10^16 filter-free scan"
@@ -466,7 +493,7 @@ def main(argv=None) -> int:
         run_case(runs, trees, f"kernel {name}", args.repeats, kernel_sample, name)
     out.write_text(json.dumps(doc, indent=2) + "\n")
     if differ:
-        print(f"the search differs from the lookup, the family or the filter-free scan: "
+        print(f"the search differs from the lookup, the families or the filter-free scan: "
               f"{'; '.join(differ)}", file=sys.stderr)
         return 1
     return 0

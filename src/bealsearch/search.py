@@ -23,17 +23,20 @@ five sweeps (named as in SWEEPS):
    a difference, v + |y|**3 = x**3, with v a left value; v <= 3s x**2 <=
    3s bound**(2/3) leaves only s with v**3 <= 27 s**3 bound**2.  y > 0
    (s**3 > v) is a sum of the cubes x**3 and y**3, with v a right
-   value.  The divisors are walked between the integer cube roots of the
-   two bounds on s**3, so the walk takes no cube.  As 6 divides n**3 - n
-   for every integer n, s = x + y = x**3 + y**3 = v mod 6
-   (DIVISOR_MODULUS): the walk starts at gcd(v, 6), which divides each such
-   s, and tries only the s with s = v mod 6 (at 10**12, 7,937 divisors
-   against 13,471).  A v outside the 25 residues of x**3 + y**3 mod 63
-   (CUBE_SUM_RESIDUES; -1 is a cube, so a difference of cubes has the same
-   residues) is skipped before any divisor: that is about 45% of the
-   non-cube values, and a skipped v adds nothing to the scan's probe count.
-   The skip stays mod 63: mod 13 every residue is a sum of two cubes, so
-   mod 819 it would pass the same share of values.
+   value.  The divisors are built up to the integer cube root of the upper
+   bound on s**3, so the walk takes no cube.  The cofactor q = v/s =
+   x**2 - xy + y**2 is a norm from Z[w], w a cube root of unity (Ireland and
+   Rosen, ch. 9).  With g = gcd(x, y), gcd(s/g, q/g**2) divides 3, and a
+   prime p = 2 mod 3 stays prime in Z[w], so it does not divide the norm
+   q/g**2 of the coprime x/g + (y/g) w.  These two facts fix which exponents
+   of each prime of v the divisor s can have (_divisor_exponents), and the
+   walk builds only those divisors (at 10**12, 807 against 13,471; each is
+   v mod 6, as 6 divides n**3 - n).  A v outside the 25 residues of
+   x**3 + y**3 mod 63 (CUBE_SUM_RESIDUES; -1 is a cube, so a difference of
+   cubes has the same residues) is skipped before any divisor: that is
+   about 45% of the non-cube values, and a skipped v adds nothing to the
+   scan's probe count.  The skip stays mod 63: mod 13 every residue is a
+   sum of two cubes, so mod 819 it would pass the same share of values.
 2. c is the one cube (cube_c): v = a, over the non-cube b >= a.
 3. a or b is the one cube (cube_a_or_b): v = c, over the non-cube x < c
    (the other term).
@@ -94,7 +97,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, isqrt
+from math import isqrt
 from operator import add, mod, sub
 from typing import NamedTuple
 
@@ -251,8 +254,6 @@ CUBE_MODULUS = 819
 CUBE_RESIDUES = frozenset(pow(n, 3, CUBE_MODULUS) for n in range(CUBE_MODULUS))  # 45
 QUARTIC_MODULUS = 1040
 QUARTIC_RESIDUES = frozenset(pow(n, 4, QUARTIC_MODULUS) for n in range(QUARTIC_MODULUS))  # 16
-# A divisor s = x + y that solves v = x**3 + y**3 has s = v mod 6, as 6 divides n**3 - n.
-DIVISOR_MODULUS = 6
 # The residues mod 63 of x**3 + y**3, 25 of 63; as -1 is a cube, of x**3 - y**3 too.
 # 63 divides 819, so the cube residues mod 63 are those of CUBE_RESIDUES.
 CUBE_SUM_RESIDUES = frozenset((x + y) % 63 for x in CUBE_RESIDUES for y in CUBE_RESIDUES)
@@ -438,6 +439,28 @@ def _match_forked(lanes: _Lanes, workers: int) -> list[tuple]:
     return results + [marshal.loads(data) for data in outputs]
 
 
+def _divisor_exponents(p: int, e: int) -> tuple[range, ...]:
+    """The exponents j that the prime p can have in s = x + y when
+    v = x**3 + y**3 and p**e exactly divides v, as at most two ascending,
+    disjoint ranges.  The two-cube walk reads this name at each call.
+
+    With g = gcd(x, y), s = g s' and q = v/s = g**2 q', where gcd(s', q')
+    divides 3 and q' is the norm of the coprime x/g + (y/g) w in Z[w], which
+    no prime p = 2 mod 3 divides and 3 divides at most once.  So with
+    i = v_p(g) <= e/3, e = 3i + v_p(s') + v_p(q') and j = i + v_p(s'):
+      p = 1 mod 3: j = i < e/3 (p divides q', not s') or j = e - 2i (p does
+        not divide q');
+      p = 2 mod 3: j = e - 2i;
+      p = 3: j = e/3 (3 divides neither s' nor q') or j = e - 1 - 2i with
+        3i + 2 <= e (3 divides q' once and s' at least once).
+    """
+    third = e // 3
+    if p == 3:
+        return range(third, third + (e % 3 == 0)), range(e - 1 - 2 * ((e - 2) // 3), e, 2)
+    outside_q = range(e - 2 * third, e + 1, 2)
+    return (range((e + 2) // 3), outside_q) if p % 3 == 1 else (outside_q,)
+
+
 def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
                 right: bool) -> tuple[list[tuple[int, int]], int]:
     """The pairs whose other two terms are cubes, for the non-cube v = entry.value
@@ -445,39 +468,43 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
     s = x + y of v tried, one solve of v = x**3 + y**3 each (module docstring).
 
     A v whose residue mod 63 is not in CUBE_SUM_RESIDUES is no sum or
-    difference of two cubes, and tries no divisor.  The divisors are walked
-    between the integer cube roots of the bounds on s**3, so the walk takes
-    no cube, and only those with s = v mod DIVISOR_MODULUS are tried: the
-    walk starts at g = gcd(v, DIVISOR_MODULUS), which divides every such s.
+    difference of two cubes, and tries no divisor.  The walk builds only the
+    divisors whose exponent of each prime p of v is one of
+    _divisor_exponents(p, v_p(v)), each at most the integer cube root of the
+    upper bound on s**3, so it takes no cube, and builds the powers of p in
+    ascending order until one passes that root.
     """
     v = entry.value
     if v % 63 not in CUBE_SUM_RESIDUES:
         return [], 0
     spf, cubes = lanes.spf, lanes.cubes
     least = -(-v ** 3 // (27 * lanes.bound ** 2)) if left else v + 1  # s**3 >= least
-    most = 4 * v if right else v - 1                                     # s**3 <= most
-    low, exact = iroot(least, 3)
-    low += not exact  # the ceiling cube root: s >= low
-    high = iroot(most, 3)[0]  # s <= high; g <= base <= v**(1/4) <= high
-    g = gcd(v, DIVISOR_MODULUS)  # squarefree: each prime of g divides it once
-    divisors = [g]
+    high = iroot(4 * v if right else v - 1, 3)[0]                      # s <= high
+    divisors = [1]
     n = entry.base
-    while n > 1:
+    while n > 1 and divisors:  # a prime with no allowed exponent leaves no divisor
         p = spf[n]
         k = 0
         while spf[n] == p:
             n //= p
             k += 1
         grown = []
-        for s in divisors:
-            for _ in range(k * entry.exponent - (g % p == 0)):
-                s *= p
-                if s > high:
-                    break
-                grown.append(s)
-        divisors += grown
-    residue = v % DIVISOR_MODULUS
-    tried = [s for s in divisors if s >= low and s % DIVISOR_MODULUS == residue]
+        for exponents in _divisor_exponents(p, k * entry.exponent):
+            if not exponents:
+                continue
+            first = p ** exponents.start
+            if first > high:  # the ranges ascend: so do the later ones
+                break
+            step = p ** exponents.step
+            for s in divisors:
+                s *= first
+                for _ in exponents:
+                    if s > high:
+                        break
+                    grown.append(s)
+                    s *= step
+        divisors = grown
+    tried = [s for s in divisors if s * s * s >= least]
     found: list[tuple[int, int]] = []
     for s in tried:
         xy, r = divmod(s * s - v // s, 3)

@@ -6,7 +6,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import bealsearch.search as search_mod
 from bealsearch.errors import BoundTooLarge
-from bealsearch.exact_arith import iroot, is_perfect_power
+from bealsearch.exact_arith import factorize, iroot, is_perfect_power
 from bealsearch.search import (ORACLE_MAX_BOUND, PowerEntry, SearchConfig, annotate_hit,
                                brute_force_oracle, enumerate_powers, search_solutions,
                                verify_hit)
@@ -181,14 +181,16 @@ def _lookup_reference(bound: int, minimums: tuple[int, int, int]) -> list[BealTr
     return sorted(found, key=lambda t: (t.cz, t.by, t.ax))
 
 
-# The search module's constants that switch its exact modular filters off:
-# every value has the one cube and 4th-power residue 0, every v may be a sum
-# of two cubes, and the two-cube walk tries every divisor.  A scan with them
-# set shares no filter with the real one, so it checks the filters past the
-# oracle's ceiling (bench/run.py --completeness sets them at 10**16).
+# The search module's names that switch its exact filters off: every value
+# has the one cube and 4th-power residue 0, every v may be a sum of two
+# cubes, and the two-cube walk builds every divisor, each prime with every
+# exponent.  A scan with them set shares no filter with the real one, so it
+# checks the filters past the oracle's ceiling (bench/run.py --completeness
+# sets them at 10**16).
 _FILTER_FREE = {"CUBE_MODULUS": 1, "CUBE_RESIDUES": frozenset({0}),
                 "QUARTIC_MODULUS": 1, "QUARTIC_RESIDUES": frozenset({0}),
-                "CUBE_SUM_RESIDUES": frozenset(range(63)), "DIVISOR_MODULUS": 1}
+                "CUBE_SUM_RESIDUES": frozenset(range(63)),
+                "_divisor_exponents": lambda p, e: (range(e + 1),)}
 
 
 def test_filter_free_scan_finds_the_same_hits(monkeypatch):
@@ -279,6 +281,40 @@ def _common_factor_family(bound: int) -> set[BealTriple]:
     return found
 
 
+def _scaled_family(bound: int) -> set[BealTriple]:
+    """The solutions scaled from a**x + b**y = t * c**z (1 <= a, b <= 100,
+    t >= 2, 3 <= x, y, z <= 7, gcd(lcm(x, y), z) = 1) up to bound, with no
+    power table: with N >= 1 the least N = 0 mod lcm(x, y) and N = -1 mod z,
+        (a * t**(N/x))**x + (b * t**(N/y))**y = (c * t**((N + 1)/z))**z,
+    with reduced bases and the smaller left term first.  The sum is
+    s * t**N for s = a**x + b**y, so t <= (bound / s)**(1/N)."""
+    found = set()
+    for x in range(3, 8):
+        for y in range(x, 8):
+            m = lcm(x, y)
+            for z in range(3, 8):
+                if gcd(m, z) > 1:
+                    continue
+                n = next(n for n in range(m, m * z + 1, m) if (n + 1) % z == 0)
+                for a in range(1, 101):
+                    for b in range(a if x == y else 1, 101):
+                        s = a ** x + b ** y
+                        if s << n > bound:  # t >= 2
+                            continue
+                        t_max = iroot(bound // s, n)[0]
+                        # t = s / c**z <= t_max: c**z >= s / t_max, and t >= 2
+                        c_low, exact = iroot(-(-s // t_max), z)
+                        for c in range(c_low + (not exact), iroot(s // 2, z)[0] + 1):
+                            t, r = divmod(s, c ** z)
+                            if r == 0:
+                                left = sorted([_reduced(a * t ** (n // x), x),
+                                               _reduced(b * t ** (n // y), y)],
+                                              key=lambda term: term[0] ** term[1])
+                                found.add(BealTriple(*left[0], *left[1],
+                                                     *_reduced(c * t ** ((n + 1) // z), z)))
+    return found
+
+
 def test_common_factor_family_is_among_the_hits():
     small = _common_factor_family(10 ** 6)
     assert small <= set(brute_force_oracle(10 ** 6).triples)
@@ -289,6 +325,22 @@ def test_common_factor_family_is_among_the_hits():
     assert family <= set(hits)
     # the family is 150 of the 416 hits (36%); the rest need no such construction
     assert (len(family), len(hits)) == (150, 416)
+
+
+def test_scaled_family_is_among_the_hits():
+    small = _scaled_family(10 ** 6)
+    assert small <= set(brute_force_oracle(10 ** 6).triples)
+    # 1 + 1 = 2 * 1**7 (t = 2, c = 1, N = 6): 4**3 + 4**3 = 2**7, reduced
+    assert BealTriple(2, 6, 2, 6, 2, 7) in small
+    family = _scaled_family(10 ** 14)
+    # 8**3 + 19**3 = 3**4 * 91 (t = 91, c = 3, N = 3): 728**3 + 1729**3 = 273**4,
+    # a two-cube hit
+    assert BealTriple(728, 3, 1729, 3, 273, 4) in family
+    hits = search_solutions(SearchConfig(10 ** 14)).triples
+    assert all(triple.equation_holds for triple in family)
+    assert family <= set(hits)
+    # with the common-factor family, 199 of the 416 hits (48%)
+    assert (len(family), len(family | _common_factor_family(10 ** 14))) == (171, 199)
 
 
 def _scan_lanes(monkeypatch, config):
@@ -441,12 +493,57 @@ def test_cube_sum_is_the_sum_of_its_terms_mod_6():
     for x in signed:
         for y in signed[::7]:
             assert (x ** 3 + y ** 3 - x - y) % 6 == 0, (x, y)
-    assert search_mod.DIVISOR_MODULUS == 6
+
+
+def _valuation(n: int, p: int) -> int:
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def test_divisor_exponents_hold_every_sum_and_difference_of_cubes():
+    # Every x**3 + y**3 and every x**3 - y**3 > 0 with 1 <= x, y <= 150, shared
+    # factors included: each prime p of v has v_p(x + y), or v_p(x - y), among
+    # the exponents _divisor_exponents allows for v_p(v).
+    checks = 0
+    for x in range(1, 151):
+        for y in range(1, 151):
+            for v, s in ((x ** 3 + y ** 3, x + y), (x ** 3 - y ** 3, x - y)):
+                if v <= 0:
+                    continue
+                for p, e in factorize(v):
+                    exponents = search_mod._divisor_exponents(p, e)
+                    assert any(_valuation(s, p) in js for js in exponents), (x, y, p, e)
+                    checks += 1
+    assert checks == 114_963
+    # The exponent ranges ascend and are disjoint, and each lies in 0..e.
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in range(40):
+            ranges = [js for js in search_mod._divisor_exponents(p, e) if js]
+            flat = [j for js in ranges for j in js]
+            assert flat == sorted(set(flat)) and all(0 <= j <= e for j in flat), (p, e)
+    # Every divisor built from the allowed exponents is v mod 6, so the walk
+    # needs no residue filter; a v with 3 exactly once has no such divisor.
+    rng = random.Random(28)
+    for _ in range(2000):
+        primes = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23, 29], rng.randrange(1, 5))
+        exponents = [rng.randrange(1, 13) for _ in primes]
+        v = 1
+        for p, e in zip(primes, exponents):
+            v *= p ** e
+        divisors = [1]
+        for p, e in zip(primes, exponents):
+            divisors = [s * p ** j for s in divisors
+                        for js in search_mod._divisor_exponents(p, e) for j in js]
+        assert all(s % 6 == v % 6 for s in divisors), v
+        assert not divisors or _valuation(v, 3) != 1, v
 
 
 def test_divisor_filter_loses_no_pair(monkeypatch):
     # At 10^14 the two-cube solve finds the same pairs whether it walks only
-    # the divisors s = v mod 6 or every divisor, and tries fewer.
+    # the divisors with allowed exponents or every divisor, and tries far fewer.
     lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 14))
 
     def solve_all():
@@ -458,16 +555,17 @@ def test_divisor_filter_loses_no_pair(monkeypatch):
                 cubes = [t for t in (*pair, sum(pair)) if t != entry.value]
                 x, y = (iroot(t, 3)[0] for t in cubes)
                 s = x + y if sum(pair) == entry.value else max(x, y) - min(x, y)
+                # a consequence of the allowed exponents, no longer a filter
                 assert entry.value % s == 0 and s % 6 == entry.value % 6, (entry, pair)
             found += pairs
             tried += probes
         return sorted(found), tried
 
     filtered, filtered_tried = solve_all()
-    monkeypatch.setattr(search_mod, "DIVISOR_MODULUS", 1)
+    monkeypatch.setattr(search_mod, "_divisor_exponents", _FILTER_FREE["_divisor_exponents"])
     unfiltered, unfiltered_tried = solve_all()
-    assert filtered == unfiltered and len(filtered) >= 10
-    assert filtered_tried < 0.7 * unfiltered_tried
+    assert filtered == unfiltered and len(filtered) == 343
+    assert (filtered_tried, unfiltered_tried) == (2_809, 55_352)
 
 
 def test_quartic_residues_are_the_fourth_powers_mod_1040():
