@@ -280,11 +280,15 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _rho_budget(bits: int) -> int:
-    """The Brent-rho steps factorize spends on a survivor of bits bits: 2**22
-    up to 128 bits, then a quarter as many each time bits doubles, as a step
-    costs about bits**2 there (per step on semiprimes, CPython 3.11: 1.1 us
-    at 128 bits, 2.0 at 256, 4.7 at 512, 12 at 1,024, 42-47 at 2,040)."""
-    return 2 ** 36 // max(bits, 128) ** 2
+    """The Brent-rho steps factorize spends on a survivor of bits bits: 2**20
+    up to 256 bits, then a quarter as many each time bits doubles, so that
+    every give-up takes about as long: below 256 bits a step costs about
+    the same, above it about bits**2 (per step on semiprimes, CPython 3.11:
+    1.1 us at 128 bits, 2.0 at 256, 4.7 at 512, 12 at 1,024, 42-47 at
+    2,040).  Rho finds a prime factor up to about the square of its budget
+    whatever the size of n: up to 256 bits about 2**40, far past trial
+    division's 10**6."""
+    return 2 ** 36 // max(bits, 256) ** 2
 
 
 def _brent_rho(n: int, rng: random.Random, max_steps: int) -> tuple[int | None, int]:
@@ -333,7 +337,7 @@ def factorize(n: int) -> FactorList:
     capped, n < L**3, so that survivor is the product of two primes of at
     least L; rho finds the smaller, p <= n**(1/2), in about p**(1/2) <=
     n**(1/4) steps (Brent, "An improved Monte Carlo factorization
-    algorithm", BIT 20, 1980), far below the 2**22 steps of its budget.
+    algorithm", BIT 20, 1980), far below the 2**20 steps of its budget.
     Raises BudgetExceeded once rho has spent _rho_budget(bits of the
     survivor) steps; callers degrade to gcd-only reporting then.
     """

@@ -45,19 +45,23 @@ five sweeps (named as in SWEEPS):
    term, over the non-cube y; a y in H with y < h is skipped, as that pair
    is found from y.
 
-Sweeps 2 and 3 keep only the partners whose sum or difference with v can be
-a cube, and sweep 5 those whose sum can be a 4th power: cubes fall in 45 of
-the 819 residues mod 819 = 63 * 13 (CUBE_RESIDUES) and 4th powers in 16 of
-the 1,040 residues mod 1040 = 80 * 13 (QUARTIC_RESIDUES).  A k-th power is a
-k-th power residue for every modulus, so the filter drops no pair; at
-10**16, mod 819 leaves sweeps 2 and 3 43% of the probes that mod 63 (9
-residues) left them, and at 10**12 mod 1040 leaves sweep 5 30% of those of
-mod 80 (4 residues).  The partners are built once per search as sorted
-lists, keyed by the residue of v, and only for the keys the scan reads: v
-mod 819 for a left v with 2v <= bound, -v mod 819 for a right v and v mod
-1040 for a left v in H.  So each sweep is one bisect and one C-level set
-intersection per value.  The scan counts, per sweep, the set probes it
-made and the pairs it found.
+Sweeps 2 and 3 probe only the partners whose sum or difference with v is a
+cube residue mod each of CUBE_SIEVE (9 and the primes p = 1 mod 3 up to 61),
+and sweep 5 those whose sum is a 4th-power residue mod each of QUARTIC_SIEVE
+(16 and the primes p = 1 mod 4 up to 41).  A k-th power is a k-th power
+residue for every modulus, so the sieve drops no pair.  It passes about 3 in
+10,000 residues for cubes and 1 in 10,000 for 4th powers; since 819 = 9 * 7
+* 13 and 1040 = 16 * 5 * 13, it passes no value that a filter mod 819 or
+1040 would drop.  At 10**12 sweeps 2, 3 and 5 probe 253, 527 and 150
+partners, where partner lists mod 819 and 1040 probed 45,140, 75,137 and
+23,470.  The sieve is a bitset over left_other, built once per search: per
+modulus m and shift a < m, one Python int whose bit i is set when
+(a + left_other[i]) % m is a residue (_sieve_masks; 378 ints of
+len(left_other) bits).  Per value and sweep, the scan ANDs the bits of the
+partners' index range with the mask of v mod m (-v mod m in sweep 3; -1 is a
+cube) for each m, then probes the few set bits in one C-level set
+intersection.  The scan counts, per sweep, the set probes it made and the
+pairs it found.
 
 Only a cube of reduced exponent 3 can have a base above bound**(1/4), and
 the scan reads cubes only as set members.  So those cubes are plain values
@@ -96,7 +100,7 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import isqrt
 from operator import add, mod, sub
 from typing import NamedTuple
@@ -249,14 +253,14 @@ def _pairs_within(values: list[int], bound: int) -> int:
         repeat(0), repeat(half)))
 
 
-# The residues of the cubes mod 819 = 63 * 13 and of the 4th powers mod 1040 = 80 * 13.
-CUBE_MODULUS = 819
-CUBE_RESIDUES = frozenset(pow(n, 3, CUBE_MODULUS) for n in range(CUBE_MODULUS))  # 45
-QUARTIC_MODULUS = 1040
-QUARTIC_RESIDUES = frozenset(pow(n, 4, QUARTIC_MODULUS) for n in range(QUARTIC_MODULUS))  # 16
+# The residue sieve of sweeps 2, 3 and 5 (module docstring): 9 and the primes
+# p = 1 mod 3 up to 61 for cubes, 16 and the primes p = 1 mod 4 up to 41 for
+# 4th powers.  Each modulus is below 256, so a residue fits in a byte.
+CUBE_SIEVE = (9, 7, 13, 19, 31, 37, 43, 61)
+QUARTIC_SIEVE = (16, 5, 13, 17, 29, 37, 41)
 # The residues mod 63 of x**3 + y**3, 25 of 63; as -1 is a cube, of x**3 - y**3 too.
-# 63 divides 819, so the cube residues mod 63 are those of CUBE_RESIDUES.
-CUBE_SUM_RESIDUES = frozenset((x + y) % 63 for x in CUBE_RESIDUES for y in CUBE_RESIDUES)
+_CUBES_MOD_63 = frozenset(pow(n, 3, 63) for n in range(63))  # 9
+CUBE_SUM_RESIDUES = frozenset((x + y) % 63 for x in _CUBES_MOD_63 for y in _CUBES_MOD_63)
 
 
 def _is_quartic(exponent: int) -> bool:
@@ -264,26 +268,20 @@ def _is_quartic(exponent: int) -> bool:
     return exponent & (exponent - 1) == 0
 
 
-def _partner_lists(values: list[int], modulus: int, residues: frozenset,
-                   keys: set[int]) -> dict[int, list[int]]:
-    """lists[r], for each residue r in keys, holds in order the values y with
-    (r + y) % modulus in residues.  No other key is built, so reading one raises
-    KeyError."""
-    lists: dict[int, list[int]] = {r: [] for r in keys}
-    # The lists a y goes into depend only on y % modulus, so they are found once
-    # per residue.  Lists, not their bound append methods: a method call on each
-    # list makes no method object, and a cache of methods for 819 residues
-    # would hold 36,855 of them.
-    targets_of: dict[int, list[list[int]]] = {}
-    for y in values:
-        r = y % modulus
-        targets = targets_of.get(r)
-        if targets is None:
-            targets = targets_of[r] = [lists[key] for t in residues
-                                       if (key := (t - r) % modulus) in lists]
-        for target in targets:
-            target.append(y)
-    return lists
+def _sieve_masks(values: list[int], moduli: tuple[int, ...],
+                 power: int) -> list[tuple[int, list[int]]]:
+    """Per modulus m of moduli (each below 256), (m, masks): bit i of masks[a]
+    is set exactly when (a + values[i]) % m is a power-th power residue mod m.
+    The residues mod m are one byte string, last value first, that each
+    shift a translates to the binary digits of its mask."""
+    sieve = []
+    for m in moduli:
+        residues = {pow(n, power, m) for n in range(m)}
+        admits = bytes(b"01"[r in residues] for r in range(m))  # as digits, per residue
+        digits = bytes(map(mod, reversed(values), repeat(m)))
+        sieve.append((m, [int(digits.translate((admits[a:] + admits[:a]).ljust(256, b"0"))
+                              or b"0", 2) for a in range(m)]))
+    return sieve
 
 
 class _Lanes(NamedTuple):
@@ -300,8 +298,10 @@ class _Lanes(NamedTuple):
     left_h: set[int]            # left values in class H
     cubes: set[int]             # cube values of exponent >= min(lo_exp, min_z): left or right
     right_quartics: set[int]    # right values in class Q
-    cube_partners: dict[int, list[int]]     # _partner_lists(left_other, CUBE_MODULUS, ...)
-    quartic_partners: dict[int, list[int]]  # _partner_lists(left_other, QUARTIC_MODULUS, ...)
+    # _sieve_masks(left_other, CUBE_SIEVE, 3) and (left_other, QUARTIC_SIEVE, 4):
+    # per modulus m, the masks over left_other indexed by a shift mod m
+    cube_sieve: list[tuple[int, list[int]]]
+    quartic_sieve: list[tuple[int, list[int]]]
 
 
 def _value_set(values: list[int]) -> set[int]:
@@ -327,42 +327,62 @@ def _smallest_prime_factors(limit: int) -> array:
     return spf
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress selectors
+
+
+def _sieved(values: list[int], sieve: list[tuple[int, list[int]]], r: int,
+            first: int, last: int) -> list[int]:
+    """The values[first:last] whose bit is set in the mask of r mod m for
+    each modulus m of sieve.  The few bits left are read from the top, each
+    step shortening the int; past 1,024 (a sieve with no modulus) one
+    C-level pass over the binary digits costs less."""
+    candidates = (1 << last) - (1 << first)
+    for m, masks in sieve:
+        candidates &= masks[r % m]
+    if candidates.bit_count() > 1024:
+        return list(compress(values, bin(candidates)[:1:-1].encode().translate(_BIT_FLAGS)))
+    found = []
+    while candidates:
+        i = candidates.bit_length() - 1
+        found.append(values[i])
+        candidates ^= 1 << i
+    return found
+
+
 def _match_stripe(lanes: _Lanes, start: int,
                   step: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """The unordered pairs (a, b) of left values with a + b a right value
     whose owner (see the module docstring) is one of the non-cube values
     non_cubes[start::step], where any cube of lanes.cubes counts as left and
     as right; then, per sweep in SWEEPS order, the number of set probes made
-    (the partners tried in set intersections, or the divisors _cube_pairs
-    tried) and the number of those pairs it found.
+    (the partners the sieve passed, or the divisors _cube_pairs tried) and
+    the number of those pairs it found.
     """
     bound, lo_exp, min_z = lanes.bound, lanes.lo_exp, lanes.min_z
     left_other, left_other_set, left_h = lanes.left_other, lanes.left_other_set, lanes.left_h
     cubes, right_quartics = lanes.cubes, lanes.right_quartics
-    cube_partners, quartic_partners = lanes.cube_partners, lanes.quartic_partners
+    cube_sieve, quartic_sieve = lanes.cube_sieve, lanes.quartic_sieve
     found: list[tuple[int, int]] = []
     probes1 = probes2 = probes3 = probes4 = probes5 = 0
     pairs1 = pairs2 = pairs3 = pairs4 = pairs5 = 0
-    # Almost every intersection is empty, so the pairs are built only for the rest.
+    # Most sieves pass no partner and most intersections are empty, so each
+    # step runs only on what the last one left.
     for entry in lanes.non_cubes[start::step]:
         v = entry.value
         left, right = entry.exponent >= lo_exp, entry.exponent >= min_z
         in_h = not _is_quartic(entry.exponent)
         if left and 2 * v <= bound:  # v = a, c a cube
-            partners = cube_partners[v % CUBE_MODULUS]
-            first = bisect_left(partners, v)
-            last = bisect_right(partners, bound - v, first)
-            probes2 += last - first
-            sums = cubes.intersection(map(add, repeat(v), partners[first:last]))
-            if sums:
+            first = bisect_left(left_other, v)
+            partners = _sieved(left_other, cube_sieve, v, first,
+                               bisect_right(left_other, bound - v, first))
+            probes2 += len(partners)
+            if partners and (sums := cubes.intersection(map(add, repeat(v), partners))):
                 found.extend((v, c - v) for c in sums)
                 pairs2 += len(sums)
-        if right:  # v = c, one of a, b a cube
-            partners = cube_partners[-v % CUBE_MODULUS]
-            last = bisect_left(partners, v)
-            probes3 += last
-            terms = cubes.intersection(map(sub, repeat(v), partners[:last]))
-            if terms:
+        if right:  # v = c, one of a, b a cube; -1 is a cube
+            partners = _sieved(left_other, cube_sieve, -v, 0, bisect_left(left_other, v))
+            probes3 += len(partners)
+            if partners and (terms := cubes.intersection(map(sub, repeat(v), partners))):
                 found.extend((v - x, x) for x in terms)
                 pairs3 += len(terms)
         if right and in_h:  # v = c in H, no cube
@@ -374,11 +394,10 @@ def _match_stripe(lanes: _Lanes, start: int,
                 found.extend((v - x, x) for x in terms)
                 pairs4 += len(terms)
         if left and in_h:  # v in H, no cube, c in Q
-            partners = quartic_partners[v % QUARTIC_MODULUS]
-            last = bisect_right(partners, bound - v)
-            probes5 += last
-            sums = right_quartics.intersection(map(add, repeat(v), partners[:last]))
-            if sums:
+            partners = _sieved(left_other, quartic_sieve, v, 0,
+                               bisect_right(left_other, bound - v))
+            probes5 += len(partners)
+            if partners and (sums := right_quartics.intersection(map(add, repeat(v), partners))):
                 owned = [(v, c - v) for c in sums if c - v >= v or c - v not in left_h]
                 found += owned
                 pairs5 += len(owned)
@@ -647,14 +666,6 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     del table, cubes, left_cubes  # the scan reads none of them
     left_h = {entry.value for entry in non_cubes
               if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)}
-    # The keys of the partner lists that _match_stripe reads, and no others:
-    # v for a left v with 2v <= bound and -v for a right v (sweeps 2 and 3),
-    # v for a left v in H (sweep 5).
-    cube_keys = set(map(mod, left_other[:bisect_right(left_other, config.bound // 2)],
-                        repeat(CUBE_MODULUS)))
-    cube_keys.update(-entry.value % CUBE_MODULUS for entry in non_cubes
-                     if entry.exponent >= config.min_z)
-    quartic_keys = set(map(mod, left_h, repeat(QUARTIC_MODULUS)))
     lanes = _Lanes(
         bound=config.bound,
         lo_exp=lo_exp,
@@ -667,9 +678,8 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         cubes=cube_set,
         right_quartics={entry.value for entry in non_cubes
                         if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
-        cube_partners=_partner_lists(left_other, CUBE_MODULUS, CUBE_RESIDUES, cube_keys),
-        quartic_partners=_partner_lists(left_other, QUARTIC_MODULUS, QUARTIC_RESIDUES,
-                                        quartic_keys))
+        cube_sieve=_sieve_masks(left_other, CUBE_SIEVE, 3),
+        quartic_sieve=_sieve_masks(left_other, QUARTIC_SIEVE, 4))
     indexed = time.perf_counter()
 
     workers = 1 if config.min_z >= config.bound.bit_length() else config.workers  # no right value

@@ -468,7 +468,7 @@ def test_factorize_splits_primes_above_the_trial_limit(primes, monkeypatch):
     n = math.prod(primes)
     assert min(primes[-2:]) >= min(10 ** 6, 1 << iroot(n, 3)[0].bit_length())
     expected = sorted(Counter(primes).items())
-    assert factorize(n) == expected  # the derived budget, 2**22 rho steps below 2**128
+    assert factorize(n) == expected  # the derived budget, 2**20 rho steps below 2**256
     monkeypatch.setattr(exact_arith, "_rho_budget", lambda bits: 2 ** 16)
     assert factorize(n) == expected  # far fewer steps suffice
 

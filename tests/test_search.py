@@ -6,7 +6,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -56,15 +56,18 @@ def test_enumerate_powers_matches_perfect_power_reference():
     # Every threshold of enumerate_powers (2**min_exp, each n**min_exp that
     # moves its base limit, each value it appends) is a reference value, so
     # its table changes only at a reference value v: the bounds v - 1, v and
-    # v + 1, and 1 and 3,000, meet every distinct table and both sides of
-    # each cut-off.  For min_exp 1 that is still every bound.
-    for min_exp in range(1, 5):
-        reference = _reference_powers(3000, min_exp)
+    # v + 1, and 1 and the top, meet every distinct table and both sides of
+    # each cut-off.  For min_exp 1 every n >= 2 is a value, so that is every
+    # bound, and its top is 300 (3,000 tables of up to 3,000 took 2 s); then
+    # the one table at 3,000.
+    for min_exp, top in ((1, 300), (2, 3000), (3, 3000), (4, 3000)):
+        reference = _reference_powers(top, min_exp)
         values = [entry.value for entry in reference]
-        bounds = {1, 3000} | {b for v in values for b in (v - 1, v, v + 1) if 1 <= b <= 3000}
+        bounds = {1, top} | {b for v in values for b in (v - 1, v, v + 1) if 1 <= b <= top}
         for bound in sorted(bounds):
             expected = reference[:bisect_right(values, bound)]
             assert enumerate_powers(bound, min_exp) == expected, (bound, min_exp)
+    assert enumerate_powers(3000, 1) == _reference_powers(3000, 1)
     for bound in (10 ** 12, 10 ** 13):
         entries = enumerate_powers(bound, 3)
         assert all(type(entry) is PowerEntry for entry in entries), bound
@@ -181,14 +184,12 @@ def _lookup_reference(bound: int, minimums: tuple[int, int, int]) -> list[BealTr
     return sorted(found, key=lambda t: (t.cz, t.by, t.ax))
 
 
-# The search module's names that switch its exact filters off: every value
-# has the one cube and 4th-power residue 0, every v may be a sum of two
-# cubes, and the two-cube walk builds every divisor, each prime with every
-# exponent.  A scan with them set shares no filter with the real one, so it
-# checks the filters past the oracle's ceiling (bench/run.py --completeness
-# sets them at 10**16).
-_FILTER_FREE = {"CUBE_MODULUS": 1, "CUBE_RESIDUES": frozenset({0}),
-                "QUARTIC_MODULUS": 1, "QUARTIC_RESIDUES": frozenset({0}),
+# The search module's names that switch its exact filters off: the residue
+# sieve has no modulus, every v may be a sum of two cubes, and the two-cube
+# walk builds every divisor, each prime with every exponent.  A scan with
+# them set shares no filter with the real one, so it checks the filters past
+# the oracle's ceiling (bench/run.py --completeness sets them at 10**16).
+_FILTER_FREE = {"CUBE_SIEVE": (), "QUARTIC_SIEVE": (),
                 "CUBE_SUM_RESIDUES": frozenset(range(63)),
                 "_divisor_exponents": lambda p, e: (range(e + 1),)}
 
@@ -376,43 +377,87 @@ def test_scan_finds_each_pair_once(monkeypatch, bound, minimums, named):
         assert sorted(found) == reference, step
 
 
-def test_partner_lists_hold_the_admissible_residues(monkeypatch):
+def _is_residue(r: int, modulus: int, power: int) -> bool:
+    return any(pow(n, power, modulus) == r % modulus for n in range(modulus))
+
+
+def test_scan_reads_the_sieves_of_its_left_values(monkeypatch):
     lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 12))
-    cube_residues = {n ** 3 % 819 for n in range(819)}
-    quartic_residues = {n ** 4 % 1040 for n in range(1040)}
-    assert len(cube_residues) == 45 and len(quartic_residues) == 16
-    # The keys the scan reads: v % 819 for a left v with 2v <= bound (sweep 2),
-    # -v % 819 for a right v (sweep 3) and v % 1040 for a left v in H (sweep 5).
-    left = [v for v, _, exponent in lanes.non_cubes if exponent >= lanes.lo_exp]
-    right = [v for v, _, exponent in lanes.non_cubes if exponent >= lanes.min_z]
-    cube_keys = {v % 819 for v in left if 2 * v <= lanes.bound} | {-v % 819 for v in right}
-    quartic_keys = {v % 1040 for v in lanes.left_h}
-    for partners, modulus, residues, keys in (
-            (lanes.cube_partners, 819, cube_residues, cube_keys),
-            (lanes.quartic_partners, 1040, quartic_residues, quartic_keys)):
-        assert set(partners) == keys and 0 < len(keys) < modulus
-        for r in set(range(modulus)) - keys:
-            with pytest.raises(KeyError):
-                partners[r]
-        for r, values in partners.items():
-            assert values == sorted(values)
-            assert values == [y for y in lanes.left_other if (r + y) % modulus in residues]
+    assert search_mod.CUBE_SIEVE == (9, 7, 13, 19, 31, 37, 43, 61)
+    assert search_mod.QUARTIC_SIEVE == (16, 5, 13, 17, 29, 37, 41)
+    assert lanes.cube_sieve == search_mod._sieve_masks(lanes.left_other, search_mod.CUBE_SIEVE, 3)
+    assert lanes.quartic_sieve == search_mod._sieve_masks(lanes.left_other,
+                                                          search_mod.QUARTIC_SIEVE, 4)
+    # 378 masks of at most one bit per left value
+    masks = [mask for sieve in (lanes.cube_sieve, lanes.quartic_sieve) for _, ms in sieve
+             for mask in ms]
+    assert len(masks) == 378 and max(masks).bit_length() <= len(lanes.left_other)
 
 
-@pytest.mark.parametrize("modulus, power", [(63, 3), (80, 4), (819, 3), (1040, 4)])
-def test_partner_lists_match_their_definition(modulus, power):
-    residues = frozenset(n ** power % modulus for n in range(modulus))
-    rng = random.Random(modulus)
+@pytest.mark.parametrize("moduli, power", [((9, 7, 13, 19, 31, 37, 43, 61), 3),
+                                           ((16, 5, 13, 17, 29, 37, 41), 4),
+                                           ((63, 80, 255, 2), 3), ((255, 1), 4)],
+                         ids=["cube-sieve", "quartic-sieve", "63-80-255-2", "255-1"])
+def test_sieve_masks_match_their_definition(moduli, power):
+    rng = random.Random(sum(moduli))
     for size, bits in ((0, 8), (1, 8), (50, 12), (400, 40), (300, 90)):
         # distinct values, past 2^64 at 90 bits
         values = sorted({rng.getrandbits(bits) + 1 for _ in range(size)})
-        naive = [[y for y in values if (r + y) % modulus in residues] for r in range(modulus)]
-        for keys in (set(range(modulus)), set(rng.sample(range(modulus), modulus // 3)), set()):
-            lists = search_mod._partner_lists(values, modulus, residues, keys)
-            assert lists == {r: naive[r] for r in keys}, (size, bits, len(keys))
-            for r in set(range(modulus)) - keys:
-                with pytest.raises(KeyError):
-                    lists[r]
+        sieve = search_mod._sieve_masks(values, moduli, power)
+        assert [m for m, _ in sieve] == list(moduli)
+        for m, masks in sieve:
+            admitted = {pow(n, power, m) for n in range(m)}
+            assert len(masks) == m
+            for a, mask in enumerate(masks):
+                bits_set = [i for i in range(size) if mask >> i & 1]
+                assert bits_set == [i for i, y in enumerate(values)
+                                    if (a + y) % m in admitted], (size, bits, m, a)
+                assert mask < 1 << len(values)
+    assert search_mod._sieve_masks([], (9, 16), 3) == [(9, [0] * 9), (16, [0] * 16)]
+    assert search_mod._sieve_masks([5, 8], (), 3) == []
+
+
+def test_sieved_keeps_the_range_values_every_modulus_admits():
+    # With the cube sieve a few bits survive and are cleared one at a time;
+    # with no modulus every bit of a range past 1,024 values is read in one pass.
+    rng = random.Random(31)
+    for size in (0, 1, 64, 3000):
+        values = sorted({rng.getrandbits(90) for _ in range(size)})  # past 2^64
+        size = len(values)
+        for moduli in (search_mod.CUBE_SIEVE, (9, 7), ()):
+            sieve = search_mod._sieve_masks(values, moduli, 3)
+            cubes = {m: {pow(n, 3, m) for n in range(m)} for m in moduli}
+            for r in (0, 1, -5, rng.getrandbits(70), -rng.getrandbits(70)):
+                for first, last in {(0, size), (0, size // 2), (size // 3, size), (size, size)}:
+                    expected = [y for y in values[first:last]
+                                if all((r + y) % m in cubes[m] for m in moduli)]
+                    found = search_mod._sieved(values, sieve, r, first, last)
+                    assert sorted(found) == expected, (size, moduli, r, first, last)
+
+
+def test_sieves_pass_no_value_the_old_filters_drop():
+    # 819 = 9 * 7 * 13 and 1040 = 16 * 5 * 13, each factor a sieve modulus:
+    # so by the Chinese remainder theorem a residue that passes every
+    # modulus of a sieve is a cube (4th-power) residue mod 819 (1040), and
+    # the sieve probes no partner that a filter mod 819 (1040) would skip.
+    for moduli, power, old in ((search_mod.CUBE_SIEVE, 3, 819),
+                               (search_mod.QUARTIC_SIEVE, 4, 1040)):
+        assert all(gcd(m, n) == 1 for i, m in enumerate(moduli) for n in moduli[i + 1:])
+        assert all(m < 256 for m in moduli)
+        factors = [m for m in moduli if old % m == 0]
+        assert sorted(factors) == ([7, 9, 13] if power == 3 else [5, 13, 16])
+        assert prod(factors) == old
+        old_residues = {pow(n, power, old) for n in range(old)}
+        passed = {r for r in range(old) if all(_is_residue(r, m, power) for m in factors)}
+        assert passed == old_residues, old
+    # each modulus is 9, 16 or a prime with a proper subgroup of k-th powers
+    for moduli, power in ((search_mod.CUBE_SIEVE, 3), (search_mod.QUARTIC_SIEVE, 4)):
+        for m in moduli:
+            assert m in (9, 16) or (m % power == 1 and factorize(m) == [(m, 1)]), m
+    # a k-th power is a residue for every modulus, so the sieve drops no power
+    bases = random.Random(29).sample(range(10 ** 12), 500)
+    for moduli, power in ((search_mod.CUBE_SIEVE, 3), (search_mod.QUARTIC_SIEVE, 4)):
+        assert all(_is_residue(n ** power, m, power) for n in bases for m in moduli)
 
 
 def test_value_set_holds_the_values_in_no_larger_a_table():
@@ -566,16 +611,6 @@ def test_divisor_filter_loses_no_pair(monkeypatch):
     unfiltered, unfiltered_tried = solve_all()
     assert filtered == unfiltered and len(filtered) == 343
     assert (filtered_tried, unfiltered_tried) == (2_809, 55_352)
-
-
-def test_quartic_residues_are_the_fourth_powers_mod_1040():
-    assert search_mod.QUARTIC_MODULUS == 1040
-    fourth_powers = {n ** 4 % 1040 for n in range(1040)}
-    assert search_mod.QUARTIC_RESIDUES == fourth_powers and len(fourth_powers) == 16
-    # 1040 = 80 * 13: mod 80 they reduce to the 4th-power residues {0, 1, 16, 65}
-    assert {r % 80 for r in fourth_powers} == {0, 1, 16, 65}
-    bases = random.Random(4).sample(range(10 ** 9), 500)
-    assert all(pow(n, 4, 1040) in fourth_powers for n in bases)
 
 
 def test_scan_probes_are_counted_and_few():
