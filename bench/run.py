@@ -14,12 +14,18 @@ every tree alike rather than reading as a code change.
 The cases, --repeats samples per tree each:
   startup: a fresh `python -c "import bealsearch.cli"` (import_s, timed
     inside it, and import_process_s, the whole process) and a fresh
-    `bealsearch verify-identities --cases 1` (verify_identities_process_s);
+    `bealsearch verify-identities --cases 1` (verify_identities_process_s).
+    Both read bytecode from a cache of their own (PYTHONPYCACHEPREFIX in a
+    new temporary directory), which one untimed verify-identities run fills
+    from the tree's source first, so a stale __pycache__ in the tree cannot
+    read as a code change; the facts say whether the timed import still
+    compiled any module from source (compiled_from_source);
   search: one search (bound, minimums, workers) after one untimed warm-up
     search at 10^6, whose peak memory is below every case's; the sample
     holds wall_s, each phase of SearchReport.phases, the process's peak
     RSS, the larger of its own and its forked workers', and the set probes
-    of each sweep of the scan (SearchReport.sweeps).  The cases are
+    and seconds of each sweep of the scan (SearchReport.sweeps and
+    SearchReport.sweep_seconds).  The cases are
     10^12, 10^14 and 10^16 with minimums 3,3,3 and 1 worker, 10^14 with 2,
     and perfbench's search_split, 10^13 with minimums 4,3,3 and 2 workers.
     The search at 10^18 (about a minute per run) is a case only with
@@ -64,8 +70,9 @@ runs can be added to one file; the statistics are recomputed over all samples
 of a label: per case the raw samples and, per timed quantity, the median,
 minimum and quartiles.  A search case also holds the report's counts and the
 set probes of the scan per second of median scan_s when the report counts
-them (SearchReport.scan_probes), and the probes and found pairs of each
-sweep of the scan (SearchReport.sweeps).  The machine facts are nproc, the
+them (SearchReport.scan_probes), the probes and found pairs of each
+sweep of the scan (SearchReport.sweeps) and, per sweep, the statistics of
+its seconds (SearchReport.sweep_seconds).  The machine facts are nproc, the
 CPU model, the Python version and whether Python writes bytecode caches
 (without them every start-up compiles the package from source).
 """
@@ -85,6 +92,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -97,10 +105,15 @@ COMPLETENESS = [(10 ** 13, (3, 3, 3)), (10 ** 13, (4, 3, 3)), (10 ** 14, (3, 3, 
 CLASSIFY_SEED = 1_000_003
 PHASES = ("enumerate_s", "index_s", "scan_s", "annotate_s")
 KERNEL_MIN_S = 0.05
-# Run with the tree's SRC as argv[1], each in a fresh interpreter.
-IMPORT_SCRIPT = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+# Run with the tree's SRC as argv[1], each in a fresh interpreter.  The import
+# prints its seconds and then whether any bealsearch module it loaded lacks a
+# bytecode file, which, in a process that writes none, means it compiled that
+# module from source.
+IMPORT_SCRIPT = ("import os, sys, time; sys.path.insert(0, sys.argv[1]); "
                  "started = time.perf_counter(); import bealsearch.cli; "
-                 "print(time.perf_counter() - started)")
+                 "print(time.perf_counter() - started); "
+                 "print(not all(os.path.exists(module.__cached__) "
+                 "for name, module in sys.modules.items() if name.split('.')[0] == 'bealsearch'))")
 MAIN_SCRIPT = ("import sys; sys.path.insert(0, sys.argv[1]); "
                "from bealsearch.cli import main; sys.exit(main(sys.argv[2:]))")
 
@@ -140,13 +153,22 @@ def kernel_cases() -> dict[str, tuple]:
     power_calls = {bits: [(n,) for n in odd_ints(bits, count)]
                    for bits, count in ((64, 16), (500, 8), (2000, 4))}
 
+    class Caught(Exception):
+        """Stops a search once its lanes are built."""
+
     def cube_pairs_case(bound: int):
         """search._cube_pairs over every non-cube of the scan's lanes at bound."""
         caught, real = [], search._match_forked
-        no_scan = [([], [0] * len(search.SWEEPS), [0] * len(search.SWEEPS))]
-        search._match_forked = lambda lanes, workers: caught.append(lanes) or no_scan
+
+        def catching(lanes, workers):
+            caught.append(lanes)
+            raise Caught
+
+        search._match_forked = catching
         try:
             search_solutions(SearchConfig(bound))
+        except Caught:
+            pass
         finally:
             search._match_forked = real
         lanes = caught[0]
@@ -228,17 +250,25 @@ def digest(text: str) -> str:
 # --- the cases: each sends one (sample, facts, output digest or None) through conn
 
 def startup_sample(src: str, conn) -> None:
-    started = time.perf_counter()
-    imported = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT, src],
-                              capture_output=True, text=True, check=True)
-    middle = time.perf_counter()
-    verified = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, src,
-                               "verify-identities", "--cases", "1"],
-                              capture_output=True, text=True)
-    done = time.perf_counter()
-    sample = {"import_s": float(imported.stdout), "import_process_s": middle - started,
+    verify = [sys.executable, "-c", MAIN_SCRIPT, src, "verify-identities", "--cases", "1"]
+    with tempfile.TemporaryDirectory() as cache:
+        # A private bytecode cache, filled by one untimed run from the tree's
+        # current source, so no stale __pycache__ in the tree is ever read.
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        subprocess.run(verify, env=env, capture_output=True)
+        env["PYTHONDONTWRITEBYTECODE"] = "1"  # the timed processes only read it
+        started = time.perf_counter()
+        imported = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT, src],
+                                  capture_output=True, text=True, check=True, env=env)
+        middle = time.perf_counter()
+        verified = subprocess.run(verify, capture_output=True, text=True, env=env)
+        done = time.perf_counter()
+    import_s, compiled = imported.stdout.split()
+    sample = {"import_s": float(import_s), "import_process_s": middle - started,
               "verify_identities_process_s": done - middle}
-    conn.send((sample, {}, digest(f"{verified.returncode}\n{verified.stdout}")))
+    conn.send((sample, {"compiled_from_source": compiled == "True"},
+               digest(f"{verified.returncode}\n{verified.stdout}")))
 
 
 def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers: int,
@@ -253,6 +283,8 @@ def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers:
     sample.update((name, report.phases[name]) for name in PHASES)
     sample["peak_rss_mb"] = peak_rss_mb()
     sample["probes"] = {name: sweep["probes"] for name, sweep in report.sweeps.items()}
+    if getattr(report, "sweep_seconds", None) is not None:  # a tree from before has none
+        sample["sweep_seconds"] = report.sweep_seconds
     counts = dict(report.counts, scan_probes=report.scan_probes)
     conn.send((sample, {"counts": counts, "sweeps": report.sweeps}, None))
 
@@ -400,7 +432,7 @@ def run_case(runs: dict, trees: list[tuple[str, str]], name: str, repeats: int,
             case.update(facts)
             case["repeats"] = len(case["samples"])
             for key, value in sample.items():
-                if not isinstance(value, dict):  # a search's per-sweep probes are facts
+                if not isinstance(value, dict):  # a search's per-sweep figures: see main
                     case[key] = summary([run[key] for run in case["samples"]])
             if output is not None:
                 known = {runs[other][name].get("output_sha256") for other in runs
@@ -475,6 +507,10 @@ def main(argv=None) -> int:
             case.update(bound=str(bound), minimums=list(minimums), workers=workers)
             probes = case["counts"]["scan_probes"]
             case["probes_per_s"] = probes / case["scan_s"]["median"] if probes else None
+            seconds = [run["sweep_seconds"] for run in case["samples"] if "sweep_seconds" in run]
+            if seconds:
+                case["sweep_seconds"] = {sweep: summary([run[sweep] for run in seconds])
+                                         for sweep in seconds[0]}
     differ = []
     for bound, minimums in COMPLETENESS if args.completeness else []:
         name = f"completeness 10^{len(str(bound)) - 1} minimums {','.join(map(str, minimums))}"

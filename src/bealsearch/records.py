@@ -250,6 +250,7 @@ def report_to_obj(report: SearchReport, include_timing: bool = True,
         obj["phases"] = dict(report.phases)
         obj["scan_probes"] = report.scan_probes
         obj["sweeps"] = report.sweeps
+        obj["sweep_seconds"] = report.sweep_seconds
         obj["verification_failures"] = report.verification_failures
     return obj
 

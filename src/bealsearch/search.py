@@ -60,8 +60,16 @@ modulus m and shift a < m, one Python int whose bit i is set when
 len(left_other) bits).  Per value and sweep, the scan ANDs the bits of the
 partners' index range with the mask of v mod m (-v mod m in sweep 3; -1 is a
 cube) for each m, then probes the few set bits in one C-level set
-intersection.  The scan counts, per sweep, the set probes it made and the
-pairs it found.
+intersection.
+
+The scan takes an explicit list of non-cube entries and runs the five
+sweeps as five passes over it, in SWEEPS order.  Each pass picks the values
+it applies to (sweep 1 every value; sweep 2 the left values v with 2v <=
+bound; sweep 3 the right values; sweep 4 the right values in H; sweep 5 the
+left values in H), takes the bounds of all their partners' index ranges at
+once with C-level bisects, and then probes value by value.  Per sweep the
+scan counts the set probes it made and the pairs it found, and times its
+pass.
 
 Only a cube of reduced exponent 3 can have a base above bound**(1/4), and
 the scan reads cubes only as set members.  So those cubes are plain values
@@ -69,11 +77,12 @@ n**3, and a PowerEntry table (a sieve over the bases, no root per base) holds
 the powers of exponent >= 4: at 10**18, 37,112 entries beside 999,999 cube
 values.  A hit's term that the table lacks is such a cube, of base its root.
 
-The scan is striped by index of v across workers: the search scans stripe
-0 itself and forks one child per other stripe, which reads the lanes from
-the fork's copy of memory and sends back its pairs and per-sweep counts
-(marshal, through a pipe).  The annotated hits are sorted by SearchHit.sort_key, so
-reports are deterministic for any worker count.  A deliberately naive
+The scan is striped by index of v across workers, stripe i the entry list
+non_cubes[i::workers]: the search scans stripe 0 itself and forks one child
+per other stripe, which reads the lanes from the fork's copy of memory and
+sends back its pairs and per-sweep counts and seconds (marshal, through a
+pipe).  The annotated hits are sorted by SearchHit.sort_key, so reports are
+deterministic for any worker count.  A deliberately naive
 triple-enumeration oracle with its own power enumeration (repeated
 multiplication, no root extraction, no sum index) provides the independent
 cross-check used by the acceptance suite.
@@ -182,7 +191,8 @@ class SearchReport:
 
     def __init__(self, config: SearchConfig, hits: list[SearchHit], counts: dict[str, int],
                  wall_time_s: float, phases: dict[str, float],
-                 sweeps: dict[str, dict[str, int]] | None):
+                 sweeps: dict[str, dict[str, int]] | None,
+                 sweep_seconds: dict[str, float] | None = None):
         self.config = config
         self.hits = hits
         self.counts = counts
@@ -192,6 +202,8 @@ class SearchReport:
         self.sweeps = sweeps
         self.scan_probes = (None if sweeps is None  # set probes of the whole pair scan
                             else sum(sweep["probes"] for sweep in sweeps.values()))
+        # per sweep name, its seconds summed over the stripes; None for the oracle
+        self.sweep_seconds = sweep_seconds
 
     @property
     def triples(self) -> list[BealTriple]:
@@ -302,6 +314,7 @@ class _Lanes(NamedTuple):
     # per modulus m, the masks over left_other indexed by a shift mod m
     cube_sieve: list[tuple[int, list[int]]]
     quartic_sieve: list[tuple[int, list[int]]]
+    cube_cut: int               # 27 * bound**2: a left v tries the s with s**3 * cube_cut >= v**3
 
 
 def _value_set(values: list[int]) -> set[int]:
@@ -349,69 +362,91 @@ def _sieved(values: list[int], sieve: list[tuple[int, list[int]]], r: int,
     return found
 
 
-def _match_stripe(lanes: _Lanes, start: int,
-                  step: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
+        list[tuple[int, int]], list[int], list[int], list[float]]:
     """The unordered pairs (a, b) of left values with a + b a right value
-    whose owner (see the module docstring) is one of the non-cube values
-    non_cubes[start::step], where any cube of lanes.cubes counts as left and
-    as right; then, per sweep in SWEEPS order, the number of set probes made
-    (the partners the sieve passed, or the divisors _cube_pairs tried) and
-    the number of those pairs it found.
+    whose owner (see the module docstring) is one of the non-cube entries,
+    where any cube of lanes.cubes counts as left and as right; then, per
+    sweep in SWEEPS order, the number of set probes made (the partners the
+    sieve passed, or the divisors _cube_pairs tried), the number of those
+    pairs it found and its seconds.
+
+    Each sweep is one pass over the entries it applies to, which takes the
+    partners' index bounds of all of them at once, at C level.  Most sieves
+    pass no partner and most intersections are empty, so each step runs
+    only on what the last one left.
     """
     bound, lo_exp, min_z = lanes.bound, lanes.lo_exp, lanes.min_z
     left_other, left_other_set, left_h = lanes.left_other, lanes.left_other_set, lanes.left_h
     cubes, right_quartics = lanes.cubes, lanes.right_quartics
     cube_sieve, quartic_sieve = lanes.cube_sieve, lanes.quartic_sieve
     found: list[tuple[int, int]] = []
-    probes1 = probes2 = probes3 = probes4 = probes5 = 0
-    pairs1 = pairs2 = pairs3 = pairs4 = pairs5 = 0
-    # Most sieves pass no partner and most intersections are empty, so each
-    # step runs only on what the last one left.
-    for entry in lanes.non_cubes[start::step]:
-        v = entry.value
-        left, right = entry.exponent >= lo_exp, entry.exponent >= min_z
-        in_h = not _is_quartic(entry.exponent)
-        if left and 2 * v <= bound:  # v = a, c a cube
-            first = bisect_left(left_other, v)
-            partners = _sieved(left_other, cube_sieve, v, first,
-                               bisect_right(left_other, bound - v, first))
-            probes2 += len(partners)
-            if partners and (sums := cubes.intersection(map(add, repeat(v), partners))):
-                found.extend((v, c - v) for c in sums)
-                pairs2 += len(sums)
-        if right:  # v = c, one of a, b a cube; -1 is a cube
-            partners = _sieved(left_other, cube_sieve, -v, 0, bisect_left(left_other, v))
-            probes3 += len(partners)
-            if partners and (terms := cubes.intersection(map(sub, repeat(v), partners))):
-                found.extend((v - x, x) for x in terms)
-                pairs3 += len(terms)
-        if right and in_h:  # v = c in H, no cube
-            first = bisect_left(left_other, v - v // 2)
-            last = bisect_left(left_other, v, first)
-            probes4 += last - first
-            terms = left_other_set.intersection(map(sub, repeat(v), left_other[first:last]))
-            if terms:
-                found.extend((v - x, x) for x in terms)
-                pairs4 += len(terms)
-        if left and in_h:  # v in H, no cube, c in Q
-            partners = _sieved(left_other, quartic_sieve, v, 0,
-                               bisect_right(left_other, bound - v))
-            probes5 += len(partners)
-            if partners and (sums := right_quartics.intersection(map(add, repeat(v), partners))):
-                owned = [(v, c - v) for c in sums if c - v >= v or c - v not in left_h]
-                found += owned
-                pairs5 += len(owned)
-        pairs, tried = _cube_pairs(lanes, entry, left, right)
-        found += pairs
-        probes1 += tried
-        pairs1 += len(pairs)
-    return (found, [probes1, probes2, probes3, probes4, probes5],
-            [pairs1, pairs2, pairs3, pairs4, pairs5])
+    tally = []  # per sweep: probes, pairs, seconds
+
+    started, probed, paired = time.perf_counter(), 0, 0  # v a sum or difference of two cubes
+    for entry in entries:
+        owned, tried = _cube_pairs(lanes, entry, entry.exponent >= lo_exp,
+                                   entry.exponent >= min_z)
+        found += owned
+        probed += tried
+        paired += len(owned)
+    tally.append((probed, paired, time.perf_counter() - started))
+
+    started, probed, paired = time.perf_counter(), 0, 0  # v = a, c a cube
+    half = bound // 2
+    values = [entry.value for entry in entries if entry.exponent >= lo_exp and entry.value <= half]
+    firsts = list(map(bisect_left, repeat(left_other), values))
+    lasts = map(bisect_right, repeat(left_other), map(sub, repeat(bound), values), firsts)
+    for v, first, last in zip(values, firsts, lasts):
+        partners = _sieved(left_other, cube_sieve, v, first, last)
+        probed += len(partners)
+        if partners and (sums := cubes.intersection(map(add, repeat(v), partners))):
+            found.extend((v, c - v) for c in sums)
+            paired += len(sums)
+    tally.append((probed, paired, time.perf_counter() - started))
+
+    started, probed, paired = time.perf_counter(), 0, 0  # v = c, one of a, b a cube; -1 a cube
+    values = [entry.value for entry in entries if entry.exponent >= min_z]
+    for v, last in zip(values, map(bisect_left, repeat(left_other), values)):
+        partners = _sieved(left_other, cube_sieve, -v, 0, last)
+        probed += len(partners)
+        if partners and (terms := cubes.intersection(map(sub, repeat(v), partners))):
+            found.extend((v - x, x) for x in terms)
+            paired += len(terms)
+    tally.append((probed, paired, time.perf_counter() - started))
+
+    started, probed, paired = time.perf_counter(), 0, 0  # v = c in H, no cube
+    values = [entry.value for entry in entries
+              if entry.exponent >= min_z and not _is_quartic(entry.exponent)]
+    firsts = list(map(bisect_left, repeat(left_other), [v - v // 2 for v in values]))
+    lasts = map(bisect_left, repeat(left_other), values, firsts)
+    for v, first, last in zip(values, firsts, lasts):
+        probed += last - first
+        if terms := left_other_set.intersection(map(sub, repeat(v), left_other[first:last])):
+            found.extend((v - x, x) for x in terms)
+            paired += len(terms)
+    tally.append((probed, paired, time.perf_counter() - started))
+
+    started, probed, paired = time.perf_counter(), 0, 0  # v in H, no cube, c in Q
+    values = [entry.value for entry in entries
+              if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)]
+    lasts = map(bisect_right, repeat(left_other), map(sub, repeat(bound), values))
+    for v, last in zip(values, lasts):
+        partners = _sieved(left_other, quartic_sieve, v, 0, last)
+        probed += len(partners)
+        if partners and (sums := right_quartics.intersection(map(add, repeat(v), partners))):
+            owned = [(v, c - v) for c in sums if c - v >= v or c - v not in left_h]
+            found += owned
+            paired += len(owned)
+    tally.append((probed, paired, time.perf_counter() - started))
+    probes, pairs, seconds = map(list, zip(*tally))
+    return found, probes, pairs, seconds
 
 
 def _match_forked(lanes: _Lanes, workers: int) -> list[tuple]:
-    """_match_stripe over every stripe of workers, in stripe order: stripe 0
-    here, each other stripe in a forked child that sees the lanes through
+    """_match_stripe over every stripe of workers, in stripe order, stripe i
+    the entries lanes.non_cubes[i::workers]: stripe 0 here, each other
+    stripe in a forked child that sees the lanes through
     the fork's copy of memory and sends its result back through a pipe.
 
     Raises ScanWorkerFailed when a child raises, exits non-zero or dies.
@@ -434,7 +469,8 @@ def _match_forked(lanes: _Lanes, workers: int) -> list[tuple]:
                 try:
                     os.close(read_fd)
                     with open(write_fd, "wb") as pipe:
-                        pipe.write(marshal.dumps(_match_stripe(lanes, stripe, workers)))
+                        pipe.write(marshal.dumps(
+                            _match_stripe(lanes, lanes.non_cubes[stripe::workers])))
                     code = 0
                 except BaseException:  # not re-raised: that would run the parent's code here
                     import traceback  # only a failing child pays for this import
@@ -443,7 +479,7 @@ def _match_forked(lanes: _Lanes, workers: int) -> list[tuple]:
                     os._exit(code)
             os.close(write_fd)
             children.append((stripe, pid, open(read_fd, "rb")))
-        results = [_match_stripe(lanes, 0, workers)]
+        results = [_match_stripe(lanes, lanes.non_cubes[::workers])]
     finally:
         outputs, failed = [], []
         for stripe, pid, pipe in children:
@@ -497,7 +533,7 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
     if v % 63 not in CUBE_SUM_RESIDUES:
         return [], 0
     spf, cubes = lanes.spf, lanes.cubes
-    least = -(-v ** 3 // (27 * lanes.bound ** 2)) if left else v + 1  # s**3 >= least
+    least = -(-v ** 3 // lanes.cube_cut) if left else v + 1  # s**3 >= least
     high = iroot(4 * v if right else v - 1, 3)[0]                      # s <= high
     divisors = [1]
     n = entry.base
@@ -551,12 +587,13 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3)) -
     """
     min_x, min_y, min_z = minimums
     checks: dict[str, bool] = {}
-    checks["equation_exact"] = triple.equation_holds
+    ax, by = triple.ax, triple.by
+    checks["equation_exact"] = ax + by == triple.cz
     checks["bases_reduced"] = all(
         base >= 2 and is_perfect_power(base) is None
         for base in (triple.A, triple.B, triple.C)
     )
-    checks["canonical_order"] = triple.ax <= triple.by
+    checks["canonical_order"] = ax <= by
     lo, hi = min(min_x, min_y), max(min_x, min_y)
     checks["exponent_minimums"] = (
         min(triple.X, triple.Y) >= lo
@@ -573,11 +610,12 @@ def verify_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3)) -
         checks["exponent_restriction"] = False
 
     slopes = slope_set(triple)
-    checks["slopes_rational"] = (
-        isinstance(slopes.m_cb, Fraction)
-        and isinstance(slopes.m_ca, Fraction)
-        and slopes.m_cb == Fraction(triple.C, triple.B)
-        and slopes.m_ca == Fraction(triple.C, triple.A)
+    m_cb, m_ca = slopes.m_cb, slopes.m_ca
+    checks["slopes_rational"] = (  # m_cb == C/B and m_ca == C/A, cross-multiplied
+        isinstance(m_cb, Fraction)
+        and isinstance(m_ca, Fraction)
+        and m_cb.numerator * triple.B == triple.C * m_cb.denominator
+        and m_ca.numerator * triple.A == triple.C * m_ca.denominator
     )
 
     pair = canonical_alpha_beta(triple, Plane.CB)
@@ -596,7 +634,8 @@ def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3))
 
 def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: int,
             pairs_tested: int, started: float, enumerated: float, indexed: float,
-            sweeps: dict[str, dict[str, int]] | None = None) -> SearchReport:
+            sweeps: dict[str, dict[str, int]] | None = None,
+            sweep_seconds: dict[str, float] | None = None) -> SearchReport:
     """Annotate and order the found triples; the one report path of both engines.
 
     started, enumerated and indexed are the perf_counter readings at the
@@ -611,7 +650,7 @@ def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: 
     done = time.perf_counter()
     phases = {"enumerate_s": enumerated - started, "index_s": indexed - enumerated,
               "scan_s": scanned - indexed, "annotate_s": done - scanned}
-    return SearchReport(config, hits, counts, done - started, phases, sweeps)
+    return SearchReport(config, hits, counts, done - started, phases, sweeps, sweep_seconds)
 
 
 def search_solutions(config: SearchConfig) -> SearchReport:
@@ -679,7 +718,8 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         right_quartics={entry.value for entry in non_cubes
                         if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
         cube_sieve=_sieve_masks(left_other, CUBE_SIEVE, 3),
-        quartic_sieve=_sieve_masks(left_other, QUARTIC_SIEVE, 4))
+        quartic_sieve=_sieve_masks(left_other, QUARTIC_SIEVE, 4),
+        cube_cut=27 * config.bound ** 2)
     indexed = time.perf_counter()
 
     workers = 1 if config.min_z >= config.bound.bit_length() else config.workers  # no right value
@@ -689,18 +729,20 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         return index[value][1:] if value in index else (iroot(value, 3)[0], 3)
 
     triples = []
-    for found, _, _ in results:
+    for found, *_ in results:
         for pair in found:
             (a, x), (b, y) = map(base_exponent, sorted(pair))
             c, z = base_exponent(sum(pair))
             if min(x, y) >= lo_exp and max(x, y) >= hi_exp and z >= config.min_z:
                 triples.append(BealTriple(a, x, b, y, c, z))
-    # each sweep's probes and found pairs, summed over the stripes
-    sweeps = {name: {"probes": sum(probes[k] for _, probes, _ in results),
-                     "pairs": sum(pairs[k] for _, _, pairs in results)}
+    # each sweep's probes, found pairs and seconds, summed over the stripes
+    sweeps = {name: {"probes": sum(probes[k] for _, probes, _, _ in results),
+                     "pairs": sum(pairs[k] for _, _, pairs, _ in results)}
               for k, name in enumerate(SWEEPS)}
+    sweep_seconds = {name: sum(seconds[k] for *_, seconds in results)
+                     for k, name in enumerate(SWEEPS)}
     return _report(config, triples, powers_enumerated, pairs_tested,
-                   started, enumerated, indexed, sweeps)
+                   started, enumerated, indexed, sweeps, sweep_seconds)
 
 
 def _oracle_powers(bound: int, min_exp: int) -> list[tuple[int, int, int]]:

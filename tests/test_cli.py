@@ -530,11 +530,12 @@ def test_failed_scan_worker_exits_five(fail, message, tmp_path, capsys, monkeypa
     import bealsearch.search as search_mod
 
     real = search_mod._match_stripe
+    parent = os.getpid()
 
-    def failing(lanes, start, step):
-        if start == 1:
+    def failing(lanes, entries):
+        if os.getpid() != parent:  # stripe 1, in its forked child
             fail()
-        return real(lanes, start, step)
+        return real(lanes, entries)
 
     monkeypatch.setattr(search_mod, "_match_stripe", failing)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -144,6 +144,15 @@ def test_sweeps_are_reported_but_not_canonical(report):
     assert json.loads(emit_json(brute_force_oracle(10 ** 4)))["sweeps"] is None
 
 
+def test_sweep_seconds_are_reported_but_not_canonical(report):
+    obj = json.loads(emit_json(report))
+    assert obj["sweep_seconds"] == report.sweep_seconds
+    assert list(obj["sweep_seconds"]) == ["two_cubes", "cube_c", "cube_a_or_b",
+                                          "no_cube_c_in_h", "no_cube_c_in_q"]
+    assert "sweep_seconds" not in json.loads(canonical_json(report))
+    assert json.loads(emit_json(brute_force_oracle(10 ** 4)))["sweep_seconds"] is None
+
+
 def test_verification_failures_are_reported_but_not_canonical(report):
     assert report.verification_failures == {}
     assert json.loads(emit_json(report))["verification_failures"] == {}

@@ -5,6 +5,7 @@ import random
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
 
@@ -349,9 +350,9 @@ def _scan_lanes(monkeypatch, config):
     caught = []
     real = search_mod._match_stripe
 
-    def catching(lanes, start, step):
+    def catching(lanes, entries):
         caught.append(lanes)
-        return real(lanes, start, step)
+        return real(lanes, entries)
 
     monkeypatch.setattr(search_mod, "_match_stripe", catching)
     search_solutions(config)
@@ -365,16 +366,30 @@ def _scan_lanes(monkeypatch, config):
     # skipped from 258^7
     (10 ** 17, (5, 5, 5), [(129 ** 7, 258 ** 7)])])
 def test_scan_finds_each_pair_once(monkeypatch, bound, minimums, named):
-    # Each pair has one owner among the five sweeps of the module docstring.
+    # Each pair has one owner among the five sweeps of the module docstring,
+    # however the non-cubes are split into the entry lists the scan takes.
     lanes = _scan_lanes(monkeypatch, SearchConfig(bound, *minimums))
     reference = sorted((t.ax, t.by) for t in _lookup_reference(bound, minimums))
     assert set(named) <= set(reference)
-    for step in (1, 2, 3):
-        found = [tuple(sorted(pair))
-                 for start in range(step)
-                 for pair in search_mod._match_stripe(lanes, start, step)[0]]
-        assert len(found) == len(set(found)), step
-        assert sorted(found) == reference, step
+    entries = lanes.non_cubes
+    _, probes, pairs, _ = search_mod._match_stripe(lanes, entries)
+    size = -(-len(entries) // 4)
+    shuffled = entries[:]
+    random.Random(30).shuffle(shuffled)
+    splits = {f"strided {step}": [entries[start::step] for start in range(step)]
+              for step in (1, 2, 3)}
+    splits["contiguous"] = [entries[i:i + size] for i in range(0, len(entries), size)]
+    splits["random 5"] = [shuffled[k::5] for k in range(5)]
+    splits["one entry"] = [[entry] for entry in entries]
+    for name, split in splits.items():
+        assert sorted(entry for part in split for entry in part) == entries, name
+        results = [search_mod._match_stripe(lanes, part) for part in split]
+        found = [tuple(sorted(pair)) for result in results for pair in result[0]]
+        assert len(found) == len(set(found)), name
+        assert sorted(found) == reference, name
+        # the per-sweep counts add up to those of the whole list
+        assert list(map(sum, zip(*(result[1] for result in results)))) == probes, name
+        assert list(map(sum, zip(*(result[2] for result in results)))) == pairs, name
 
 
 def _is_residue(r: int, modulus: int, power: int) -> bool:
@@ -633,6 +648,16 @@ def test_sweep_counts_add_up_and_do_not_depend_on_workers(bound, minimums):
     assert brute_force_oracle(10 ** 4).sweeps is None
 
 
+def test_sweep_seconds_are_per_sweep_and_within_the_scan():
+    for workers in (1, 2):
+        report = search_solutions(SearchConfig(10 ** 12, workers=workers))
+        assert list(report.sweep_seconds) == list(search_mod.SWEEPS)
+        assert all(seconds >= 0 for seconds in report.sweep_seconds.values())
+        if workers == 1:  # with more, the stripes' seconds overlap
+            assert sum(report.sweep_seconds.values()) <= report.phases["scan_s"]
+    assert brute_force_oracle(10 ** 4).sweep_seconds is None
+
+
 @settings(max_examples=20, deadline=None)
 @given(bound=st.integers(min_value=1, max_value=10 ** 6),
        minimums=st.tuples(*[st.integers(min_value=3, max_value=6)] * 3),
@@ -789,6 +814,22 @@ def test_verify_hit_examples():
     hit = verify_hit(BealTriple(2, 3, 2, 3, 2, 5))
     assert not hit.passed
     assert "equation_exact" in hit.failed_checks()
+
+
+def test_verify_hit_slopes_rational_means_the_slopes_are_c_over_b_and_c_over_a():
+    names = ["equation_exact", "bases_reduced", "canonical_order", "exponent_minimums",
+             "common_factor_present", "exponent_restriction", "slopes_rational",
+             "rational_parameters_imply_common_factor"]
+    hit = verify_hit(BealTriple(3, 3, 6, 3, 3, 5))
+    assert list(hit.checks) == names and hit.checks["slopes_rational"]
+    # 2^3 + 2^3 = 2^4, not 3^4: both slopes are 2/2, rational but not 3/2
+    hit = verify_hit(BealTriple(2, 3, 2, 3, 3, 4))
+    assert hit.slopes.m_cb == hit.slopes.m_ca == Fraction(1)
+    assert list(hit.checks) == names and not hit.checks["slopes_rational"]
+    # 2^3 + 3^3 = 35 is no cube: both slopes are irrational
+    hit = verify_hit(BealTriple(2, 3, 3, 3, 5, 3))
+    assert not isinstance(hit.slopes.m_cb, Fraction) and not isinstance(hit.slopes.m_ca, Fraction)
+    assert list(hit.checks) == names and not hit.checks["slopes_rational"]
 
 
 def test_verify_hit_relaxed_reduction():
