@@ -20,14 +20,24 @@ The cases, --repeats samples per tree each:
     from the tree's source first, so a stale __pycache__ in the tree cannot
     read as a code change; the facts say whether the timed import still
     compiled any module from source (compiled_from_source);
+  cli search: a fresh `bealsearch search --bound 10^12` process, from the
+    same kind of private bytecode cache, that times its one call of
+    cli.main (main_s, as a perfbench child does) and counts the cyclic
+    collector's passes in that call and in the first allocations after it,
+    where a pass that a paused collector deferred runs (main_gc_passes);
+    the whole process is process_s.  The output digest is that of the CSV
+    it writes;
   search: one search (bound, minimums, workers) after one untimed warm-up
     search at 10^6, whose peak memory is below every case's; the sample
     holds wall_s, each phase of SearchReport.phases, the process's peak
-    RSS, the larger of its own and its forked workers', and the set probes
+    RSS, the larger of its own and its forked workers', the set probes
     and seconds of each sweep of the scan (SearchReport.sweeps and
-    SearchReport.sweep_seconds).  The cases are
-    10^12, 10^14 and 10^16 with minimums 3,3,3 and 1 worker, 10^14 with 2,
-    and perfbench's search_split, 10^13 with minimums 4,3,3 and 2 workers.
+    SearchReport.sweep_seconds), and the cyclic garbage collector's passes
+    and seconds during the search (gc_s in all; gc, per generation, read
+    through gc.callbacks: a library call runs with the collector on).  The
+    cases are 10^12, 10^14 and 10^16 with minimums 3,3,3 and 1 worker,
+    10^14 with 2, and perfbench's search_split, 10^13 with minimums 4,3,3
+    and 2 workers.
     The search at 10^18 (about a minute per run) is a case only with
     --repeats-1e18;
   completeness (only with --completeness, about three minutes per tree):
@@ -61,9 +71,9 @@ The cases, --repeats samples per tree each:
     are the two-cube solve, search._cube_pairs, over every non-cube of the
     scan's lanes at 10^12 and at 10^16 (one call per non-cube), whose facts
     hold the divisors it tries in all.
-The startup, classify, factorize and completeness cases also record the
-sha256 of what they print or return, which must be the same in every sample
-of every tree.
+The startup, cli search, classify, factorize and completeness cases also
+record the sha256 of what they print or return, which must be the same in
+every sample of every tree.
 
 Every run adds its samples to each case under its tree's label in --out, so
 runs can be added to one file; the statistics are recomputed over all samples
@@ -81,6 +91,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -116,6 +127,14 @@ IMPORT_SCRIPT = ("import os, sys, time; sys.path.insert(0, sys.argv[1]); "
                  "for name, module in sys.modules.items() if name.split('.')[0] == 'bealsearch'))")
 MAIN_SCRIPT = ("import sys; sys.path.insert(0, sys.argv[1]); "
                "from bealsearch.cli import main; sys.exit(main(sys.argv[2:]))")
+# MAIN_SCRIPT that prints, after main's own output, the seconds of its call
+# of main and the cyclic collector's passes from the call to the count.
+TIMED_MAIN_SCRIPT = (
+    "import gc, sys, time; sys.path.insert(0, sys.argv[1]); "
+    "from bealsearch.cli import main; "
+    "passes = lambda: sum(stats['collections'] for stats in gc.get_stats()); "
+    "before = passes(); started = time.perf_counter(); code = main(sys.argv[2:]); "
+    "print(time.perf_counter() - started, passes() - before); sys.exit(code)")
 
 
 def use_tree(src: str) -> None:
@@ -172,8 +191,10 @@ def kernel_cases() -> dict[str, tuple]:
         finally:
             search._match_forked = real
         lanes = caught[0]
-        calls = [(lanes, entry, entry.exponent >= lanes.lo_exp, entry.exponent >= lanes.min_z)
-                 for entry in lanes.non_cubes]
+        # a tree whose walk takes the dict of the cubes it solves takes five arguments
+        solved = ({},) if search._cube_pairs.__code__.co_argcount == 5 else ()
+        calls = [(lanes, entry, entry.exponent >= lanes.lo_exp, entry.exponent >= lanes.min_z,
+                  *solved) for entry in lanes.non_cubes]
         return search._cube_pairs, calls, {"tries": sum(search._cube_pairs(*args)[1]
                                                         for args in calls)}
 
@@ -249,15 +270,44 @@ def digest(text: str) -> str:
 
 # --- the cases: each sends one (sample, facts, output digest or None) through conn
 
-def startup_sample(src: str, conn) -> None:
-    verify = [sys.executable, "-c", MAIN_SCRIPT, src, "verify-identities", "--cases", "1"]
+@contextlib.contextmanager
+def private_bytecode(src: str):
+    """The environment of a process that reads bytecode from a private cache,
+    filled by one untimed verify-identities run from the tree's current
+    source, so no stale __pycache__ in the tree is ever read."""
     with tempfile.TemporaryDirectory() as cache:
-        # A private bytecode cache, filled by one untimed run from the tree's
-        # current source, so no stale __pycache__ in the tree is ever read.
         env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
-        subprocess.run(verify, env=env, capture_output=True)
+        subprocess.run([sys.executable, "-c", MAIN_SCRIPT, src, "verify-identities",
+                        "--cases", "1"], env=env, capture_output=True)
         env["PYTHONDONTWRITEBYTECODE"] = "1"  # the timed processes only read it
+        yield env
+
+
+class GcTimer:
+    """The cyclic collector's passes and seconds per generation while installed."""
+
+    def __init__(self):
+        self.passes, self.seconds, self._started = [0, 0, 0], [0.0, 0.0, 0.0], 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.passes[info["generation"]] += 1
+            self.seconds[info["generation"]] += time.perf_counter() - self._started
+
+    def __enter__(self) -> "GcTimer":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+
+def startup_sample(src: str, conn) -> None:
+    verify = [sys.executable, "-c", MAIN_SCRIPT, src, "verify-identities", "--cases", "1"]
+    with private_bytecode(src) as env:
         started = time.perf_counter()
         imported = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT, src],
                                   capture_output=True, text=True, check=True, env=env)
@@ -271,15 +321,35 @@ def startup_sample(src: str, conn) -> None:
                digest(f"{verified.returncode}\n{verified.stdout}")))
 
 
+def cli_search_sample(src: str, conn) -> None:
+    with private_bytecode(src) as env, tempfile.TemporaryDirectory() as out:
+        csv = Path(out) / "hits.csv"
+        started = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", TIMED_MAIN_SCRIPT, src, "search",
+                               "--bound", "10^12", "--out", str(csv)],
+                              capture_output=True, text=True, check=True, env=env)
+        process_s = time.perf_counter() - started
+        hits = csv.read_text()
+    main_s, passes = done.stdout.splitlines()[-1].split()  # after main's summary line
+    conn.send(({"main_s": float(main_s), "process_s": process_s,
+                "main_gc_passes": int(passes)},
+               {"argv": "search --bound 10^12"}, digest(hits)))
+
+
 def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers: int,
                   conn) -> None:
     use_tree(src)
     import bealsearch.search as search
 
     search.search_solutions(search.SearchConfig(bound=10 ** 6))  # warm-up, untimed
-    started = time.perf_counter()
-    report = search.search_solutions(search.SearchConfig(bound, *minimums, workers=workers))
-    sample = {"wall_s": time.perf_counter() - started}
+    with GcTimer() as collector:
+        started = time.perf_counter()
+        report = search.search_solutions(search.SearchConfig(bound, *minimums, workers=workers))
+        sample = {"wall_s": time.perf_counter() - started}
+    sample["gc_s"] = sum(collector.seconds)
+    sample["gc"] = {str(generation): {"passes": passes, "s": seconds}
+                    for generation, (passes, seconds)
+                    in enumerate(zip(collector.passes, collector.seconds))}
     sample.update((name, report.phases[name]) for name in PHASES)
     sample["peak_rss_mb"] = peak_rss_mb()
     sample["probes"] = {name: sweep["probes"] for name, sweep in report.sweeps.items()}
@@ -493,6 +563,7 @@ def main(argv=None) -> int:
         runs.setdefault(label, {})
 
     run_case(runs, trees, "startup", args.repeats, startup_sample)
+    run_case(runs, trees, "cli search 10^12", args.repeats, cli_search_sample)
     cases = [(bound, minimums, workers, args.repeats) for bound, minimums, workers in CASES]
     if args.repeats_1e18:
         cases.append((10 ** 18, (3, 3, 3), 1, args.repeats_1e18))
@@ -511,6 +582,12 @@ def main(argv=None) -> int:
             if seconds:
                 case["sweep_seconds"] = {sweep: summary([run[sweep] for run in seconds])
                                          for sweep in seconds[0]}
+            collected = [run["gc"] for run in case["samples"] if "gc" in run]
+            if collected:
+                case["gc"] = {generation: {
+                    "passes": statistics.median(run[generation]["passes"] for run in collected),
+                    "s": summary([run[generation]["s"] for run in collected])}
+                    for generation in collected[0]}
     differ = []
     for bound, minimums in COMPLETENESS if args.completeness else []:
         name = f"completeness 10^{len(str(bound)) - 1} minimums {','.join(map(str, minimums))}"

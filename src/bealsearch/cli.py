@@ -8,11 +8,24 @@ Exit codes are the only success/failure channel:
     4  an exact identity failed (arithmetic bug signal)
     5  a forked scan worker of search --workers > 1 failed (raised, exited
        non-zero or died), so the search has no result
+
+main runs each command, from building the parser to the last line of
+output, with CPython's cyclic garbage collector paused (gc.disable), and
+then restores the collector as its caller had it.  No command makes a
+reference cycle: every object it builds is freed by reference counting as
+soon as it is dropped, and the tests check that gc.collect() finds nothing
+after each command.  Only argparse makes a few: building the parser, once
+per process, leaves about 70 of its help-formatter objects in cycles, and
+a usage error 6; the collector's next pass frees them.  So the collector's
+passes, about 1 ms of a 21 ms search at 10**12, were pure cost.  A forked
+scan worker inherits the pause and ends through os._exit.  Library calls
+such as search_solutions leave the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -267,6 +280,18 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector paused (module
+    docstring), and leave the collector as the caller had it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     global _parser
     if _parser is None:
         # parse_args keeps no state on the parser, so one serves every call

@@ -43,13 +43,13 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
         r = math.isqrt(n)
         return r, r * r == n
     if n.bit_length() < 50:
-        # float seed is within one of the true root at this size
-        r = int(n ** (1.0 / k))
-        while r ** k > n:
-            r -= 1
-        while (r + 1) ** k <= n:
-            r += 1
-        return r, r ** k == n
+        # The float root is within 10**-9 of the true root t < 2**17 here, so
+        # rounding it gives floor(t) or floor(t) + 1, and one power tells which.
+        r = round(n ** (1.0 / k))
+        power = r ** k
+        if power > n:
+            return r - 1, False
+        return r, power == n
     # Integer Newton iteration from a float estimate of the root, kept to its
     # top 52 bits.  Any first step lands at or above the floor root (AM-GM).
     # From there a step falls strictly while r**k > n, and stops falling at

@@ -363,13 +363,14 @@ def _sieved(values: list[int], sieve: list[tuple[int, list[int]]], r: int,
 
 
 def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
-        list[tuple[int, int]], list[int], list[int], list[float]]:
+        list[tuple[int, int]], list[int], list[int], list[float], dict[int, tuple]]:
     """The unordered pairs (a, b) of left values with a + b a right value
     whose owner (see the module docstring) is one of the non-cube entries,
     where any cube of lanes.cubes counts as left and as right; then, per
     sweep in SWEEPS order, the number of set probes made (the partners the
     sieve passed, or the divisors _cube_pairs tried), the number of those
-    pairs it found and its seconds.
+    pairs it found and its seconds; last, the cubes that _cube_pairs solved,
+    as cube: (cube, root, 3).
 
     Each sweep is one pass over the entries it applies to, which takes the
     partners' index bounds of all of them at once, at C level.  Most sieves
@@ -381,12 +382,13 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
     cubes, right_quartics = lanes.cubes, lanes.right_quartics
     cube_sieve, quartic_sieve = lanes.cube_sieve, lanes.quartic_sieve
     found: list[tuple[int, int]] = []
+    roots: dict[int, tuple[int, int, int]] = {}
     tally = []  # per sweep: probes, pairs, seconds
 
     started, probed, paired = time.perf_counter(), 0, 0  # v a sum or difference of two cubes
     for entry in entries:
         owned, tried = _cube_pairs(lanes, entry, entry.exponent >= lo_exp,
-                                   entry.exponent >= min_z)
+                                   entry.exponent >= min_z, roots)
         found += owned
         probed += tried
         paired += len(owned)
@@ -440,7 +442,7 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
             paired += len(owned)
     tally.append((probed, paired, time.perf_counter() - started))
     probes, pairs, seconds = map(list, zip(*tally))
-    return found, probes, pairs, seconds
+    return found, probes, pairs, seconds, roots
 
 
 def _match_forked(lanes: _Lanes, workers: int) -> list[tuple]:
@@ -516,11 +518,12 @@ def _divisor_exponents(p: int, e: int) -> tuple[range, ...]:
     return (range((e + 2) // 3), outside_q) if p % 3 == 1 else (outside_q,)
 
 
-def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
-                right: bool) -> tuple[list[tuple[int, int]], int]:
+def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool, right: bool,
+                roots: dict[int, tuple[int, int, int]]) -> tuple[list[tuple[int, int]], int]:
     """The pairs whose other two terms are cubes, for the non-cube v = entry.value
     as a left term (left) and as the sum (right), and the number of divisors
     s = x + y of v tried, one solve of v = x**3 + y**3 each (module docstring).
+    Each cube term of those pairs goes into roots as cube: (cube, root, 3).
 
     A v whose residue mod 63 is not in CUBE_SUM_RESIDUES is no sum or
     difference of two cubes, and tries no divisor.  The walk builds only the
@@ -567,11 +570,9 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
         if r or (root := isqrt(square)) * root != square:
             continue
         x, y = (s + root) >> 1, (s - root) >> 1  # root**2 = s**2 mod 4: same parity
-        if y < 0:
-            if (-y) ** 3 in cubes and x ** 3 in cubes:
-                found.append((v, (-y) ** 3))
-        elif y ** 3 in cubes and x ** 3 in cubes:
-            found.append((y ** 3, x ** 3))
+        if (y_cube := abs(y) ** 3) in cubes and (x_cube := x ** 3) in cubes:
+            found.append((v, y_cube) if y < 0 else (y_cube, x_cube))
+            roots[x_cube], roots[y_cube] = (x_cube, x, 3), (y_cube, abs(y), 3)
     return found, len(tried)
 
 
@@ -725,21 +726,31 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     workers = 1 if config.min_z >= config.bound.bit_length() else config.workers  # no right value
     results = _match_forked(lanes, workers)
 
-    def base_exponent(value: int) -> tuple[int, int]:  # a value the table lacks is n**3
-        return index[value][1:] if value in index else (iroot(value, 3)[0], 3)
+    # A term the table lacks is a cube n**3 of reduced base n.  For the cubes
+    # the two-cube walk solved, its (n**3, n, 3) serves; one the table holds
+    # keeps its entry.
+    for *_, solved in results:
+        for value, term in solved.items():
+            index.setdefault(value, term)
+
+    def cube_term(value: int) -> tuple[int, int, int]:
+        return value, iroot(value, 3)[0], 3
 
     triples = []
     for found, *_ in results:
-        for pair in found:
-            (a, x), (b, y) = map(base_exponent, sorted(pair))
-            c, z = base_exponent(sum(pair))
+        for a, b in found:
+            if a > b:
+                a, b = b, a
+            _, c, z = index.get(a + b) or cube_term(a + b)
+            _, a, x = index.get(a) or cube_term(a)
+            _, b, y = index.get(b) or cube_term(b)
             if min(x, y) >= lo_exp and max(x, y) >= hi_exp and z >= config.min_z:
                 triples.append(BealTriple(a, x, b, y, c, z))
     # each sweep's probes, found pairs and seconds, summed over the stripes
-    sweeps = {name: {"probes": sum(probes[k] for _, probes, _, _ in results),
-                     "pairs": sum(pairs[k] for _, _, pairs, _ in results)}
+    sweeps = {name: {"probes": sum(result[1][k] for result in results),
+                     "pairs": sum(result[2][k] for result in results)}
               for k, name in enumerate(SWEEPS)}
-    sweep_seconds = {name: sum(seconds[k] for *_, seconds in results)
+    sweep_seconds = {name: sum(result[3][k] for result in results)
                      for k, name in enumerate(SWEEPS)}
     return _report(config, triples, powers_enumerated, pairs_tested,
                    started, enumerated, indexed, sweeps, sweep_seconds)

@@ -26,11 +26,11 @@ class _BealTriple(NamedTuple):
 class BealTriple(_BealTriple):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
-            if value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value}")
+    def __new__(cls, A: int, X: int, B: int, Y: int, C: int, Z: int):
+        self = tuple.__new__(cls, (A, X, B, Y, C, Z))
+        if min(self) < 1:
+            name, value = next(item for item in zip(self._fields, self) if item[1] < 1)
+            raise ValueError(f"{name} must be a positive integer, got {value}")
         return self
 
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, JSON contract."""
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -25,9 +26,87 @@ HEADER = ("A,X,B,Y,C,Z,A_pow_X,B_pow_Y,C_pow_Z,gcd_abc,"
 
 
 def run(capsys, *argv):
+    enabled = gc.isenabled()
     code = main(list(argv))
+    assert gc.isenabled() == enabled  # main leaves the collector as it found it
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _garbage_left(capsys, *argv):
+    """The exit code of main(argv), run with the cyclic collector paused, and
+    how many unreachable objects the collector then finds."""
+    # The first call in a process builds the parser, which leaves argparse's
+    # help formatters in cycles: collected here, with what the test left.
+    run(capsys, "verify-identities", "--cases", "1")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        code, _, _ = run(capsys, *argv)
+        return code, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["search", "--bound", "10^12"], 0),
+    (["search", "--bound", "10^13", "--workers", "2"], 0),
+    (["oracle", "--bound", "10^6"], 0),
+    (["verify-identities", "--cases", "500"], 0),
+    (["emit-plot", "--in", "{hits}"], 0),
+    (["search", "--bound", "-5"], 2),
+    (["search", "--bound", "10^4", "--workers", "3"], 2),
+    (["oracle", "--bound", "10^8"], 2),
+    (["verify-identities", "--cases", "0"], 2),
+    (["classify", "--triple", "1,2,3"], 2),
+    (["emit-plot", "--in", "{missing}"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_commands_make_no_reference_cycles(argv, code, tmp_path, capsys, monkeypatch):
+    # main pauses the cyclic collector, which is safe only while no command
+    # makes a reference cycle: here a cycle would be left for gc.collect().
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    hits = tmp_path / "hits.csv"
+    run(capsys, "search", "--bound", "10^4", "--out", str(hits))
+    names = {"hits": str(hits), "missing": str(tmp_path / "missing.csv")}
+    argv = [value.format(**names) for value in argv]
+    if argv[0] in ("search", "oracle"):
+        argv += ["--out", str(tmp_path / "out.csv"), "--report", str(tmp_path / "out.json")]
+    elif argv[0] == "emit-plot":
+        argv += ["--out", str(tmp_path / "out.svg")]
+    assert _garbage_left(capsys, *argv) == (code, 0)
+
+
+def test_classify_makes_no_reference_cycles(capsys):
+    rng = random.Random(31)
+    for triple in ["3,3,6,3,3,5", "2,3,2,3,2,4", "7,3,7,4,98,3"] + [
+            ",".join(str(rng.randint(2, 60) if i % 2 == 0 else rng.randint(3, 8))
+                     for i in range(6)) for _ in range(7)]:
+        assert _garbage_left(capsys, "classify", "--triple", triple) == (0, 0), triple
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["verify-identities", "--cases", "1"]) == 0
+        assert main(["no-such-command"]) == 2  # argparse's own exit
+        assert main(["verify-identities", "--cases", "0"]) == 2
+        assert gc.isenabled() == enabled
+
+        def failing(cases, seed):
+            assert not gc.isenabled()  # paused while the command runs
+            raise RuntimeError("not caught by main")
+
+        monkeypatch.setattr(cli_mod.identity, "run_random_suite", failing)
+        with pytest.raises(RuntimeError):
+            main(["verify-identities", "--cases", "1"])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
 
 
 def test_search_matches_oracle(tmp_path, capsys):

@@ -46,6 +46,19 @@ def test_iroot_matches_exhaustive_floor_oracle():
             assert iroot(n, k) == (root, n == current_power), (n, k)
 
 
+def test_iroot_brackets_every_power_below_2_to_the_50():
+    # The float path below 2**50 rounds the float root, which must not tip
+    # over at an exact power: check b**k - 1, b**k and b**k + 1 for every
+    # k in 3..49 and every b with b**k < 2**50.
+    for k in range(3, 50):
+        base = 1
+        while (power := base ** k) < 2 ** 50:
+            assert iroot(power - 1, k) == (base - 1, base == 1), (base, k)
+            assert iroot(power, k) == (base, True), (base, k)
+            assert iroot(power + 1, k) == (base, False), (base, k)
+            base += 1
+
+
 def test_iroot_rejects_bad_arguments():
     with pytest.raises(ValueError):
         iroot(10, 0)

@@ -372,7 +372,7 @@ def test_scan_finds_each_pair_once(monkeypatch, bound, minimums, named):
     reference = sorted((t.ax, t.by) for t in _lookup_reference(bound, minimums))
     assert set(named) <= set(reference)
     entries = lanes.non_cubes
-    _, probes, pairs, _ = search_mod._match_stripe(lanes, entries)
+    _, probes, pairs, *_ = search_mod._match_stripe(lanes, entries)
     size = -(-len(entries) // 4)
     shuffled = entries[:]
     random.Random(30).shuffle(shuffled)
@@ -534,7 +534,7 @@ def test_cube_sum_skip_loses_no_pair(monkeypatch):
         found, tried = [], 0
         for entry in lanes.non_cubes:
             pairs, probes = search_mod._cube_pairs(lanes, entry, entry.exponent >= lanes.lo_exp,
-                                                    entry.exponent >= lanes.min_z)
+                                                    entry.exponent >= lanes.min_z, {})
             assert not pairs or entry.value % 63 in search_mod.CUBE_SUM_RESIDUES, entry
             found += pairs
             tried += probes
@@ -545,6 +545,22 @@ def test_cube_sum_skip_loses_no_pair(monkeypatch):
     unskipped, unskipped_tried = solve_all()
     assert skipped == unskipped and len(skipped) >= 10
     assert skipped_tried < unskipped_tried
+
+
+def test_two_cube_walk_gives_the_roots_of_its_cubes(monkeypatch):
+    # The triples take the bases of the walk's cube terms from what it solved.
+    lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 12))
+    solved = 0
+    for entry in lanes.non_cubes:
+        roots = {}
+        pairs, _ = search_mod._cube_pairs(lanes, entry, entry.exponent >= lanes.lo_exp,
+                                          entry.exponent >= lanes.min_z, roots)
+        terms = {t for pair in pairs for t in (*pair, sum(pair))} - {entry.value}
+        assert set(roots) == terms, entry
+        for cube, term in roots.items():
+            assert term == (cube, iroot(cube, 3)[0], 3) and iroot(cube, 3)[1], entry
+        solved += len(roots)
+    assert solved >= 200
 
 
 def test_cube_sum_is_the_sum_of_its_terms_mod_6():
@@ -610,7 +626,7 @@ def test_divisor_filter_loses_no_pair(monkeypatch):
         found, tried = [], 0
         for entry in lanes.non_cubes:
             pairs, probes = search_mod._cube_pairs(lanes, entry, entry.exponent >= lanes.lo_exp,
-                                                    entry.exponent >= lanes.min_z)
+                                                    entry.exponent >= lanes.min_z, {})
             for pair in pairs:  # s = x + y, from the cube roots of the two cube terms
                 cubes = [t for t in (*pair, sum(pair)) if t != entry.value]
                 x, y = (iroot(t, 3)[0] for t in cubes)
@@ -805,6 +821,11 @@ def test_beal_triple_checks_its_fields():
         BealTriple(3, 3, 0, 3, 3, 5)
     with pytest.raises(ValueError, match="Z must be a positive integer, got -1"):
         triple._replace(Z=-1)
+    with pytest.raises(ValueError, match="X must be a positive integer, got 0"):
+        BealTriple(3, 0, 6, -2, 3, 5)  # the first bad field is named
+    assert BealTriple(A=3, X=3, B=6, Y=3, C=3, Z=5) == triple
+    with pytest.raises(TypeError):
+        BealTriple(3, 3, 6, 3, 3)
 
 
 def test_verify_hit_examples():
