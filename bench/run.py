@@ -27,6 +27,9 @@ The cases, --repeats samples per tree each:
     where a pass that a paused collector deferred runs (main_gc_passes);
     the whole process is process_s.  The output digest is that of the CSV
     it writes;
+  cli verify-identities: the same for a fresh `bealsearch verify-identities
+    --cases 500 --seed 1000003` process, perfbench's first identities child;
+    the output digest is that of what main prints;
   search: one search (bound, minimums, workers) after one untimed warm-up
     search at 10^6, whose peak memory is below every case's; the sample
     holds wall_s, each phase of SearchReport.phases, the process's peak
@@ -112,8 +115,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = [(10 ** 12, (3, 3, 3), 1), (10 ** 14, (3, 3, 3), 1), (10 ** 16, (3, 3, 3), 1),
          (10 ** 14, (3, 3, 3), 2), (10 ** 13, (4, 3, 3), 2)]
 COMPLETENESS = [(10 ** 13, (3, 3, 3)), (10 ** 13, (4, 3, 3)), (10 ** 14, (3, 3, 3))]
-# perfbench's first classify_batch child: seed 1, iteration 0
-CLASSIFY_SEED = 1_000_003
+# perfbench's first child of a workload: seed 1, iteration 0
+CHILD_SEED = 1_000_003
 PHASES = ("enumerate_s", "index_s", "scan_s", "annotate_s")
 KERNEL_MIN_S = 0.05
 # Run with the tree's SRC as argv[1], each in a fresh interpreter.  The import
@@ -200,7 +203,7 @@ def kernel_cases() -> dict[str, tuple]:
 
     def scalar_estimate_case():
         """cli._scalar_obj over the classify batch, and its fallbacks to scalar_m."""
-        batch = [BealTriple(*t) for t in classify_inputs(CLASSIFY_SEED, smoke=False)]
+        batch = [BealTriple(*t) for t in classify_inputs(CHILD_SEED, smoke=False)]
         calls = [(t, canonical_alpha_beta(t, Plane.CB)) for t in batch]
         fallbacks, real = [], reparam.scalar_m
         reparam.scalar_m = lambda *args: fallbacks.append(args) or real(*args)
@@ -226,7 +229,7 @@ def kernel_cases() -> dict[str, tuple]:
         "json writer 10^12 report": lambda: (records.json_text, [(records.report_to_obj(
             search_solutions(SearchConfig(10 ** 12))),)]),
         "classify_obj classify batch": lambda: (classify_obj, [
-            (BealTriple(*t),) for t in classify_inputs(CLASSIFY_SEED, smoke=False)]),
+            (BealTriple(*t),) for t in classify_inputs(CHILD_SEED, smoke=False)]),
         "scalar estimate classify batch": scalar_estimate_case,
         "cube_pairs 10^12 lanes": lambda: cube_pairs_case(10 ** 12),
         "cube_pairs 10^16 lanes": lambda: cube_pairs_case(10 ** 16),
@@ -321,19 +324,34 @@ def startup_sample(src: str, conn) -> None:
                digest(f"{verified.returncode}\n{verified.stdout}")))
 
 
+def timed_main(src: str, argv: list[str], env: dict) -> tuple[dict, str]:
+    """One fresh process's call of cli.main(argv): the sample (main_s, process_s and
+    main_gc_passes) and what main printed."""
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", TIMED_MAIN_SCRIPT, src, *argv],
+                          capture_output=True, text=True, check=True, env=env)
+    process_s = time.perf_counter() - started
+    printed, _, timing = done.stdout.rstrip("\n").rpartition("\n")  # the timing line is last
+    main_s, passes = timing.split()
+    return ({"main_s": float(main_s), "process_s": process_s, "main_gc_passes": int(passes)},
+            printed)
+
+
 def cli_search_sample(src: str, conn) -> None:
     with private_bytecode(src) as env, tempfile.TemporaryDirectory() as out:
         csv = Path(out) / "hits.csv"
-        started = time.perf_counter()
-        done = subprocess.run([sys.executable, "-c", TIMED_MAIN_SCRIPT, src, "search",
-                               "--bound", "10^12", "--out", str(csv)],
-                              capture_output=True, text=True, check=True, env=env)
-        process_s = time.perf_counter() - started
+        sample, _ = timed_main(src, ["search", "--bound", "10^12", "--out", str(csv)], env)
         hits = csv.read_text()
-    main_s, passes = done.stdout.splitlines()[-1].split()  # after main's summary line
-    conn.send(({"main_s": float(main_s), "process_s": process_s,
-                "main_gc_passes": int(passes)},
-               {"argv": "search --bound 10^12"}, digest(hits)))
+    conn.send((sample, {"argv": "search --bound 10^12"}, digest(hits)))
+
+
+def cli_verify_identities_sample(src: str, conn) -> None:
+    from workloads import identity_argv  # perfbench's, on sys.path too
+
+    argv = identity_argv(CHILD_SEED, smoke=False)
+    with private_bytecode(src) as env:
+        sample, printed = timed_main(src, argv, env)
+    conn.send((sample, {"argv": " ".join(argv)}, digest(printed)))
 
 
 def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers: int,
@@ -428,7 +446,7 @@ def classify_sample(src: str, conn) -> None:
     from workloads import classify_inputs  # perfbench's, on sys.path too
 
     outputs = []
-    triples = classify_inputs(CLASSIFY_SEED, smoke=False)
+    triples = classify_inputs(CHILD_SEED, smoke=False)
     started = time.perf_counter()
     for triple in triples:
         buffer = io.StringIO()
@@ -437,7 +455,7 @@ def classify_sample(src: str, conn) -> None:
         outputs.append(f"{code}\n{buffer.getvalue()}")
     seconds = time.perf_counter() - started
     conn.send(({"wall_s": seconds, "peak_rss_mb": peak_rss_mb()},
-               {"seed": CLASSIFY_SEED, "triples": len(triples)}, digest("".join(outputs))))
+               {"seed": CHILD_SEED, "triples": len(triples)}, digest("".join(outputs))))
 
 
 def factorize_sample(src: str, conn) -> None:
@@ -446,14 +464,14 @@ def factorize_sample(src: str, conn) -> None:
     from bealsearch.triples import BealTriple
     from workloads import CLASSIFY_BATCH, classify_inputs  # perfbench's, on sys.path too
 
-    triples = classify_inputs(CLASSIFY_SEED, smoke=False)[:CLASSIFY_BATCH[0]]
+    triples = classify_inputs(CHILD_SEED, smoke=False)[:CLASSIFY_BATCH[0]]
     gcds = [BealTriple(*triple).gcd_abc for triple in triples]
     sample = {}
     for key in ("cold_s", "warm_s"):
         started = time.perf_counter()
         factors = [factorize(n) for n in gcds]
         sample[key] = time.perf_counter() - started
-    conn.send((sample, {"seed": CLASSIFY_SEED, "gcds": len(gcds)}, digest(repr(factors))))
+    conn.send((sample, {"seed": CHILD_SEED, "gcds": len(gcds)}, digest(repr(factors))))
 
 
 def kernel_sample(src: str, name: str, conn) -> None:
@@ -564,6 +582,7 @@ def main(argv=None) -> int:
 
     run_case(runs, trees, "startup", args.repeats, startup_sample)
     run_case(runs, trees, "cli search 10^12", args.repeats, cli_search_sample)
+    run_case(runs, trees, "cli verify-identities", args.repeats, cli_verify_identities_sample)
     cases = [(bound, minimums, workers, args.repeats) for bound, minimums, workers in CASES]
     if args.repeats_1e18:
         cases.append((10 ** 18, (3, 3, 3), 1, args.repeats_1e18))

@@ -66,7 +66,7 @@ def _int_flag(text: str) -> int:
     lower = t.lower()
     if "e" in lower and "." not in lower:
         base, _, exp = lower.partition("e")
-        return (int(base) if base else 1) * _flag_power(10, int(exp), text)
+        return int(base) * _flag_power(10, int(exp), text)
     return int(t)
 
 

@@ -9,11 +9,11 @@ at n = 1.  Negative intermediate exponents are evaluated over exact
 rationals rather than restricted, which is what makes the free upper limit
 checkable verbatim.
 
-The expansion runs on plain integers.  Each ExpansionInstance builds the
-power tables of its numerators and denominators once, growing them as
-calls need, and every call on it (at any n) reads them.  A call returns its sum as an
-unreduced pair (numerator, denominator); the suite compares that pair with
-p**v - q**w, computed independently in Fraction, by cross-multiplication.
+The expansion runs on plain integers.  Each ExpansionInstance keeps the
+power tables of its numerators and denominators, each grown only to the
+highest power a call reads; the suite sizes them once for n = 0..10.  A call
+returns an unreduced pair (numerator, denominator), which the suite compares
+with p**v - q**w, computed in Fraction, by cross-multiplication.
 
 A related table decomposes C**Z - B**Y into rows indexed by i, pairing the
 shared coefficient binom(X,i)(C+B)**(X-i)(-CB)**i with the difference term
@@ -30,6 +30,7 @@ from operator import mul
 from typing import NamedTuple
 
 FREE_LIMIT_RANGE = range(0, 11)
+_OTHER_LIMITS = tuple(n for n in FREE_LIMIT_RANGE if n != 1)
 EXPONENT_RANGE = (-4, 12)
 COEFFICIENT_LIMIT = 10
 
@@ -39,33 +40,34 @@ class ExpansionInstance:
 
     With p = a/b and q = c/d in lowest terms (b, d > 0), the instance keeps
     the power tables of a, b, c, d, a*d + b*c and -a*c (the numerators of p+q
-    and -pq over b*d).  They start at the 0th power and grow to whatever
-    exponent a call needs, so any n and any v, w stay exact.
+    and -pq over b*d), each grown by _grow only as far as a call reads it.
     """
 
     __slots__ = ("p", "q", "v", "w", "_bases", "_tables")
 
     def __init__(self, p, q, v: int, w: int):
-        self.p, self.q, self.v, self.w = Fraction(p), Fraction(q), v, w
+        self.p = p if isinstance(p, Fraction) else Fraction(p)
+        self.q = q if isinstance(q, Fraction) else Fraction(q)
+        self.v, self.w = v, w
         if self.p == 0 or self.q == 0:
             raise ValueError("p and q must be non-zero")
         a, b = self.p.numerator, self.p.denominator
         c, d = self.q.numerator, self.q.denominator
         self._bases = (a, b, c, d, a * d + b * c, -a * c)
-        self._tables = [[1] for _ in self._bases]
+        self._tables = [[] for _ in self._bases]
 
     def __repr__(self) -> str:
         return f"ExpansionInstance(p={self.p!r}, q={self.q!r}, v={self.v!r}, w={self.w!r})"
 
-    def _powers(self, top: int) -> list[list[int]]:
-        """The six tables, each holding at least the powers 0..top of its base."""
-        tables = self._tables
-        if len(tables[0]) <= top:
-            # Grow to twice what is asked, so a run of rising n grows a few times.
-            for table, base in zip(tables, self._bases):
-                table += accumulate(repeat(base, 2 * top - len(table)), mul,
-                                    initial=table[-1] * base)
-        return tables
+    def _grow(self, n: int) -> None:
+        """Extend each table to the highest power general_expansion reads from it
+        at a limit 0..n: ka + kb for a and b, kc + kd for c and d, n for p+q and -pq."""
+        # ka + kb = max(2m-v, 0) + max(v-m, 0) is convex in m: over 0..n it peaks at 0 or n
+        tp, tq = (max(abs(e), max(2 * n - e, 0) + max(e - n, 0)) for e in (self.v, self.w))
+        for table, base, top in zip(self._tables, self._bases, (tp, tp, tq, tq, n, n)):
+            if len(table) <= top:
+                table += accumulate(repeat(base, top - len(table)), mul,
+                                    initial=table[-1] * base if table else 1)
 
 
 class ExpansionRow(NamedTuple):
@@ -85,9 +87,7 @@ def expand_difference(inst: ExpansionInstance) -> tuple[Fraction, tuple[int, int
     """Evaluate both sides of the two-term factoring; they must be equal.
 
     Returns (lhs, rhs): lhs = p**v - q**w in Fraction, the reference, and rhs
-    the factored form (p+q)(p**(v-1) - q**(w-1)) - pq(p**(v-2) - q**(w-2)),
-    which is general_expansion at n = 1, as an unreduced pair (numerator,
-    denominator).
+    the factored form, general_expansion at n = 1, as an unreduced pair.
     """
     return inst.p ** inst.v - inst.q ** inst.w, general_expansion(inst, 1)
 
@@ -97,14 +97,10 @@ def general_expansion(inst: ExpansionInstance, n: int) -> tuple[int, int]:
 
     Returns sum_{i=0}^{n} binom(n,i) (p+q)**(n-i) (-pq)**i (p**(v-n-i) - q**(w-n-i)),
     which equals p**v - q**w for every n >= 0, as an unreduced pair
-    (numerator, denominator) with a non-zero denominator.
-
-    Every term is evaluated over plain integers on one common denominator,
-    read from the power tables that the instance builds once and every n
-    shares, and the terms are summed one by one.  Nothing is reduced: the
-    caller compares the pair with p**v - q**w by cross-multiplication.  The
-    sum shares no arithmetic with p**v - q**w computed in Fraction, so the
-    suite compares two independent paths.
+    (numerator, denominator) with a non-zero denominator.  Every term is
+    evaluated over plain integers on one common denominator, read from the
+    instance's power tables.  The sum shares no arithmetic with p**v - q**w
+    computed in Fraction, so the suite compares two independent paths.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -117,7 +113,9 @@ def general_expansion(inst: ExpansionInstance, n: int) -> tuple[int, int]:
     kb = v - n if v > n else 0
     kc = 2 * n - w if 2 * n > w else 0
     kd = w - n if w > n else 0
-    a, b, c, d, plus, minus = inst._powers(ka + kb if ka + kb > kc + kd else kc + kd)
+    a, b, c, d, plus, minus = inst._tables
+    if len(plus) <= n:  # the tables hold what every limit below len(plus) reads
+        inst._grow(n)
     den_p, den_q = a[ka] * b[kb], c[kc] * d[kd]
     # term i reads p**(v-n-i) as a[ta - i] * b[tb + i], and q likewise
     ta, tb, tc, td = v - n + ka, kb - v + n, w - n + kc, kd - w + n
@@ -183,13 +181,15 @@ def run_random_suite(cases: int, seed: int = 0) -> list[str]:
     """
     failures = []
     for inst in random_instances(cases, seed):
+        inst._grow(FREE_LIMIT_RANGE[-1])
         lhs, (num, den) = expand_difference(inst)
-        if num * lhs.denominator != lhs.numerator * den:
+        lhs_num, lhs_den = lhs.numerator, lhs.denominator
+        if num * lhs_den != lhs_num * den:
             failures.append(f"two-term factoring broke on {inst}: {lhs} != {Fraction(num, den)}")
             continue
-        for n in FREE_LIMIT_RANGE:
+        for n in _OTHER_LIMITS:  # n = 1 is the two-term factoring, checked above
             num, den = general_expansion(inst, n)
-            if num * lhs.denominator != lhs.numerator * den:
+            if num * lhs_den != lhs_num * den:
                 failures.append(f"free-limit expansion broke on {inst} at n={n}")
                 break
     return failures

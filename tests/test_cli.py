@@ -145,15 +145,22 @@ def test_search_accepts_caret_bound(tmp_path, capsys):
 def test_int_flag_spellings():
     assert cli_mod._int_flag("10^12") == cli_mod._int_flag("1e12") == 10 ** 12
     assert cli_mod._int_flag("1_000_000") == 10 ** 6
+    assert cli_mod._int_flag("1e6") == cli_mod._int_flag("10^6") == 10 ** 6
 
 
 def test_search_rejects_huge_bound_spellings_before_building(tmp_path, capsys):
-    for bound in ("10^999999999", "1e999999999", "2e999999999", "10^-3"):
+    limit = "need exponent >= 0 and exponent * bits(base) <= 4096"
+    for bound, message in [("10^999999999", f"10^999999999: {limit}"),
+                           ("1e999999999", f"1e999999999: {limit}"),
+                           ("2e999999999", f"2e999999999: {limit}"),
+                           ("10^-3", f"10^-3: {limit}"),
+                           ("e6", "invalid _int_flag value: 'e6'"),
+                           ("E12", "invalid _int_flag value: 'E12'"),
+                           ("^6", "invalid _int_flag value: '^6'")]:
         code, _, err = run(capsys, "search", "--bound", bound, "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "--bound" in err
-        assert f"{bound}: need" in err
-        assert "need exponent >= 0 and exponent * bits(base) <= 4096" in err
+        assert message in err
     assert not (tmp_path / "x.csv").exists()
 
 

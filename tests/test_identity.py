@@ -61,7 +61,7 @@ def test_general_expansion_n2_terms():
 def test_instance_keeps_fractions_and_wraps_other_numbers():
     p = Fraction(2, 3)
     inst = ExpansionInstance(p, 5, 2, 3)
-    assert inst.p == p
+    assert inst.p is p
     assert type(inst.q) is Fraction and inst.q == 5
 
 
@@ -142,6 +142,58 @@ def test_tables_grow_past_the_suite_ranges():
     assert Fraction(*general_expansion(inst, 25)) == p ** v - q ** w
     wide = ExpansionInstance(Fraction(9, 8), Fraction(-2, 5), 40, -30)
     assert Fraction(*general_expansion(wide, 3)) == Fraction(9, 8) ** 40 - Fraction(-2, 5) ** -30
+
+
+def _reach(e, n):
+    """ka + kb of general_expansion for exponent e at limit n."""
+    return max(2 * n - e, 0) + max(e - n, 0)
+
+
+def test_suite_sizes_each_table_to_exactly_the_powers_read(monkeypatch):
+    instances, real = [], identity_mod.random_instances
+
+    def recorded(count, seed=0):
+        for inst in real(count, seed):
+            instances.append(inst)
+            yield inst
+
+    monkeypatch.setattr(identity_mod, "random_instances", recorded)
+    assert run_random_suite(100, seed=5) == []
+    assert len(instances) == 100
+    for inst in instances:
+        top_p = max(_reach(inst.v, n) for n in FREE_LIMIT_RANGE)
+        top_q = max(_reach(inst.w, n) for n in FREE_LIMIT_RANGE)
+        assert [len(table) for table in inst._tables] == \
+            [top_p + 1, top_p + 1, top_q + 1, top_q + 1, 11, 11], inst
+        for table, base in zip(inst._tables, inst._bases):
+            assert table == [base ** k for k in range(len(table))]
+
+
+@pytest.mark.parametrize("order", [
+    list(range(10, -1, -1)),
+    random.Random(3).sample(range(0, 14), 14),
+    [12, 30, 2, 31, 0, 17],
+], ids=["descending", "shuffled", "past the range"])
+def test_tables_grow_on_demand_in_any_order_of_n(order):
+    for p, q, v, w in [(Fraction(-7, 3), Fraction(5, 9), 12, -4),
+                       (Fraction(9, 8), Fraction(-2, 5), -4, 12),
+                       (Fraction(3), Fraction(-1, 10), 5, 5),
+                       (Fraction(-10, 7), Fraction(7, 10), 0, 9)]:
+        inst = ExpansionInstance(p, q, v, w)
+        for n in order:
+            assert Fraction(*general_expansion(inst, n)) == fraction_expansion(p, q, v, w, n)
+        # the p+q table holds the powers 0..n of the largest n asked, and no more
+        assert len(inst._tables[4]) == max(order) + 1
+
+
+def test_suite_compares_the_shared_n1_pair(monkeypatch, capsys):
+    real = identity_mod.comb
+    monkeypatch.setattr(identity_mod, "comb",
+                        lambda n, i: real(n, i) + 1 if (n, i) == (1, 1) else real(n, i))
+    failures = run_random_suite(50, seed=7)
+    assert failures and all(f.startswith("two-term factoring broke") for f in failures)
+    assert cli.main(["verify-identities", "--cases", "50", "--seed", "7"]) == 4
+    assert "instances FAILED" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("change", [lambda k: k + 1, lambda k: -k],
