@@ -9,7 +9,11 @@ change=src of this checkout).  Every sample is taken in a fresh process that
 imports bealsearch from one tree's SRC and takes only that sample.  Per
 case, the trees take turns sample by sample, in alternating order (parent,
 change, change, parent, ...), so a drift of the machine's speed falls on
-every tree alike rather than reading as a code change.
+every tree alike rather than reading as a code change.  Just before and just
+after a sample, the same process times HOST_CALLS calls of perfbench's
+reference work (perfbench/speed.py's reference_work, after one untimed
+call); the sample's host_s is the median seconds of one call over both, so
+each sample carries the speed of the host it ran at.
 
 The cases, --repeats samples per tree each:
   startup: a fresh `python -c "import bealsearch.cli"` (import_s, timed
@@ -81,13 +85,17 @@ every sample of every tree.
 Every run adds its samples to each case under its tree's label in --out, so
 runs can be added to one file; the statistics are recomputed over all samples
 of a label: per case the raw samples and, per timed quantity, the median,
-minimum and quartiles.  A search case also holds the report's counts and the
-set probes of the scan per second of median scan_s when the report counts
-them (SearchReport.scan_probes), the probes and found pairs of each
-sweep of the scan (SearchReport.sweeps) and, per sweep, the statistics of
-its seconds (SearchReport.sweep_seconds).  The machine facts are nproc, the
-CPU model, the Python version and whether Python writes bytecode caches
-(without them every start-up compiles the package from source).
+minimum and quartiles, and for each time (a name ending in _s, or
+us_per_call) beside them scaled_median, the median of the sample's time
+times REFERENCE_S / host_s (perfbench/speed.py's REFERENCE_S): the time at
+the host speed where the reference work takes REFERENCE_S.  A search case
+also holds the report's counts and the set probes of the scan per second of
+median scan_s when the report counts them (SearchReport.scan_probes), the
+probes and found pairs of each sweep of the scan (SearchReport.sweeps) and,
+per sweep, the statistics of its seconds (SearchReport.sweep_seconds).  The
+machine facts are nproc, the CPU model, the Python version and whether
+Python writes bytecode caches (without them every start-up compiles the
+package from source).
 """
 
 from __future__ import annotations
@@ -108,6 +116,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,6 +128,8 @@ COMPLETENESS = [(10 ** 13, (3, 3, 3)), (10 ** 13, (4, 3, 3)), (10 ** 14, (3, 3, 
 CHILD_SEED = 1_000_003
 PHASES = ("enumerate_s", "index_s", "scan_s", "annotate_s")
 KERNEL_MIN_S = 0.05
+# calls of perfbench's reference work (about 1 ms each) just before and just after each sample
+HOST_CALLS = 10
 # Run with the tree's SRC as argv[1], each in a fresh interpreter.  The import
 # prints its seconds and then whether any bealsearch module it loaded lacks a
 # bytecode file, which, in a process that writes none, means it compiled that
@@ -194,7 +205,7 @@ def kernel_cases() -> dict[str, tuple]:
         finally:
             search._match_forked = real
         lanes = caught[0]
-        # a tree whose walk takes the dict of the cubes it solves takes five arguments
+        # an older tree's walk also takes a dict of the cubes it solves
         solved = ({},) if search._cube_pairs.__code__.co_argcount == 5 else ()
         calls = [(lanes, entry, entry.exponent >= lanes.lo_exp, entry.exponent >= lanes.min_z,
                   *solved) for entry in lanes.non_cubes]
@@ -371,8 +382,7 @@ def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers:
     sample.update((name, report.phases[name]) for name in PHASES)
     sample["peak_rss_mb"] = peak_rss_mb()
     sample["probes"] = {name: sweep["probes"] for name, sweep in report.sweeps.items()}
-    if getattr(report, "sweep_seconds", None) is not None:  # a tree from before has none
-        sample["sweep_seconds"] = report.sweep_seconds
+    sample["sweep_seconds"] = report.sweep_seconds
     counts = dict(report.counts, scan_probes=report.scan_probes)
     conn.send((sample, {"counts": counts, "sweeps": report.sweeps}, None))
 
@@ -495,11 +505,38 @@ def kernel_sample(src: str, name: str, conn) -> None:
                dict({"calls": len(calls)}, **(facts[0] if facts else {})), None))
 
 
+def host_seconds() -> list[float]:
+    """The seconds of each of HOST_CALLS calls of perfbench's reference work,
+    after one untimed call."""
+    from speed import reference_work  # perfbench's, on sys.path too
+
+    reference_work()
+    seconds = []
+    for _ in range(HOST_CALLS):
+        started = time.perf_counter()
+        reference_work()
+        seconds.append(time.perf_counter() - started)
+    return seconds
+
+
+def host_timed(target, args: tuple, conn) -> None:
+    """target(*args, conn), with the host's speed sampled just before and just
+    after it: its sample gains host_s, the median seconds of one call of the
+    reference work over both."""
+    sent = []
+    before = host_seconds()
+    target(*args, types.SimpleNamespace(send=sent.append))
+    sample, facts, output = sent[0]
+    sample["host_s"] = statistics.median(before + host_seconds())
+    conn.send((sample, facts, output))
+
+
 def in_fresh_process(target, *args):
-    """What target(*args, conn) sends, run in a fresh process that runs only it."""
+    """What target(*args, conn) sends, with host_s (host_timed), run in a fresh
+    process that runs only it."""
     context = multiprocessing.get_context("spawn")
     receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(target=target, args=(*args, sender))
+    process = context.Process(target=host_timed, args=(target, args, sender))
     process.start()
     sender.close()  # so recv raises EOFError, not waits, if the process dies
     try:
@@ -512,6 +549,8 @@ def run_case(runs: dict, trees: list[tuple[str, str]], name: str, repeats: int,
              target, *args) -> None:
     """Add repeats samples per tree to the case name, the trees taking turns,
     each sample what target(src, *args, conn) sends from a fresh process."""
+    from speed import REFERENCE_S  # perfbench's, on sys.path too
+
     for repeat in range(repeats):
         for label, src in trees if repeat % 2 == 0 else trees[::-1]:
             sample, facts, output = in_fresh_process(target, src, *args)
@@ -520,8 +559,13 @@ def run_case(runs: dict, trees: list[tuple[str, str]], name: str, repeats: int,
             case.update(facts)
             case["repeats"] = len(case["samples"])
             for key, value in sample.items():
-                if not isinstance(value, dict):  # a search's per-sweep figures: see main
-                    case[key] = summary([run[key] for run in case["samples"]])
+                if isinstance(value, dict):  # a search's per-sweep figures: see main
+                    continue
+                case[key] = summary([run[key] for run in case["samples"]])
+                if key != "host_s" and (key.endswith("_s") or key == "us_per_call"):
+                    case[key]["scaled_median"] = statistics.median(
+                        run[key] * REFERENCE_S / run["host_s"] for run in case["samples"]
+                        if "host_s" in run)
             if output is not None:
                 known = {runs[other][name].get("output_sha256") for other in runs
                          if name in runs[other]} - {None}
@@ -530,7 +574,10 @@ def run_case(runs: dict, trees: list[tuple[str, str]], name: str, repeats: int,
                 case["output_sha256"] = output
     for label, _ in trees:
         case = runs[label][name]
-        medians = ", ".join(f"{key} {value['median']:.6g}" for key, value in case.items()
+        medians = ", ".join(f"{key} {value['median']:.6g}"
+                            + (f" (scaled {value['scaled_median']:.6g})"
+                               if "scaled_median" in value else "")
+                            for key, value in case.items()
                             if isinstance(value, dict) and "median" in value)
         print(f"{label}: {name}: {medians} over {case['repeats']} runs")
 

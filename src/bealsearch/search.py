@@ -53,8 +53,7 @@ residue for every modulus, so the sieve drops no pair.  It passes about 3 in
 10,000 residues for cubes and 1 in 10,000 for 4th powers; since 819 = 9 * 7
 * 13 and 1040 = 16 * 5 * 13, it passes no value that a filter mod 819 or
 1040 would drop.  At 10**12 sweeps 2, 3 and 5 probe 253, 527 and 150
-partners, where partner lists mod 819 and 1040 probed 45,140, 75,137 and
-23,470.  The sieve is a bitset over left_other, built once per search: per
+partners.  The sieve is a bitset over left_other, built once per search: per
 modulus m and shift a < m, one Python int whose bit i is set when
 (a + left_other[i]) % m is a residue (_sieve_masks; 378 ints of
 len(left_other) bits).  Per value and sweep, the scan ANDs the bits of the
@@ -68,20 +67,23 @@ it applies to (sweep 1 every value; sweep 2 the left values v with 2v <=
 bound; sweep 3 the right values; sweep 4 the right values in H; sweep 5 the
 left values in H), takes the bounds of all their partners' index ranges at
 once with C-level bisects, and then probes value by value.  Per sweep the
-scan counts the set probes it made and the pairs it found, and times its
-pass.
+scan counts the set probes it made and the pairs it found (how much its
+pass grew the pair list), and times its pass.
 
 Only a cube of reduced exponent 3 can have a base above bound**(1/4), and
 the scan reads cubes only as set members.  So those cubes are plain values
 n**3, and a PowerEntry table (a sieve over the bases, no root per base) holds
 the powers of exponent >= 4: at 10**18, 37,112 entries beside 999,999 cube
-values.  A hit's term that the table lacks is such a cube, of base its root.
+values.  A hit's term that the table lacks is such a cube; the triples are
+built with its base from one integer cube root (cube_term).
 
 The scan is striped by index of v across workers, stripe i the entry list
 non_cubes[i::workers]: the search scans stripe 0 itself and forks one child
 per other stripe, which reads the lanes from the fork's copy of memory and
-sends back its pairs and per-sweep counts and seconds (marshal, through a
-pipe).  The annotated hits are sorted by SearchHit.sort_key, so reports are
+sends back what _match_stripe returns, (pairs, tally): its pairs and, per
+sweep, its probes, pairs and seconds (marshal, through a pipe).  A search
+with no right value forks as any other; its stripes find nothing.  The
+annotated hits are sorted by SearchHit.sort_key, so reports are
 deterministic for any worker count.  A deliberately naive
 triple-enumeration oracle with its own power enumeration (repeated
 multiplication, no root extraction, no sum index) provides the independent
@@ -363,14 +365,14 @@ def _sieved(values: list[int], sieve: list[tuple[int, list[int]]], r: int,
 
 
 def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
-        list[tuple[int, int]], list[int], list[int], list[float], dict[int, tuple]]:
-    """The unordered pairs (a, b) of left values with a + b a right value
-    whose owner (see the module docstring) is one of the non-cube entries,
-    where any cube of lanes.cubes counts as left and as right; then, per
-    sweep in SWEEPS order, the number of set probes made (the partners the
-    sieve passed, or the divisors _cube_pairs tried), the number of those
-    pairs it found and its seconds; last, the cubes that _cube_pairs solved,
-    as cube: (cube, root, 3).
+        list[tuple[int, int]], list[tuple[int, int, float]]]:
+    """(pairs, tally): the unordered pairs (a, b) of left values with a + b a
+    right value whose owner (see the module docstring) is one of the
+    non-cube entries, where any cube of lanes.cubes counts as left and as
+    right; and, per sweep in SWEEPS order, (probes, pairs, seconds): the
+    number of set probes made (the partners the sieve passed, or the
+    divisors _cube_pairs tried), how much its pass grew the pair list and
+    the seconds of that pass.
 
     Each sweep is one pass over the entries it applies to, which takes the
     partners' index bounds of all of them at once, at C level.  Most sieves
@@ -382,19 +384,18 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
     cubes, right_quartics = lanes.cubes, lanes.right_quartics
     cube_sieve, quartic_sieve = lanes.cube_sieve, lanes.quartic_sieve
     found: list[tuple[int, int]] = []
-    roots: dict[int, tuple[int, int, int]] = {}
-    tally = []  # per sweep: probes, pairs, seconds
+    tally: list[tuple[int, int, float]] = []  # per sweep: probes, pairs, seconds
 
-    started, probed, paired = time.perf_counter(), 0, 0  # v a sum or difference of two cubes
+    # v a sum or difference of two cubes
+    started, probed, before = time.perf_counter(), 0, len(found)
     for entry in entries:
-        owned, tried = _cube_pairs(lanes, entry, entry.exponent >= lo_exp,
-                                   entry.exponent >= min_z, roots)
+        owned, tried = _cube_pairs(lanes, entry, entry.exponent >= lo_exp, entry.exponent >= min_z)
         found += owned
         probed += tried
-        paired += len(owned)
-    tally.append((probed, paired, time.perf_counter() - started))
+    tally.append((probed, len(found) - before, time.perf_counter() - started))
 
-    started, probed, paired = time.perf_counter(), 0, 0  # v = a, c a cube
+    # v = a, c a cube
+    started, probed, before = time.perf_counter(), 0, len(found)
     half = bound // 2
     values = [entry.value for entry in entries if entry.exponent >= lo_exp and entry.value <= half]
     firsts = list(map(bisect_left, repeat(left_other), values))
@@ -404,20 +405,20 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
         probed += len(partners)
         if partners and (sums := cubes.intersection(map(add, repeat(v), partners))):
             found.extend((v, c - v) for c in sums)
-            paired += len(sums)
-    tally.append((probed, paired, time.perf_counter() - started))
+    tally.append((probed, len(found) - before, time.perf_counter() - started))
 
-    started, probed, paired = time.perf_counter(), 0, 0  # v = c, one of a, b a cube; -1 a cube
+    # v = c, one of a, b a cube; -1 a cube
+    started, probed, before = time.perf_counter(), 0, len(found)
     values = [entry.value for entry in entries if entry.exponent >= min_z]
     for v, last in zip(values, map(bisect_left, repeat(left_other), values)):
         partners = _sieved(left_other, cube_sieve, -v, 0, last)
         probed += len(partners)
         if partners and (terms := cubes.intersection(map(sub, repeat(v), partners))):
             found.extend((v - x, x) for x in terms)
-            paired += len(terms)
-    tally.append((probed, paired, time.perf_counter() - started))
+    tally.append((probed, len(found) - before, time.perf_counter() - started))
 
-    started, probed, paired = time.perf_counter(), 0, 0  # v = c in H, no cube
+    # v = c in H, no cube
+    started, probed, before = time.perf_counter(), 0, len(found)
     values = [entry.value for entry in entries
               if entry.exponent >= min_z and not _is_quartic(entry.exponent)]
     firsts = list(map(bisect_left, repeat(left_other), [v - v // 2 for v in values]))
@@ -426,10 +427,10 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
         probed += last - first
         if terms := left_other_set.intersection(map(sub, repeat(v), left_other[first:last])):
             found.extend((v - x, x) for x in terms)
-            paired += len(terms)
-    tally.append((probed, paired, time.perf_counter() - started))
+    tally.append((probed, len(found) - before, time.perf_counter() - started))
 
-    started, probed, paired = time.perf_counter(), 0, 0  # v in H, no cube, c in Q
+    # v in H, no cube, c in Q
+    started, probed, before = time.perf_counter(), 0, len(found)
     values = [entry.value for entry in entries
               if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)]
     lasts = map(bisect_right, repeat(left_other), map(sub, repeat(bound), values))
@@ -437,12 +438,9 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
         partners = _sieved(left_other, quartic_sieve, v, 0, last)
         probed += len(partners)
         if partners and (sums := right_quartics.intersection(map(add, repeat(v), partners))):
-            owned = [(v, c - v) for c in sums if c - v >= v or c - v not in left_h]
-            found += owned
-            paired += len(owned)
-    tally.append((probed, paired, time.perf_counter() - started))
-    probes, pairs, seconds = map(list, zip(*tally))
-    return found, probes, pairs, seconds, roots
+            found.extend((v, c - v) for c in sums if c - v >= v or c - v not in left_h)
+    tally.append((probed, len(found) - before, time.perf_counter() - started))
+    return found, tally
 
 
 def _match_forked(lanes: _Lanes, workers: int) -> list[tuple]:
@@ -518,12 +516,11 @@ def _divisor_exponents(p: int, e: int) -> tuple[range, ...]:
     return (range((e + 2) // 3), outside_q) if p % 3 == 1 else (outside_q,)
 
 
-def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool, right: bool,
-                roots: dict[int, tuple[int, int, int]]) -> tuple[list[tuple[int, int]], int]:
+def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
+                right: bool) -> tuple[list[tuple[int, int]], int]:
     """The pairs whose other two terms are cubes, for the non-cube v = entry.value
     as a left term (left) and as the sum (right), and the number of divisors
     s = x + y of v tried, one solve of v = x**3 + y**3 each (module docstring).
-    Each cube term of those pairs goes into roots as cube: (cube, root, 3).
 
     A v whose residue mod 63 is not in CUBE_SUM_RESIDUES is no sum or
     difference of two cubes, and tries no divisor.  The walk builds only the
@@ -572,7 +569,6 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool, right: bool,
         x, y = (s + root) >> 1, (s - root) >> 1  # root**2 = s**2 mod 4: same parity
         if (y_cube := abs(y) ** 3) in cubes and (x_cube := x ** 3) in cubes:
             found.append((v, y_cube) if y < 0 else (y_cube, x_cube))
-            roots[x_cube], roots[y_cube] = (x_cube, x, 3), (y_cube, abs(y), 3)
     return found, len(tried)
 
 
@@ -723,21 +719,20 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         cube_cut=27 * config.bound ** 2)
     indexed = time.perf_counter()
 
-    workers = 1 if config.min_z >= config.bound.bit_length() else config.workers  # no right value
-    results = _match_forked(lanes, workers)
+    results = _match_forked(lanes, config.workers)
 
-    # A term the table lacks is a cube n**3 of reduced base n.  For the cubes
-    # the two-cube walk solved, its (n**3, n, 3) serves; one the table holds
-    # keeps its entry.
-    for *_, solved in results:
-        for value, term in solved.items():
-            index.setdefault(value, term)
-
-    def cube_term(value: int) -> tuple[int, int, int]:
+    def cube_term(value: int) -> tuple[int, int, int]:  # a term the table lacks: n**3, base n
         return value, iroot(value, 3)[0], 3
 
+    # each sweep's probes, found pairs and seconds, summed over the stripes
+    sweeps = {name: {"probes": 0, "pairs": 0} for name in SWEEPS}
+    sweep_seconds = dict.fromkeys(SWEEPS, 0.0)
     triples = []
-    for found, *_ in results:
+    for found, tally in results:
+        for name, (probes, pairs, seconds) in zip(SWEEPS, tally):
+            sweeps[name]["probes"] += probes
+            sweeps[name]["pairs"] += pairs
+            sweep_seconds[name] += seconds
         for a, b in found:
             if a > b:
                 a, b = b, a
@@ -746,12 +741,6 @@ def search_solutions(config: SearchConfig) -> SearchReport:
             _, b, y = index.get(b) or cube_term(b)
             if min(x, y) >= lo_exp and max(x, y) >= hi_exp and z >= config.min_z:
                 triples.append(BealTriple(a, x, b, y, c, z))
-    # each sweep's probes, found pairs and seconds, summed over the stripes
-    sweeps = {name: {"probes": sum(result[1][k] for result in results),
-                     "pairs": sum(result[2][k] for result in results)}
-              for k, name in enumerate(SWEEPS)}
-    sweep_seconds = {name: sum(result[3][k] for result in results)
-                     for k, name in enumerate(SWEEPS)}
     return _report(config, triples, powers_enumerated, pairs_tested,
                    started, enumerated, indexed, sweeps, sweep_seconds)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import bealsearch.search as search_mod
 from bealsearch.errors import BoundTooLarge
 from bealsearch.exact_arith import factorize, iroot, is_perfect_power
+from bealsearch.records import canonical_json
 from bealsearch.search import (ORACLE_MAX_BOUND, PowerEntry, SearchConfig, annotate_hit,
                                brute_force_oracle, enumerate_powers, search_solutions,
                                verify_hit)
@@ -372,7 +373,8 @@ def test_scan_finds_each_pair_once(monkeypatch, bound, minimums, named):
     reference = sorted((t.ax, t.by) for t in _lookup_reference(bound, minimums))
     assert set(named) <= set(reference)
     entries = lanes.non_cubes
-    _, probes, pairs, *_ = search_mod._match_stripe(lanes, entries)
+    _, whole = search_mod._match_stripe(lanes, entries)
+    assert len(whole) == len(search_mod.SWEEPS)
     size = -(-len(entries) // 4)
     shuffled = entries[:]
     random.Random(30).shuffle(shuffled)
@@ -384,12 +386,15 @@ def test_scan_finds_each_pair_once(monkeypatch, bound, minimums, named):
     for name, split in splits.items():
         assert sorted(entry for part in split for entry in part) == entries, name
         results = [search_mod._match_stripe(lanes, part) for part in split]
-        found = [tuple(sorted(pair)) for result in results for pair in result[0]]
+        found = [tuple(sorted(pair)) for pairs, _ in results for pair in pairs]
         assert len(found) == len(set(found)), name
         assert sorted(found) == reference, name
+        for pairs, tally in results:  # a sweep's pairs are what its pass added
+            assert sum(count for _, count, _ in tally) == len(pairs), name
         # the per-sweep counts add up to those of the whole list
-        assert list(map(sum, zip(*(result[1] for result in results)))) == probes, name
-        assert list(map(sum, zip(*(result[2] for result in results)))) == pairs, name
+        for k, (probes, count, _) in enumerate(whole):
+            assert sum(tally[k][0] for _, tally in results) == probes, name
+            assert sum(tally[k][1] for _, tally in results) == count, name
 
 
 def _is_residue(r: int, modulus: int, power: int) -> bool:
@@ -534,7 +539,7 @@ def test_cube_sum_skip_loses_no_pair(monkeypatch):
         found, tried = [], 0
         for entry in lanes.non_cubes:
             pairs, probes = search_mod._cube_pairs(lanes, entry, entry.exponent >= lanes.lo_exp,
-                                                    entry.exponent >= lanes.min_z, {})
+                                                    entry.exponent >= lanes.min_z)
             assert not pairs or entry.value % 63 in search_mod.CUBE_SUM_RESIDUES, entry
             found += pairs
             tried += probes
@@ -545,22 +550,6 @@ def test_cube_sum_skip_loses_no_pair(monkeypatch):
     unskipped, unskipped_tried = solve_all()
     assert skipped == unskipped and len(skipped) >= 10
     assert skipped_tried < unskipped_tried
-
-
-def test_two_cube_walk_gives_the_roots_of_its_cubes(monkeypatch):
-    # The triples take the bases of the walk's cube terms from what it solved.
-    lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 12))
-    solved = 0
-    for entry in lanes.non_cubes:
-        roots = {}
-        pairs, _ = search_mod._cube_pairs(lanes, entry, entry.exponent >= lanes.lo_exp,
-                                          entry.exponent >= lanes.min_z, roots)
-        terms = {t for pair in pairs for t in (*pair, sum(pair))} - {entry.value}
-        assert set(roots) == terms, entry
-        for cube, term in roots.items():
-            assert term == (cube, iroot(cube, 3)[0], 3) and iroot(cube, 3)[1], entry
-        solved += len(roots)
-    assert solved >= 200
 
 
 def test_cube_sum_is_the_sum_of_its_terms_mod_6():
@@ -626,7 +615,7 @@ def test_divisor_filter_loses_no_pair(monkeypatch):
         found, tried = [], 0
         for entry in lanes.non_cubes:
             pairs, probes = search_mod._cube_pairs(lanes, entry, entry.exponent >= lanes.lo_exp,
-                                                    entry.exponent >= lanes.min_z, {})
+                                                    entry.exponent >= lanes.min_z)
             for pair in pairs:  # s = x + y, from the cube roots of the two cube terms
                 cubes = [t for t in (*pair, sum(pair)) if t != entry.value]
                 x, y = (iroot(t, 3)[0] for t in cubes)
@@ -758,6 +747,26 @@ def test_worker_determinism():
     assert (reports[0].counts["pairs_tested"]
             == reports[1].counts["pairs_tested"]
             == reports[2].counts["pairs_tested"])
+
+
+def test_search_with_no_right_value_scans_with_every_worker(monkeypatch):
+    # min_z = 20 >= (10**6).bit_length(): no power is a right value, so no
+    # stripe finds a pair, yet the scan still forks as the workers say.
+    config = SearchConfig(bound=10 ** 6, min_z=20)
+    assert config.min_z >= config.bound.bit_length()
+    calls = []
+    real = search_mod._match_forked
+
+    def recording(lanes, workers):
+        calls.append(workers)
+        return real(lanes, workers)
+
+    monkeypatch.setattr(search_mod, "_match_forked", recording)
+    reports = [search_solutions(config._replace(workers=w)) for w in (1, 2)]
+    assert calls == [1, 2]
+    assert [report.hits for report in reports] == [[], []]
+    one, two = map(canonical_json, reports)  # the config echo differs in workers only
+    assert two.replace('"workers": 2', '"workers": 1') == one
 
 
 @pytest.mark.parametrize("workers", [1, 2])
