@@ -41,7 +41,10 @@ The cases, --repeats samples per tree each:
     and seconds of each sweep of the scan (SearchReport.sweeps and
     SearchReport.sweep_seconds), and the cyclic garbage collector's passes
     and seconds during the search (gc_s in all; gc, per generation, read
-    through gc.callbacks: a library call runs with the collector on).  The
+    through gc.callbacks).  The search runs with the collector paused, as
+    cli.main runs it, so a pass cannot fall in one phase and read as a code
+    change; gc shows that none ran, and the collector is then left as it
+    was.  The
     cases are 10^12, 10^14 and 10^16 with minimums 3,3,3 and 1 worker,
     10^14 with 2, and perfbench's search_split, 10^13 with minimums 4,3,3
     and 2 workers.
@@ -77,7 +80,10 @@ The cases, --repeats samples per tree each:
     facts hold how many of them fall back to scalar_m at 256 bits.  Two
     are the two-cube solve, search._cube_pairs, over every non-cube of the
     scan's lanes at 10^12 and at 10^16 (one call per non-cube), whose facts
-    hold the divisors it tries in all.
+    hold the divisors it tries in all.  One is a warm
+    cli.main(["verify-identities", "--cases", "1"]) with stdout redirected,
+    the per-call cost of the command line (parsing, the command and its
+    output) beside the fresh-process cli cases and classify batch cold.
 The startup, cli search, classify, factorize and completeness cases also
 record the sha256 of what they print or return, which must be the same in
 every sample of every tree.
@@ -225,6 +231,10 @@ def kernel_cases() -> dict[str, tuple]:
             reparam.scalar_m = real
         return cli._scalar_obj, calls, {"fallbacks": len(fallbacks)}
 
+    def quiet_main(argv: list[str]) -> int:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+
     return {
         "iroot 500 bits k 3,5,7": lambda: (iroot, iroot_calls),
         "is_perfect_power 64 bits": lambda: (is_perfect_power, power_calls[64]),
@@ -244,6 +254,8 @@ def kernel_cases() -> dict[str, tuple]:
         "scalar estimate classify batch": scalar_estimate_case,
         "cube_pairs 10^12 lanes": lambda: cube_pairs_case(10 ** 12),
         "cube_pairs 10^16 lanes": lambda: cube_pairs_case(10 ** 16),
+        "cli.main verify-identities --cases 1": lambda: (
+            quiet_main, [(["verify-identities", "--cases", "1"],)]),
     }
 
 
@@ -252,7 +264,8 @@ KERNELS = ("iroot 500 bits k 3,5,7", "is_perfect_power 64 bits", "is_perfect_pow
            "is_perfect_power 2000 bits", "classify_radical", "scalar_m 3,3,6,3,3,5",
            "run_random_suite 200 cases seed 15", "json writer 10^12 report",
            "classify_obj classify batch", "scalar estimate classify batch",
-           "cube_pairs 10^12 lanes", "cube_pairs 10^16 lanes")
+           "cube_pairs 10^12 lanes", "cube_pairs 10^16 lanes",
+           "cli.main verify-identities --cases 1")
 
 
 def cpu_model() -> str:
@@ -371,10 +384,17 @@ def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers:
     import bealsearch.search as search
 
     search.search_solutions(search.SearchConfig(bound=10 ** 6))  # warm-up, untimed
-    with GcTimer() as collector:
-        started = time.perf_counter()
-        report = search.search_solutions(search.SearchConfig(bound, *minimums, workers=workers))
-        sample = {"wall_s": time.perf_counter() - started}
+    enabled = gc.isenabled()
+    gc.disable()  # as cli.main runs the search
+    try:
+        with GcTimer() as collector:
+            started = time.perf_counter()
+            report = search.search_solutions(search.SearchConfig(bound, *minimums,
+                                                                 workers=workers))
+            sample = {"wall_s": time.perf_counter() - started}
+    finally:
+        if enabled:
+            gc.enable()
     sample["gc_s"] = sum(collector.seconds)
     sample["gc"] = {str(generation): {"passes": passes, "s": seconds}
                     for generation, (passes, seconds)

@@ -9,14 +9,21 @@ Exit codes are the only success/failure channel:
     5  a forked scan worker of search --workers > 1 failed (raised, exited
        non-zero or died), so the search has no result
 
-main runs each command, from building the parser to the last line of
+main parses a command's arguments with that command's own parser, built on
+the command's first call in a process and kept for later calls.  No
+argument, -h, an unknown command, an option before the command and an
+argument the command does not know go through the full tree
+(build_parser), so every help and error text is the tree's.  Each command's
+flags are declared once, in the function of _COMMANDS that adds them.
+
+main runs each command, from building its parser to the last line of
 output, with CPython's cyclic garbage collector paused (gc.disable), and
 then restores the collector as its caller had it.  No command makes a
 reference cycle: every object it builds is freed by reference counting as
 soon as it is dropped, and the tests check that gc.collect() finds nothing
-after each command.  Only argparse makes a few: building the parser, once
-per process, leaves about 70 of its help-formatter objects in cycles, and
-a usage error 6; the collector's next pass frees them.  So the collector's
+after each command.  Only argparse makes a few: building a command's
+parser leaves 6 (classify) to 27 (search) of its objects in cycles, and a
+usage error 6; the collector's next pass frees them.  So the collector's
 passes, about 1 ms of a 21 ms search at 10**12, were pure cost.  A forked
 scan worker inherits the pause and ends through os._exit.  Library calls
 such as search_solutions leave the collector alone.
@@ -25,6 +32,7 @@ such as search_solutions leave the collector alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -70,53 +78,94 @@ def _int_flag(text: str) -> int:
     return int(t)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument("--bound", type=_int_flag, required=True,
-                         help="maximum C^Z (accepts 10^12 / 1e12 spellings)")
-    bounded.add_argument("--min-x", type=int, default=3)
-    bounded.add_argument("--min-y", type=int, default=3)
-    bounded.add_argument("--min-z", type=int, default=3)
-    bounded.add_argument("--out", required=True, help="CSV output path")
-    bounded.add_argument("--report", help="optional JSON report path")
+def _bounded_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that search and oracle share."""
+    parser.add_argument("--bound", type=_int_flag, required=True,
+                        help="maximum C^Z (accepts 10^12 / 1e12 spellings)")
+    parser.add_argument("--min-x", type=int, default=3)
+    parser.add_argument("--min-y", type=int, default=3)
+    parser.add_argument("--min-z", type=int, default=3)
+    parser.add_argument("--out", required=True, help="CSV output path")
+    parser.add_argument("--report", help="optional JSON report path")
 
+
+def _search_flags(parser: argparse.ArgumentParser) -> None:
+    _bounded_flags(parser)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel workers for the pair scan, at most the CPU count")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="recorded in the report's config echo only; "
+                             "the search is deterministic")
+    parser.set_defaults(func=cmd_search)
+
+
+def _oracle_flags(parser: argparse.ArgumentParser) -> None:
+    _bounded_flags(parser)
+    parser.set_defaults(func=cmd_oracle)
+
+
+def _verify_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cases", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the random cases")
+    parser.set_defaults(func=cmd_verify_identities)
+
+
+def _classify_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--triple", required=True, metavar="A,X,B,Y,C,Z")
+    parser.set_defaults(func=cmd_classify)
+
+
+def _plot_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--in", dest="infile", required=True)
+    parser.add_argument("--out", required=True)
+    # svgplot.AXIS_CHOICES, spelled out so that only emit-plot imports svgplot
+    parser.add_argument("--axes", choices=["abc", "axbycz"], default="axbycz")
+    parser.add_argument("--log", action="store_true", help="log10 scale")
+    parser.set_defaults(func=cmd_emit_plot)
+
+
+# Each command's help and the function that adds its flags and its func to a
+# parser, in the order of the full tree's help.
+_COMMANDS = {
+    "search": ("bounded exhaustive search (scan over the non-cube powers)", _search_flags),
+    "oracle": ("naive triple-enumeration oracle (bound <= 10^7)", _oracle_flags),
+    "verify-identities": ("randomized exact-identity suite", _verify_flags),
+    "classify": ("full classification bundle for one triple", _classify_flags),
+    "emit-plot": ("2-D SVG scatter from a hits CSV", _plot_flags),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser with one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="bealsearch",
         description="Exact search and verification for A^X + B^Y = C^Z.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_search = sub.add_parser("search", parents=[bounded],
-                              help="bounded exhaustive search (scan over the non-cube powers)")
-    p_search.add_argument("--workers", type=int, default=1,
-                          help="parallel workers for the pair scan, at most the CPU count")
-    p_search.add_argument("--seed", type=int, default=0,
-                          help="recorded in the report's config echo only; "
-                               "the search is deterministic")
-    p_search.set_defaults(func=cmd_search)
-
-    p_oracle = sub.add_parser("oracle", parents=[bounded],
-                              help="naive triple-enumeration oracle (bound <= 10^7)")
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_verify = sub.add_parser("verify-identities", help="randomized exact-identity suite")
-    p_verify.add_argument("--cases", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0, help="seed of the random cases")
-    p_verify.set_defaults(func=cmd_verify_identities)
-
-    p_classify = sub.add_parser("classify", help="full classification bundle for one triple")
-    p_classify.add_argument("--triple", required=True, metavar="A,X,B,Y,C,Z")
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_plot = sub.add_parser("emit-plot", help="2-D SVG scatter from a hits CSV")
-    p_plot.add_argument("--in", dest="infile", required=True)
-    p_plot.add_argument("--out", required=True)
-    # svgplot.AXIS_CHOICES, spelled out so that only emit-plot imports svgplot
-    p_plot.add_argument("--axes", choices=["abc", "axbycz"], default="axbycz")
-    p_plot.add_argument("--log", action="store_true", help="log10 scale")
-    p_plot.set_defaults(func=cmd_emit_plot)
-
+    for name, (help_text, add_flags) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as the full tree's subparser for it, built
+    on the command's first call; parse_args keeps no state on a parser, so
+    one serves every later call in the process."""
+    parser = argparse.ArgumentParser(prog=f"bealsearch {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its command's own parser, or else by the full tree
+    (module docstring), whose usage names the arguments a command does not
+    know."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _finish(report, args, summary: str) -> int:
@@ -276,9 +325,6 @@ def cmd_emit_plot(args) -> int:
     return 0
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
     """Run one command with the cyclic garbage collector paused (module
     docstring), and leave the collector as the caller had it."""
@@ -292,12 +338,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    global _parser
-    if _parser is None:
-        # parse_args keeps no state on the parser, so one serves every call
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, JSON contract."""
 
 import argparse
+import functools
 import gc
 import hashlib
 import json
@@ -36,9 +37,10 @@ def run(capsys, *argv):
 def _garbage_left(capsys, *argv):
     """The exit code of main(argv), run with the cyclic collector paused, and
     how many unreachable objects the collector then finds."""
-    # The first call in a process builds the parser, which leaves argparse's
-    # help formatters in cycles: collected here, with what the test left.
-    run(capsys, "verify-identities", "--cases", "1")
+    # A command's first call in a process builds its parser, which leaves
+    # argparse's help formatters in cycles: built here, whatever ran before,
+    # and collected with what the test left.
+    cli_mod._command_parser(argv[0])
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -659,11 +661,17 @@ def _without_wall(text):
     return re.sub(r"wall=\S+", "wall=", text)
 
 
-def test_reused_parser_matches_fresh_calls(tmp_path, capsys, monkeypatch):
+def _counting_parsers(monkeypatch):
+    """The names of the command parsers main builds from here on, one per build."""
     built = []
-    real_build = cli_mod.build_parser
-    monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or real_build())
-    monkeypatch.setattr(cli_mod, "_parser", None)
+    real = cli_mod._command_parser.__wrapped__
+    monkeypatch.setattr(cli_mod, "_command_parser",
+                        functools.cache(lambda name: built.append(name) or real(name)))
+    return built
+
+
+def test_reused_parser_matches_fresh_calls(tmp_path, capsys, monkeypatch):
+    built = _counting_parsers(monkeypatch)
     first, second, fresh = (tmp_path / name for name in ("first", "second", "fresh"))
     for directory in (first, second, fresh):
         directory.mkdir()
@@ -676,13 +684,15 @@ def test_reused_parser_matches_fresh_calls(tmp_path, capsys, monkeypatch):
     code, out_second, _ = run(capsys, "search", "--bound", "3000",
                               "--out", str(second / "h.csv"))
     assert code == 0
-    assert built == [1]
+    assert run(capsys, "classify", "--triple", "3,3,6,3,3,5")[0] == 0
+    assert built == ["search", "classify"]
 
     # a fresh parser for the same second call: no option leaked from the first
-    monkeypatch.setattr(cli_mod, "_parser", None)
+    built = _counting_parsers(monkeypatch)
     code, out_fresh, _ = run(capsys, "search", "--bound", "3000",
                              "--out", str(fresh / "h.csv"))
     assert code == 0
+    assert built == ["search"]
     assert _without_wall(out_second) == _without_wall(out_fresh).replace(str(fresh),
                                                                          str(second))
     assert "hits=10 pairs_tested=276" in out_second
@@ -691,9 +701,95 @@ def test_reused_parser_matches_fresh_calls(tmp_path, capsys, monkeypatch):
     assert not (first / "r.json").exists()
 
 
+# Per command, what follows its name: -h, a bad flag value, a missing required
+# flag (verify-identities has none: a flag without its value) and an argument
+# the command does not know.
+_USAGE_CASES = {
+    "search": [["-h"], ["--bound", "ten", "--out", "h.csv"], ["--out", "h.csv"],
+               ["--bound", "10", "--out", "h.csv", "--bogus"]],
+    "oracle": [["-h"], ["--bound", "10", "--min-x", "x", "--out", "h.csv"], ["--bound", "10"],
+               ["--bound", "10", "--out", "h.csv", "stray"]],
+    "verify-identities": [["-h"], ["--cases", "x"], ["--cases"], ["--bogus"]],
+    "classify": [["-h"], ["--triple"], [], ["--triple", "1,2,3", "--bogus"]],
+    "emit-plot": [["-h"], ["--in", "h.csv", "--out", "f.svg", "--axes", "bogus"],
+                  ["--in", "h.csv"], ["--in", "h.csv", "--out", "f.svg", "--log", "x"]],
+}
+
+
+@pytest.mark.parametrize("command", _USAGE_CASES)
+def test_command_parser_prints_what_the_full_tree_prints(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    tree = cli_mod.build_parser()
+    built = _counting_parsers(monkeypatch)
+    trees = []
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: trees.append(1) or tree)
+    for rest in _USAGE_CASES[command]:
+        with pytest.raises(SystemExit) as exit_info:
+            tree.parse_args([command, *rest])
+        expected = (exit_info.value.code, *capsys.readouterr())
+        assert expected[0] in (0, 2)
+        assert run(capsys, command, *rest) == expected, rest
+    # one parser of the command's own served every call; the tree was asked
+    # only for the argument the command does not know, to name it in its usage
+    assert built == [command]
+    assert trees == [1]
+
+
+def test_calls_without_a_command_get_the_full_tree(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = ("usage: bealsearch [-h]\n"
+             "                  {search,oracle,verify-identities,classify,emit-plot} ...\n")
+    assert run(capsys) == (
+        2, "", usage + "bealsearch: error: the following arguments are required: command\n")
+    assert run(capsys, "no-such-command") == (
+        2, "", usage + "bealsearch: error: argument command: invalid choice: "
+                       "'no-such-command' (choose from 'search', 'oracle', "
+                       "'verify-identities', 'classify', 'emit-plot')\n")
+    assert run(capsys, "-h") == (0, usage + """
+Exact search and verification for A^X + B^Y = C^Z.
+
+positional arguments:
+  {search,oracle,verify-identities,classify,emit-plot}
+    search              bounded exhaustive search (scan over the non-cube
+                        powers)
+    oracle              naive triple-enumeration oracle (bound <= 10^7)
+    verify-identities   randomized exact-identity suite
+    classify            full classification bundle for one triple
+    emit-plot           2-D SVG scatter from a hits CSV
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+
+
+def test_a_command_builds_only_its_own_parser():
+    # in a fresh process: the prog of each ArgumentParser built by a first
+    # classify call, by a repeat and by -h, which builds the full tree
+    code = (
+        "import argparse, contextlib, io, json\n"
+        "from bealsearch.cli import main\n"
+        "built, real = [], argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    real(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "calls = []\n"
+        "for argv in [['classify', '--triple', '3,3,6,3,3,5']] * 2 + [['-h']]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv)\n"
+        "    calls.append(built[:])\n"
+        "    built.clear()\n"
+        "print(json.dumps(calls))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert json.loads(out) == [
+        ["bealsearch classify"], [],
+        ["bealsearch"] + [f"bealsearch {name}" for name in _USAGE_CASES]]
+
+
 def test_classify_repeats_the_same_bundle(capsys, monkeypatch):
     outputs = [run(capsys, "classify", "--triple", "3,3,6,3,3,5") for _ in range(2)]
-    monkeypatch.setattr(cli_mod, "_parser", None)
+    _counting_parsers(monkeypatch)
     outputs.append(run(capsys, "classify", "--triple", "3,3,6,3,3,5"))
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0] == 0
