@@ -13,7 +13,13 @@ every tree alike rather than reading as a code change.  Just before and just
 after a sample, the same process times HOST_CALLS calls of perfbench's
 reference work (perfbench/speed.py's reference_work, after one untimed
 call); the sample's host_s is the median seconds of one call over both, so
-each sample carries the speed of the host it ran at.
+each sample carries the speed of the host it ran at.  The startup and cli
+cases time their fresh processes, so each of those processes samples the
+host itself (HOST_SCRIPT), just before and just after its import of
+bealsearch.cli or its call of cli.main, and host_s is the median over the
+processes of the sample; their process times leave out the seconds of that
+sampling, but each has loaded perfbench's speed module (and so fractions)
+before what it times.
 
 The cases, --repeats samples per tree each:
   startup: a fresh `python -c "import bealsearch.cli"` (import_s, timed
@@ -74,9 +80,11 @@ The cases, --repeats samples per tree each:
     untimed pass over them.  One kernel
     case is the identity suite, run_random_suite, on one fixed seed and case
     count; one is the JSON writer, records.json_text, on the report object
-    of a search at 10^12; one is cli.classify_obj over each triple of the
-    classify case's batch; one is the printed scalar estimate
-    (cli._scalar_obj on the plane-CB pair) over the same triples, whose
+    of a search at 10^12; one is the classify bundle's text,
+    cli.classify_text (on an older tree records.json_text of
+    cli.classify_obj), over each triple of the classify case's batch; one is
+    the printed scalar estimate (cli._scalar_text, an older tree's
+    cli._scalar_obj, on the plane-CB pair) over the same triples, whose
     facts hold how many of them fall back to scalar_m at 256 bits.  Two
     are the two-cube solve, search._cube_pairs, over every non-cube of the
     scan's lanes at 10^12 and at 10^16 (one call per non-cube), whose facts
@@ -136,25 +144,65 @@ PHASES = ("enumerate_s", "index_s", "scan_s", "annotate_s")
 KERNEL_MIN_S = 0.05
 # calls of perfbench's reference work (about 1 ms each) just before and just after each sample
 HOST_CALLS = 10
-# Run with the tree's SRC as argv[1], each in a fresh interpreter.  The import
-# prints its seconds and then whether any bealsearch module it loaded lacks a
-# bytecode file, which, in a process that writes none, means it compiled that
-# module from source.
-IMPORT_SCRIPT = ("import os, sys, time; sys.path.insert(0, sys.argv[1]); "
-                 "started = time.perf_counter(); import bealsearch.cli; "
-                 "print(time.perf_counter() - started); "
-                 "print(not all(os.path.exists(module.__cached__) "
-                 "for name, module in sys.modules.items() if name.split('.')[0] == 'bealsearch'))")
-MAIN_SCRIPT = ("import sys; sys.path.insert(0, sys.argv[1]); "
-               "from bealsearch.cli import main; sys.exit(main(sys.argv[2:]))")
-# MAIN_SCRIPT that prints, after main's own output, the seconds of its call
-# of main and the cyclic collector's passes from the call to the count.
-TIMED_MAIN_SCRIPT = (
-    "import gc, sys, time; sys.path.insert(0, sys.argv[1]); "
-    "from bealsearch.cli import main; "
-    "passes = lambda: sum(stats['collections'] for stats in gc.get_stats()); "
-    "before = passes(); started = time.perf_counter(); code = main(sys.argv[2:]); "
-    "print(time.perf_counter() - started, passes() - before); sys.exit(code)")
+# The script of a fresh process, with the tree's SRC as argv[1]: sample_host
+# times HOST_CALLS calls of perfbench's reference work, after one untimed call,
+# and finish prints, as the last line, a JSON object of what the process
+# measured.  That holds host, the seconds of each of those calls, and
+# host_spent_s, the seconds that sampling took in all.
+HOST_SCRIPT = f"""\
+import sys, time
+sys.path.insert(0, sys.argv[1])
+sys.path.append({str(ROOT / "perfbench")!r})
+from speed import reference_work
+measured = {{"host": [], "host_spent_s": 0.0}}
+
+
+def sample_host():
+    started = time.perf_counter()
+    reference_work()
+    for _ in range({HOST_CALLS}):
+        call = time.perf_counter()
+        reference_work()
+        measured["host"].append(time.perf_counter() - call)
+    measured["host_spent_s"] += time.perf_counter() - started
+
+
+def finish():
+    import json
+    print(json.dumps(measured))
+"""
+# Samples the host just before and just after it imports bealsearch.cli, and
+# measures the import's seconds and whether any bealsearch module it loaded
+# lacks a bytecode file, which, in a process that writes none, means it
+# compiled that module from source.
+IMPORT_SCRIPT = HOST_SCRIPT + """\
+import os
+sample_host()
+started = time.perf_counter()
+import bealsearch.cli
+measured["import_s"] = time.perf_counter() - started
+sample_host()
+measured["compiled"] = not all(os.path.exists(module.__cached__) for name, module
+                               in sys.modules.items() if name.split(".")[0] == "bealsearch")
+finish()
+"""
+# Imports cli.main and samples the host just before and just after it calls
+# main(argv[2:]); measures, after main's own output, the seconds of the call
+# and the cyclic collector's passes from the call to the count.
+TIMED_MAIN_SCRIPT = HOST_SCRIPT + """\
+import gc
+from bealsearch.cli import main
+passes = lambda: sum(stats["collections"] for stats in gc.get_stats())
+sample_host()
+before = passes()
+started = time.perf_counter()
+code = main(sys.argv[2:])
+measured["main_s"] = time.perf_counter() - started
+measured["main_gc_passes"] = passes() - before
+sample_host()
+finish()
+sys.exit(code)
+"""
 
 
 def use_tree(src: str) -> None:
@@ -171,7 +219,6 @@ def kernel_cases() -> dict[str, tuple]:
     from fractions import Fraction
 
     from bealsearch import cli, records, reparam, search
-    from bealsearch.cli import classify_obj
     from bealsearch.exact_arith import classify_radical, iroot, is_perfect_power
     from bealsearch.identity import run_random_suite
     from bealsearch.reparam import Plane, canonical_alpha_beta, scalar_m
@@ -218,18 +265,27 @@ def kernel_cases() -> dict[str, tuple]:
         return search._cube_pairs, calls, {"tries": sum(search._cube_pairs(*args)[1]
                                                         for args in calls)}
 
+    def classify_text_case():
+        """cli.classify_text over the classify batch; an older tree, without
+        it, writes records.json_text(cli.classify_obj(triple)) instead."""
+        render = getattr(cli, "classify_text", None) or (
+            lambda triple: records.json_text(cli.classify_obj(triple)))
+        return render, [(BealTriple(*t),) for t in classify_inputs(CHILD_SEED, smoke=False)]
+
     def scalar_estimate_case():
-        """cli._scalar_obj over the classify batch, and its fallbacks to scalar_m."""
+        """cli._scalar_text (an older tree's cli._scalar_obj) over the classify
+        batch, and its fallbacks to scalar_m."""
+        scalar = getattr(cli, "_scalar_text", None) or cli._scalar_obj
         batch = [BealTriple(*t) for t in classify_inputs(CHILD_SEED, smoke=False)]
         calls = [(t, canonical_alpha_beta(t, Plane.CB)) for t in batch]
         fallbacks, real = [], reparam.scalar_m
         reparam.scalar_m = lambda *args: fallbacks.append(args) or real(*args)
         try:
             for args in calls:
-                cli._scalar_obj(*args)
+                scalar(*args)
         finally:
             reparam.scalar_m = real
-        return cli._scalar_obj, calls, {"fallbacks": len(fallbacks)}
+        return scalar, calls, {"fallbacks": len(fallbacks)}
 
     def quiet_main(argv: list[str]) -> int:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -249,8 +305,7 @@ def kernel_cases() -> dict[str, tuple]:
         "run_random_suite 200 cases seed 15": lambda: (run_random_suite, [(200, 15)]),
         "json writer 10^12 report": lambda: (records.json_text, [(records.report_to_obj(
             search_solutions(SearchConfig(10 ** 12))),)]),
-        "classify_obj classify batch": lambda: (classify_obj, [
-            (BealTriple(*t),) for t in classify_inputs(CHILD_SEED, smoke=False)]),
+        "classify_text classify batch": classify_text_case,
         "scalar estimate classify batch": scalar_estimate_case,
         "cube_pairs 10^12 lanes": lambda: cube_pairs_case(10 ** 12),
         "cube_pairs 10^16 lanes": lambda: cube_pairs_case(10 ** 16),
@@ -263,7 +318,7 @@ def kernel_cases() -> dict[str, tuple]:
 KERNELS = ("iroot 500 bits k 3,5,7", "is_perfect_power 64 bits", "is_perfect_power 500 bits",
            "is_perfect_power 2000 bits", "classify_radical", "scalar_m 3,3,6,3,3,5",
            "run_random_suite 200 cases seed 15", "json writer 10^12 report",
-           "classify_obj classify batch", "scalar estimate classify batch",
+           "classify_text classify batch", "scalar estimate classify batch",
            "cube_pairs 10^12 lanes", "cube_pairs 10^16 lanes",
            "cli.main verify-identities --cases 1")
 
@@ -305,7 +360,7 @@ def private_bytecode(src: str):
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
-        subprocess.run([sys.executable, "-c", MAIN_SCRIPT, src, "verify-identities",
+        subprocess.run([sys.executable, "-c", TIMED_MAIN_SCRIPT, src, "verify-identities",
                         "--cases", "1"], env=env, capture_output=True)
         env["PYTHONDONTWRITEBYTECODE"] = "1"  # the timed processes only read it
         yield env
@@ -332,33 +387,39 @@ class GcTimer:
         gc.callbacks.remove(self)
 
 
+def fresh_process(script: str, src: str, argv: list[str], env: dict) -> tuple[dict, str]:
+    """What script (IMPORT_SCRIPT or TIMED_MAIN_SCRIPT) measured in a fresh
+    process, with host_s, the median of its host seconds, and process_s, the
+    seconds of the whole process less those it spent sampling the host; and
+    what it printed before its last line."""
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", script, src, *argv],
+                          capture_output=True, text=True, check=True, env=env)
+    wall_s = time.perf_counter() - started
+    printed, _, last = done.stdout.rstrip("\n").rpartition("\n")
+    measured = json.loads(last)
+    measured.update(host_s=statistics.median(measured["host"]),
+                    process_s=wall_s - measured["host_spent_s"])
+    return measured, printed
+
+
 def startup_sample(src: str, conn) -> None:
-    verify = [sys.executable, "-c", MAIN_SCRIPT, src, "verify-identities", "--cases", "1"]
     with private_bytecode(src) as env:
-        started = time.perf_counter()
-        imported = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT, src],
-                                  capture_output=True, text=True, check=True, env=env)
-        middle = time.perf_counter()
-        verified = subprocess.run(verify, capture_output=True, text=True, env=env)
-        done = time.perf_counter()
-    import_s, compiled = imported.stdout.split()
-    sample = {"import_s": float(import_s), "import_process_s": middle - started,
-              "verify_identities_process_s": done - middle}
-    conn.send((sample, {"compiled_from_source": compiled == "True"},
-               digest(f"{verified.returncode}\n{verified.stdout}")))
+        imported, _ = fresh_process(IMPORT_SCRIPT, src, [], env)
+        verified, printed = fresh_process(TIMED_MAIN_SCRIPT, src,
+                                          ["verify-identities", "--cases", "1"], env)
+    sample = {"import_s": imported["import_s"], "import_process_s": imported["process_s"],
+              "verify_identities_process_s": verified["process_s"],
+              "host_s": statistics.median(imported["host"] + verified["host"])}
+    conn.send((sample, {"compiled_from_source": imported["compiled"]}, digest(printed)))
 
 
 def timed_main(src: str, argv: list[str], env: dict) -> tuple[dict, str]:
-    """One fresh process's call of cli.main(argv): the sample (main_s, process_s and
-    main_gc_passes) and what main printed."""
-    started = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", TIMED_MAIN_SCRIPT, src, *argv],
-                          capture_output=True, text=True, check=True, env=env)
-    process_s = time.perf_counter() - started
-    printed, _, timing = done.stdout.rstrip("\n").rpartition("\n")  # the timing line is last
-    main_s, passes = timing.split()
-    return ({"main_s": float(main_s), "process_s": process_s, "main_gc_passes": int(passes)},
-            printed)
+    """One fresh process's call of cli.main(argv): the sample (main_s, process_s,
+    main_gc_passes and host_s, fresh_process) and what main printed."""
+    measured, printed = fresh_process(TIMED_MAIN_SCRIPT, src, argv, env)
+    keys = ("main_s", "process_s", "main_gc_passes", "host_s")
+    return {key: measured[key] for key in keys}, printed
 
 
 def cli_search_sample(src: str, conn) -> None:
@@ -376,6 +437,11 @@ def cli_verify_identities_sample(src: str, conn) -> None:
     with private_bytecode(src) as env:
         sample, printed = timed_main(src, argv, env)
     conn.send((sample, {"argv": " ".join(argv)}, digest(printed)))
+
+
+# The cases whose sample is timed in fresh processes of their own, which
+# sample the host's speed themselves (HOST_SCRIPT).
+OWN_PROCESS_CASES = (startup_sample, cli_search_sample, cli_verify_identities_sample)
 
 
 def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers: int,
@@ -552,11 +618,14 @@ def host_timed(target, args: tuple, conn) -> None:
 
 
 def in_fresh_process(target, *args):
-    """What target(*args, conn) sends, with host_s (host_timed), run in a fresh
-    process that runs only it."""
+    """What target(*args, conn) sends, with host_s, run in a fresh process that
+    runs only it: host_timed adds host_s unless the target is one of
+    OWN_PROCESS_CASES, whose sample brings its own."""
     context = multiprocessing.get_context("spawn")
     receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(target=host_timed, args=(target, args, sender))
+    process = (context.Process(target=target, args=(*args, sender))
+               if target in OWN_PROCESS_CASES
+               else context.Process(target=host_timed, args=(target, args, sender)))
     process.start()
     sender.close()  # so recv raises EOFError, not waits, if the process dies
     try:

@@ -27,6 +27,9 @@ usage error 6; the collector's next pass frees them.  So the collector's
 passes, about 1 ms of a 21 ms search at 10**12, were pure cost.  A forked
 scan worker inherits the pause and ends through os._exit.  Library calls
 such as search_solutions leave the collector alone.
+
+classify prints its bundle from % string templates, the bytes json.dumps(bundle,
+indent=2) writes; tests/test_cli.py's test_classify_output_bytes_are_pinned pins them.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ import gc
 import os
 import sys
 import time
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import identity, records
 from .coprime import check_coprimality_propagation, exponent_orientation, exponent_restriction
 from .errors import BealsearchError, NoRealRoot, ScanWorkerFailed, ZeroDenominator
-from .exact_arith import RATIONAL, Radical
+from .exact_arith import Radical
 from .reparam import Plane, canonical_alpha_beta, scalar_estimate
 from .search import SearchConfig, brute_force_oracle, search_solutions
 from .slopes import slope_set, smallest_lattice_point
@@ -222,86 +225,82 @@ def cmd_verify_identities(args) -> int:
     return 0
 
 
-def _radical_obj(radical: Radical) -> dict:
+# classify's bundle (module docstring): one template per kind of object, at its depth.  A
+# quoted %s takes a decimal integer, a fraction or a class name, which need no escaping.
+_BUNDLE = ('{\n  "triple": {\n    "A": "%s",\n    "X": "%s",\n    "B": "%s",\n    "Y": "%s",\n'
+           '    "C": "%s",\n    "Z": "%s"\n  },\n  "powers": {\n    "A_pow_X": "%s",\n'
+           '    "B_pow_Y": "%s",\n    "C_pow_Z": "%s"\n  },\n  "equation_holds": %s,\n'
+           '  "gcd_abc": "%s",\n  "coprimality": %s,\n  "exponent_restriction": %s,\n'
+           '  "exponent_orientation": %s,\n  "alpha": %s,\n  "beta": %s,\n  "alpha_ca": %s,\n'
+           '  "beta_ca": %s,\n  "scalar_m": %s,\n  "slopes": {\n    "m_cb": %s,\n'
+           '    "m_ca": %s,\n    "m_ba": %s\n  }\n}')
+_RADICAL = ('{\n    "sign": %d,\n    "radicand": "%s",\n    "degree": %d,\n'
+            '    "class": "%s",\n    "value": %s\n  }')
+_RADICAL_SLOPE = ('{\n      "radicand": "%s",\n      "degree": %d,\n      "class": "%s",\n'
+                  '      "value": %s,\n      "smallest_lattice_point": null\n    }')
+_RATIONAL_SLOPE = ('{\n      "class": "rational",\n      "value": "%s",\n'
+                   '      "smallest_lattice_point": [\n        %d,\n        %d\n      ]\n    }')
+_COPRIMALITY = ('{\n    "gcd_ab": "%s",\n    "gcd_ac": "%s",\n    "gcd_bc": "%s",\n'
+                '    "gcd_abc": "%s",\n    "pairwise_all_one": %s,\n    "shared_primes": {\n'
+                '      "ab": %s,\n      "ac": %s,\n      "bc": %s\n    }\n  }')
+_SHARED_PRIME = '\n        [\n          "%s",\n          %d\n        ]'
+_SCALAR = '{\n    "estimate": %s,\n    "exact": %s,\n    "error": %s\n  }'
+
+
+def _quoted(value) -> str:
+    return "null" if value is None else '"%s"' % value
+
+
+def _radical_text(radical: Radical) -> str:
     cls = radical.classification
-    return {
-        "sign": radical.sign,
-        "radicand": str(radical.radicand),
-        "degree": radical.degree,
-        "class": cls.kind,
-        "value": str(cls.value) if cls.value is not None else None,
-    }
+    return _RADICAL % (*radical, cls.kind, _quoted(cls.value))  # sign, radicand, degree
 
 
-def _slope_obj(value) -> dict:
-    if isinstance(value, Fraction):
-        return {"class": RATIONAL, "value": str(value),
-                "smallest_lattice_point": list(smallest_lattice_point(value))}
-    obj = _radical_obj(value)
-    obj.pop("sign")
-    obj["smallest_lattice_point"] = None
-    return obj
+def _slope_text(value) -> str:
+    if isinstance(value, Radical):
+        cls = value.classification
+        return _RADICAL_SLOPE % (value.radicand, value.degree, cls.kind, _quoted(cls.value))
+    return _RATIONAL_SLOPE % (value, *smallest_lattice_point(value))
 
 
-def _coprimality_obj(triple: BealTriple) -> dict | None:
+def _shared_primes_text(factors) -> str:
+    if not factors:
+        return "null" if factors is None else "[]"
+    return "[%s\n      ]" % ",".join([_SHARED_PRIME % (p, m) for p, m in factors])
+
+
+def _coprimality_text(triple: BealTriple) -> str:
     if not triple.equation_holds:
-        return None
+        return "null"
     report = check_coprimality_propagation(triple)
-    shared = {
-        pair: None if factors is None else [[str(p), m] for p, m in factors]
-        for pair, factors in report.shared_primes.items()
-    }
-    return {
-        "gcd_ab": str(report.gcd_ab),
-        "gcd_ac": str(report.gcd_ac),
-        "gcd_bc": str(report.gcd_bc),
-        "gcd_abc": str(report.gcd_abc),
-        "pairwise_all_one": report.pairwise_all_one,
-        "shared_primes": shared,
-    }
+    shared = [_shared_primes_text(report.shared_primes[pair]) for pair in ("ab", "ac", "bc")]
+    return _COPRIMALITY % (report.gcd_ab, report.gcd_ac, report.gcd_bc, report.gcd_abc,
+                           "true" if report.pairwise_all_one else "false", *shared)
 
 
-def _scalar_obj(triple: BealTriple, pair) -> dict:
+def _scalar_text(triple: BealTriple, pair) -> str:
     try:
         m = scalar_estimate(triple, pair)
     except (NoRealRoot, ZeroDenominator) as exc:
-        return {"estimate": None, "exact": None, "error": str(exc)}
-    if isinstance(m, str):
-        return {"estimate": m, "exact": None, "error": None}
-    return {"estimate": str(m), "exact": str(m), "error": None}
+        return _SCALAR % ("null", "null", encode_basestring_ascii(str(exc)))
+    return _SCALAR % (_quoted(m), "null" if isinstance(m, str) else _quoted(m), "null")
 
 
-def classify_obj(triple: BealTriple) -> dict:
-    """The full classification bundle for one triple, JSON-serializable."""
+def classify_text(triple: BealTriple) -> str:
+    """The full classification bundle of one triple, as JSON text (module docstring)."""
     pair_cb = canonical_alpha_beta(triple, Plane.CB)
     pair_ca = canonical_alpha_beta(triple, Plane.CA)
     slopes = slope_set(triple)
-    exponents_ok = min(triple.X, triple.Y, triple.Z) >= 3
-    return {
-        "triple": {name: str(getattr(triple, name)) for name in ("A", "X", "B", "Y", "C", "Z")},
-        "powers": {
-            "A_pow_X": str(triple.ax),
-            "B_pow_Y": str(triple.by),
-            "C_pow_Z": str(triple.cz),
-        },
-        "equation_holds": triple.equation_holds,
-        "gcd_abc": str(triple.gcd_abc),
-        "coprimality": _coprimality_obj(triple),
-        "exponent_restriction": (
-            exponent_restriction(triple.X, triple.Y, triple.Z).value if exponents_ok else None),
-        "exponent_orientation": (
-            exponent_orientation(triple.X, triple.Y, triple.Z).value if exponents_ok else None),
-        "alpha": _radical_obj(pair_cb.alpha),
-        "beta": _radical_obj(pair_cb.beta),
-        "alpha_ca": _radical_obj(pair_ca.alpha),
-        "beta_ca": _radical_obj(pair_ca.beta),
-        "scalar_m": _scalar_obj(triple, pair_cb),
-        "slopes": {
-            "m_cb": _slope_obj(slopes.m_cb),
-            "m_ca": _slope_obj(slopes.m_ca),
-            "m_ba": _slope_obj(slopes.m_ba),
-        },
-    }
+    coprimality = _coprimality_text(triple)
+    exponents = (triple.X, triple.Y, triple.Z)
+    checks = ["null", "null"] if min(exponents) < 3 else [  # restriction, orientation
+        encode_basestring_ascii(check(*exponents).value)
+        for check in (exponent_restriction, exponent_orientation)]
+    return _BUNDLE % (
+        *triple, triple.ax, triple.by, triple.cz, "true" if triple.equation_holds else "false",
+        triple.gcd_abc, coprimality, *checks,
+        *map(_radical_text, (pair_cb.alpha, pair_cb.beta, pair_ca.alpha, pair_ca.beta)),
+        _scalar_text(triple, pair_cb), *map(_slope_text, (slopes.m_cb, slopes.m_ca, slopes.m_ba)))
 
 
 def cmd_classify(args) -> int:
@@ -311,7 +310,7 @@ def cmd_classify(args) -> int:
     if size > _CLASSIFY_MAX_BITS:
         raise ValueError(f"--triple {args.triple}: need max(X, Y, Z) * max(bits(A), bits(B), "
                          f"bits(C)) <= {_CLASSIFY_MAX_BITS}, got {size}")
-    print(records.json_text(classify_obj(triple)))
+    print(classify_text(triple))
     return 0
 
 

@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import bealsearch.cli as cli_mod
-from bealsearch import exact_arith, svgplot
+from bealsearch import coprime, exact_arith, svgplot
 from bealsearch.cli import main
+from bealsearch.errors import BudgetExceeded, ZeroDenominator
 from bealsearch.exact_arith import is_probable_prime
 from bealsearch.records import read_csv
 
@@ -352,7 +353,7 @@ def test_classify_refuses_past_the_size_limit(capsys, monkeypatch):
     def no_classify(triple):
         raise AssertionError("classify computed before checking its input")
 
-    monkeypatch.setattr(cli_mod, "classify_obj", no_classify)
+    monkeypatch.setattr(cli_mod, "classify_text", no_classify)
     for triple, size in (("2,1023,2,1023,2,1025", 2050), ("2,1000000,3,3,5,3", 3000000)):
         code, out, err = run(capsys, "classify", "--triple", triple)
         assert (code, out) == (2, "")
@@ -819,3 +820,61 @@ def test_classify_output_bytes_are_pinned(capsys):
         code, out, _ = run(capsys, "classify", "--triple", ",".join(map(str, triple)))
         digest.update(f"{code}\n{out}".encode("utf-8"))
     assert digest.hexdigest() == "7aeb8cb45211270b6c268230deab31d3a60629c1894360ce8be746875099266e"
+
+
+def _classify_round_trip(capsys, triple):
+    """What classify prints for triple, checked to be json.dumps(bundle, indent=2)
+    of the bundle it parses to; the bundle."""
+    code, out, _ = run(capsys, "classify", "--triple", triple)
+    assert code == 0, triple
+    bundle = json.loads(out)
+    assert out == json.dumps(bundle, indent=2) + "\n", triple
+    return bundle
+
+
+def _classify_branches(bundle):
+    """The rendering branches that one bundle takes."""
+    coprimality, scalar = bundle["coprimality"], bundle["scalar_m"]
+    shared = coprimality and coprimality["shared_primes"]["ab"]
+    return ({"coprimality " + ("null" if coprimality is None else "gave up" if shared is None
+                               else "listed" if shared else "[]"),
+             "exponents " + ("null" if bundle["exponent_restriction"] is None else "checked")}
+            | {"radical " + bundle[name]["class"]
+               for name in ("alpha", "beta", "alpha_ca", "beta_ca")}
+            | {"slope " + slope["class"] for slope in bundle["slopes"].values()}
+            | {"scalar " + ("error" if scalar["error"] else "exact" if scalar["exact"]
+                            else "estimate")})
+
+
+def test_classify_prints_what_json_dumps_prints(capsys, monkeypatch):
+    # every bundle classify prints, on perfbench's batch and on inputs that
+    # take each branch of the renderer, is json.dumps(bundle, indent=2)
+    branches = set()
+    for triple in _classify_batch(1_000_003):
+        branches |= _classify_branches(_classify_round_trip(capsys, ",".join(map(str, triple))))
+    for triple in ("3,3,6,3,3,5", "2,3,2,3,2,5", "1,3,2,3,3,2", "1,1,1,2,2,1", "1,1,1,1,1,1",
+                   "2,9,2,9,2,10"):
+        branches |= _classify_branches(_classify_round_trip(capsys, triple))
+
+    def give_up(n):
+        raise BudgetExceeded(n, 0)
+
+    monkeypatch.setattr(coprime, "factorize", give_up)
+    branches |= _classify_branches(_classify_round_trip(capsys, "3,3,6,3,3,5"))
+    assert branches == {
+        "coprimality null", "coprimality listed", "coprimality []", "coprimality gave up",
+        "exponents null", "exponents checked",
+        "radical rational", "radical irrational", "radical no_real_root",
+        "slope rational", "slope irrational",
+        "scalar estimate", "scalar exact", "scalar error"}
+
+
+def test_classify_escapes_the_error_text(capsys, monkeypatch):
+    text = 'a "quoted" \\ back\\slash, a tab\t, a bell\x07 and \u00e9'
+
+    def refuse(triple, pair):
+        raise ZeroDenominator(text)
+
+    monkeypatch.setattr(cli_mod, "scalar_estimate", refuse)
+    bundle = _classify_round_trip(capsys, "3,3,6,3,3,5")
+    assert bundle["scalar_m"] == {"estimate": None, "exact": None, "error": text}
