@@ -79,12 +79,12 @@ The cases, --repeats samples per tree each:
     the mean time per call over at least KERNEL_MIN_S of calls, after one
     untimed pass over them.  One kernel
     case is the identity suite, run_random_suite, on one fixed seed and case
-    count; one is the JSON writer, records.json_text, on the report object
-    of a search at 10^12; one is the classify bundle's text,
-    cli.classify_text (on an older tree records.json_text of
-    cli.classify_obj), over each triple of the classify case's batch; one is
-    the printed scalar estimate (cli._scalar_text, an older tree's
-    cli._scalar_obj, on the plane-CB pair) over the same triples, whose
+    count; one is the JSON report writer, records.emit_json, on the report
+    of a search at 10^12 (its hit records built in the call); one is
+    verify_hit, each call on its own, over the 198 triples that search
+    finds; one is the classify bundle's text, cli.classify_text, over each
+    triple of the classify case's batch; one is the printed scalar estimate
+    (cli._scalar_text, on the plane-CB pair) over the same triples, whose
     facts hold how many of them fall back to scalar_m at 256 bits.  Two
     are the two-cube solve, search._cube_pairs, over every non-cube of the
     scan's lanes at 10^12 and at 10^16 (one call per non-cube), whose facts
@@ -258,24 +258,14 @@ def kernel_cases() -> dict[str, tuple]:
         finally:
             search._match_forked = real
         lanes = caught[0]
-        # an older tree's walk also takes a dict of the cubes it solves
-        solved = ({},) if search._cube_pairs.__code__.co_argcount == 5 else ()
-        calls = [(lanes, entry, entry.exponent >= lanes.lo_exp, entry.exponent >= lanes.min_z,
-                  *solved) for entry in lanes.non_cubes]
+        calls = [(lanes, entry, entry.exponent >= lanes.lo_exp, entry.exponent >= lanes.min_z)
+                 for entry in lanes.non_cubes]
         return search._cube_pairs, calls, {"tries": sum(search._cube_pairs(*args)[1]
                                                         for args in calls)}
 
-    def classify_text_case():
-        """cli.classify_text over the classify batch; an older tree, without
-        it, writes records.json_text(cli.classify_obj(triple)) instead."""
-        render = getattr(cli, "classify_text", None) or (
-            lambda triple: records.json_text(cli.classify_obj(triple)))
-        return render, [(BealTriple(*t),) for t in classify_inputs(CHILD_SEED, smoke=False)]
-
     def scalar_estimate_case():
-        """cli._scalar_text (an older tree's cli._scalar_obj) over the classify
-        batch, and its fallbacks to scalar_m."""
-        scalar = getattr(cli, "_scalar_text", None) or cli._scalar_obj
+        """cli._scalar_text over the classify batch, and its fallbacks to scalar_m."""
+        scalar = cli._scalar_text
         batch = [BealTriple(*t) for t in classify_inputs(CHILD_SEED, smoke=False)]
         calls = [(t, canonical_alpha_beta(t, Plane.CB)) for t in batch]
         fallbacks, real = [], reparam.scalar_m
@@ -303,9 +293,12 @@ def kernel_cases() -> dict[str, tuple]:
         "scalar_m 3,3,6,3,3,5": lambda: (scalar_m,
                                          [(triple, canonical_alpha_beta(triple, Plane.CB))]),
         "run_random_suite 200 cases seed 15": lambda: (run_random_suite, [(200, 15)]),
-        "json writer 10^12 report": lambda: (records.json_text, [(records.report_to_obj(
-            search_solutions(SearchConfig(10 ** 12))),)]),
-        "classify_text classify batch": classify_text_case,
+        "emit_json 10^12 report": lambda: (records.emit_json,
+                                           [(search_solutions(SearchConfig(10 ** 12)),)]),
+        "verify_hit 10^12 hits": lambda: (search.verify_hit, [
+            (triple, (3, 3, 3)) for triple in search_solutions(SearchConfig(10 ** 12)).triples]),
+        "classify_text classify batch": lambda: (cli.classify_text, [
+            (BealTriple(*t),) for t in classify_inputs(CHILD_SEED, smoke=False)]),
         "scalar estimate classify batch": scalar_estimate_case,
         "cube_pairs 10^12 lanes": lambda: cube_pairs_case(10 ** 12),
         "cube_pairs 10^16 lanes": lambda: cube_pairs_case(10 ** 16),
@@ -317,8 +310,8 @@ def kernel_cases() -> dict[str, tuple]:
 # The kernel case names, without importing bealsearch; kernel_cases builds the same.
 KERNELS = ("iroot 500 bits k 3,5,7", "is_perfect_power 64 bits", "is_perfect_power 500 bits",
            "is_perfect_power 2000 bits", "classify_radical", "scalar_m 3,3,6,3,3,5",
-           "run_random_suite 200 cases seed 15", "json writer 10^12 report",
-           "classify_text classify batch", "scalar estimate classify batch",
+           "run_random_suite 200 cases seed 15", "emit_json 10^12 report",
+           "verify_hit 10^12 hits", "classify_text classify batch", "scalar estimate classify batch",
            "cube_pairs 10^12 lanes", "cube_pairs 10^16 lanes",
            "cli.main verify-identities --cases 1")
 

@@ -184,7 +184,7 @@ class Radical(_Radical):
         classification = classify_radical(sign, radicand, degree)
         if type(radicand) is not Fraction:
             radicand = Fraction(radicand)
-        radical = super().__new__(cls, sign, radicand, degree)
+        radical = tuple.__new__(cls, (sign, radicand, degree))
         radical.classification = classification
         return radical
 

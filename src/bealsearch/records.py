@@ -15,7 +15,7 @@ import json
 import os
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import NamedTuple
 
 from .errors import BealsearchError
@@ -52,20 +52,14 @@ class HitRecord(NamedTuple):
 
     @classmethod
     def from_hit(cls, hit) -> "HitRecord":
-        triple = hit.triple
-        slopes = hit.slopes
-        if not isinstance(slopes.m_cb, Fraction) or not isinstance(slopes.m_ca, Fraction):
+        A, X, B, Y, C, Z = triple = hit.triple
+        m_cb, m_ca, m_ba = hit.slopes
+        if not isinstance(m_cb, Fraction) or not isinstance(m_ca, Fraction):
             raise ValueError(f"hit {triple} has non-rational slopes; cannot serialize")
-        return cls(
-            A=str(triple.A), X=str(triple.X),
-            B=str(triple.B), Y=str(triple.Y),
-            C=str(triple.C), Z=str(triple.Z),
-            A_pow_X=str(triple.ax), B_pow_Y=str(triple.by), C_pow_Z=str(triple.cz),
-            gcd_abc=str(triple.gcd_abc),
-            alpha_class=hit.pair.alpha.classification.kind,
-            beta_class=hit.pair.beta.classification.kind,
-            m_cb=str(slopes.m_cb), m_ca=str(slopes.m_ca), m_ba=str(slopes.m_ba),
-        )
+        return cls(str(A), str(X), str(B), str(Y), str(C), str(Z),
+                   str(A ** X), str(B ** Y), str(C ** Z), str(gcd(A, B, C)),
+                   hit.pair.alpha.classification.kind, hit.pair.beta.classification.kind,
+                   str(m_cb), str(m_ca), str(m_ba))
 
     def validate(self) -> "HitRecord":
         for name in ("A", "X", "B", "Y", "C", "Z",
@@ -166,98 +160,84 @@ def read_csv(path: str) -> list[HitRecord]:
 
 
 # --- JSON ---------------------------------------------------------------------
+# The report is written from % templates, in the bytes json.dumps(obj,
+# indent=2) gives for it.  Every key is a fixed ASCII name and every string a
+# decimal, a fraction or a class name, so nothing needs escaping; numbers go
+# in as their repr, which is how json.dumps writes ints and floats.
 
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_REPORT = """{
+  "config": {
+    "bound": "%d",
+    "min_x": %d,
+    "min_y": %d,
+    "min_z": %d,
+    "workers": %d,
+    "seed": %d
+  },
+  "counts": %s,
+  "hits": [%s%s]%s
+}
+"""
 
+_HIT = """
+    {
+      "A": "%s",
+      "X": "%s",
+      "B": "%s",
+      "Y": "%s",
+      "C": "%s",
+      "Z": "%s",
+      "A_pow_X": "%s",
+      "B_pow_Y": "%s",
+      "C_pow_Z": "%s",
+      "gcd_abc": "%s",
+      "alpha_class": "%s",
+      "beta_class": "%s",
+      "m_cb": "%s",
+      "m_ca": "%s",
+      "m_ba": "%s"
+    }"""
 
-def _float_text(value: float) -> str:
-    text = repr(value)
-    return _JSON_NON_FINITE.get(text, text)
-
-
-# the JSON text of each type of scalar, by exact type (bool is not int here)
-_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
-                 bool: {True: "true", False: "false"}.__getitem__,
-                 type(None): lambda _: "null"}
-
-
-def json_text(obj) -> str:
-    """obj as json.dumps(obj, indent=2) writes it, byte for byte.
-
-    obj is built of dicts with str keys, lists, tuples, str, int, float,
-    bool and None; any other type, or a key that is not a str, raises
-    TypeError.  json.dumps falls back to its pure-Python encoder whenever an
-    indent is set; this looks up the writer of each scalar by its exact type
-    (most are C functions: strings go through encode_basestring_ascii) and
-    joins the pieces once, in about half the time.
-    """
-    parts: list[str] = []
-    _json_parts(obj, "\n", parts.append)
-    return "".join(parts)
-
-
-def _json_parts(obj, newline: str, out) -> None:
-    """Append obj's JSON text to out, its nested lines starting with newline."""
-    kind = type(obj)
-    if kind is dict or kind is list or kind is tuple:
-        if not obj:
-            out("{}" if kind is dict else "[]")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        if kind is dict:
-            separator = "{" + inner
-            for key, value in obj.items():  # encoding a key that is not a str raises TypeError
-                scalar = _JSON_SCALARS.get(type(value))
-                if scalar is None:
-                    out(separator + encode_basestring_ascii(key) + ": ")
-                    _json_parts(value, inner, out)
-                else:
-                    out(separator + encode_basestring_ascii(key) + ": " + scalar(value))
-                separator = comma
-            out(newline + "}")
-        else:
-            separator = "[" + inner
-            for value in obj:
-                scalar = _JSON_SCALARS.get(type(value))
-                if scalar is None:
-                    out(separator)
-                    _json_parts(value, inner, out)
-                else:
-                    out(separator + scalar(value))
-                separator = comma
-            out(newline + "]")
-        return
-    scalar = _JSON_SCALARS.get(kind)
-    if scalar is None:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    out(scalar(obj))
+_TIMING = """,
+  "wall_time_s": %r,
+  "phases": %s,
+  "scan_probes": %s,
+  "sweeps": %s,
+  "sweep_seconds": %s,
+  "verification_failures": %s"""
 
 
-def report_to_obj(report: SearchReport, include_timing: bool = True,
-                  hit_records: list[HitRecord] | None = None) -> dict:
-    """The report as a JSON-ready dict; hit_records, when given, are its hits'
-    records_from_report, so a caller that already built them builds them once."""
-    if hit_records is None:
-        hit_records = records_from_report(report)
-    obj = {
-        "config": {**report.config._asdict(), "bound": str(report.config.bound)},
-        "counts": dict(report.counts),
-        "hits": [record._asdict() for record in hit_records],
-    }
-    if include_timing:
-        obj["wall_time_s"] = report.wall_time_s
-        obj["phases"] = dict(report.phases)
-        obj["scan_probes"] = report.scan_probes
-        obj["sweeps"] = report.sweeps
-        obj["sweep_seconds"] = report.sweep_seconds
-        obj["verification_failures"] = report.verification_failures
-    return obj
+def _map_text(values: dict | None, newline: str = "\n  ") -> str:
+    """A map of names to numbers, or to such maps, as json.dumps(values,
+    indent=2) writes it, its lines after the first starting with newline."""
+    if values is None:
+        return "null"
+    if not values:
+        return "{}"
+    inner = newline + "  "
+    return "{%s%s%s}" % (inner, ("," + inner).join([
+        '"%s": %s' % (name, _map_text(value, inner) if type(value) is dict else repr(value))
+        for name, value in values.items()]), newline)
 
 
 def emit_json(report: SearchReport, include_timing: bool = True,
               hit_records: list[HitRecord] | None = None) -> str:
-    return json_text(report_to_obj(report, include_timing, hit_records)) + "\n"
+    """The report as JSON text: its config (the bound as a string), counts
+    and hit records, then with include_timing its timings, in the bytes
+    json.dumps(obj, indent=2) + "\n" gives.  hit_records, when given, are its
+    hits' records_from_report, so a caller that already built them builds
+    them once.  The joined hit texts go straight into the one template, so
+    the text of the whole report is copied only once."""
+    if hit_records is None:
+        hit_records = records_from_report(report)
+    timing = _TIMING % (
+        report.wall_time_s, _map_text(report.phases),
+        "null" if report.scan_probes is None else report.scan_probes,
+        _map_text(report.sweeps), _map_text(report.sweep_seconds),
+        _map_text(report.verification_failures)) if include_timing else ""
+    return _REPORT % (*report.config, _map_text(report.counts),
+                      ",".join(map(_HIT.__mod__, hit_records)),
+                      "\n  " if hit_records else "", timing)
 
 
 def canonical_json(report: SearchReport) -> str:

@@ -197,8 +197,8 @@ def test_report_times_the_csv_and_tallies_failed_checks(command, tmp_path, capsy
 
     real = search_mod.verify_hit
 
-    def broken(triple, minimums=(3, 3, 3)):
-        hit = real(triple, minimums)
+    def broken(triple, minimums=(3, 3, 3), *shared):
+        hit = real(triple, minimums, *shared)
         failed = {"common_factor_present": False}
         if triple.C % 2 == 0:
             failed["canonical_order"] = False
@@ -480,8 +480,8 @@ def test_search_anomaly_exit_three(command, tmp_path, capsys, monkeypatch):
 
     real = search_mod.verify_hit
 
-    def broken(triple, minimums=(3, 3, 3)):
-        hit = real(triple, minimums)
+    def broken(triple, minimums=(3, 3, 3), *shared):
+        hit = real(triple, minimums, *shared)
         checks = dict(hit.checks)
         checks["equation_exact"] = False
         return hit._replace(checks=checks)

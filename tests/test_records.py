@@ -5,16 +5,12 @@ import json
 import os
 import stat
 import threading
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bealsearch.records import (CSV_COLUMNS, SchemaError,
-                                canonical_json, emit_csv, emit_json, json_text,
+from bealsearch.records import (CSV_COLUMNS, SchemaError, canonical_json, emit_csv, emit_json,
                                 parse_csv, parse_json, read_csv, records_from_report,
-                                report_to_obj, write_text)
+                                write_text)
 from bealsearch.search import SearchConfig, SearchReport, brute_force_oracle, search_solutions
 from bealsearch.svgplot import emit_scatter
 
@@ -106,9 +102,13 @@ def test_json_rejects_missing_columns():
 
 
 def test_report_obj_key_order_is_stable(report):
-    first = json.dumps(report_to_obj(report, include_timing=False))
-    second = json.dumps(report_to_obj(report, include_timing=False))
-    assert first == second
+    assert canonical_json(report) == canonical_json(report)
+    obj = json.loads(emit_json(report))
+    assert list(obj) == ["config", "counts", "hits", "wall_time_s", "phases", "scan_probes",
+                         "sweeps", "sweep_seconds", "verification_failures"]
+    assert list(obj["config"]) == ["bound", "min_x", "min_y", "min_z", "workers", "seed"]
+    assert list(obj["counts"]) == ["powers_enumerated", "pairs_tested", "hits"]
+    assert all(list(hit) == CSV_COLUMNS for hit in obj["hits"])
 
 
 def test_svg_marker_count(records):
@@ -157,50 +157,65 @@ def test_verification_failures_are_reported_but_not_canonical(report):
     assert report.verification_failures == {}
     assert json.loads(emit_json(report))["verification_failures"] == {}
     assert "verification_failures" not in json.loads(canonical_json(report))
+    assert (json.loads(emit_json(_failing_report(report)))["verification_failures"]
+            == {"equation_exact": 2, "canonical_order": 1})
+
+
+def _failing_report(report):
+    """Three of the report's hits, two of them marked as failing checks; no
+    phases and no sweeps."""
     failing = SearchReport(report.config, report.hits[:3], report.counts, 0.0, {}, None)
     failing.hits[0] = failing.hits[0]._replace(
         checks=dict(failing.hits[0].checks, equation_exact=False, canonical_order=False))
     failing.hits[2] = failing.hits[2]._replace(
         checks=dict(failing.hits[2].checks, equation_exact=False))
-    assert (json.loads(emit_json(failing))["verification_failures"]
-            == {"equation_exact": 2, "canonical_order": 1})
+    return failing
 
 
-# --- json_text: the bytes of json.dumps(obj, indent=2) -----------------------
+# --- the JSON report: the bytes of json.dumps(obj, indent=2) ------------------
 
-_JSON_STRINGS = st.text() | st.sampled_from(
-    ["", '"', "\\", '\\"', "\x00\x01\x1f\x7f", "\n\r\t\b\f", "é€😀", "\ud800", "a/b"])
-_JSON_LEAVES = (
-    st.none() | st.booleans() | _JSON_STRINGS
-    | st.integers() | st.integers(min_value=2 ** 64 - 2, max_value=2 ** 200)
-    | st.integers(max_value=-1)
-    | st.floats()
-    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324])
-)
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda children: (st.lists(children, max_size=5) | st.tuples(children, children)
-                      | st.dictionaries(_JSON_STRINGS, children, max_size=5)),
-    max_leaves=40)
+_REPORTS = {
+    "search 10^4": lambda: search_solutions(SearchConfig(10 ** 4)),
+    "search 10^12": lambda: search_solutions(SearchConfig(10 ** 12)),
+    "search 10^13 4,3,3 2 workers": lambda: search_solutions(
+        SearchConfig(10 ** 13, 4, 3, 3, workers=2)),
+    "search 10, no hits": lambda: search_solutions(SearchConfig(10)),
+    "oracle 10^4": lambda: brute_force_oracle(10 ** 4),
+    "failing": lambda: _failing_report(search_solutions(SearchConfig(10 ** 4))),
+}
 
 
-@settings(deadline=None, max_examples=300)
-@given(_JSON_VALUES)
-def test_json_text_matches_json_dumps(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2)
+@pytest.fixture(scope="module", params=list(_REPORTS))
+def any_report(request):
+    return _REPORTS[request.param]()
 
 
-def test_json_text_matches_json_dumps_on_the_documents_it_writes(report):
-    for obj in ({}, [], {"a": {}, "b": [], "c": [[], {}]}, report_to_obj(report),
-                report_to_obj(report, include_timing=False)):
-        assert json_text(obj) == json.dumps(obj, indent=2)
+def test_json_report_is_what_json_dumps_writes(any_report):
+    for text in (emit_json(any_report), canonical_json(any_report)):
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("obj", [Fraction(1, 2), {1, 2}, {1: "one"}, {None: 0},
-                                 {"a": [1, Fraction(3)]}, [b"bytes"], 2 + 0j])
-def test_json_text_rejects_other_types(obj):
-    with pytest.raises(TypeError):
-        json_text(obj)
+def test_json_report_holds_the_report_fields_in_order(any_report):
+    report, config = any_report, any_report.config
+    hits = [{"A": str(A), "X": str(X), "B": str(B), "Y": str(Y), "C": str(C), "Z": str(Z),
+             "A_pow_X": str(A ** X), "B_pow_Y": str(B ** Y), "C_pow_Z": str(C ** Z),
+             "gcd_abc": str(hit.triple.gcd_abc),
+             "alpha_class": hit.pair.alpha.classification.kind,
+             "beta_class": hit.pair.beta.classification.kind,
+             "m_cb": str(hit.slopes.m_cb), "m_ca": str(hit.slopes.m_ca),
+             "m_ba": str(hit.slopes.m_ba)}
+            for hit in report.hits for A, X, B, Y, C, Z in [hit.triple]]
+    canonical = {"config": {"bound": str(config.bound), "min_x": config.min_x,
+                            "min_y": config.min_y, "min_z": config.min_z,
+                            "workers": config.workers, "seed": config.seed},
+                 "counts": report.counts, "hits": hits}
+    timed = dict(canonical, wall_time_s=report.wall_time_s, phases=report.phases,
+                 scan_probes=report.scan_probes, sweeps=report.sweeps,
+                 sweep_seconds=report.sweep_seconds,
+                 verification_failures=report.verification_failures)
+    for text, expected in ((canonical_json(report), canonical), (emit_json(report), timed)):
+        assert json.loads(text) == expected
+        assert json.dumps(json.loads(text)) == json.dumps(expected)  # and in this key order
 
 
 def test_write_text_replaces_the_file_whole(tmp_path, records, monkeypatch):

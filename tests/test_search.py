@@ -909,6 +909,52 @@ def test_annotate_hit_computes_slopes_and_pair_once(monkeypatch):
         assert hit == verify_hit(triple, minimums)
 
 
+@pytest.mark.parametrize("config", [SearchConfig(10 ** 12),
+                                    SearchConfig(10 ** 13, 4, 3, 3, workers=2)])
+def test_search_hits_are_what_verify_hit_gives_alone(config):
+    hits = search_solutions(config).hits
+    assert len(hits) > 190
+    for hit in hits:
+        assert hit == verify_hit(hit.triple, config.minimums)
+
+
+# Non-reduced bases (4, 8, 9, 27) and a base of 1, each in several triples and
+# positions, among solutions and non-solutions.
+_SHARED_BASE_TRIPLES = [BealTriple(*t) for t in (
+    (4, 3, 4, 3, 2, 7), (2, 6, 2, 6, 2, 7), (8, 2, 8, 2, 2, 7), (2, 3, 2, 3, 4, 2),
+    (9, 3, 18, 3, 9, 4), (9, 3, 18, 3, 3, 8), (27, 3, 8, 3, 9, 5), (8, 3, 4, 3, 27, 3),
+    (1, 3, 2, 3, 3, 2), (3, 3, 6, 3, 3, 5), (2, 3, 3, 3, 5, 3), (4, 3, 4, 3, 2, 7),
+    (7, 3, 7, 4, 14, 3), (3, 4, 27, 3, 4, 4))]
+
+
+def _shared_report(triples, minimums=(3, 3, 3)):
+    started = 0.0
+    return search_mod._report(SearchConfig(10 ** 12, *minimums), triples, 0, 0,
+                              started, started, started)
+
+
+@pytest.mark.parametrize("minimums", [(3, 3, 3), (4, 3, 3)])
+def test_shared_verification_gives_each_hit_its_own_checks(minimums):
+    hits = _shared_report(_SHARED_BASE_TRIPLES, minimums).hits
+    assert Counter(hit.triple for hit in hits) == Counter(_SHARED_BASE_TRIPLES)
+    for hit in hits:
+        assert hit.checks == verify_hit(hit.triple, minimums).checks
+    assert {hit.checks["bases_reduced"] for hit in hits} == {True, False}
+
+
+def test_is_perfect_power_runs_once_per_distinct_base_in_a_report(monkeypatch):
+    calls = Counter()
+    real = search_mod.is_perfect_power
+    monkeypatch.setattr(search_mod, "is_perfect_power",
+                        lambda n: calls.update([n]) or real(n))
+    bases = {base for t in _SHARED_BASE_TRIPLES for base in (t.A, t.B, t.C) if base >= 2}
+    _shared_report(_SHARED_BASE_TRIPLES)
+    assert calls == Counter(bases)
+    # the answers live for one report only: a second report asks again
+    _shared_report(_SHARED_BASE_TRIPLES)
+    assert calls == Counter(dict.fromkeys(bases, 2))
+
+
 def test_rational_parameters_imply_common_factor_over_hits():
     report = search_solutions(SearchConfig(bound=10 ** 6))
     for hit in report.hits:
