@@ -1,10 +1,14 @@
 """Persisted hit records: CSV and JSON forms that round-trip losslessly.
 
+HitRecord's fields are the one definition of the record: the CSV columns,
+the CSV row template and the JSON hit template are all built from them.
 Every number serializes as a decimal string (arbitrary precision survives
 any consumer), fractions as reduced "p/q" (integers render without the
 denominator, matching Fraction's own str).  Column order is fixed and the
-CSV header row is mandatory; readers validate shape and reject leading
-zeros so that parse(emit(report)) == report is byte-for-byte testable.
+CSV header row is mandatory.  Readers reject a field whose text is not a
+canonical decimal, a class name or a reduced fraction, as the writers give
+it, so parse_csv(emit_csv(records)) == records and
+parse_json(emit_json(report)) == records_from_report(report).
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .exact_arith import IRRATIONAL, NO_REAL_ROOT, RATIONAL
 from .search import SearchReport
 
 _CLASS_NAMES = {RATIONAL, IRRATIONAL, NO_REAL_ROOT}
-_DECIMAL_RE = re.compile(r"^(0|[1-9][0-9]*)$")
-_FRACTION_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
+_DECIMAL_RE = re.compile(r"0|[1-9][0-9]*")
+_FRACTION_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 
 
 class SchemaError(BealsearchError):
@@ -50,42 +54,25 @@ class HitRecord(NamedTuple):
     m_ca: str
     m_ba: str
 
-    @classmethod
-    def from_hit(cls, hit) -> "HitRecord":
-        A, X, B, Y, C, Z = triple = hit.triple
-        m_cb, m_ca, m_ba = hit.slopes
-        if not isinstance(m_cb, Fraction) or not isinstance(m_ca, Fraction):
-            raise ValueError(f"hit {triple} has non-rational slopes; cannot serialize")
-        return cls(str(A), str(X), str(B), str(Y), str(C), str(Z),
-                   str(A ** X), str(B ** Y), str(C ** Z), str(gcd(A, B, C)),
-                   hit.pair.alpha.classification.kind, hit.pair.beta.classification.kind,
-                   str(m_cb), str(m_ca), str(m_ba))
-
     def validate(self) -> "HitRecord":
+        """self, or a SchemaError naming the first field that is not in the
+        form the writers give it."""
         for name in ("A", "X", "B", "Y", "C", "Z",
                      "A_pow_X", "B_pow_Y", "C_pow_Z", "gcd_abc"):
             value = getattr(self, name)
-            if not _DECIMAL_RE.match(value):
+            if not _DECIMAL_RE.fullmatch(value):
                 raise SchemaError(f"column {name}: {value!r} is not a canonical decimal")
         for name in ("alpha_class", "beta_class"):
             if getattr(self, name) not in _CLASS_NAMES:
                 raise SchemaError(f"column {name}: {getattr(self, name)!r} is not a class name")
         for name in ("m_cb", "m_ca", "m_ba"):
             value = getattr(self, name)
-            if not _FRACTION_RE.match(value):
+            if not _FRACTION_RE.fullmatch(value):
                 raise SchemaError(f"column {name}: {value!r} is not a reduced fraction string")
             fraction = Fraction(value)
             if str(fraction) != value:
                 raise SchemaError(f"column {name}: {value!r} is not in lowest terms")
         return self
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "HitRecord":
-        missing = [name for name in CSV_COLUMNS if name not in obj]
-        if missing:
-            raise SchemaError(f"missing columns: {', '.join(missing)}")
-        record = cls(**{name: str(obj[name]) for name in CSV_COLUMNS})
-        return record.validate()
 
 
 CSV_COLUMNS = list(HitRecord._fields)
@@ -93,20 +80,26 @@ CSV_COLUMNS = list(HitRecord._fields)
 
 def records_from_report(report: SearchReport) -> list[HitRecord]:
     """The records of the report's hits, less any hit with irrational slopes:
-    HitRecord.from_hit cannot serialize one, and it failed verify_hit's
+    a record holds its slopes as fractions, and such a hit failed verify_hit's
     slopes_rational check, which the report's verification_failures names."""
-    return [HitRecord.from_hit(hit) for hit in report.hits
-            if isinstance(hit.slopes.m_cb, Fraction) and isinstance(hit.slopes.m_ca, Fraction)]
+    return [HitRecord(str(A), str(X), str(B), str(Y), str(C), str(Z),
+                      str(A ** X), str(B ** Y), str(C ** Z), str(gcd(A, B, C)),
+                      hit.pair.alpha.classification.kind, hit.pair.beta.classification.kind,
+                      str(m_cb), str(m_ca), str(m_ba))
+            for hit in report.hits
+            for (A, X, B, Y, C, Z), (m_cb, m_ca, m_ba) in [(hit.triple, hit.slopes)]
+            if isinstance(m_cb, Fraction) and isinstance(m_ca, Fraction)]
 
 
 # --- CSV ----------------------------------------------------------------------
+# Every field is a decimal, a fraction or a class name, so none needs quoting.
+
+_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
+
 
 def emit_csv(records: list[HitRecord]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(records)
-    return buffer.getvalue()
+    """The header row, then one row per record."""
+    return "".join(map(_ROW.__mod__, [HitRecord._fields, *records]))
 
 
 def parse_csv(text: str) -> list[HitRecord]:
@@ -123,7 +116,7 @@ def parse_csv(text: str) -> list[HitRecord]:
             continue
         if len(row) != len(CSV_COLUMNS):
             raise SchemaError(f"line {line_number}: expected {len(CSV_COLUMNS)} fields")
-        records.append(HitRecord.from_obj(dict(zip(CSV_COLUMNS, row))))
+        records.append(HitRecord(*row).validate())
     return records
 
 
@@ -179,24 +172,7 @@ _REPORT = """{
 }
 """
 
-_HIT = """
-    {
-      "A": "%s",
-      "X": "%s",
-      "B": "%s",
-      "Y": "%s",
-      "C": "%s",
-      "Z": "%s",
-      "A_pow_X": "%s",
-      "B_pow_Y": "%s",
-      "C_pow_Z": "%s",
-      "gcd_abc": "%s",
-      "alpha_class": "%s",
-      "beta_class": "%s",
-      "m_cb": "%s",
-      "m_ca": "%s",
-      "m_ba": "%s"
-    }"""
+_HIT = "\n    {%s\n    }" % ",".join(['\n      "%s": "%%s"' % name for name in CSV_COLUMNS])
 
 _TIMING = """,
   "wall_time_s": %r,
@@ -250,6 +226,15 @@ def parse_json(text: str) -> list[HitRecord]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "hits" not in obj:
+    hits = obj.get("hits") if isinstance(obj, dict) else None
+    if not isinstance(hits, list):
         raise SchemaError("JSON report must be an object with a 'hits' array")
-    return [HitRecord.from_obj(entry) for entry in obj["hits"]]
+    records = []
+    for entry in hits:
+        if not isinstance(entry, dict):
+            raise SchemaError(f"hit {entry!r} is not an object")
+        missing = [name for name in CSV_COLUMNS if name not in entry]
+        if missing:
+            raise SchemaError(f"missing columns: {', '.join(missing)}")
+        records.append(HitRecord(*[str(entry[name]) for name in CSV_COLUMNS]).validate())
+    return records

@@ -553,6 +553,12 @@ def test_readme_flag_table_matches_parser():
     assert documented == declared
 
 
+def test_readme_hit_file_columns_match_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Hit file format", 1)[1]
+    assert section.split("```\n", 1)[1].split("```", 1)[0] == HEADER + "\n"
+
+
 def test_readme_quick_start_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quick start", 1)[1]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import stat
 import threading
 
@@ -70,26 +71,29 @@ def test_csv_header_is_mandatory():
 
 
 def test_csv_rejects_bad_rows(records):
-    good = emit_csv(records[:1]).splitlines()
-    row = good[1].split(",")
+    def csv_text(record):  # every field quoted, so a field may hold a newline
+        return ",".join(CSV_COLUMNS) + "\n" + ",".join(f'"{value}"' for value in record) + "\n"
 
-    row_bad_decimal = row.copy()
-    row_bad_decimal[6] = "007"
-    with pytest.raises(SchemaError):
-        parse_csv("\n".join([good[0], ",".join(row_bad_decimal)]) + "\n")
+    def json_text(record):
+        return json.dumps({"hits": [record._asdict()]})
 
-    row_bad_class = row.copy()
-    row_bad_class[10] = "transcendental"
-    with pytest.raises(SchemaError):
-        parse_csv("\n".join([good[0], ",".join(row_bad_class)]) + "\n")
+    good = records[0]
+    assert parse_csv(csv_text(good)) == parse_json(json_text(good)) == [good]
+    # each bad value fails both readers, with the message for what is wrong
+    for column, value, message in [
+        ("A_pow_X", "007", "is not a canonical decimal"),
+        ("A", f"{good.A}\n", "is not a canonical decimal"),
+        ("alpha_class", "transcendental", "is not a class name"),
+        ("m_cb", "2/4", "is not in lowest terms"),
+        ("m_cb", "1\n", "is not a reduced fraction string"),
+    ]:
+        bad = good._replace(**{column: value})
+        for parse, text in ((parse_csv, csv_text(bad)), (parse_json, json_text(bad))):
+            with pytest.raises(SchemaError, match=re.escape(f"column {column}: {value!r} {message}")):
+                parse(text)
 
-    row_bad_fraction = row.copy()
-    row_bad_fraction[12] = "2/4"
     with pytest.raises(SchemaError):
-        parse_csv("\n".join([good[0], ",".join(row_bad_fraction)]) + "\n")
-
-    with pytest.raises(SchemaError):
-        parse_csv(good[0] + "\n1,2,3\n")
+        parse_csv(",".join(CSV_COLUMNS) + "\n1,2,3\n")
 
 
 def test_json_rejects_missing_columns():
@@ -99,6 +103,15 @@ def test_json_rejects_missing_columns():
         parse_json("not json")
     with pytest.raises(SchemaError):
         parse_json("[]")
+
+
+def test_json_rejects_hits_that_are_not_a_list_of_objects():
+    for hits, message in [(5, "a 'hits' array"), (None, "a 'hits' array"),
+                          ("A", "a 'hits' array"), ({"A": "2"}, "a 'hits' array"),
+                          ([1], "is not an object"), ([None], "is not an object"),
+                          ([["A"]], "is not an object")]:
+        with pytest.raises(SchemaError, match=message):
+            parse_json(json.dumps({"hits": hits}))
 
 
 def test_report_obj_key_order_is_stable(report):
