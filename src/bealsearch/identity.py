@@ -9,11 +9,15 @@ at n = 1.  Negative intermediate exponents are evaluated over exact
 rationals rather than restricted, which is what makes the free upper limit
 checkable verbatim.
 
-The expansion runs on plain integers.  Each ExpansionInstance keeps the
-power tables of its numerators and denominators, each grown only to the
-highest power a call reads; the suite sizes them once for n = 0..10.  A call
-returns an unreduced pair (numerator, denominator), which the suite compares
-with p**v - q**w, computed in Fraction, by cross-multiplication.
+The expansion runs on plain integers.  Term i at limit n reads the
+difference p**(v-j) - q**(w-j) only through j = n + i, so each
+ExpansionInstance builds the differences j = 0..2n once, as numerators over
+one common denominator, for the largest n asked so far; the suite builds
+them for n = 0..10, 21 differences for 66 terms.  They are built from power
+tables (base -> [base**k]) that run_random_suite shares among the instances
+of one call and drops when it returns.  A call returns an unreduced pair
+(numerator, denominator), which the suite compares with p**v - q**w,
+computed in Fraction, by cross-multiplication.
 
 A related table decomposes C**Z - B**Y into rows indexed by i, pairing the
 shared coefficient binom(X,i)(C+B)**(X-i)(-CB)**i with the difference term
@@ -38,12 +42,15 @@ COEFFICIENT_LIMIT = 10
 class ExpansionInstance:
     """One (p, q, v, w) input; the free limit n is general_expansion's argument.
 
-    With p = a/b and q = c/d in lowest terms (b, d > 0), the instance keeps
-    the power tables of a, b, c, d, a*d + b*c and -a*c (the numerators of p+q
-    and -pq over b*d), each grown by _grow only as far as a call reads it.
+    With p = a/b and q = c/d in lowest terms (b, d > 0), term i at limit n
+    reads (a*d + b*c)**(n-i) and (-a*c)**i, the numerators of (p+q)**(n-i)
+    and (-pq)**i over (b*d)**n, and the difference p**(v-j) - q**(w-j) at
+    j = n + i.  _grow builds, for every limit up to the largest n asked so
+    far, the power tables of those two numerators, each difference j as a
+    numerator over one common denominator, and each limit's denominator.
     """
 
-    __slots__ = ("p", "q", "v", "w", "_bases", "_tables")
+    __slots__ = ("p", "q", "v", "w", "_bases", "_plus", "_minus", "_diff", "_den")
 
     def __init__(self, p, q, v: int, w: int):
         self.p = p if isinstance(p, Fraction) else Fraction(p)
@@ -54,20 +61,39 @@ class ExpansionInstance:
         a, b = self.p.numerator, self.p.denominator
         c, d = self.q.numerator, self.q.denominator
         self._bases = (a, b, c, d, a * d + b * c, -a * c)
-        self._tables = [[] for _ in self._bases]
+        self._plus = self._minus = self._diff = self._den = ()
 
     def __repr__(self) -> str:
         return f"ExpansionInstance(p={self.p!r}, q={self.q!r}, v={self.v!r}, w={self.w!r})"
 
-    def _grow(self, n: int) -> None:
-        """Extend each table to the highest power general_expansion reads from it
-        at a limit 0..n: ka + kb for a and b, kc + kd for c and d, n for p+q and -pq."""
-        # ka + kb = max(2m-v, 0) + max(v-m, 0) is convex in m: over 0..n it peaks at 0 or n
-        tp, tq = (max(abs(e), max(2 * n - e, 0) + max(e - n, 0)) for e in (self.v, self.w))
-        for table, base, top in zip(self._tables, self._bases, (tp, tp, tq, tq, n, n)):
-            if len(table) <= top:
-                table += accumulate(repeat(base, top - len(table)), mul,
-                                    initial=table[-1] * base if table else 1)
+    def _grow(self, n: int, powers: dict[int, list[int]]) -> None:
+        """Build what general_expansion reads at every limit 0..n, reading and
+        extending the power tables in powers (base -> [base**k]).
+
+        The differences j = 0..2n share the denominator D = a**ka * b**kb *
+        c**kc * d**kd: p**(v-j) is a**(v-j+ka) * b**(kb-v+j) over a**ka *
+        b**kb, with both powers in 0..ka+kb for every j, and q likewise.
+        a**ka keeps a's sign, which a negative base needs under an odd
+        negative exponent.  Limit m's denominator is (b*d)**m * D.
+        """
+        a, b, c, d, plus, minus = self._bases
+        v, w, top = self.v, self.w, 2 * n
+        ka, kb, kc, kd = max(top - v, 0), max(v, 0), max(top - w, 0), max(w, 0)
+        ta, tb, tc, td = (_power_table(powers, base, reach) for base, reach in
+                          ((a, ka + kb), (b, ka + kb), (c, kc + kd), (d, kc + kd)))
+        den_p, den_q = ta[ka] * tb[kb], tc[kc] * td[kd]
+        self._diff = [ta[v - j + ka] * tb[kb - v + j] * den_q
+                      - tc[w - j + kc] * td[kd - w + j] * den_p for j in range(top + 1)]
+        self._den = list(accumulate(repeat(b * d, n), mul, initial=den_p * den_q))
+        self._plus, self._minus = _power_table(powers, plus, n), _power_table(powers, minus, n)
+
+
+def _power_table(powers: dict[int, list[int]], base: int, top: int) -> list[int]:
+    """powers[base], extended to hold base**0 .. base**top."""
+    table = powers.setdefault(base, [1])
+    if len(table) <= top:
+        table += accumulate(repeat(base, top - len(table)), mul, initial=table[-1] * base)
+    return table
 
 
 class ExpansionRow(NamedTuple):
@@ -98,33 +124,20 @@ def general_expansion(inst: ExpansionInstance, n: int) -> tuple[int, int]:
     Returns sum_{i=0}^{n} binom(n,i) (p+q)**(n-i) (-pq)**i (p**(v-n-i) - q**(w-n-i)),
     which equals p**v - q**w for every n >= 0, as an unreduced pair
     (numerator, denominator) with a non-zero denominator.  Every term is
-    evaluated over plain integers on one common denominator, read from the
-    instance's power tables.  The sum shares no arithmetic with p**v - q**w
-    computed in Fraction, so the suite compares two independent paths.
+    evaluated over plain integers on one common denominator, from the
+    instance's differences and power tables.  The sum shares no arithmetic
+    with p**v - q**w computed in Fraction, so the suite compares two
+    independent paths.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    v, w = inst.v, inst.w
-    # Exponents run from v-n down to v-2n.  Over the denominator a**ka * b**kb,
-    # p**e is a**(e+ka) * b**(kb-e) with both powers in 0..ka+kb for every e
-    # reached; a**ka keeps a's sign, which a negative base needs under an odd
-    # negative e.  (Conditional expressions: max() costs a call per use here.)
-    ka = 2 * n - v if 2 * n > v else 0
-    kb = v - n if v > n else 0
-    kc = 2 * n - w if 2 * n > w else 0
-    kd = w - n if w > n else 0
-    a, b, c, d, plus, minus = inst._tables
-    if len(plus) <= n:  # the tables hold what every limit below len(plus) reads
-        inst._grow(n)
-    den_p, den_q = a[ka] * b[kb], c[kc] * d[kd]
-    # term i reads p**(v-n-i) as a[ta - i] * b[tb + i], and q likewise
-    ta, tb, tc, td = v - n + ka, kb - v + n, w - n + kc, kd - w + n
+    if len(inst._den) <= n:  # built for a smaller n, or not yet: tables of its own
+        inst._grow(n, {})
+    plus, minus, diff = inst._plus, inst._minus, inst._diff
     s = 0
     for i in range(n + 1):
-        s += comb(n, i) * plus[n - i] * minus[i] * (
-            a[ta - i] * b[tb + i] * den_q - c[tc - i] * d[td + i] * den_p)
-    # ka + kb >= n, so the tables reach b**n and d**n
-    return s, b[n] * d[n] * den_p * den_q
+        s += comb(n, i) * plus[n - i] * minus[i] * diff[n + i]
+    return s, inst._den[n]
 
 
 def expansion_table(B: int, C: int, X: int, Y: int, Z: int) -> tuple[list[ExpansionRow], Fraction]:
@@ -180,8 +193,9 @@ def run_random_suite(cases: int, seed: int = 0) -> list[str]:
     range.  Returns failure descriptions (empty means everything held).
     """
     failures = []
+    powers = {}  # base -> [base**k], shared by this call's instances
     for inst in random_instances(cases, seed):
-        inst._grow(FREE_LIMIT_RANGE[-1])
+        inst._grow(FREE_LIMIT_RANGE[-1], powers)
         lhs, (num, den) = expand_difference(inst)
         lhs_num, lhs_den = lhs.numerator, lhs.denominator
         if num * lhs_den != lhs_num * den:

@@ -7,7 +7,8 @@ any consumer), fractions as reduced "p/q" (integers render without the
 denominator, matching Fraction's own str).  Column order is fixed and the
 CSV header row is mandatory.  Readers reject a field whose text is not a
 canonical decimal, a class name or a reduced fraction, as the writers give
-it, so parse_csv(emit_csv(records)) == records and
+it, and parse_json a hit field that is not a JSON string, so
+parse_csv(emit_csv(records)) == records and
 parse_json(emit_json(report)) == records_from_report(report).
 """
 
@@ -236,5 +237,9 @@ def parse_json(text: str) -> list[HitRecord]:
         missing = [name for name in CSV_COLUMNS if name not in entry]
         if missing:
             raise SchemaError(f"missing columns: {', '.join(missing)}")
-        records.append(HitRecord(*[str(entry[name]) for name in CSV_COLUMNS]).validate())
+        values = [entry[name] for name in CSV_COLUMNS]
+        for name, value in zip(CSV_COLUMNS, values):
+            if type(value) is not str:
+                raise SchemaError(f"column {name}: {value!r} is not a string")
+        records.append(HitRecord(*values).validate())
     return records

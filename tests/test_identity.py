@@ -145,28 +145,66 @@ def test_tables_grow_past_the_suite_ranges():
 
 
 def _reach(e, n):
-    """ka + kb of general_expansion for exponent e at limit n."""
-    return max(2 * n - e, 0) + max(e - n, 0)
+    """ka + kb of ExpansionInstance._grow for exponent e at largest limit n."""
+    return max(2 * n - e, 0) + max(e, 0)
+
+
+def _assert_laid_out(inst, n):
+    """inst holds what every limit 0..n reads, and no more: differences
+    j = 0..2n over one denominator D, and limit m's denominator (b*d)**m * D."""
+    p, q, v, w = inst.p, inst.q, inst.v, inst.w
+    a, b, c, d, plus, minus = inst._bases
+    den = inst._den[0]
+    assert inst._den == [den * (b * d) ** m for m in range(n + 1)], inst
+    assert inst._diff == [(p ** (v - j) - q ** (w - j)) * den for j in range(2 * n + 1)], inst
+    assert inst._plus[:n + 1] == [plus ** k for k in range(n + 1)], inst
+    assert inst._minus[:n + 1] == [minus ** k for k in range(n + 1)], inst
+
+
+def _record_grows(monkeypatch):
+    """Wrap ExpansionInstance._grow; the list it returns gets (inst, n, powers)
+    per call."""
+    grows, real = [], ExpansionInstance._grow
+
+    def recorded(inst, n, powers):
+        real(inst, n, powers)
+        grows.append((inst, n, powers))
+
+    monkeypatch.setattr(ExpansionInstance, "_grow", recorded)
+    return grows
 
 
 def test_suite_sizes_each_table_to_exactly_the_powers_read(monkeypatch):
-    instances, real = [], identity_mod.random_instances
-
-    def recorded(count, seed=0):
-        for inst in real(count, seed):
-            instances.append(inst)
-            yield inst
-
-    monkeypatch.setattr(identity_mod, "random_instances", recorded)
+    grows = _record_grows(monkeypatch)
     assert run_random_suite(100, seed=5) == []
-    assert len(instances) == 100
-    for inst in instances:
-        top_p = max(_reach(inst.v, n) for n in FREE_LIMIT_RANGE)
-        top_q = max(_reach(inst.w, n) for n in FREE_LIMIT_RANGE)
-        assert [len(table) for table in inst._tables] == \
-            [top_p + 1, top_p + 1, top_q + 1, top_q + 1, 11, 11], inst
-        for table, base in zip(inst._tables, inst._bases):
-            assert table == [base ** k for k in range(len(table))]
+    assert len(grows) == 100 and {n for _, n, _ in grows} == {10}
+    powers = grows[0][2]
+    assert all(shared is powers for _, _, shared in grows)
+    # each table of the run is [base**k], as long as the instance that reads
+    # furthest into it needs
+    need = {}
+    for inst, n, _ in grows:
+        _assert_laid_out(inst, n)
+        a, b, c, d, plus, minus = inst._bases
+        top_p, top_q = _reach(inst.v, n), _reach(inst.w, n)
+        for base, top in ((a, top_p), (b, top_p), (c, top_q), (d, top_q), (plus, n), (minus, n)):
+            need[base] = max(need.get(base, 0), top)
+        assert inst._plus is powers[plus] and inst._minus is powers[minus]
+    assert {base: len(table) - 1 for base, table in powers.items()} == need
+    for base, table in powers.items():
+        assert table == [base ** k for k in range(len(table))]
+    # the instances share tables: fewer tables than bases read
+    assert len(powers) < sum(len(set(inst._bases)) for inst, _, _ in grows)
+
+
+def test_shared_tables_live_for_one_run(monkeypatch):
+    grows = _record_grows(monkeypatch)
+    assert run_random_suite(30, seed=5) == []
+    first = grows[0][2]
+    assert run_random_suite(30, seed=5) == []
+    second = grows[30][2]
+    assert first is not second and first == second
+    assert not {id(table) for table in first.values()} & {id(table) for table in second.values()}
 
 
 @pytest.mark.parametrize("order", [
@@ -182,8 +220,30 @@ def test_tables_grow_on_demand_in_any_order_of_n(order):
         inst = ExpansionInstance(p, q, v, w)
         for n in order:
             assert Fraction(*general_expansion(inst, n)) == fraction_expansion(p, q, v, w, n)
-        # the p+q table holds the powers 0..n of the largest n asked, and no more
-        assert len(inst._tables[4]) == max(order) + 1
+        # the instance holds what the largest n asked reads, and no more
+        _assert_laid_out(inst, max(order))
+
+
+@pytest.mark.parametrize("j, reported", [
+    (2, lambda f: f.startswith("two-term factoring broke")),  # n = 1 reads j = 1, 2
+    (7, lambda f: f.endswith("at n=4")),                      # first read at n = 4, i = 3
+    (20, lambda f: f.endswith("at n=10")),                    # read only at n = 10, i = 10
+])
+def test_suite_reports_a_fault_in_one_shared_difference(monkeypatch, capsys, j, reported):
+    grows, real = [], ExpansionInstance._grow
+
+    def faulty(inst, n, powers):
+        real(inst, n, powers)
+        inst._diff[j] += 1
+        grows.append(inst)
+
+    monkeypatch.setattr(ExpansionInstance, "_grow", faulty)
+    failures = run_random_suite(50, seed=7)
+    assert failures and all(map(reported, failures))
+    # the term that reads j carries (p+q)**(2n-j); it is 0 only when p == -q
+    assert len(failures) == sum(1 for inst in grows if j in (2, 20) or inst._bases[4] != 0)
+    assert cli.main(["verify-identities", "--cases", "50", "--seed", "7"]) == 4
+    assert "instances FAILED" in capsys.readouterr().out
 
 
 def test_suite_compares_the_shared_n1_pair(monkeypatch, capsys):

@@ -114,6 +114,18 @@ def test_json_rejects_hits_that_are_not_a_list_of_objects():
             parse_json(json.dumps({"hits": hits}))
 
 
+def test_json_rejects_values_that_are_not_strings(records):
+    # every field is written as a JSON string; a number, null, a list or a
+    # boolean in its place is rejected, not read back through str()
+    good = records[0]._asdict()
+    for column, value in [("A", int(good["A"])), ("A_pow_X", float(good["A_pow_X"])),
+                          ("gcd_abc", None), ("alpha_class", [good["alpha_class"]]),
+                          ("m_cb", True)]:
+        message = f"column {column}: {value!r} is not a string"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            parse_json(json.dumps({"hits": [{**good, column: value}]}))
+
+
 def test_report_obj_key_order_is_stable(report):
     assert canonical_json(report) == canonical_json(report)
     obj = json.loads(emit_json(report))
