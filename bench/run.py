@@ -5,38 +5,43 @@
     python bench/run.py --out BENCH_20.json --repeats 1 --completeness
 
 Each --tree LABEL=SRC names a bealsearch package directory to time (default:
-change=src of this checkout).  Every sample is taken in a fresh process that
-imports bealsearch from one tree's SRC and takes only that sample.  Per
-case, the trees take turns sample by sample, in alternating order (parent,
-change, change, parent, ...), so a drift of the machine's speed falls on
-every tree alike rather than reading as a code change.  Just before and just
-after a sample, the same process times HOST_CALLS calls of perfbench's
-reference work (perfbench/speed.py's reference_work, after one untimed
-call); the sample's host_s is the median seconds of one call over both, so
-each sample carries the speed of the host it ran at.  The startup and cli
-cases time their fresh processes, so each of those processes samples the
-host itself (HOST_SCRIPT), just before and just after its import of
-bealsearch.cli or its call of cli.main, and host_s is the median over the
-processes of the sample; their process times leave out the seconds of that
-sampling, but each has loaded perfbench's speed module (and so fractions)
-before what it times.
+change=src of this checkout).  Per case, the trees take turns sample by
+sample, in alternating order (parent, change, change, parent, ...), so a
+drift of the machine's speed falls on every tree alike rather than reading as
+a code change.
+
+Every sample is one fresh `python -c` process (fresh_process) that imports
+bealsearch from one tree's SRC, takes only that sample and prints, as its
+last line, a JSON object of what it measured.  Just before and just after
+what it times, the process times HOST_CALLS calls of perfbench's reference
+work (perfbench/speed.py's reference_work, after one untimed call:
+HOST_SCRIPT's sample_host); the sample's host_s is the median seconds of one
+call over both, so each sample carries the speed of the host it ran at.  The
+startup and cli cases are such processes themselves (IMPORT_SCRIPT and
+TIMED_MAIN_SCRIPT), which sample the host around their import of
+bealsearch.cli or their call of cli.main; their process times leave out the
+seconds of that sampling, but each has loaded perfbench's speed module (and
+so fractions) before what it times.  Every other case is a function of this
+file, which a process of CASE_SCRIPT loads by its path and runs between its
+two host samples.  Every sample process reads bytecode only from a cache
+private to the run (PYTHONPYCACHEPREFIX in a new temporary directory), which
+one untimed sample process per tree fills from the tree's current source
+first, and writes none, so a stale __pycache__ in a tree cannot read as a
+code change and no run leaves one in a tree; nor does this process write one.
 
 The cases, --repeats samples per tree each:
   startup: a fresh `python -c "import bealsearch.cli"` (import_s, timed
     inside it, and import_process_s, the whole process) and a fresh
-    `bealsearch verify-identities --cases 1` (verify_identities_process_s).
-    Both read bytecode from a cache of their own (PYTHONPYCACHEPREFIX in a
-    new temporary directory), which one untimed verify-identities run fills
-    from the tree's source first, so a stale __pycache__ in the tree cannot
-    read as a code change; the facts say whether the timed import still
-    compiled any module from source (compiled_from_source);
-  cli search: a fresh `bealsearch search --bound 10^12` process, from the
-    same kind of private bytecode cache, that times its one call of
-    cli.main (main_s, as a perfbench child does) and counts the cyclic
-    collector's passes in that call and in the first allocations after it,
-    where a pass that a paused collector deferred runs (main_gc_passes);
-    the whole process is process_s.  The output digest is that of the CSV
-    it writes;
+    `bealsearch verify-identities --cases 1` (verify_identities_process_s);
+    host_s is the median over both processes.  The facts say whether the
+    timed import still compiled any module from source
+    (compiled_from_source);
+  cli search: a fresh `bealsearch search --bound 10^12` process that times
+    its one call of cli.main (main_s, as a perfbench child does) and counts
+    the cyclic collector's passes in that call and in the first allocations
+    after it, where a pass that a paused collector deferred runs
+    (main_gc_passes); the whole process is process_s.  The output digest is
+    that of the CSV it writes;
   cli verify-identities: the same for a fresh `bealsearch verify-identities
     --cases 500 --seed 1000003` process, perfbench's first identities child;
     the output digest is that of what main prints;
@@ -50,12 +55,10 @@ The cases, --repeats samples per tree each:
     through gc.callbacks).  The search runs with the collector paused, as
     cli.main runs it, so a pass cannot fall in one phase and read as a code
     change; gc shows that none ran, and the collector is then left as it
-    was.  The
-    cases are 10^12, 10^14 and 10^16 with minimums 3,3,3 and 1 worker,
-    10^14 with 2, and perfbench's search_split, 10^13 with minimums 4,3,3
-    and 2 workers.
-    The search at 10^18 (about a minute per run) is a case only with
-    --repeats-1e18;
+    was.  The cases are 10^12, 10^14 and 10^16 with minimums 3,3,3 and 1
+    worker, 10^14 with 2, and perfbench's search_split, 10^13 with minimums
+    4,3,3 and 2 workers.  The search at 10^18 (about a minute per run) is a
+    case only with --repeats-1e18;
   completeness (only with --completeness, about three minutes per tree):
     search_solutions against the plain right-anchored lookup of
     tests/test_search.py (_lookup_reference, one set lookup per pair) at
@@ -108,8 +111,8 @@ median scan_s when the report counts them (SearchReport.scan_probes), the
 probes and found pairs of each sweep of the scan (SearchReport.sweeps) and,
 per sweep, the statistics of its seconds (SearchReport.sweep_seconds).  The
 machine facts are nproc, the CPU model, the Python version and whether
-Python writes bytecode caches (without them every start-up compiles the
-package from source).
+Python writes bytecode caches by default (no sample depends on it: every
+sample reads the run's private cache).
 """
 
 from __future__ import annotations
@@ -120,7 +123,6 @@ import gc
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import platform
 import random
@@ -130,27 +132,31 @@ import subprocess
 import sys
 import tempfile
 import time
-import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # (bound, minimums, workers); the last is perfbench's search_split
 CASES = [(10 ** 12, (3, 3, 3), 1), (10 ** 14, (3, 3, 3), 1), (10 ** 16, (3, 3, 3), 1),
          (10 ** 14, (3, 3, 3), 2), (10 ** 13, (4, 3, 3), 2)]
-COMPLETENESS = [(10 ** 13, (3, 3, 3)), (10 ** 13, (4, 3, 3)), (10 ** 14, (3, 3, 3))]
+# (name, reference, bound, minimums) of the completeness cases (completeness_sample)
+COMPLETENESS = [("completeness 10^13 minimums 3,3,3", "reference", 10 ** 13, (3, 3, 3)),
+                ("completeness 10^13 minimums 4,3,3", "reference", 10 ** 13, (4, 3, 3)),
+                ("completeness 10^14 minimums 3,3,3", "reference", 10 ** 14, (3, 3, 3)),
+                ("completeness 10^16 solution families", "family", 10 ** 16, (3, 3, 3)),
+                ("completeness 10^16 filter-free scan", "filter_free", 10 ** 16, (3, 3, 3))]
 # perfbench's first child of a workload: seed 1, iteration 0
 CHILD_SEED = 1_000_003
 PHASES = ("enumerate_s", "index_s", "scan_s", "annotate_s")
 KERNEL_MIN_S = 0.05
 # calls of perfbench's reference work (about 1 ms each) just before and just after each sample
 HOST_CALLS = 10
-# The script of a fresh process, with the tree's SRC as argv[1]: sample_host
-# times HOST_CALLS calls of perfbench's reference work, after one untimed call,
-# and finish prints, as the last line, a JSON object of what the process
-# measured.  That holds host, the seconds of each of those calls, and
-# host_spent_s, the seconds that sampling took in all.
+# The start of every sample process's script, with the tree's SRC as argv[1]:
+# sample_host times HOST_CALLS calls of perfbench's reference work, after one
+# untimed call, and finish prints, as the last line, a JSON object of what
+# the process measured.  That holds host, the seconds of each of those calls,
+# and host_spent_s, the seconds that sampling took in all.
 HOST_SCRIPT = f"""\
-import sys, time
+import os, sys, time
 sys.path.insert(0, sys.argv[1])
 sys.path.append({str(ROOT / "perfbench")!r})
 from speed import reference_work
@@ -176,7 +182,6 @@ def finish():
 # lacks a bytecode file, which, in a process that writes none, means it
 # compiled that module from source.
 IMPORT_SCRIPT = HOST_SCRIPT + """\
-import os
 sample_host()
 started = time.perf_counter()
 import bealsearch.cli
@@ -188,7 +193,9 @@ finish()
 """
 # Imports cli.main and samples the host just before and just after it calls
 # main(argv[2:]); measures, after main's own output, the seconds of the call
-# and the cyclic collector's passes from the call to the count.
+# and the cyclic collector's passes from the call to the count.  Of what it
+# measures (fresh_process), a cli case's sample keeps MAIN_KEYS.
+MAIN_KEYS = ("main_s", "process_s", "main_gc_passes", "host_s")
 TIMED_MAIN_SCRIPT = HOST_SCRIPT + """\
 import gc
 from bealsearch.cli import main
@@ -203,27 +210,38 @@ sample_host()
 finish()
 sys.exit(code)
 """
+# Loads this file by its path (perfbench's run.py is a `run` too), checks
+# where bealsearch comes from, and runs the case function named argv[2] on
+# the arguments whose repr is argv[3] between two samples of the host; the
+# case returns its sample, its facts and the digest of its output or None.
+CASE_SCRIPT = HOST_SCRIPT + f"""\
+import ast, importlib.util
+spec = importlib.util.spec_from_file_location("bench_run", {str(Path(__file__).resolve())!r})
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+bench.use_tree(sys.argv[1])
+case, args = getattr(bench, sys.argv[2]), ast.literal_eval(sys.argv[3])
+sample_host()
+measured["case"] = case(*args)
+sample_host()
+finish()
+"""
 
 
 def use_tree(src: str) -> None:
-    """Import bealsearch from src in this fresh process, and only from there."""
-    sys.path.insert(0, src)
+    """Check that this process imports bealsearch from src, and only from there."""
     import bealsearch
     if not Path(bealsearch.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"bealsearch was imported from {bealsearch.__file__}, not {src}")
 
 
-def kernel_cases() -> dict[str, tuple]:
-    """Each kernel case: a function that returns the kernel and the argument
-    tuples of its calls, so a sample builds only the inputs of its own case."""
+def kernel_cases() -> dict:
+    """Each kernel case: a function of the bealsearch package, its modules
+    imported, that returns the kernel and the argument tuples of its calls
+    (and perhaps facts), so a sample builds only the inputs of its own case.
+    Building the dict imports no bealsearch, so any process reads the names."""
     from fractions import Fraction
 
-    from bealsearch import cli, records, reparam, search
-    from bealsearch.exact_arith import classify_radical, iroot, is_perfect_power
-    from bealsearch.identity import run_random_suite
-    from bealsearch.reparam import Plane, canonical_alpha_beta, scalar_m
-    from bealsearch.search import SearchConfig, search_solutions
-    from bealsearch.triples import BealTriple
     from workloads import classify_inputs  # perfbench's, on sys.path too
 
     rng = random.Random(14)
@@ -234,7 +252,6 @@ def kernel_cases() -> dict[str, tuple]:
     radicands = [(Fraction(p, q), degree)
                  for p, q, degree in zip(odd_ints(64, 16), odd_ints(64, 16),
                                          [3, 4, 5, 6, 7, 8, 9, 10] * 2)]
-    triple = BealTriple(3, 3, 6, 3, 3, 5)  # alpha rational, beta irrational
     iroot_calls = [(n, k) for n in odd_ints(500, 16) for k in (3, 5, 7)]
     power_calls = {bits: [(n,) for n in odd_ints(bits, count)]
                    for bits, count in ((64, 16), (500, 8), (2000, 4))}
@@ -242,7 +259,7 @@ def kernel_cases() -> dict[str, tuple]:
     class Caught(Exception):
         """Stops a search once its lanes are built."""
 
-    def cube_pairs_case(bound: int):
+    def cube_pairs_case(search, bound: int):
         """search._cube_pairs over every non-cube of the scan's lanes at bound."""
         caught, real = [], search._match_forked
 
@@ -252,7 +269,7 @@ def kernel_cases() -> dict[str, tuple]:
 
         search._match_forked = catching
         try:
-            search_solutions(SearchConfig(bound))
+            search.search_solutions(search.SearchConfig(bound))
         except Caught:
             pass
         finally:
@@ -263,11 +280,11 @@ def kernel_cases() -> dict[str, tuple]:
         return search._cube_pairs, calls, {"tries": sum(search._cube_pairs(*args)[1]
                                                         for args in calls)}
 
-    def scalar_estimate_case():
+    def scalar_estimate_case(b):
         """cli._scalar_text over the classify batch, and its fallbacks to scalar_m."""
-        scalar = cli._scalar_text
-        batch = [BealTriple(*t) for t in classify_inputs(CHILD_SEED, smoke=False)]
-        calls = [(t, canonical_alpha_beta(t, Plane.CB)) for t in batch]
+        scalar, reparam = b.cli._scalar_text, b.reparam
+        calls = [(t, reparam.canonical_alpha_beta(t, reparam.Plane.CB)) for t in
+                 [b.triples.BealTriple(*t) for t in classify_inputs(CHILD_SEED, smoke=False)]]
         fallbacks, real = [], reparam.scalar_m
         reparam.scalar_m = lambda *args: fallbacks.append(args) or real(*args)
         try:
@@ -277,43 +294,40 @@ def kernel_cases() -> dict[str, tuple]:
             reparam.scalar_m = real
         return scalar, calls, {"fallbacks": len(fallbacks)}
 
-    def quiet_main(argv: list[str]) -> int:
-        with contextlib.redirect_stdout(io.StringIO()):
-            return cli.main(argv)
+    def search_10_12(b):
+        return b.search.search_solutions(b.search.SearchConfig(10 ** 12))
 
     return {
-        "iroot 500 bits k 3,5,7": lambda: (iroot, iroot_calls),
-        "is_perfect_power 64 bits": lambda: (is_perfect_power, power_calls[64]),
-        "is_perfect_power 500 bits": lambda: (is_perfect_power, power_calls[500]),
-        "is_perfect_power 2000 bits": lambda: (is_perfect_power, power_calls[2000]),
+        "iroot 500 bits k 3,5,7": lambda b: (b.exact_arith.iroot, iroot_calls),
+        **{f"is_perfect_power {bits} bits": lambda b, calls=calls: (
+            b.exact_arith.is_perfect_power, calls) for bits, calls in power_calls.items()},
         # half irrational, half the same radicands raised to their degree
-        "classify_radical": lambda: (classify_radical,
-                                     [(1, r, d) for r, d in radicands]
-                                     + [(1, r ** d, d) for r, d in radicands]),
-        "scalar_m 3,3,6,3,3,5": lambda: (scalar_m,
-                                         [(triple, canonical_alpha_beta(triple, Plane.CB))]),
-        "run_random_suite 200 cases seed 15": lambda: (run_random_suite, [(200, 15)]),
-        "emit_json 10^12 report": lambda: (records.emit_json,
-                                           [(search_solutions(SearchConfig(10 ** 12)),)]),
-        "verify_hit 10^12 hits": lambda: (search.verify_hit, [
-            (triple, (3, 3, 3)) for triple in search_solutions(SearchConfig(10 ** 12)).triples]),
-        "classify_text classify batch": lambda: (cli.classify_text, [
-            (BealTriple(*t),) for t in classify_inputs(CHILD_SEED, smoke=False)]),
+        "classify_radical": lambda b: (b.exact_arith.classify_radical,
+                                       [(1, r, d) for r, d in radicands]
+                                       + [(1, r ** d, d) for r, d in radicands]),
+        # alpha rational, beta irrational
+        "scalar_m 3,3,6,3,3,5": lambda b: (b.reparam.scalar_m, [
+            (t, b.reparam.canonical_alpha_beta(t, b.reparam.Plane.CB))
+            for t in [b.triples.BealTriple(3, 3, 6, 3, 3, 5)]]),
+        "run_random_suite 200 cases seed 15": lambda b: (b.identity.run_random_suite,
+                                                         [(200, 15)]),
+        "emit_json 10^12 report": lambda b: (b.records.emit_json, [(search_10_12(b),)]),
+        "verify_hit 10^12 hits": lambda b: (b.search.verify_hit, [
+            (triple, (3, 3, 3)) for triple in search_10_12(b).triples]),
+        "classify_text classify batch": lambda b: (b.cli.classify_text, [
+            (b.triples.BealTriple(*t),) for t in classify_inputs(CHILD_SEED, smoke=False)]),
         "scalar estimate classify batch": scalar_estimate_case,
-        "cube_pairs 10^12 lanes": lambda: cube_pairs_case(10 ** 12),
-        "cube_pairs 10^16 lanes": lambda: cube_pairs_case(10 ** 16),
-        "cli.main verify-identities --cases 1": lambda: (
-            quiet_main, [(["verify-identities", "--cases", "1"],)]),
+        "cube_pairs 10^12 lanes": lambda b: cube_pairs_case(b.search, 10 ** 12),
+        "cube_pairs 10^16 lanes": lambda b: cube_pairs_case(b.search, 10 ** 16),
+        "cli.main verify-identities --cases 1": lambda b: (
+            quiet_main, [(b.cli.main, ["verify-identities", "--cases", "1"])]),
     }
 
 
-# The kernel case names, without importing bealsearch; kernel_cases builds the same.
-KERNELS = ("iroot 500 bits k 3,5,7", "is_perfect_power 64 bits", "is_perfect_power 500 bits",
-           "is_perfect_power 2000 bits", "classify_radical", "scalar_m 3,3,6,3,3,5",
-           "run_random_suite 200 cases seed 15", "emit_json 10^12 report",
-           "verify_hit 10^12 hits", "classify_text classify batch", "scalar estimate classify batch",
-           "cube_pairs 10^12 lanes", "cube_pairs 10^16 lanes",
-           "cli.main verify-identities --cases 1")
+def quiet_main(main, argv: list[str]) -> int:
+    """main(argv) with its stdout thrown away."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
 
 
 def cpu_model() -> str:
@@ -343,24 +357,25 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# --- the cases: each sends one (sample, facts, output digest or None) through conn
-
 @contextlib.contextmanager
-def private_bytecode(src: str):
-    """The environment of a process that reads bytecode from a private cache,
-    filled by one untimed verify-identities run from the tree's current
-    source, so no stale __pycache__ in the tree is ever read."""
+def private_bytecode(trees: list[tuple[str, str]]):
+    """The environment of every sample process: it reads bytecode only from a
+    new private cache and writes none.  One untimed sample process per tree
+    first fills the cache from the tree's current source; as a kernel case,
+    it imports what every sample imports."""
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
-        subprocess.run([sys.executable, "-c", TIMED_MAIN_SCRIPT, src, "verify-identities",
-                        "--cases", "1"], env=env, capture_output=True)
-        env["PYTHONDONTWRITEBYTECODE"] = "1"  # the timed processes only read it
-        yield env
+        for _, src in trees:
+            subprocess.run([sys.executable, "-c", CASE_SCRIPT, src, "kernel_sample",
+                            repr(("cli.main verify-identities --cases 1",))],
+                           env=env, capture_output=True)
+        yield dict(env, PYTHONDONTWRITEBYTECODE="1")
 
 
 class GcTimer:
-    """The cyclic collector's passes and seconds per generation while installed."""
+    """The cyclic collector's passes and seconds per generation, as one of
+    gc.callbacks."""
 
     def __init__(self):
         self.passes, self.seconds, self._started = [0, 0, 0], [0.0, 0.0, 0.0], 0.0
@@ -372,19 +387,12 @@ class GcTimer:
             self.passes[info["generation"]] += 1
             self.seconds[info["generation"]] += time.perf_counter() - self._started
 
-    def __enter__(self) -> "GcTimer":
-        gc.callbacks.append(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        gc.callbacks.remove(self)
-
 
 def fresh_process(script: str, src: str, argv: list[str], env: dict) -> tuple[dict, str]:
-    """What script (IMPORT_SCRIPT or TIMED_MAIN_SCRIPT) measured in a fresh
-    process, with host_s, the median of its host seconds, and process_s, the
-    seconds of the whole process less those it spent sampling the host; and
-    what it printed before its last line."""
+    """What script measured in a fresh process on src, with host_s, the median
+    of its host seconds, and process_s, the seconds of the whole process less
+    those it spent sampling the host; and what it printed before its last
+    line.  A process that fails raises CalledProcessError, with its stderr."""
     started = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", script, src, *argv],
                           capture_output=True, text=True, check=True, env=env)
@@ -396,62 +404,59 @@ def fresh_process(script: str, src: str, argv: list[str], env: dict) -> tuple[di
     return measured, printed
 
 
-def startup_sample(src: str, conn) -> None:
-    with private_bytecode(src) as env:
-        imported, _ = fresh_process(IMPORT_SCRIPT, src, [], env)
-        verified, printed = fresh_process(TIMED_MAIN_SCRIPT, src,
-                                          ["verify-identities", "--cases", "1"], env)
+def fresh_sample(src: str, env: dict, case, *args) -> tuple[dict, dict, str | None]:
+    """What case(*args), a function of this file, returns in a fresh process
+    on src (CASE_SCRIPT), its sample with host_s."""
+    measured, _ = fresh_process(CASE_SCRIPT, src, [case.__name__, repr(args)], env)
+    sample, facts, output = measured["case"]
+    return dict(sample, host_s=measured["host_s"]), facts, output
+
+
+# --- the cases: each returns (sample, facts, output digest or None).  The
+# startup and cli cases start their fresh processes from this one; the others
+# run in a fresh process of their own (fresh_sample).
+
+def startup_sample(src: str, env: dict) -> tuple[dict, dict, str]:
+    imported, _ = fresh_process(IMPORT_SCRIPT, src, [], env)
+    verified, printed = fresh_process(TIMED_MAIN_SCRIPT, src,
+                                      ["verify-identities", "--cases", "1"], env)
     sample = {"import_s": imported["import_s"], "import_process_s": imported["process_s"],
               "verify_identities_process_s": verified["process_s"],
               "host_s": statistics.median(imported["host"] + verified["host"])}
-    conn.send((sample, {"compiled_from_source": imported["compiled"]}, digest(printed)))
+    return sample, {"compiled_from_source": imported["compiled"]}, digest(printed)
 
 
-def timed_main(src: str, argv: list[str], env: dict) -> tuple[dict, str]:
-    """One fresh process's call of cli.main(argv): the sample (main_s, process_s,
-    main_gc_passes and host_s, fresh_process) and what main printed."""
-    measured, printed = fresh_process(TIMED_MAIN_SCRIPT, src, argv, env)
-    keys = ("main_s", "process_s", "main_gc_passes", "host_s")
-    return {key: measured[key] for key in keys}, printed
-
-
-def cli_search_sample(src: str, conn) -> None:
-    with private_bytecode(src) as env, tempfile.TemporaryDirectory() as out:
+def cli_search_sample(src: str, env: dict) -> tuple[dict, dict, str]:
+    with tempfile.TemporaryDirectory() as out:
         csv = Path(out) / "hits.csv"
-        sample, _ = timed_main(src, ["search", "--bound", "10^12", "--out", str(csv)], env)
+        measured, _ = fresh_process(TIMED_MAIN_SCRIPT, src,
+                                    ["search", "--bound", "10^12", "--out", str(csv)], env)
         hits = csv.read_text()
-    conn.send((sample, {"argv": "search --bound 10^12"}, digest(hits)))
+    return {key: measured[key] for key in MAIN_KEYS}, {"argv": "search --bound 10^12"}, digest(hits)
 
 
-def cli_verify_identities_sample(src: str, conn) -> None:
+def cli_verify_identities_sample(src: str, env: dict) -> tuple[dict, dict, str]:
     from workloads import identity_argv  # perfbench's, on sys.path too
 
     argv = identity_argv(CHILD_SEED, smoke=False)
-    with private_bytecode(src) as env:
-        sample, printed = timed_main(src, argv, env)
-    conn.send((sample, {"argv": " ".join(argv)}, digest(printed)))
+    measured, printed = fresh_process(TIMED_MAIN_SCRIPT, src, argv, env)
+    return {key: measured[key] for key in MAIN_KEYS}, {"argv": " ".join(argv)}, digest(printed)
 
 
-# The cases whose sample is timed in fresh processes of their own, which
-# sample the host's speed themselves (HOST_SCRIPT).
-OWN_PROCESS_CASES = (startup_sample, cli_search_sample, cli_verify_identities_sample)
-
-
-def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers: int,
-                  conn) -> None:
-    use_tree(src)
+def search_sample(bound: int, minimums: tuple[int, int, int], workers: int):
     import bealsearch.search as search
 
     search.search_solutions(search.SearchConfig(bound=10 ** 6))  # warm-up, untimed
     enabled = gc.isenabled()
     gc.disable()  # as cli.main runs the search
+    collector = GcTimer()
+    gc.callbacks.append(collector)
     try:
-        with GcTimer() as collector:
-            started = time.perf_counter()
-            report = search.search_solutions(search.SearchConfig(bound, *minimums,
-                                                                 workers=workers))
-            sample = {"wall_s": time.perf_counter() - started}
+        started = time.perf_counter()
+        report = search.search_solutions(search.SearchConfig(bound, *minimums, workers=workers))
+        sample = {"wall_s": time.perf_counter() - started}
     finally:
+        gc.callbacks.remove(collector)
         if enabled:
             gc.enable()
     sample["gc_s"] = sum(collector.seconds)
@@ -463,74 +468,51 @@ def search_sample(src: str, bound: int, minimums: tuple[int, int, int], workers:
     sample["probes"] = {name: sweep["probes"] for name, sweep in report.sweeps.items()}
     sample["sweep_seconds"] = report.sweep_seconds
     counts = dict(report.counts, scan_probes=report.scan_probes)
-    conn.send((sample, {"counts": counts, "sweeps": report.sweeps}, None))
+    return sample, {"counts": counts, "sweeps": report.sweeps}, None
 
 
-def completeness_sample(src: str, bound: int, minimums: tuple[int, int, int], conn) -> None:
-    use_tree(src)
+def completeness_sample(reference: str, bound: int, minimums: tuple[int, int, int]):
+    """The search at bound against a reference of tests/test_search.py, timed
+    after it as {reference}_s: "reference", its plain per-pair lookup with the
+    same minimums; "family", its two solution families; "filter_free", the
+    same search with the exact filters off (_FILTER_FREE)."""
     sys.path.insert(0, str(ROOT / "tests"))
-    from test_search import _lookup_reference
-
-    from bealsearch.search import SearchConfig, search_solutions
-
-    started = time.perf_counter()
-    found = search_solutions(SearchConfig(bound, *minimums)).triples
-    middle = time.perf_counter()
-    reference = _lookup_reference(bound, minimums)
-    done = time.perf_counter()
-    sample = {"search_s": middle - started, "reference_s": done - middle}
-    found_set, reference_set = set(found), set(reference)
-    facts = {"hits": len(found), "reference_hits": len(reference),
-             "equal": found == reference,
-             "search_lacks": [str(t) for t in reference if t not in found_set],
-             "reference_lacks": [str(t) for t in found if t not in reference_set]}
-    conn.send((sample, facts, digest(repr(found))))
-
-
-def family_sample(src: str, bound: int, conn) -> None:
-    use_tree(src)
-    sys.path.insert(0, str(ROOT / "tests"))
-    from test_search import _common_factor_family, _scaled_family
-
-    from bealsearch.search import SearchConfig, search_solutions
-
-    started = time.perf_counter()
-    hits = set(search_solutions(SearchConfig(bound)).triples)
-    middle = time.perf_counter()
-    family = _common_factor_family(bound)
-    scaled = _scaled_family(bound)
-    done = time.perf_counter()
-    both = family | scaled
-    sample = {"search_s": middle - started, "family_s": done - middle}
-    facts = {"hits": len(hits), "family": len(family), "scaled_family": len(scaled),
-             "families_share": len(both) / len(hits),
-             "search_lacks": sorted(map(str, both - hits))}
-    conn.send((sample, facts, digest(repr(sorted(both)))))
-
-
-def filter_free_sample(src: str, bound: int, conn) -> None:
-    use_tree(src)
-    sys.path.insert(0, str(ROOT / "tests"))
-    from test_search import _FILTER_FREE
+    import test_search
 
     from bealsearch import search
 
     started = time.perf_counter()
-    filtered = search.search_solutions(search.SearchConfig(bound))
+    report = search.search_solutions(search.SearchConfig(bound, *minimums))
     middle = time.perf_counter()
-    for name, value in _FILTER_FREE.items():
-        setattr(search, name, value)
-    free = search.search_solutions(search.SearchConfig(bound))
-    done = time.perf_counter()
-    sample = {"search_s": middle - started, "filter_free_s": done - middle}
-    facts = {"hits": len(filtered.triples), "filter_free_hits": len(free.triples),
-             "equal": free.triples == filtered.triples, "probes": filtered.scan_probes,
-             "filter_free_probes": free.scan_probes}
-    conn.send((sample, facts, digest(repr(filtered.triples))))
+    hits = output = report.triples
+    if reference == "reference":
+        lookup = test_search._lookup_reference(bound, minimums)
+        done = time.perf_counter()
+        found, looked_up = set(hits), set(lookup)
+        facts = {"hits": len(hits), "reference_hits": len(lookup), "equal": hits == lookup,
+                 "search_lacks": [str(t) for t in lookup if t not in found],
+                 "reference_lacks": [str(t) for t in hits if t not in looked_up]}
+    elif reference == "family":
+        family, scaled = test_search._common_factor_family(bound), test_search._scaled_family(bound)
+        done = time.perf_counter()
+        both, found = family | scaled, set(hits)
+        facts = {"hits": len(found), "family": len(family), "scaled_family": len(scaled),
+                 "families_share": len(both) / len(found),
+                 "search_lacks": sorted(map(str, both - found))}
+        output = sorted(both)
+    else:
+        for name, value in test_search._FILTER_FREE.items():
+            setattr(search, name, value)
+        free = search.search_solutions(search.SearchConfig(bound, *minimums))
+        done = time.perf_counter()
+        facts = {"hits": len(hits), "filter_free_hits": len(free.triples),
+                 "equal": free.triples == hits, "probes": report.scan_probes,
+                 "filter_free_probes": free.scan_probes}
+    sample = {"search_s": middle - started, f"{reference}_s": done - middle}
+    return sample, facts, digest(repr(output))
 
 
-def classify_sample(src: str, conn) -> None:
-    use_tree(src)
+def classify_sample():
     import bealsearch.cli as cli
     from workloads import classify_inputs  # perfbench's, on sys.path too
 
@@ -543,12 +525,11 @@ def classify_sample(src: str, conn) -> None:
             code = cli.main(["classify", "--triple", ",".join(map(str, triple))])
         outputs.append(f"{code}\n{buffer.getvalue()}")
     seconds = time.perf_counter() - started
-    conn.send(({"wall_s": seconds, "peak_rss_mb": peak_rss_mb()},
-               {"seed": CHILD_SEED, "triples": len(triples)}, digest("".join(outputs))))
+    return ({"wall_s": seconds, "peak_rss_mb": peak_rss_mb()},
+            {"seed": CHILD_SEED, "triples": len(triples)}, digest("".join(outputs)))
 
 
-def factorize_sample(src: str, conn) -> None:
-    use_tree(src)
+def factorize_sample():
     from bealsearch.exact_arith import factorize
     from bealsearch.triples import BealTriple
     from workloads import CLASSIFY_BATCH, classify_inputs  # perfbench's, on sys.path too
@@ -560,15 +541,16 @@ def factorize_sample(src: str, conn) -> None:
         started = time.perf_counter()
         factors = [factorize(n) for n in gcds]
         sample[key] = time.perf_counter() - started
-    conn.send((sample, {"seed": CHILD_SEED, "gcds": len(gcds)}, digest(repr(factors))))
+    return sample, {"seed": CHILD_SEED, "gcds": len(gcds)}, digest(repr(factors))
 
 
-def kernel_sample(src: str, name: str, conn) -> None:
+def kernel_sample(name: str):
     """The mean microseconds per call of one kernel case over at least KERNEL_MIN_S."""
-    use_tree(src)
-    cases = kernel_cases()
-    assert tuple(cases) == KERNELS, "KERNELS names the cases of kernel_cases"
-    kernel, calls, *facts = cases[name]()
+    import bealsearch
+    # each an attribute of bealsearch from here on, for the case's function
+    from bealsearch import cli, exact_arith, identity, records, reparam, search, triples
+
+    kernel, calls, *facts = kernel_cases()[name](bealsearch)
     for args in calls:  # untimed, so tables a kernel builds on first use are built
         kernel(*args)
     rounds = 0
@@ -580,62 +562,25 @@ def kernel_sample(src: str, name: str, conn) -> None:
         elapsed = time.perf_counter() - started
         if elapsed >= KERNEL_MIN_S:
             break
-    conn.send(({"us_per_call": 1e6 * elapsed / (rounds * len(calls))},
-               dict({"calls": len(calls)}, **(facts[0] if facts else {})), None))
-
-
-def host_seconds() -> list[float]:
-    """The seconds of each of HOST_CALLS calls of perfbench's reference work,
-    after one untimed call."""
-    from speed import reference_work  # perfbench's, on sys.path too
-
-    reference_work()
-    seconds = []
-    for _ in range(HOST_CALLS):
-        started = time.perf_counter()
-        reference_work()
-        seconds.append(time.perf_counter() - started)
-    return seconds
-
-
-def host_timed(target, args: tuple, conn) -> None:
-    """target(*args, conn), with the host's speed sampled just before and just
-    after it: its sample gains host_s, the median seconds of one call of the
-    reference work over both."""
-    sent = []
-    before = host_seconds()
-    target(*args, types.SimpleNamespace(send=sent.append))
-    sample, facts, output = sent[0]
-    sample["host_s"] = statistics.median(before + host_seconds())
-    conn.send((sample, facts, output))
-
-
-def in_fresh_process(target, *args):
-    """What target(*args, conn) sends, with host_s, run in a fresh process that
-    runs only it: host_timed adds host_s unless the target is one of
-    OWN_PROCESS_CASES, whose sample brings its own."""
-    context = multiprocessing.get_context("spawn")
-    receiver, sender = context.Pipe(duplex=False)
-    process = (context.Process(target=target, args=(*args, sender))
-               if target in OWN_PROCESS_CASES
-               else context.Process(target=host_timed, args=(target, args, sender)))
-    process.start()
-    sender.close()  # so recv raises EOFError, not waits, if the process dies
-    try:
-        return receiver.recv()
-    finally:
-        process.join()
+    return ({"us_per_call": 1e6 * elapsed / (rounds * len(calls))},
+            dict({"calls": len(calls)}, **(facts[0] if facts else {})), None)
 
 
 def run_case(runs: dict, trees: list[tuple[str, str]], name: str, repeats: int,
              target, *args) -> None:
     """Add repeats samples per tree to the case name, the trees taking turns,
-    each sample what target(src, *args, conn) sends from a fresh process."""
+    each sample what target(src, *args) returns: (sample, facts, output
+    digest or None).  A sample process that fails ends the run, naming it."""
     from speed import REFERENCE_S  # perfbench's, on sys.path too
 
     for repeat in range(repeats):
         for label, src in trees if repeat % 2 == 0 else trees[::-1]:
-            sample, facts, output = in_fresh_process(target, src, *args)
+            try:
+                sample, facts, output = target(src, *args)
+            except subprocess.CalledProcessError as error:
+                stderr = "\n".join(error.stderr.rstrip("\n").splitlines()[-8:])
+                raise SystemExit(f"{name} ({label}): the sample process exited with code "
+                                 f"{error.returncode}:\n{stderr}") from None
             case = runs[label].setdefault(name, {"samples": []})
             case["samples"].append(sample)
             case.update(facts)
@@ -698,7 +643,7 @@ def main(argv=None) -> int:
     trees = args.tree or [tree(f"change={ROOT / 'src'}")]
     if len({label for label, _ in trees}) < len(trees):
         parser.error("each --tree needs its own label")
-    sys.path.insert(0, str(ROOT / "perfbench"))  # for perfbench's workloads, in every process
+    sys.path.insert(0, str(ROOT / "perfbench"))  # for perfbench's speed and workloads
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -709,9 +654,26 @@ def main(argv=None) -> int:
     for label, _ in trees:
         runs.setdefault(label, {})
 
-    run_case(runs, trees, "startup", args.repeats, startup_sample)
-    run_case(runs, trees, "cli search 10^12", args.repeats, cli_search_sample)
-    run_case(runs, trees, "cli verify-identities", args.repeats, cli_verify_identities_sample)
+    sys.dont_write_bytecode = True  # nor does this process leave a __pycache__
+    with private_bytecode(trees) as env:
+        differ = run_cases(runs, trees, args, env)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    if differ:
+        print(f"the search differs from the lookup, the families or the filter-free scan: "
+              f"{'; '.join(differ)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def run_cases(runs: dict, trees: list[tuple[str, str]], args, env: dict) -> list[str]:
+    """Run every case of args into runs, each sample process with env; the
+    completeness cases whose search differs from its reference."""
+    def run(name: str, repeats: int, target, *rest) -> None:
+        run_case(runs, trees, name, repeats, target, env, *rest)
+
+    run("startup", args.repeats, startup_sample)
+    run("cli search 10^12", args.repeats, cli_search_sample)
+    run("cli verify-identities", args.repeats, cli_verify_identities_sample)
     cases = [(bound, minimums, workers, args.repeats) for bound, minimums, workers in CASES]
     if args.repeats_1e18:
         cases.append((10 ** 18, (3, 3, 3), 1, args.repeats_1e18))
@@ -720,7 +682,7 @@ def main(argv=None) -> int:
         if workers > (os.cpu_count() or 1):
             print(f"skip {name}: too few CPUs")
             continue
-        run_case(runs, trees, name, repeats, search_sample, bound, minimums, workers)
+        run(name, repeats, fresh_sample, search_sample, bound, minimums, workers)
         for label, _ in trees:
             case = runs[label][name]
             case.update(bound=str(bound), minimums=list(minimums), workers=workers)
@@ -737,27 +699,17 @@ def main(argv=None) -> int:
                     "s": summary([run[generation]["s"] for run in collected])}
                     for generation in collected[0]}
     differ = []
-    for bound, minimums in COMPLETENESS if args.completeness else []:
-        name = f"completeness 10^{len(str(bound)) - 1} minimums {','.join(map(str, minimums))}"
-        run_case(runs, trees, name, 1, completeness_sample, bound, minimums)
-        differ += [f"{name} ({label})" for label, _ in trees if not runs[label][name]["equal"]]
-    if args.completeness:
-        name = "completeness 10^16 solution families"
-        run_case(runs, trees, name, 1, family_sample, 10 ** 16)
-        differ += [f"{name} ({label})" for label, _ in trees if runs[label][name]["search_lacks"]]
-        name = "completeness 10^16 filter-free scan"
-        run_case(runs, trees, name, 1, filter_free_sample, 10 ** 16)
-        differ += [f"{name} ({label})" for label, _ in trees if not runs[label][name]["equal"]]
-    run_case(runs, trees, "classify batch cold", args.repeats, classify_sample)
-    run_case(runs, trees, "factorize family gcds", args.repeats, factorize_sample)
-    for name in KERNELS:
-        run_case(runs, trees, f"kernel {name}", args.repeats, kernel_sample, name)
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    if differ:
-        print(f"the search differs from the lookup, the families or the filter-free scan: "
-              f"{'; '.join(differ)}", file=sys.stderr)
-        return 1
-    return 0
+    for name, reference, bound, minimums in COMPLETENESS if args.completeness else []:
+        run(name, 1, fresh_sample, completeness_sample, reference, bound, minimums)
+        for label, _ in trees:  # the families record no "equal": the search need only hold them
+            case = runs[label][name]
+            if not case["equal"] if "equal" in case else case["search_lacks"]:
+                differ.append(f"{name} ({label})")
+    run("classify batch cold", args.repeats, fresh_sample, classify_sample)
+    run("factorize family gcds", args.repeats, fresh_sample, factorize_sample)
+    for name in kernel_cases():
+        run(f"kernel {name}", args.repeats, fresh_sample, kernel_sample, name)
+    return differ
 
 
 if __name__ == "__main__":
