@@ -48,7 +48,7 @@ The cases, --repeats samples per tree each:
   search: one search (bound, minimums, workers) after one untimed warm-up
     search at 10^6, whose peak memory is below every case's; the sample
     holds wall_s, each phase of SearchReport.phases, the process's peak
-    RSS, the larger of its own and its forked workers', the set probes
+    RSS, the larger of its own (peak_rss_mb) and its forked workers', the probes
     and seconds of each sweep of the scan (SearchReport.sweeps and
     SearchReport.sweep_seconds), and the cyclic garbage collector's passes
     and seconds during the search (gc_s in all; gc, per generation, read
@@ -57,9 +57,9 @@ The cases, --repeats samples per tree each:
     change; gc shows that none ran, and the collector is then left as it
     was.  The cases are 10^12, 10^14 and 10^16 with minimums 3,3,3 and 1
     worker, 10^14 with 2, and perfbench's search_split, 10^13 with minimums
-    4,3,3 and 2 workers.  The search at 10^18 (about a minute per run) is a
+    4,3,3 and 2 workers.  The search at 10^18 (a few seconds per run) is a
     case only with --repeats-1e18;
-  completeness (only with --completeness, about three minutes per tree):
+  completeness (only with --completeness, two to three minutes per tree):
     search_solutions against the plain right-anchored lookup of
     tests/test_search.py (_lookup_reference, one set lookup per pair) at
     10^13 with minimums 3,3,3 and 4,3,3 and at 10^14 with 3,3,3; the sample
@@ -69,7 +69,7 @@ The cases, --repeats samples per tree each:
     the sample holds both times, each family's size, their share of the hits
     together and the family triples the search lacks.  And the search at 10^16
     against the same search with its exact filters off (the search
-    module's names set to tests/test_search.py's _FILTER_FREE, about 10 s);
+    module's names set to tests/test_search.py's _FILTER_FREE, about a minute);
     the sample holds both times, both hit counts and both probe counts.
     The run exits 1 when the search differs from any of these references;
   classify: `bealsearch classify` on perfbench's first classify_batch (100
@@ -106,13 +106,13 @@ minimum and quartiles, and for each time (a name ending in _s, or
 us_per_call) beside them scaled_median, the median of the sample's time
 times REFERENCE_S / host_s (perfbench/speed.py's REFERENCE_S): the time at
 the host speed where the reference work takes REFERENCE_S.  A search case
-also holds the report's counts and the set probes of the scan per second of
+also holds the report's counts and the probes of the scan per second of
 median scan_s when the report counts them (SearchReport.scan_probes), the
 probes and found pairs of each sweep of the scan (SearchReport.sweeps) and,
 per sweep, the statistics of its seconds (SearchReport.sweep_seconds).  The
-machine facts are nproc, the CPU model, the Python version and whether
-Python writes bytecode caches by default (no sample depends on it: every
-sample reads the run's private cache).
+machine facts are nproc (the CPUs this process may run on), the CPU model,
+the Python version and whether Python writes bytecode caches by default (no
+sample depends on it: every sample reads the run's private cache).
 """
 
 from __future__ import annotations
@@ -348,9 +348,18 @@ def summary(values: list[float]) -> dict[str, float]:
 
 
 def peak_rss_mb() -> float:
-    """This process's peak RSS, or its largest waited-for child's, in MB."""
-    return max(resource.getrusage(who).ru_maxrss
-               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
+    """This process's peak RSS, or its largest waited-for child's, in MB.
+    Its own is VmHWM where /proc has it: Linux carries the peak of the
+    process that started this one across the exec into ru_maxrss."""
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with contextlib.suppress(OSError), open("/proc/self/status", encoding="ascii") as status:
+        own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) / 1024
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, as perfbench's nproc counts them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def digest(text: str) -> str:
@@ -647,7 +656,7 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["machine"] = {"nproc": os.cpu_count(), "cpu_model": cpu_model(),
+    doc["machine"] = {"nproc": usable_cpus(), "cpu_model": cpu_model(),
                       "python": platform.python_version(),
                       "dont_write_bytecode": sys.dont_write_bytecode}
     runs = doc.setdefault("runs", {})
@@ -679,7 +688,7 @@ def run_cases(runs: dict, trees: list[tuple[str, str]], args, env: dict) -> list
         cases.append((10 ** 18, (3, 3, 3), 1, args.repeats_1e18))
     for bound, minimums, workers, repeats in cases:
         name = f"search 10^{len(str(bound)) - 1}{minimums_label(minimums)} workers {workers}"
-        if workers > (os.cpu_count() or 1):
+        if workers > usable_cpus():
             print(f"skip {name}: too few CPUs")
             continue
         run(name, repeats, fresh_sample, search_sample, bound, minimums, workers)

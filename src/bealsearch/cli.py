@@ -192,9 +192,10 @@ def _finish(report, args, summary: str) -> int:
 
 
 def cmd_search(args) -> int:
-    cpus = os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     if args.workers > cpus:
-        raise ValueError(f"--workers {args.workers} exceeds the {cpus} CPUs of this machine")
+        raise ValueError(f"--workers {args.workers} exceeds the {cpus} CPUs this process can use")
     config = SearchConfig(
         bound=args.bound,
         min_x=args.min_x, min_y=args.min_y, min_z=args.min_z,

@@ -58,8 +58,7 @@ modulus m and shift a < m, one Python int whose bit i is set when
 (a + left_other[i]) % m is a residue (_sieve_masks; 378 ints of
 len(left_other) bits).  Per value and sweep, the scan ANDs the bits of the
 partners' index range with the mask of v mod m (-v mod m in sweep 3; -1 is a
-cube) for each m, then probes the few set bits in one C-level set
-intersection.
+cube) for each m, then probes the few set bits.
 
 The scan takes an explicit list of non-cube entries and runs the five
 sweeps as five passes over it, in SWEEPS order.  Each pass picks the values
@@ -67,15 +66,16 @@ it applies to (sweep 1 every value; sweep 2 the left values v with 2v <=
 bound; sweep 3 the right values; sweep 4 the right values in H; sweep 5 the
 left values in H), takes the bounds of all their partners' index ranges at
 once with C-level bisects, and then probes value by value.  Per sweep the
-scan counts the set probes it made and the pairs it found (how much its
-pass grew the pair list), and times its pass.
+scan counts the probes it made and the pairs it found (how much its pass
+grew the pair list), and times its pass.
 
-Only a cube of reduced exponent 3 can have a base above bound**(1/4), and
-the scan reads cubes only as set members.  So those cubes are plain values
-n**3, and a PowerEntry table (a sieve over the bases, no root per base) holds
-the powers of exponent >= 4: at 10**18, 37,112 entries beside 999,999 cube
-values.  A hit's term that the table lacks is such a cube; the triples are
-built with its base from one integer cube root (cube_term).
+The scan holds no cube value: one exact test (_cube_test) says whether a
+value is a cube term.  Only a cube of reduced exponent 3 can have a base
+above bound**(1/4), so a PowerEntry table (a sieve over the bases, no root
+per base) holds the powers of exponent >= 4: at 10**18, 37,112 entries
+beside 999,999 cubes n**3.  A hit's term that the table lacks is such a
+cube; the triples are built with its base from one integer cube root
+(cube_term).
 
 The scan is striped by index of v across workers, stripe i the entry list
 non_cubes[i::workers]: the search scans stripe 0 itself and forks one child
@@ -114,7 +114,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, isqrt
 from operator import add, mod, sub
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .coprime import Restriction, exponent_restriction
 from .errors import BoundTooLarge, ScanWorkerFailed
@@ -124,8 +124,8 @@ from .slopes import SlopeSet, slope_set
 from .triples import BealTriple
 
 ORACLE_MAX_BOUND = 10 ** 7
-# About 120 bytes per power, mostly the cube values and their set (141 MB peak RSS
-# for the 1,036,001 powers to 10**18): about 260 MB.  10**21 needs about 10**7.
+# About 85 bytes per power, mostly the cubes pairs_tested counts (peak RSS 92 MB for
+# 1,036,001 powers to 10**18, 162 MB for 1,997,936).  10**21 needs about 10**7.
 MAX_POWERS = 2 * 10 ** 6
 
 
@@ -200,9 +200,9 @@ class SearchReport:
         self.counts = counts
         self.wall_time_s = wall_time_s
         self.phases = phases  # seconds, see _report
-        # per sweep name, its set probes and the pairs it found; None for the oracle
+        # per sweep name, its probes and the pairs it found; None for the oracle
         self.sweeps = sweeps
-        self.scan_probes = (None if sweeps is None  # set probes of the whole pair scan
+        self.scan_probes = (None if sweeps is None  # probes of the whole pair scan
                             else sum(sweep["probes"] for sweep in sweeps.values()))
         # per sweep name, its seconds summed over the stripes; None for the oracle
         self.sweep_seconds = sweep_seconds
@@ -299,8 +299,8 @@ def _sieve_masks(values: list[int], moduli: tuple[int, ...],
 
 
 class _Lanes(NamedTuple):
-    """What the scan reads; every list is sorted by value.  Only the
-    non-cubes are PowerEntry tuples; every cube is a plain value."""
+    """What the scan reads; every list is sorted by value.  It holds the
+    non-cubes as PowerEntry tuples and no cube: is_cube tests a value."""
 
     bound: int
     lo_exp: int                 # the smaller left minimum: a non-cube of it is a left value
@@ -310,7 +310,7 @@ class _Lanes(NamedTuple):
     left_other: list[int]       # left values that are not cubes
     left_other_set: set[int]
     left_h: set[int]            # left values in class H
-    cubes: set[int]             # cube values of exponent >= min(lo_exp, min_z): left or right
+    is_cube: Callable[[int], bool]  # _cube_test: a cube that serves as left and right
     right_quartics: set[int]    # right values in class Q
     # _sieve_masks(left_other, CUBE_SIEVE, 3) and (left_other, QUARTIC_SIEVE, 4):
     # per modulus m, the masks over left_other indexed by a shift mod m
@@ -319,16 +319,17 @@ class _Lanes(NamedTuple):
     cube_cut: int               # 27 * bound**2: a left v tries the s with s**3 * cube_cut >= v**3
 
 
-def _value_set(values: list[int]) -> set[int]:
-    """set(values), its table sized as sets of up to 2**14 values are merged
-    into it.  A set that grows one value at a time quadruples its table while
-    it holds under 50,000 values: 21,543 cubes (10**13) would take 2 MB, not 1.
-    """
-    chunk = 1 << 14
-    merged = set(values[:chunk])
-    for start in range(chunk, len(values), chunk):
-        merged |= set(values[start:start + chunk])
-    return merged
+def _cube_test(bound: int, min_exp: int,
+               index: dict[int, PowerEntry]) -> Callable[[int], bool]:
+    """Whether c is a cube of reduced exponent >= min_exp up to bound: the
+    scan's one cube test, for left and right values alike.  With min_exp 3
+    every n**3 (n >= 2) is one; MAX_POWERS keeps such a bound below 2**63,
+    where the float cube root of n**3 rounds to n, so cubing it back decides
+    exactly.  Past 3 a cube is a table entry (index) of an exponent 3
+    divides, found with no float: those values may pass 2**1024."""
+    if min_exp == 3:
+        return lambda c: 8 <= c <= bound and round(c ** (1 / 3)) ** 3 == c
+    return lambda c: (entry := index.get(c)) is not None and entry.exponent % 3 == 0
 
 
 def _smallest_prime_factors(limit: int) -> array:
@@ -368,20 +369,20 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
         list[tuple[int, int]], list[tuple[int, int, float]]]:
     """(pairs, tally): the unordered pairs (a, b) of left values with a + b a
     right value whose owner (see the module docstring) is one of the
-    non-cube entries, where any cube of lanes.cubes counts as left and as
-    right; and, per sweep in SWEEPS order, (probes, pairs, seconds): the
-    number of set probes made (the partners the sieve passed, or the
-    divisors _cube_pairs tried), how much its pass grew the pair list and
-    the seconds of that pass.
+    non-cube entries, where any cube that lanes.is_cube admits counts as
+    left and as right; and, per sweep in SWEEPS order, (probes, pairs,
+    seconds): the number of probes made (the partners the sieve passed, or
+    the divisors _cube_pairs tried), how much its pass grew the pair list
+    and the seconds of that pass.
 
     Each sweep is one pass over the entries it applies to, which takes the
     partners' index bounds of all of them at once, at C level.  Most sieves
-    pass no partner and most intersections are empty, so each step runs
-    only on what the last one left.
+    pass no partner and most probes find nothing, so each step runs only on
+    what the last one left.
     """
     bound, lo_exp, min_z = lanes.bound, lanes.lo_exp, lanes.min_z
     left_other, left_other_set, left_h = lanes.left_other, lanes.left_other_set, lanes.left_h
-    cubes, right_quartics = lanes.cubes, lanes.right_quartics
+    is_cube, right_quartics = lanes.is_cube, lanes.right_quartics
     cube_sieve, quartic_sieve = lanes.cube_sieve, lanes.quartic_sieve
     found: list[tuple[int, int]] = []
     tally: list[tuple[int, int, float]] = []  # per sweep: probes, pairs, seconds
@@ -403,8 +404,8 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
     for v, first, last in zip(values, firsts, lasts):
         partners = _sieved(left_other, cube_sieve, v, first, last)
         probed += len(partners)
-        if partners and (sums := cubes.intersection(map(add, repeat(v), partners))):
-            found.extend((v, c - v) for c in sums)
+        if partners:
+            found.extend((v, c - v) for c in filter(is_cube, map(add, repeat(v), partners)))
     tally.append((probed, len(found) - before, time.perf_counter() - started))
 
     # v = c, one of a, b a cube; -1 a cube
@@ -413,8 +414,8 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
     for v, last in zip(values, map(bisect_left, repeat(left_other), values)):
         partners = _sieved(left_other, cube_sieve, -v, 0, last)
         probed += len(partners)
-        if partners and (terms := cubes.intersection(map(sub, repeat(v), partners))):
-            found.extend((v - x, x) for x in terms)
+        if partners:
+            found.extend((v - x, x) for x in filter(is_cube, map(sub, repeat(v), partners)))
     tally.append((probed, len(found) - before, time.perf_counter() - started))
 
     # v = c in H, no cube
@@ -532,7 +533,7 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
     v = entry.value
     if v % 63 not in CUBE_SUM_RESIDUES:
         return [], 0
-    spf, cubes = lanes.spf, lanes.cubes
+    spf, is_cube = lanes.spf, lanes.is_cube
     least = -(-v ** 3 // lanes.cube_cut) if left else v + 1  # s**3 >= least
     high = iroot(4 * v if right else v - 1, 3)[0]                      # s <= high
     divisors = [1]
@@ -567,7 +568,7 @@ def _cube_pairs(lanes: _Lanes, entry: PowerEntry, left: bool,
         if r or (root := isqrt(square)) * root != square:
             continue
         x, y = (s + root) >> 1, (s - root) >> 1  # root**2 = s**2 mod 4: same parity
-        if (y_cube := abs(y) ** 3) in cubes and (x_cube := x ** 3) in cubes:
+        if is_cube(y_cube := abs(y) ** 3) and is_cube(x_cube := x ** 3):
             found.append((v, y_cube) if y < 0 else (y_cube, x_cube))
     return found, len(tried)
 
@@ -671,14 +672,11 @@ def search_solutions(config: SearchConfig) -> SearchReport:
             raise BoundTooLarge(f"bound {config.bound} needs more than the "
                                 f"{MAX_POWERS} powers a search builds")
     table = enumerate_powers(config.bound, max(min_exp, 4))  # no cube of exponent 3
-    # The cube values of reduced exponent >= min_exp; for 3, every n**3.
+    # The cube values of reduced exponent >= min_exp, for pairs_tested only; for 3, every n**3.
     cubes = ([n * n * n for n in range(2, iroot(config.bound, 3)[0] + 1)] if min_exp == 3
              else [entry.value for entry in table if entry.exponent % 3 == 0])
     enumerated = time.perf_counter()
 
-    # The cube set first, while the least else is held: the last growth of
-    # the 999,999 cubes to 10**18 holds a 16 MB and a 32 MB table at once.
-    cube_set = _value_set(cubes)
     index = {entry.value: entry for entry in table}
     non_cubes = [entry for entry in table if entry.exponent % 3]
     powers_enumerated = len(non_cubes) + len(cubes)
@@ -715,7 +713,7 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         left_other=left_other,
         left_other_set=set(left_other),
         left_h=left_h,
-        cubes=cube_set,
+        is_cube=_cube_test(config.bound, min_exp, index),
         right_quartics={entry.value for entry in non_cubes
                         if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
         cube_sieve=_sieve_masks(left_other, CUBE_SIEVE, 3),

@@ -97,3 +97,15 @@ def test_the_case_names_are_read_without_bealsearch(bench):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.split() == ["14", "False"]
+
+
+def test_a_sample_s_peak_rss_leaves_out_its_launcher_s(bench):
+    # Linux carries a process's peak RSS across exec into ru_maxrss: a
+    # sample process started by one that holds 64 MB must report less.
+    held = b"x" * (64 << 20)
+    code = (f"import runpy; "
+            f"print(runpy.run_path({str(ROOT / 'bench' / 'run.py')!r})['peak_rss_mb']())")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert bench.peak_rss_mb() > 64 and len(held) == 64 << 20
+    assert 0 < float(done.stdout) < 64

@@ -22,6 +22,8 @@ from bealsearch.errors import BudgetExceeded, ZeroDenominator
 from bealsearch.exact_arith import is_probable_prime
 from bealsearch.records import read_csv
 
+# the CPUs this process may run on, as cmd_search counts them
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # the hit-file header as documented in the README
 HEADER = ("A,X,B,Y,C,Z,A_pow_X,B_pow_Y,C_pow_Z,gcd_abc,"
           "alpha_class,beta_class,m_cb,m_ca,m_ba")
@@ -69,7 +71,7 @@ def _garbage_left(capsys, *argv):
 def test_commands_make_no_reference_cycles(argv, code, tmp_path, capsys, monkeypatch):
     # main pauses the cyclic collector, which is safe only while no command
     # makes a reference cycle: here a cycle would be left for gc.collect().
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     hits = tmp_path / "hits.csv"
     run(capsys, "search", "--bound", "10^4", "--out", str(hits))
     names = {"hits": str(hits), "missing": str(tmp_path / "missing.csv")}
@@ -170,7 +172,7 @@ def test_search_rejects_huge_bound_spellings_before_building(tmp_path, capsys):
 def test_search_json_report(tmp_path, capsys):
     out = tmp_path / "h.csv"
     report = tmp_path / "r.json"
-    workers = min(2, os.cpu_count() or 1)
+    workers = min(2, CPUS)
     code, _, _ = run(capsys, "search", "--bound", "3000", "--out", str(out),
                      "--report", str(report), "--workers", str(workers), "--seed", "5")
     assert code == 0
@@ -426,9 +428,22 @@ def test_bad_flags_exit_two(capsys):
 def test_search_refuses_more_workers_than_cpus(tmp_path, capsys):
     out = tmp_path / "hits.csv"
     code, _, err = run(capsys, "search", "--bound", "10^4", "--out", str(out),
-                       "--workers", str((os.cpu_count() or 1) + 1))
+                       "--workers", str(CPUS + 1))
     assert code == 2
     assert "--workers" in err and "CPUs" in err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_search_refuses_a_second_worker_on_one_cpu_of_affinity(tmp_path):
+    # The machine may have more CPUs, but this process may run on one only.
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from bealsearch.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "hits.csv"
+    done = subprocess.run([sys.executable, "-c", code, "search", "--bound", "10^4",
+                           "--workers", "2", "--out", str(out)], capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "--workers 2 exceeds the 1 CPUs this process can use" in done.stderr
     assert not out.exists()
 
 
@@ -633,7 +648,7 @@ def test_failed_scan_worker_exits_five(fail, message, tmp_path, capsys, monkeypa
         return real(lanes, entries)
 
     monkeypatch.setattr(search_mod, "_match_stripe", failing)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out = tmp_path / "h.csv"
     code, stdout, err = run(capsys, "search", "--bound", "10^8", "--workers", "2",
                             "--out", str(out))
@@ -683,7 +698,7 @@ def test_reused_parser_matches_fresh_calls(tmp_path, capsys, monkeypatch):
     for directory in (first, second, fresh):
         directory.mkdir()
     code, out_first, _ = run(capsys, "search", "--bound", "3000", "--min-x", "4",
-                             "--workers", str(min(2, os.cpu_count() or 1)),
+                             "--workers", str(min(2, CPUS)),
                              "--out", str(first / "h.csv"),
                              "--report", str(first / "r.json"))
     assert code == 0 and (first / "r.json").exists()

@@ -1,8 +1,8 @@
 """Search engine: enumeration, oracle equivalence, determinism, verification."""
 
+import hashlib
 import os
 import random
-import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -480,15 +480,60 @@ def test_sieves_pass_no_value_the_old_filters_drop():
         assert all(_is_residue(n ** power, m, power) for n in bases for m in moduli)
 
 
-def test_value_set_holds_the_values_in_no_larger_a_table():
-    for size in (0, 1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 21_543, 50_001):
-        values = [n ** 3 for n in range(2, size + 2)]
-        built = search_mod._value_set(values)
-        assert built == set(values)
-        assert sys.getsizeof(built) <= sys.getsizeof(set(values)), size
-    # the 21,543 cubes to 10^13: half the table that one add at a time grows
-    cubes = [n ** 3 for n in range(2, 21_545)]
-    assert sys.getsizeof(set(cubes)) > 1.9 * sys.getsizeof(search_mod._value_set(cubes))
+def _largest_admitted_bound() -> int:
+    """The largest bound whose table of powers of exponent >= 3 MAX_POWERS admits."""
+    def powers(bound: int) -> int:  # as search_solutions counts them
+        return sum(iroot(bound, e)[0] - 1 for e in range(3, bound.bit_length()))
+
+    low, high = 8, 2 ** 64  # powers(low) <= MAX_POWERS < powers(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if powers(middle) <= search_mod.MAX_POWERS else (low, middle)
+    return low
+
+
+def test_cube_test_is_exact_at_the_largest_admitted_bound(monkeypatch):
+    def no_table(bound, min_exp=3):
+        raise _Built(bound, min_exp)
+
+    bound = _largest_admitted_bound()
+    monkeypatch.setattr(search_mod, "enumerate_powers", no_table)
+    with pytest.raises(_Built):  # admitted: it reaches the table
+        search_solutions(SearchConfig(bound))
+    with pytest.raises(BoundTooLarge):
+        search_solutions(SearchConfig(bound + 1))
+    assert bound < 2 ** 63
+    is_cube = search_mod._cube_test(bound, 3, {})
+    n = iroot(bound, 3)[0]
+    assert is_cube(n ** 3) and is_cube(8) and is_cube(27)
+    assert not any(map(is_cube, (n ** 3 - 1, n ** 3 + 1, (n + 1) ** 3, 0, 1, 7, 9)))
+    # the cubes just below the largest and their neighbours, and seeded values
+    for k in range(n - 2000, n + 1):
+        assert is_cube(k ** 3) and not is_cube(k ** 3 - 1) and not is_cube(k ** 3 + 1), k
+    rng = random.Random(40)
+    for c in (rng.randrange(8, bound + 1) for _ in range(20_000)):
+        assert is_cube(c) == iroot(c, 3)[1], c
+
+
+def test_cube_test_past_3_reads_the_table_with_no_float():
+    bound = 2 ** 1100
+    table = enumerate_powers(bound, 300)
+    index = {entry.value: entry for entry in table}
+    is_cube = search_mod._cube_test(bound, 300, index)
+    assert [entry for entry in table if is_cube(entry.value)] == [
+        entry for entry in table if entry.exponent % 3 == 0]
+    # values past float range that the table lacks, and the cube of a table
+    # base whose exponent is below the minimum
+    assert not any(map(is_cube, (2 ** 1101, 3 ** 900 + 1, 7 ** 3, 1, 8)))
+
+
+def test_search_past_float_range_finds_its_pinned_hits():
+    # Its cube terms pass 2**1024, where a float cube root would raise.
+    report = search_solutions(SearchConfig(2 ** 1100, 300, 300, 300))
+    assert len(report.hits) == 800 and report.sweeps["two_cubes"]["pairs"] == 267
+    assert max(t.cz for t in report.triples).bit_length() == 1101
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == (
+        "4026023625dcd8c1be60ee1173a27a546cf7d2d6d677801391e3dfb698bedf56")
 
 
 def _pairs_within_reference(values, bound):
