@@ -638,7 +638,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to add the samples to")
     parser.add_argument("--repeats", type=int, default=5, help="samples per case and tree")
     parser.add_argument("--repeats-1e18", type=int, default=0,
-                        help="samples of the search at 10^18, about a minute each "
+                        help="samples of the search at 10^18, a few seconds each "
                              "(default 0: no such case)")
     parser.add_argument("--completeness", action="store_true",
                         help="also compare the search with the plain per-pair lookup "

@@ -69,13 +69,13 @@ once with C-level bisects, and then probes value by value.  Per sweep the
 scan counts the probes it made and the pairs it found (how much its pass
 grew the pair list), and times its pass.
 
-The scan holds no cube value: one exact test (_cube_test) says whether a
-value is a cube term.  Only a cube of reduced exponent 3 can have a base
-above bound**(1/4), so a PowerEntry table (a sieve over the bases, no root
-per base) holds the powers of exponent >= 4: at 10**18, 37,112 entries
-beside 999,999 cubes n**3.  A hit's term that the table lacks is such a
-cube; the triples are built with its base from one integer cube root
-(cube_term).
+The search holds no list of cubes n**3: one exact test (_cube_test) says
+whether a value is a cube term, one exact count (_cubes_upto) how many lie
+up to a value.  Only a cube of reduced exponent 3 can have a base above
+bound**(1/4), so a PowerEntry table (a sieve over the bases, no root per
+base) holds the powers of exponent >= 4: at 10**18, 37,112 entries and none
+of the 999,999 cubes.  A hit's term that the table lacks is such a cube; the
+triples are built with its base from one integer cube root (cube_term).
 
 The scan is striped by index of v across workers, stripe i the entry list
 non_cubes[i::workers]: the search scans stripe 0 itself and forks one child
@@ -98,9 +98,9 @@ prunes: a non-cube is a left value when its exponent is >= lo and a right
 value when it is >= min_z, but every cube of exponent >= min(lo, min_z)
 serves as either, so a pair found with a cube that misses its minimum is
 dropped at the build.  The report's pairs_tested is the size of the
-qualifying pair space, counted by bisection: the left pairs within the
-bound when both minimums are equal; else the pairs of two high values
-(exponent >= hi) and of a high value with a low one.
+qualifying pair space, the pairs of left values within the bound with at
+least one high (exponent >= hi), counted with no list of them (_pairs_tested):
+with lo = 3 the left values are the non-cube ones and every n**3.
 """
 
 from __future__ import annotations
@@ -110,8 +110,10 @@ import os
 import time
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
-from itertools import compress, repeat
+from functools import partial
+from itertools import chain, compress, repeat
 from math import gcd, isqrt
 from operator import add, mod, sub
 from typing import Callable, NamedTuple
@@ -124,8 +126,8 @@ from .slopes import SlopeSet, slope_set
 from .triples import BealTriple
 
 ORACLE_MAX_BOUND = 10 ** 7
-# About 85 bytes per power, mostly the cubes pairs_tested counts (peak RSS 92 MB for
-# 1,036,001 powers to 10**18, 162 MB for 1,997,936).  10**21 needs about 10**7.
+# Mostly cubes, which the search counts and never holds: peak RSS 35 MB for 1,036,001
+# powers to 10**18, 45 MB for 1,997,936 (to about 7.3 * 10**18).  10**21 needs about 10**7.
 MAX_POWERS = 2 * 10 ** 6
 
 
@@ -214,11 +216,7 @@ class SearchReport:
     @property
     def verification_failures(self) -> dict[str, int]:
         """Per check name, the hits that failed it; {} when every hit passed."""
-        tally: dict[str, int] = {}
-        for hit in self.hits:
-            for name in hit.failed_checks():
-                tally[name] = tally.get(name, 0) + 1
-        return tally
+        return dict(Counter(name for hit in self.hits for name in hit.failed_checks()))
 
 
 def enumerate_powers(bound: int, min_exp: int = 3) -> list[PowerEntry]:
@@ -323,13 +321,22 @@ def _cube_test(bound: int, min_exp: int,
                index: dict[int, PowerEntry]) -> Callable[[int], bool]:
     """Whether c is a cube of reduced exponent >= min_exp up to bound: the
     scan's one cube test, for left and right values alike.  With min_exp 3
-    every n**3 (n >= 2) is one; MAX_POWERS keeps such a bound below 2**63,
-    where the float cube root of n**3 rounds to n, so cubing it back decides
-    exactly.  Past 3 a cube is a table entry (index) of an exponent 3
-    divides, found with no float: those values may pass 2**1024."""
+    every n**3 (n >= 2) is one.  MAX_POWERS keeps such a bound below 2**63,
+    where x ** (1/3) errs by under 2**-49 relatively (float(x), the float
+    1/3, pow), so by under 2**-28 on a root below 2**21: it rounds to n for
+    x = n**3 and to n or n + 1 below (n + 1)**3, so cubing it back decides
+    exactly, here and in _cubes_upto.  Past 3 a cube is a table entry (index)
+    of an exponent 3 divides, found with no float: those values may pass
+    2**1024."""
     if min_exp == 3:
         return lambda c: 8 <= c <= bound and round(c ** (1 / 3)) ** 3 == c
     return lambda c: (entry := index.get(c)) is not None and entry.exponent % 3 == 0
+
+
+def _cubes_upto(x: int) -> int:
+    """How many n**3 (n >= 2) are at most x, exact as _cube_test argues."""
+    n = round(x ** (1 / 3)) if x >= 8 else 2  # below 8, 2**3 > x leaves none
+    return n - 1 - (n * n * n > x)
 
 
 def _smallest_prime_factors(limit: int) -> array:
@@ -630,6 +637,27 @@ def annotate_hit(triple: BealTriple, minimums: tuple[int, int, int] = (3, 3, 3),
     return verify_hit(triple, minimums, reduced)
 
 
+def _pairs_tested(bound: int, lo_exp: int, hi_exp: int, table: list[PowerEntry],
+                  left_other: list[int]) -> int:
+    """pairs_tested (module docstring), every n**3 counted by _cubes_upto."""
+    left, cubes_upto = left_other, _cubes_upto
+    if lo_exp > 3:  # the table holds every left value: no cube is counted apart
+        left = [entry.value for entry in table if entry.exponent >= lo_exp]
+        cubes_upto = partial(bisect_right, [])
+    if hi_exp > lo_exp:  # pairs of two high values, then of a high h and a low value <= bound - h
+        high = [entry.value for entry in table if entry.exponent >= hi_exp]
+        partners = list(map(sub, repeat(bound), high))
+        return (_pairs_within(high, bound) + sum(map(cubes_upto, partners))
+                + sum(map(bisect_right, repeat(left), partners))
+                - sum(map(bisect_right, repeat(high), partners)))
+    # pairs within left, of two cubes up to bound/2, and of each v in left or each
+    # larger cube with the cubes up to bound - v
+    half, last = cubes_upto(bound // 2), cubes_upto(bound)
+    larger = map(pow, range(half + 2, last + 2), repeat(3))
+    return (_pairs_within(left, bound) + half * (half + 1) // 2
+            + sum(map(cubes_upto, map(sub, repeat(bound), chain(left, larger)))))
+
+
 def _report(config: SearchConfig, triples: list[BealTriple], powers_enumerated: int,
             pairs_tested: int, started: float, enumerated: float, indexed: float,
             sweeps: dict[str, dict[str, int]] | None = None,
@@ -662,8 +690,7 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     counted from one integer root per exponent, would exceed MAX_POWERS.
     """
     started = time.perf_counter()
-    lo_exp = min(config.min_x, config.min_y)
-    hi_exp = max(config.min_x, config.min_y)
+    lo_exp, hi_exp = sorted((config.min_x, config.min_y))
     min_exp = min(lo_exp, config.min_z)
     powers = 0
     for e in range(min_exp, config.bound.bit_length()):
@@ -672,38 +699,14 @@ def search_solutions(config: SearchConfig) -> SearchReport:
             raise BoundTooLarge(f"bound {config.bound} needs more than the "
                                 f"{MAX_POWERS} powers a search builds")
     table = enumerate_powers(config.bound, max(min_exp, 4))  # no cube of exponent 3
-    # The cube values of reduced exponent >= min_exp, for pairs_tested only; for 3, every n**3.
-    cubes = ([n * n * n for n in range(2, iroot(config.bound, 3)[0] + 1)] if min_exp == 3
-             else [entry.value for entry in table if entry.exponent % 3 == 0])
     enumerated = time.perf_counter()
 
     index = {entry.value: entry for entry in table}
     non_cubes = [entry for entry in table if entry.exponent % 3]
-    powers_enumerated = len(non_cubes) + len(cubes)
+    powers_enumerated = (len(table) if min_exp > 3  # past 3 the table holds every power
+                         else len(non_cubes) + iroot(config.bound, 3)[0] - 1)  # n**3, n >= 2
     left_other = [entry.value for entry in non_cubes if entry.exponent >= lo_exp]
-    # The cubes of the pair space below; past min_exp, lo_exp >= 4 and the table holds them.
-    left_cubes = (cubes if lo_exp == min_exp
-                  else [entry.value for entry in table
-                        if entry.exponent % 3 == 0 and entry.exponent >= lo_exp])
-    # The qualifying pair space (A^X <= B^Y, sum <= bound, either orientation
-    # meeting the minimums): the pairs of left values, at least one of them high.
-    if hi_exp > lo_exp:
-        # hi_exp >= 4, so the table holds every high value, and each is a left
-        # cube or in left_other.  The pairs of two high values, then each high h
-        # with the low values up to bound - h: left cubes and left_other up to
-        # there, less the high values up to there.
-        high = [entry.value for entry in table if entry.exponent >= hi_exp]
-        partners = list(map(sub, repeat(config.bound), high))
-        pairs_tested = (_pairs_within(high, config.bound)
-                        + sum(map(bisect_right, repeat(left_cubes), partners))
-                        + sum(map(bisect_right, repeat(left_other), partners))
-                        - sum(map(bisect_right, repeat(high), partners)))
-        del high, partners
-    else:  # two disjoint sorted runs: timsort merges them
-        pairs_tested = _pairs_within(sorted(left_cubes + left_other), config.bound)
-    del table, cubes, left_cubes  # the scan reads none of them
-    left_h = {entry.value for entry in non_cubes
-              if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)}
+    pairs_tested = _pairs_tested(config.bound, lo_exp, hi_exp, table, left_other)
     lanes = _Lanes(
         bound=config.bound,
         lo_exp=lo_exp,
@@ -712,7 +715,8 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         spf=_smallest_prime_factors(max((entry.base for entry in non_cubes), default=1)),
         left_other=left_other,
         left_other_set=set(left_other),
-        left_h=left_h,
+        left_h={entry.value for entry in non_cubes
+                if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)},
         is_cube=_cube_test(config.bound, min_exp, index),
         right_quartics={entry.value for entry in non_cubes
                         if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
@@ -726,18 +730,14 @@ def search_solutions(config: SearchConfig) -> SearchReport:
     def cube_term(value: int) -> tuple[int, int, int]:  # a term the table lacks: n**3, base n
         return value, iroot(value, 3)[0], 3
 
-    # each sweep's probes, found pairs and seconds, summed over the stripes
-    sweeps = {name: {"probes": 0, "pairs": 0} for name in SWEEPS}
-    sweep_seconds = dict.fromkeys(SWEEPS, 0.0)
+    # per sweep, its probes, found pairs and seconds, each summed over the stripes
+    totals = [list(map(sum, zip(*stripes))) for stripes in zip(*(tally for _, tally in results))]
+    sweeps = {name: {"probes": probes, "pairs": pairs}
+              for name, (probes, pairs, _) in zip(SWEEPS, totals)}
+    sweep_seconds = {name: seconds for name, (_, _, seconds) in zip(SWEEPS, totals)}
     triples = []
-    for found, tally in results:
-        for name, (probes, pairs, seconds) in zip(SWEEPS, tally):
-            sweeps[name]["probes"] += probes
-            sweeps[name]["pairs"] += pairs
-            sweep_seconds[name] += seconds
-        for a, b in found:
-            if a > b:
-                a, b = b, a
+    for found, _ in results:
+        for a, b in map(sorted, found):
             _, c, z = index.get(a + b) or cube_term(a + b)
             _, a, x = index.get(a) or cube_term(a)
             _, b, y = index.get(b) or cube_term(b)

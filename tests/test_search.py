@@ -7,7 +7,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import gcd, lcm, prod
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -210,20 +212,28 @@ def test_filter_free_scan_finds_the_same_hits(monkeypatch):
         assert free.sweeps[name]["pairs"] == filtered.sweeps[name]["pairs"], name
 
 
-def _pairs_reference(bound: int, minimums: tuple[int, int, int]) -> int:
-    """pairs_tested counted from the full power table: each value a with its
+def _pairs_reference(bound: int, minimums: tuple[int, int, int],
+                     entries: list[PowerEntry] | None = None) -> int:
+    """pairs_tested counted from the full power table (entries: the powers of
+    exponent >= min(minimums) up to bound, by default built here with
+    enumerate_powers(bound, min(minimums))): each left value a with its
     partners b >= a, a + b <= bound, where either orientation of (a, b)
-    meets (min_x, min_y)."""
+    meets (min_x, min_y): every left b for a high a, and a high b for a low
+    a.  Only an a with 2a <= bound has any."""
     min_x, min_y, _ = minimums
-    entries = enumerate_powers(bound, min(minimums))
-    left = [entry for entry in entries if entry.exponent >= min(min_x, min_y)]
+    lo, hi = sorted((min_x, min_y))
+    if entries is None:
+        entries = enumerate_powers(bound, min(minimums))
+    left = [entry for entry in entries if entry.exponent >= lo]
     values = [entry.value for entry in left]
-    high = [entry.value for entry in left if entry.exponent >= max(min_x, min_y)]
+    high = [entry.value for entry in left if entry.exponent >= hi]
+    low = [entry.value for entry in left if entry.exponent < hi]
     count = 0
-    for a in left:
-        # a low value (exponent below both minimums' maximum) needs a high partner
-        partners = values if a.exponent >= max(min_x, min_y) else high
-        count += max(0, bisect_right(partners, bound - a.value) - bisect_left(partners, a.value))
+    for smaller, partners in ((high, values), (low, high)):
+        smaller = smaller[:bisect_right(smaller, bound // 2)]
+        starts = map(bisect_left, repeat(partners), smaller)
+        ends = map(bisect_right, repeat(partners), map(sub, repeat(bound), smaller))
+        count += sum(max(0, end - start) for start, end in zip(starts, ends))
     return count
 
 
@@ -238,6 +248,27 @@ def test_search_matches_plain_lookup_past_the_oracle(minimums):
     # The search counts its powers and pairs without building the full table.
     assert report.counts["powers_enumerated"] == len(enumerate_powers(10 ** 10, min(minimums)))
     assert report.counts["pairs_tested"] == _pairs_reference(10 ** 10, minimums)
+
+
+def test_search_counts_its_powers_and_pairs_with_no_cube_list(monkeypatch):
+    # The counts only, with the scan and its sieves stubbed out, against the
+    # full table of exponent >= 3 to the largest bound, cut at each bound.
+    # 10**12 is a cube; 2**40 and 10**16 = (10**4)**4 are non-cube left values
+    # equal to the bound, whose bound - v = 0 must count no cube.  The
+    # minimums take both branches of _pairs_tested, equal and unequal.
+    monkeypatch.setattr(search_mod, "_match_forked", lambda lanes, workers: [])
+    monkeypatch.setattr(search_mod, "_sieve_masks", lambda values, moduli, power: [])
+    bounds = (1, 7, 8, 9, 16, 17, 2 ** 40, 10 ** 12, 10 ** 16 - 1, 10 ** 16, 10 ** 16 + 1)
+    table = enumerate_powers(max(bounds), 3)
+    values = [entry.value for entry in table]
+    for bound in bounds:
+        entries = table[:bisect_right(values, bound)]
+        for minimums in ((3, 3, 3), (4, 3, 3), (3, 5, 4), (4, 4, 3), (6, 6, 3)):
+            counts = search_solutions(SearchConfig(bound, *minimums)).counts
+            # every minimum here is 3 or more and one of them is 3
+            assert counts["powers_enumerated"] == len(entries), (bound, minimums)
+            assert counts["pairs_tested"] == _pairs_reference(bound, minimums, entries), (
+                bound, minimums)
 
 
 @pytest.mark.parametrize("bound, minimums, pairs", [(10 ** 12, (3, 3, 3), 56_872_575),
@@ -513,6 +544,16 @@ def test_cube_test_is_exact_at_the_largest_admitted_bound(monkeypatch):
     rng = random.Random(40)
     for c in (rng.randrange(8, bound + 1) for _ in range(20_000)):
         assert is_cube(c) == iroot(c, 3)[1], c
+    # the count of the cubes n**3 (n >= 2) that pairs_tested reads, by the same argument
+    cubes_upto = search_mod._cubes_upto
+    assert [cubes_upto(x) for x in range(10)] == [0] * 8 + [1, 1]
+    assert cubes_upto(bound) == n - 1
+    for k in range(n - 2000, n + 1):
+        assert (cubes_upto(k ** 3 - 1), cubes_upto(k ** 3), cubes_upto(k ** 3 + 1)) == (
+            k - 2, k - 1, k - 1), k
+    rng = random.Random(41)
+    for x in (rng.randrange(1, bound + 1) for _ in range(20_000)):
+        assert cubes_upto(x) == iroot(x, 3)[0] - 1, x
 
 
 def test_cube_test_past_3_reads_the_table_with_no_float():
