@@ -37,28 +37,25 @@ The cases, --repeats samples per tree each:
     timed import still compiled any module from source
     (compiled_from_source);
   cli search: a fresh `bealsearch search --bound 10^12` process that times
-    its one call of cli.main (main_s, as a perfbench child does) and counts
-    the cyclic collector's passes in that call and in the first allocations
-    after it, where a pass that a paused collector deferred runs
-    (main_gc_passes); the whole process is process_s.  The output digest is
-    that of the CSV it writes;
+    its one call of cli.main (main_s, as a perfbench child does); the whole
+    process is process_s.  The output digest is that of the CSV it writes;
   cli verify-identities: the same for a fresh `bealsearch verify-identities
     --cases 500 --seed 1000003` process, perfbench's first identities child;
     the output digest is that of what main prints;
   search: one search (bound, minimums, workers) after one untimed warm-up
     search at 10^6, whose peak memory is below every case's; the sample
-    holds wall_s, each phase of SearchReport.phases, the process's peak
-    RSS, the larger of its own (peak_rss_mb) and its forked workers', the probes
-    and seconds of each sweep of the scan (SearchReport.sweeps and
-    SearchReport.sweep_seconds), and the cyclic garbage collector's passes
-    and seconds during the search (gc_s in all; gc, per generation, read
-    through gc.callbacks).  The search runs with the collector paused, as
-    cli.main runs it, so a pass cannot fall in one phase and read as a code
-    change; gc shows that none ran, and the collector is then left as it
-    was.  The cases are 10^12, 10^14 and 10^16 with minimums 3,3,3 and 1
-    worker, 10^14 with 2, and perfbench's search_split, 10^13 with minimums
-    4,3,3 and 2 workers.  The search at 10^18 (a few seconds per run) is a
-    case only with --repeats-1e18;
+    holds wall_s, each phase of SearchReport.phases, the seconds of each
+    sweep of the scan (<sweep>_s for each name of search.SWEEPS, from
+    SearchReport.sweep_seconds) and the process's peak RSS, the larger of
+    its own and its forked workers' (peak_rss_mb).  The search runs with
+    the cyclic garbage collector paused, as cli.main runs it, so a pass
+    cannot fall in one phase and read as a code change; the collector is
+    then left as it was.  The facts hold the bound, minimums and workers,
+    the report's counts and the probes and found pairs of each sweep
+    (SearchReport.sweeps).  The cases are 10^12, 10^14 and 10^16 with
+    minimums 3,3,3 and 1 worker, 10^14 with 2, and perfbench's search_split,
+    10^13 with minimums 4,3,3 and 2 workers.  The search at 10^18 (a few
+    seconds per run) is a case only with --repeats-1e18;
   completeness (only with --completeness, two to three minutes per tree):
     search_solutions against the plain right-anchored lookup of
     tests/test_search.py (_lookup_reference, one set lookup per pair) at
@@ -101,18 +98,17 @@ every sample of every tree.
 
 Every run adds its samples to each case under its tree's label in --out, so
 runs can be added to one file; the statistics are recomputed over all samples
-of a label: per case the raw samples and, per timed quantity, the median,
-minimum and quartiles, and for each time (a name ending in _s, or
+of a label: per case the raw samples and, per sample key, the median,
+minimum and quartiles over the samples that hold the key (a file may hold
+samples of older layouts), and for each time (a name ending in _s, or
 us_per_call) beside them scaled_median, the median of the sample's time
 times REFERENCE_S / host_s (perfbench/speed.py's REFERENCE_S): the time at
 the host speed where the reference work takes REFERENCE_S.  A search case
-also holds the report's counts and the probes of the scan per second of
-median scan_s when the report counts them (SearchReport.scan_probes), the
-probes and found pairs of each sweep of the scan (SearchReport.sweeps) and,
-per sweep, the statistics of its seconds (SearchReport.sweep_seconds).  The
-machine facts are nproc (the CPUs this process may run on), the CPU model,
-the Python version and whether Python writes bytecode caches by default (no
-sample depends on it: every sample reads the run's private cache).
+also holds the probes of the scan per second of median scan_s when the
+report counts them (SearchReport.scan_probes).  The machine facts are nproc
+(the CPUs this process may run on), the CPU model, the Python version and
+whether Python writes bytecode caches by default (no sample depends on it:
+every sample reads the run's private cache).
 """
 
 from __future__ import annotations
@@ -192,20 +188,15 @@ measured["compiled"] = not all(os.path.exists(module.__cached__) for name, modul
 finish()
 """
 # Imports cli.main and samples the host just before and just after it calls
-# main(argv[2:]); measures, after main's own output, the seconds of the call
-# and the cyclic collector's passes from the call to the count.  Of what it
-# measures (fresh_process), a cli case's sample keeps MAIN_KEYS.
-MAIN_KEYS = ("main_s", "process_s", "main_gc_passes", "host_s")
+# main(argv[2:]); measures, after main's own output, the seconds of the call.
+# Of what it measures (fresh_process), a cli case's sample keeps MAIN_KEYS.
+MAIN_KEYS = ("main_s", "process_s", "host_s")
 TIMED_MAIN_SCRIPT = HOST_SCRIPT + """\
-import gc
 from bealsearch.cli import main
-passes = lambda: sum(stats["collections"] for stats in gc.get_stats())
 sample_host()
-before = passes()
 started = time.perf_counter()
 code = main(sys.argv[2:])
 measured["main_s"] = time.perf_counter() - started
-measured["main_gc_passes"] = passes() - before
 sample_host()
 finish()
 sys.exit(code)
@@ -382,21 +373,6 @@ def private_bytecode(trees: list[tuple[str, str]]):
         yield dict(env, PYTHONDONTWRITEBYTECODE="1")
 
 
-class GcTimer:
-    """The cyclic collector's passes and seconds per generation, as one of
-    gc.callbacks."""
-
-    def __init__(self):
-        self.passes, self.seconds, self._started = [0, 0, 0], [0.0, 0.0, 0.0], 0.0
-
-    def __call__(self, phase: str, info: dict) -> None:
-        if phase == "start":
-            self._started = time.perf_counter()
-        else:
-            self.passes[info["generation"]] += 1
-            self.seconds[info["generation"]] += time.perf_counter() - self._started
-
-
 def fresh_process(script: str, src: str, argv: list[str], env: dict) -> tuple[dict, str]:
     """What script measured in a fresh process on src, with host_s, the median
     of its host seconds, and process_s, the seconds of the whole process less
@@ -458,26 +434,20 @@ def search_sample(bound: int, minimums: tuple[int, int, int], workers: int):
     search.search_solutions(search.SearchConfig(bound=10 ** 6))  # warm-up, untimed
     enabled = gc.isenabled()
     gc.disable()  # as cli.main runs the search
-    collector = GcTimer()
-    gc.callbacks.append(collector)
     try:
         started = time.perf_counter()
         report = search.search_solutions(search.SearchConfig(bound, *minimums, workers=workers))
         sample = {"wall_s": time.perf_counter() - started}
     finally:
-        gc.callbacks.remove(collector)
         if enabled:
             gc.enable()
-    sample["gc_s"] = sum(collector.seconds)
-    sample["gc"] = {str(generation): {"passes": passes, "s": seconds}
-                    for generation, (passes, seconds)
-                    in enumerate(zip(collector.passes, collector.seconds))}
     sample.update((name, report.phases[name]) for name in PHASES)
+    sample.update((f"{name}_s", report.sweep_seconds[name]) for name in search.SWEEPS)
     sample["peak_rss_mb"] = peak_rss_mb()
-    sample["probes"] = {name: sweep["probes"] for name, sweep in report.sweeps.items()}
-    sample["sweep_seconds"] = report.sweep_seconds
-    counts = dict(report.counts, scan_probes=report.scan_probes)
-    return sample, {"counts": counts, "sweeps": report.sweeps}, None
+    facts = {"bound": str(bound), "minimums": list(minimums), "workers": workers,
+             "counts": dict(report.counts, scan_probes=report.scan_probes),
+             "sweeps": report.sweeps}
+    return sample, facts, None
 
 
 def completeness_sample(reference: str, bound: int, minimums: tuple[int, int, int]):
@@ -594,13 +564,12 @@ def run_case(runs: dict, trees: list[tuple[str, str]], name: str, repeats: int,
             case["samples"].append(sample)
             case.update(facts)
             case["repeats"] = len(case["samples"])
-            for key, value in sample.items():
-                if isinstance(value, dict):  # a search's per-sweep figures: see main
-                    continue
-                case[key] = summary([run[key] for run in case["samples"]])
+            for key in sample:
+                holding = [run for run in case["samples"] if key in run]
+                case[key] = summary([run[key] for run in holding])
                 if key != "host_s" and (key.endswith("_s") or key == "us_per_call"):
                     case[key]["scaled_median"] = statistics.median(
-                        run[key] * REFERENCE_S / run["host_s"] for run in case["samples"]
+                        run[key] * REFERENCE_S / run["host_s"] for run in holding
                         if "host_s" in run)
             if output is not None:
                 known = {runs[other][name].get("output_sha256") for other in runs
@@ -694,19 +663,8 @@ def run_cases(runs: dict, trees: list[tuple[str, str]], args, env: dict) -> list
         run(name, repeats, fresh_sample, search_sample, bound, minimums, workers)
         for label, _ in trees:
             case = runs[label][name]
-            case.update(bound=str(bound), minimums=list(minimums), workers=workers)
             probes = case["counts"]["scan_probes"]
             case["probes_per_s"] = probes / case["scan_s"]["median"] if probes else None
-            seconds = [run["sweep_seconds"] for run in case["samples"] if "sweep_seconds" in run]
-            if seconds:
-                case["sweep_seconds"] = {sweep: summary([run[sweep] for run in seconds])
-                                         for sweep in seconds[0]}
-            collected = [run["gc"] for run in case["samples"] if "gc" in run]
-            if collected:
-                case["gc"] = {generation: {
-                    "passes": statistics.median(run[generation]["passes"] for run in collected),
-                    "s": summary([run[generation]["s"] for run in collected])}
-                    for generation in collected[0]}
     differ = []
     for name, reference, bound, minimums in COMPLETENESS if args.completeness else []:
         run(name, 1, fresh_sample, completeness_sample, reference, bound, minimums)

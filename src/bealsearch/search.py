@@ -298,7 +298,8 @@ def _sieve_masks(values: list[int], moduli: tuple[int, ...],
 
 class _Lanes(NamedTuple):
     """What the scan reads; every list is sorted by value.  It holds the
-    non-cubes as PowerEntry tuples and no cube: is_cube tests a value."""
+    non-cubes as PowerEntry tuples, and in index the cubes of exponent >= 6
+    too, but no cube of exponent 3: is_cube tests a value."""
 
     bound: int
     lo_exp: int                 # the smaller left minimum: a non-cube of it is a left value
@@ -306,10 +307,9 @@ class _Lanes(NamedTuple):
     non_cubes: list[PowerEntry]  # the table's entries that are not cubes
     spf: array                  # smallest prime factor of each n <= the largest such base
     left_other: list[int]       # left values that are not cubes
-    left_other_set: set[int]
-    left_h: set[int]            # left values in class H
+    left_other_set: set[int]    # left_other, for sweep 4's membership test
+    index: dict[int, PowerEntry]  # every table value to its entry
     is_cube: Callable[[int], bool]  # _cube_test: a cube that serves as left and right
-    right_quartics: set[int]    # right values in class Q
     # _sieve_masks(left_other, CUBE_SIEVE, 3) and (left_other, QUARTIC_SIEVE, 4):
     # per modulus m, the masks over left_other indexed by a shift mod m
     cube_sieve: list[tuple[int, list[int]]]
@@ -388,9 +388,8 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
     what the last one left.
     """
     bound, lo_exp, min_z = lanes.bound, lanes.lo_exp, lanes.min_z
-    left_other, left_other_set, left_h = lanes.left_other, lanes.left_other_set, lanes.left_h
-    is_cube, right_quartics = lanes.is_cube, lanes.right_quartics
-    cube_sieve, quartic_sieve = lanes.cube_sieve, lanes.quartic_sieve
+    left_other, left_other_set, index = lanes.left_other, lanes.left_other_set, lanes.index
+    is_cube, cube_sieve, quartic_sieve = lanes.is_cube, lanes.cube_sieve, lanes.quartic_sieve
     found: list[tuple[int, int]] = []
     tally: list[tuple[int, int, float]] = []  # per sweep: probes, pairs, seconds
 
@@ -445,8 +444,9 @@ def _match_stripe(lanes: _Lanes, entries: list[PowerEntry]) -> tuple[
     for v, last in zip(values, lasts):
         partners = _sieved(left_other, quartic_sieve, v, 0, last)
         probed += len(partners)
-        if partners and (sums := right_quartics.intersection(map(add, repeat(v), partners))):
-            found.extend((v, c - v) for c in sums if c - v >= v or c - v not in left_h)
+        if partners and (sums := index.keys() & map(add, repeat(v), partners)):
+            found.extend((v, c - v) for c in sums if (z := index[c].exponent) >= min_z and
+                         _is_quartic(z) and (c - v >= v or _is_quartic(index[c - v].exponent)))
     tally.append((probed, len(found) - before, time.perf_counter() - started))
     return found, tally
 
@@ -715,11 +715,8 @@ def search_solutions(config: SearchConfig) -> SearchReport:
         spf=_smallest_prime_factors(max((entry.base for entry in non_cubes), default=1)),
         left_other=left_other,
         left_other_set=set(left_other),
-        left_h={entry.value for entry in non_cubes
-                if entry.exponent >= lo_exp and not _is_quartic(entry.exponent)},
+        index=index,
         is_cube=_cube_test(config.bound, min_exp, index),
-        right_quartics={entry.value for entry in non_cubes
-                        if entry.exponent >= config.min_z and _is_quartic(entry.exponent)},
         cube_sieve=_sieve_masks(left_other, CUBE_SIEVE, 3),
         quartic_sieve=_sieve_masks(left_other, QUARTIC_SIEVE, 4),
         cube_cut=27 * config.bound ** 2)

@@ -54,6 +54,29 @@ def test_run_case_alternates_the_trees_and_summarises_each(bench):
     assert runs["parent"]["case"]["wall_s"]["median"] == 0.2
 
 
+def test_a_search_sample_is_flat_and_each_sweep_is_summarised(bench):
+    from speed import REFERENCE_S
+
+    from bealsearch.search import SWEEPS
+
+    sample, facts, output = bench.search_sample(10 ** 8, (3, 3, 3), 1)
+    assert all(isinstance(value, float) for value in sample.values())
+    sweep_keys = {f"{name}_s" for name in SWEEPS}
+    assert sweep_keys <= set(sample) and "gc" not in sample
+    assert (facts["bound"], facts["minimums"], facts["workers"]) == ("100000000", [3, 3, 3], 1)
+    assert output is None
+    # added to a case whose earlier sample has the nested layout of BENCH_41.json
+    older = {"wall_s": 0.5, "gc": {"0": {"passes": 0, "s": 0.0}}, "host_s": 0.001}
+    runs = {"change": {"search": {"samples": [older]}}}
+    bench.run_case(runs, [("change", "C")], "search", 1,
+                   lambda src: (dict(sample, host_s=0.002), facts, output))
+    case = runs["change"]["search"]
+    for key in sweep_keys:
+        assert case[key]["median"] == sample[key]
+        assert case[key]["scaled_median"] == pytest.approx(sample[key] * REFERENCE_S / 0.002)
+    assert case["wall_s"]["median"] == pytest.approx((0.5 + sample["wall_s"]) / 2)
+
+
 def test_run_case_exits_when_an_output_differs(bench):
     def stub(src):
         return {"wall_s": 1.0, "host_s": 1.0}, {}, src

@@ -428,6 +428,19 @@ def test_scan_finds_each_pair_once(monkeypatch, bound, minimums, named):
             assert sum(tally[k][1] for _, tally in results) == count, name
 
 
+def test_sweep_5_keeps_only_sums_that_are_right_values(monkeypatch):
+    # Sweep 5 reads the sums' exponents from the table's value index, which
+    # also holds 4th powers below min_z: at 10^11 with minimums 3,3,3 the
+    # sweep finds 7 pairs, 5 of them with a sum of exponent 4.
+    def sweep_5_sums(minimums):
+        lanes = _scan_lanes(monkeypatch, SearchConfig(10 ** 11, *minimums))
+        found, tally = search_mod._match_stripe(lanes, lanes.non_cubes)
+        return sorted(lanes.index[a + b].exponent for a, b in found[len(found) - tally[4][1]:])
+
+    assert sweep_5_sums((3, 3, 3)) == [4, 4, 4, 4, 4, 8, 32]
+    assert sweep_5_sums((3, 3, 5)) == [8, 32]
+
+
 def _is_residue(r: int, modulus: int, power: int) -> bool:
     return any(pow(n, power, modulus) == r % modulus for n in range(modulus))
 
